@@ -249,15 +249,11 @@ let fixpoint_shop ~stages ~jobs =
 let curve_kernels () =
   print_endline
     "=== Curve kernels: optimized vs reference (median ns/run) ===";
-  (* The reference lane runs with the whole curve layer switched to the
-     frozen baselines, so the comparison is old call path vs new call path,
-     not a hybrid. *)
-  let on_reference f () =
-    Rta_curve.Minplus.set_impl `Reference;
-    Fun.protect ~finally:(fun () -> Rta_curve.Minplus.set_impl `Optimized) f
-  in
+  (* Every reference lane runs entirely on the frozen baselines (the
+     fixpoint's on the textbook sweep over the Reference kernels), so the
+     comparison is old call path vs new call path, not a hybrid. *)
   let case name ~reference ~optimized =
-    let r = median_ns (on_reference reference) in
+    let r = median_ns reference in
     let o = median_ns optimized in
     kernel_results := (name, r, o) :: !kernel_results;
     Printf.printf "  %-28s %12.0f ref  %12.0f opt  %6.1fx\n" name r o (r /. o)
@@ -295,12 +291,9 @@ let curve_kernels () =
         (Printf.sprintf "fixpoint_%dx%d" jobs stages)
         ~reference:(fun () ->
           ignore
-            (Rta_core.Fixpoint.analyze ~strategy:`Full ~release_horizon
-               ~horizon system))
+            (Rta_testsupport.Jacobi.analyze ~release_horizon ~horizon system))
         ~optimized:(fun () ->
-          ignore
-            (Rta_core.Fixpoint.analyze ~strategy:`Dirty ~release_horizon
-               ~horizon system)))
+          ignore (Rta_core.Fixpoint.analyze ~release_horizon ~horizon system)))
     [ (2, 3); (3, 6); (4, 9) ];
   print_newline ()
 

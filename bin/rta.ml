@@ -375,7 +375,7 @@ let batch_cmd =
     in
     Arg.(value & opt int default
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker count (default: $(b,RTA_JOBS) or 1).  More than one worker runs on OCaml 5 domains; on 4.14 the pool degrades to sequential execution with identical output.")
+             ~doc:"Worker count (default: $(b,RTA_JOBS) or 1).  More than one worker runs on OCaml 5 domains, with identical output.")
   in
   let chunk_arg =
     Arg.(value & opt int 512
@@ -482,7 +482,7 @@ let serve_cmd =
   let jobs_arg =
     Arg.(value & opt (some int) None
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker count (default: $(b,RTA_JOBS) or the backend's recommendation).  Workers run on OCaml 5 domains; on 4.14 the pool degrades to one effective worker.")
+             ~doc:"Worker count (default: $(b,RTA_JOBS) or the backend's recommendation).  Workers run on OCaml 5 domains.")
   in
   let max_queue_arg =
     Arg.(value & opt int 64
@@ -692,7 +692,6 @@ let fuzz_cmd =
   in
   let run () seed count budget_s out fault kernels replay verbose =
     setup_logs verbose;
-    Rta_core.Engine.set_fault fault;
     if kernels then begin
       if count < 1 then begin
         Format.eprintf "error: --count must be at least 1@.";
@@ -703,7 +702,7 @@ let fuzz_cmd =
     else
     match replay with
     | Some path -> (
-        match Rta_check.Fuzz.replay path with
+        match Rta_check.Fuzz.replay ~fault path with
         | Error msg ->
             Format.eprintf "error: %s@." msg;
             exit 2
@@ -721,7 +720,7 @@ let fuzz_cmd =
           exit 2
         end;
         let outcome =
-          Rta_check.Fuzz.run ?out_dir:out ?budget_s ~seed ~count ()
+          Rta_check.Fuzz.run ~fault ?out_dir:out ?budget_s ~seed ~count ()
         in
         Format.printf
           "fuzz: %d tested (%d passed, %d skipped), %d counterexample(s) in \

@@ -49,7 +49,7 @@ let write_counterexample dir cex =
   close_out oc;
   path
 
-let run ?out_dir ?budget_s ~seed ~count () =
+let run ?fault ?out_dir ?budget_s ~seed ~count () =
   let sp = if Obs.enabled () then Obs.span_begin "fuzz.run" else Obs.no_span in
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun s -> started +. s) budget_s in
@@ -66,7 +66,7 @@ let run ?out_dir ?budget_s ~seed ~count () =
     incr tested;
     Obs.incr c_cases;
     let check (s : Rta_model.System.t) =
-      Oracle.check ~release_horizon:case.Gen.release_horizon
+      Oracle.check ?fault ~release_horizon:case.Gen.release_horizon
         ~horizon:case.Gen.horizon s
     in
     match check case.Gen.system with
@@ -119,7 +119,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let replay path =
+let replay ?fault path =
   match read_file path with
   | exception Sys_error msg -> Error msg
   | contents -> (
@@ -142,4 +142,4 @@ let replay path =
             | Some hs -> hs
             | None -> Rta_model.System.suggested_horizons system
           in
-          Ok (Oracle.check ~release_horizon ~horizon system))
+          Ok (Oracle.check ?fault ~release_horizon ~horizon system))

@@ -36,9 +36,16 @@ type outcome = {
 }
 
 val run :
-  ?out_dir:string -> ?budget_s:float -> seed:int -> count:int -> unit -> outcome
+  ?fault:Rta_core.Local.fault ->
+  ?out_dir:string ->
+  ?budget_s:float ->
+  seed:int ->
+  count:int ->
+  unit ->
+  outcome
 (** Run up to [count] cases, stopping early when [budget_s] wall-clock
-    seconds have elapsed.  With [out_dir] (created if missing), every
+    seconds have elapsed.  [fault] is planted in every engine run
+    ({!Oracle.check}); the run is then expected to find counterexamples.  With [out_dir] (created if missing), every
     counterexample is written as
     [out_dir/counterexample-<seed>-<index>.rta].  Instrumented with
     {!Rta_obs} counters [fuzz.cases], [fuzz.passed], [fuzz.skipped] and
@@ -47,7 +54,7 @@ val run :
 val render : counterexample -> string
 (** The replayable [.rta] text of the shrunk counterexample. *)
 
-val replay : string -> (Oracle.verdict, string) result
+val replay : ?fault:Rta_core.Local.fault -> string -> (Oracle.verdict, string) result
 (** Re-check a counterexample file: parse the system, read the horizons
     from the [#!] directive (falling back to
     {!Rta_model.System.suggested_horizons} for plain [.rta] files), and

@@ -26,11 +26,6 @@ type outcome = {
 let show_pl f = Format.asprintf "%a" Pl.pp f
 let show_step f = Format.asprintf "%a" Step.pp f
 
-let with_impl impl f =
-  let saved = Minplus.current_impl () in
-  Minplus.set_impl impl;
-  Fun.protect ~finally:(fun () -> Minplus.set_impl saved) f
-
 (* --- generation ---------------------------------------------------------
 
    Piecewise-linear curves are generated segment-wise (length, integer
@@ -156,51 +151,48 @@ let rec shrink1 shrinks still_fails a =
 (* --- the differential checks ------------------------------------------- *)
 
 let convolve_mismatch (f, g) =
-  let opt = with_impl `Optimized (fun () -> Minplus.convolve f g) in
+  let opt = Minplus.convolve f g in
   let ref_ = Reference.convolve f g in
   not (Pl.equal opt ref_)
 
 let convolve_detail (f, g) =
-  let opt = with_impl `Optimized (fun () -> Minplus.convolve f g) in
+  let opt = Minplus.convolve f g in
   let ref_ = Reference.convolve f g in
   Printf.sprintf "f = %s\ng = %s\noptimized convolve = %s\nreference convolve = %s"
     (show_pl f) (show_pl g) (show_pl opt) (show_pl ref_)
 
 let prefix_mismatch mode (avail, work) =
-  let opt =
-    with_impl `Optimized (fun () -> Minplus.prefix_min ~mode ~avail ~work)
-  in
+  let opt = Minplus.prefix_min ~mode ~avail ~work in
   let ref_ = Reference.prefix_min ~mode ~avail ~work in
   not (Pl.equal opt ref_)
 
 let prefix_detail mode (avail, work) =
-  let opt =
-    with_impl `Optimized (fun () -> Minplus.prefix_min ~mode ~avail ~work)
-  in
+  let opt = Minplus.prefix_min ~mode ~avail ~work in
   let ref_ = Reference.prefix_min ~mode ~avail ~work in
   Printf.sprintf "avail = %s\nwork = %s\noptimized prefix_min = %s\nreference prefix_min = %s"
     (show_pl avail) (show_step work) (show_pl opt) (show_pl ref_)
 
+let pointwise_ops =
+  [
+    ("min2", Pl.min2, Reference.min2);
+    ("max2", Pl.max2, Reference.max2);
+    ("add", Pl.add, Reference.add);
+    ("sub", Pl.sub, Reference.sub);
+  ]
+
 let pointwise_mismatch (f, g) =
-  let both op =
-    ( with_impl `Optimized (fun () -> op f g),
-      with_impl `Reference (fun () -> op f g) )
-  in
   List.exists
-    (fun op ->
-      let o, r = both op in
-      not (Pl.equal o r))
-    [ Pl.min2; Pl.max2; Pl.add; Pl.sub ]
+    (fun (_, fast, slow) -> not (Pl.equal (fast f g) (slow f g)))
+    pointwise_ops
 
 let pointwise_detail (f, g) =
   Printf.sprintf "f = %s\ng = %s\n%s" (show_pl f) (show_pl g)
     (String.concat "\n"
        (List.map
-          (fun (name, op) ->
+          (fun (name, fast, slow) ->
             Printf.sprintf "%s: fast %s, reference %s" name
-              (show_pl (with_impl `Optimized (fun () -> op f g)))
-              (show_pl (with_impl `Reference (fun () -> op f g))))
-          [ ("min2", Pl.min2); ("max2", Pl.max2); ("add", Pl.add); ("sub", Pl.sub) ]))
+              (show_pl (fast f g)) (show_pl (slow f g)))
+          pointwise_ops))
 
 let of_step_mismatch work = not (Pl.equal (Pl.of_step work) (Reference.of_step work))
 

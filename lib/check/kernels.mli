@@ -36,8 +36,7 @@ val run :
 (** Run up to [count] trials (each exercising every check once), stopping
     early when [budget_s] wall-clock seconds have elapsed.  With [out_dir]
     (created if missing), every mismatch is written as
-    [out_dir/kernel-mismatch-<seed>-<index>-<check>.txt].  Leaves the
-    global {!Rta_curve.Minplus.set_impl} selection as it found it. *)
+    [out_dir/kernel-mismatch-<seed>-<index>-<check>.txt]. *)
 
 val render : mismatch -> string
 (** The report text written for a mismatch. *)

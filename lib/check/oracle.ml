@@ -114,8 +114,8 @@ let check_responses ~add ~horizon system t sim =
       (Response.per_instance t ~job:j)
   done
 
-let check ?release_horizon ~horizon system =
-  match Engine.run ?release_horizon ~horizon system with
+let check ?fault ?release_horizon ~horizon system =
+  match Engine.run ?fault ?release_horizon ~horizon system with
   | Error (`Cyclic ids) ->
       Skipped
         (Printf.sprintf "cyclic dependencies through %d subjobs" (List.length ids))

@@ -40,6 +40,12 @@ type verdict =
   | Failed of violation list
 
 val check :
-  ?release_horizon:int -> horizon:int -> Rta_model.System.t -> verdict
+  ?fault:Rta_core.Local.fault ->
+  ?release_horizon:int ->
+  horizon:int ->
+  Rta_model.System.t ->
+  verdict
+(** [fault] (default [`None]) is planted in the engine run under test: the
+    oracle's self-test. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -27,7 +27,7 @@ let resolve_horizons cfg system =
   in
   (release_horizon, horizon)
 
-type verdict = Bounded of int | Unbounded
+type verdict = Verdict.t = Bounded of int | Unbounded
 
 type report = {
   method_used : [ `Exact | `Approximate | `Fixpoint ];
@@ -36,14 +36,6 @@ type report = {
   release_horizon : int;
   horizon : int;
 }
-
-let of_response = function
-  | Response.Bounded r -> Bounded r
-  | Response.Unbounded -> Unbounded
-
-let of_fixpoint = function
-  | Fixpoint.Bounded r -> Bounded r
-  | Fixpoint.Unbounded -> Unbounded
 
 let finish system method_used ~release_horizon ~horizon per_job =
   let schedulable =
@@ -65,7 +57,7 @@ let run ?(cancel = Cancel.never) ?(config = default) system =
     match Engine.run ~cancel ~release_horizon ~horizon system with
     | Error (`Cyclic _) ->
         let fp = Fixpoint.analyze ~cancel ~release_horizon ~horizon system in
-        finish `Fixpoint (Array.map of_fixpoint fp.Fixpoint.per_job)
+        finish `Fixpoint fp.Fixpoint.per_job
     | Ok engine ->
         let exact = Engine.is_exact engine in
         let estimator =
@@ -73,7 +65,7 @@ let run ?(cancel = Cancel.never) ?(config = default) system =
         in
         let per_job =
           Array.init (System.job_count system) (fun j ->
-              of_response (Response.end_to_end engine ~estimator ~job:j))
+              Response.end_to_end engine ~estimator ~job:j)
         in
         finish (if exact then `Exact else `Approximate) per_job
   in

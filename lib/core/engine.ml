@@ -1,7 +1,6 @@
 open Rta_model
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
-module Minplus = Rta_curve.Minplus
 
 let log_src = Logs.Src.create "rta.engine" ~doc:"Response-time analysis engine"
 
@@ -39,18 +38,6 @@ type t = {
 }
 
 let entry t (id : System.subjob_id) = t.entries.(id.job).(id.step)
-
-(* Test-only fault injection: the fuzz harness plants a known-unsound bug
-   and checks its oracle catches it.  [`Fcfs_drop_tau] drops the Theorem 9
-   [+ tau] (the instance's own execution demand, which the right-continuous
-   workload value at the arrival instant carries) from the FCFS guaranteed-
-   departure target, making dep_lo claim departures before the processor
-   can have served the instance. *)
-type fault = [ `None | `Fcfs_drop_tau ]
-
-let fault_state = ref (`None : fault)
-let set_fault f = fault_state := f
-let current_fault () = !fault_state
 
 let is_exact t =
   Array.for_all (Array.for_all (fun e -> e.exact)) t.entries
@@ -124,190 +111,11 @@ let check_entry t e =
   end;
   List.rev !failures
 
-(* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2), with the
-   arrival caps described in engine.mli. *)
-let departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi =
-  (* The arrival cap bounds departures by the instance count, so converting
-     service beyond [tau * final_value arr] only creates jumps the min
-     discards; capping the conversion keeps the work proportional to the
-     instance count instead of the horizon. *)
-  let dep_of svc arr =
-    Step.min2
-      (Pl.to_step_floor_div ~cap:(Step.final_value arr)
-         (Pl.truncate_at svc horizon) tau)
-      arr
-  in
-  (dep_of svc_lo arr_lo, dep_of svc_hi arr_hi)
-
-(* Exact SPP service (Theorem 3): avail A = t - sum of exact higher-priority
-   services; S = min over s <= t of (A(t) - A(s) + c(s-)). *)
-let spp_exact_service ~hp_services ~work =
-  let avail = Pl.sub Pl.identity (Pl.sum hp_services) in
-  Minplus.transform ~mode:`Left ~avail ~work
-
-(* Approximate static-priority service bounds (the role of Theorems 5-6;
-   SPP is the blocking-0 case).
-
-   Lower bound — level-k busy-window argument, provably pointwise sound:
-   let s0 be the start of the level-k busy period containing t, so that
-   all level-<=k queues are empty at s0.  Our service satisfies
-
-     S(t) >= c(s0-) + (t - s0) - b - sum_hp (c_hp(t) - c_hp(s0-))
-
-   (writing s0 for the busy-period start) because within (s0, t] the
-   processor is never idle while our queue is
-   backlogged, suffers at most one non-preemptive blocking (b, Eq. 15), and
-   higher-priority service is bounded by the workload that arrived after
-   s0.  Substituting bounds in the sound direction and taking the minimum
-   over all s (a superset of candidates only loosens a lower bound):
-
-     S_lo(t) = (t - b - sum_hp c_hi_hp(t))
-               + min over s <= t of (W_lo(s-) - s)
-
-   with W_lo = c_lo_self + sum_hp c_lo_hp.  Note: the recursion printed in
-   the paper's Eq. 17 (interference via hp service {e lower} bounds) is
-   unsound — see EXPERIMENTS.md for the two-job counterexample; this
-   formulation replaces it.
-
-   Upper bound — two sound components, combined by pointwise min:
-   (a) S(t) <= t - sum_hp S_lo_hp(t): total capacity minus guaranteed
-       higher-priority service (valid because S_lo_hp is pointwise sound);
-   (b) S(t) <= min over s of ((t - s) + c_hi(s)): unit service rate applied
-       to the upper-bounded own workload (Theorem 6's shape with B = t). *)
-let sp_bounds ~blocking ~hp_lo ~hp_work_lo ~hp_work_hi ~work_lo ~work_hi =
-  let lo =
-    let d =
-      Pl.sub
-        (Pl.linear ~slope:1 ~offset:(-blocking))
-        (Pl.of_step (Step.sum hp_work_hi))
-    in
-    let w_lo = Step.sum (work_lo :: hp_work_lo) in
-    let m = Minplus.prefix_min ~mode:`Left ~avail:Pl.identity ~work:w_lo in
-    (* The minimum ranges over s <= t - b (the paper's Eq. 16 domain): the
-       candidate s = t - b is bounded below by the level-k workload already
-       arrived, while s close to t would drive the bound to minus infinity
-       once arrivals stop. *)
-    Pl.add d (Pl.shift_right m blocking)
-  in
-  let hi =
-    let capacity_left = Pl.sub Pl.identity (Pl.sum hp_lo) in
-    let smoothed_work =
-      Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi
-    in
-    Pl.min2 capacity_left smoothed_work
-  in
-  (Pl.prefix_max (Pl.pos lo), Pl.prefix_max (Pl.pos hi))
-
-(* Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), kept for the
-   ablation study.  Known unsound as a departure lower bound (see above);
-   never used by default. *)
-let sp_bounds_as_printed ~blocking ~hp_lo ~work_lo ~work_hi =
-  let interference = Pl.sum hp_lo in
-  let lo =
-    let b_fun =
-      if blocking = 0 then Pl.sub Pl.identity interference
-      else
-        Pl.splice ~at:blocking Pl.zero
-          (Pl.sub (Pl.linear ~slope:1 ~offset:(-blocking)) interference)
-    in
-    Minplus.transform_blocked ~mode:`Left ~avail:b_fun ~work:work_lo ~blocking
-  in
-  let hi =
-    let b_fun = Pl.sub Pl.identity interference in
-    Minplus.transform ~mode:`Right ~avail:b_fun ~work:work_hi
-  in
-  (Pl.prefix_max (Pl.pos lo), Pl.prefix_max (Pl.pos hi))
-
-(* FCFS departure bounds (Theorems 7-9), built instance by instance; see
-   engine.mli for the soundness argument.  [exact_inputs] (arrivals exact
-   and release-tie-free on this processor) selects the exact Left-limit
-   utilization for the upper bound too, which makes the two bounds
-   coincide.  The per-instance loops are the only part of the engine whose
-   cost grows with the instance count rather than the subjob count, so the
-   cancellation token is polled here every [cancel_stride] instances — and
-   between the min-plus transforms, which are the other instance-bearing
-   cost — to keep the deadline-to-response latency bounded on huge
-   horizons. *)
-let cancel_stride = 512
-
-let fcfs_departures ?(cancel = Cancel.never) ?(exact_inputs = false) ~horizon
-    ~tau ~arr_lo ~arr_hi ~g_lo ~g_hi () =
-  let u_lo =
-    Pl.truncate_at (Minplus.transform ~mode:`Left ~avail:Pl.identity ~work:g_lo) horizon
-  in
-  Cancel.check cancel;
-  let u_hi =
-    if exact_inputs then u_lo
-    else
-      Pl.truncate_at
-        (Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:g_hi)
-        horizon
-  in
-  Cancel.check cancel;
-  let dep_lo =
-    let count = Step.final_value arr_lo in
-    let rec jumps i acc =
-      if i land (cancel_stride - 1) = 0 then Cancel.check cancel;
-      if i > count then List.rev acc
-      else
-        match Step.inverse arr_lo i with
-        | None -> List.rev acc
-        | Some a_i -> (
-            let target =
-              match !fault_state with
-              | `None -> Step.eval g_hi a_i
-              | `Fcfs_drop_tau ->
-                  (* Planted bug: the left limit misses the workload
-                     arriving exactly at a_i — the instance's own tau. *)
-                  Step.eval_left g_hi a_i
-            in
-            match Pl.inverse_geq u_lo target with
-            | Some theta when theta <= horizon -> jumps (i + 1) ((theta, i) :: acc)
-            | Some _ | None -> List.rev acc)
-    in
-    Step.of_samples (jumps 1 [])
-  in
-  let dep_hi =
-    let count = Step.final_value arr_hi in
-    let rec jumps i acc =
-      if i land (cancel_stride - 1) = 0 then Cancel.check cancel;
-      if i > count then List.rev acc
-      else
-        match Step.inverse arr_hi i with
-        | None -> List.rev acc
-        | Some a_i -> (
-            let preceding = Step.eval_left g_lo a_i in
-            match Pl.inverse_geq u_hi (preceding + tau) with
-            | Some theta ->
-                let theta = max theta (a_i + tau) in
-                jumps (i + 1) ((theta, i) :: acc)
-            | None -> List.rev acc)
-    in
-    (* Jump times are non-decreasing in i because both the arrival inverse
-       and the workload-before are; of_samples tolerates ties. *)
-    Step.of_samples (jumps 1 [])
-  in
-  (Step.min2 dep_lo arr_lo, Step.min2 dep_hi arr_hi)
-
-let run ?(cancel = Cancel.never) ?(variant = `Sound)
+let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
     ?(extra_blocking = fun _ -> 0) ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
   if release_horizon > horizon then
     invalid_arg "Engine.run: release_horizon exceeds horizon";
-  let bounds_of ~blocking ~hp_entries ~work_lo ~work_hi =
-    let hp_tau e = (System.step system e.id).System.exec in
-    match variant with
-    | `Sound ->
-        sp_bounds ~blocking
-          ~hp_lo:(List.map (fun e -> e.svc_lo) hp_entries)
-          ~hp_work_lo:(List.map (fun e -> Step.scale e.arr_lo (hp_tau e)) hp_entries)
-          ~hp_work_hi:(List.map (fun e -> Step.scale e.arr_hi (hp_tau e)) hp_entries)
-          ~work_lo ~work_hi
-    | `As_printed ->
-        sp_bounds_as_printed ~blocking
-          ~hp_lo:(List.map (fun e -> e.svc_lo) hp_entries)
-          ~work_lo ~work_hi
-  in
   let sp_run =
     if Obs.enabled () then begin
       Obs.incr c_runs;
@@ -325,22 +133,53 @@ let run ?(cancel = Cancel.never) ?(variant = `Sound)
   match Deps.compute system with
   | Deps.Cyclic stuck -> Error (`Cyclic stuck)
   | Deps.Acyclic order ->
-      let entries =
+      let per_subjob init =
         Array.init (System.job_count system) (fun j ->
-            Array.make (Array.length (System.job system j).steps)
-              {
-                id = { System.job = j; step = 0 };
-                tau = 0;
-                arr_lo = Step.zero;
-                arr_hi = Step.zero;
-                svc_lo = Pl.zero;
-                svc_hi = Pl.zero;
-                dep_lo = Step.zero;
-                dep_hi = Step.zero;
-                exact = false;
-              })
+            Array.make (Array.length (System.job system j).System.steps) init)
       in
-      let get (id : System.subjob_id) = entries.(id.job).(id.step) in
+      let inputs = per_subjob None and outputs = per_subjob None in
+      let entries = per_subjob None in
+      let output_of (id : System.subjob_id) =
+        Option.get outputs.(id.job).(id.step)
+      in
+      (* Arrival brackets: the first stage is the exact release trace; later
+         stages inherit the predecessor's departure bounds.  Built once per
+         subjob, when it or an FCFS co-resident first needs it. *)
+      let input_of (id : System.subjob_id) =
+        match inputs.(id.job).(id.step) with
+        | Some i -> i
+        | None ->
+            let tau = (System.step system id).System.exec in
+            let i =
+              if id.step = 0 then
+                let f =
+                  Arrival.arrival_function (System.job system id.job).System.arrival
+                    ~horizon:release_horizon
+                in
+                Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
+              else
+                let pred = output_of { id with System.step = id.step - 1 } in
+                Local.input ~tau ~arr_lo:pred.Local.dep_lo
+                  ~arr_hi:pred.Local.dep_hi ~exact:pred.Local.exact
+            in
+            inputs.(id.job).(id.step) <- Some i;
+            i
+      in
+      (* An FCFS processor's context needs every resident's arrivals, which
+         the dependency order guarantees before its first resident. *)
+      let fcfs = Array.make (System.processor_count system) None in
+      let fcfs_of p =
+        match fcfs.(p) with
+        | Some c -> c
+        | None ->
+            let residents = System.subjobs_on system p in
+            let c = Local.fcfs ~exact:true (List.map input_of residents) in
+            fcfs.(p) <- Some c;
+            c
+      in
+      (* Per subjob, not per processor: processor-level order can be cyclic
+         when the subjob order is not (A.1 over B.2 on P while B.1 over A.2
+         on Q). *)
       let compute (id : System.subjob_id) =
         Cancel.check cancel;
         let sp =
@@ -351,146 +190,27 @@ let run ?(cancel = Cancel.never) ?(variant = `Sound)
           else Obs.no_span
         in
         let t0 = if Obs.enabled () then Obs.now () else 0. in
-        let s = System.step system id in
-        let tau = s.System.exec in
-        (* Arrival bounds: first stage is the exact release trace; later
-           stages inherit the predecessor's departure bounds. *)
-        let arr_lo, arr_hi, arr_exact =
-          if id.step = 0 then begin
-            let f =
-              Arrival.arrival_function (System.job system id.job).System.arrival
-                ~horizon:release_horizon
-            in
-            (f, f, true)
-          end
-          else
-            let pred = get { id with System.step = id.step - 1 } in
-            (pred.dep_lo, pred.dep_hi, pred.exact)
+        let proc = (System.step system id).System.proc in
+        let sched = System.scheduler_of system proc in
+        let static ~preemptive ~blocking =
+          let hp = System.higher_priority_on system id in
+          let hp = List.map (fun h -> (input_of h, output_of h)) hp in
+          Local.Static { preemptive; blocking; hp }
         in
-        let work_lo = Step.scale arr_lo tau and work_hi = Step.scale arr_hi tau in
-        let svc_lo, svc_hi, exact =
-          match System.scheduler_of system s.System.proc with
-          | Sched.Spp ->
-              let hp = System.higher_priority_on system id in
-              let hp_entries = List.map get hp in
-              let all_exact =
-                arr_exact
-                && extra_blocking id = 0
-                && List.for_all (fun e -> e.exact) hp_entries
-              in
-              if all_exact then begin
-                let svc =
-                  spp_exact_service
-                    ~hp_services:(List.map (fun e -> e.svc_lo) hp_entries)
-                    ~work:work_lo
-                in
-                (svc, svc, true)
-              end
-              else
-                let lo, hi =
-                  bounds_of ~blocking:(extra_blocking id) ~hp_entries ~work_lo
-                    ~work_hi
-                in
-                (lo, hi, false)
+        let policy =
+          match sched with
+          | Sched.Spp -> static ~preemptive:true ~blocking:(extra_blocking id)
           | Sched.Spnp ->
-              let hp_entries = List.map get (System.higher_priority_on system id) in
-              let lo, hi =
-                bounds_of
-                  ~blocking:(System.max_blocking system id + extra_blocking id)
-                  ~hp_entries ~work_lo ~work_hi
-              in
-              (lo, hi, false)
-          | Sched.Fcfs ->
-              (* Service curves synthesized from the departure bounds below;
-                 placeholders here, fixed up after departures are known. *)
-              (Pl.zero, Pl.zero, false)
+              static ~preemptive:false
+                ~blocking:(System.max_blocking system id + extra_blocking id)
+          | Sched.Fcfs -> Local.Fcfs (fcfs_of proc)
         in
-        let dep_lo, dep_hi, svc_lo, svc_hi, exact =
-          match System.scheduler_of system s.System.proc with
-          | Sched.Spp | Sched.Spnp ->
-              let dep_lo, dep_hi =
-                departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi
-              in
-              (dep_lo, dep_hi, svc_lo, svc_hi, exact)
-          | Sched.Fcfs ->
-              let residents = System.subjobs_on system s.System.proc in
-              (* A resident's arrival bounds come from its chain
-                 predecessor's departures (or its release trace at stage 0)
-                 — the resident's own entry is not a dependency and may not
-                 be computed yet. *)
-              let arrivals_of (other : System.subjob_id) =
-                if other = id then (arr_lo, arr_hi)
-                else if other.System.step = 0 then begin
-                  let f =
-                    Arrival.arrival_function
-                      (System.job system other.System.job).System.arrival
-                      ~horizon:release_horizon
-                  in
-                  (f, f)
-                end
-                else
-                  let pred = get { other with System.step = other.System.step - 1 } in
-                  (pred.dep_lo, pred.dep_hi)
-              in
-              let workload_of which other =
-                let lo, hi = arrivals_of other in
-                let other_tau = (System.step system other).System.exec in
-                match which with
-                | `Lo -> Step.scale lo other_tau
-                | `Hi -> Step.scale hi other_tau
-              in
-              let g_lo = Step.sum (List.map (workload_of `Lo) residents) in
-              let g_hi = Step.sum (List.map (workload_of `Hi) residents) in
-              (* Beyond the paper: with exact resident arrivals and no
-                 release ties on the processor, the FCFS order is fully
-                 determined and the lower/upper constructions coincide —
-                 the analysis is exact and exactness propagates down the
-                 chain.  (The paper deems exact FCFS "difficult, if not
-                 impossible" because of ties; absence of ties is checkable
-                 per instance, so we claim exactness exactly when it
-                 holds.) *)
-              let inputs_exact =
-                List.for_all
-                  (fun other ->
-                    let lo, hi = arrivals_of other in
-                    Step.equal lo hi)
-                  residents
-              in
-              let tie_free =
-                let seen = Hashtbl.create 64 in
-                let ok = ref true in
-                List.iter
-                  (fun other ->
-                    let lo, _ = arrivals_of other in
-                    let prev = ref (Step.init_value lo) in
-                    Array.iter
-                      (fun (t, v) ->
-                        (* Simultaneous instances of the same subjob (jump
-                           by more than 1) are ties too. *)
-                        if v - !prev > 1 then ok := false;
-                        prev := v;
-                        match Hashtbl.find_opt seen t with
-                        | Some owner when owner <> other -> ok := false
-                        | Some _ -> ()
-                        | None -> Hashtbl.add seen t other)
-                      (Step.jumps lo))
-                  residents;
-                !ok
-              in
-              let exact_inputs = inputs_exact && tie_free in
-              let dep_lo, dep_hi =
-                fcfs_departures ~cancel ~exact_inputs ~horizon ~tau ~arr_lo
-                  ~arr_hi ~g_lo ~g_hi ()
-              in
-              let fcfs_exact = exact_inputs && Step.equal dep_lo dep_hi in
-              (* Thm 8/9-flavoured service curves for inspection. *)
-              let svc_lo = Pl.of_step (Step.scale dep_lo tau) in
-              let svc_hi =
-                if fcfs_exact then svc_lo
-                else Pl.add (Pl.of_step (Step.scale dep_hi tau)) (Pl.const tau)
-              in
-              (dep_lo, dep_hi, svc_lo, svc_hi, fcfs_exact)
-        in
+        let i = input_of id in
+        let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
+        outputs.(id.job).(id.step) <- Some o;
+        let { Local.tau; arr_lo; arr_hi; _ } = i in
+        let { Local.dep_lo; dep_hi; exact; _ } = o in
+        let svc_lo = Lazy.force o.Local.svc_lo and svc_hi = Lazy.force o.Local.svc_hi in
         Log.debug (fun m ->
             m "subjob %s.%d: %s, %d instances in [lo..hi] = [%d..%d]"
               (System.job system id.job).System.name (id.step + 1)
@@ -498,24 +218,18 @@ let run ?(cancel = Cancel.never) ?(variant = `Sound)
               (Step.final_value arr_lo) (Step.final_value dep_lo)
               (Step.final_value dep_hi));
         entries.(id.job).(id.step) <-
-          { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact };
+          Some { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact };
         if Obs.enabled () then begin
-          (match (System.scheduler_of system s.System.proc, exact) with
-          | Sched.Spp, true ->
-              Obs.incr c_path_spp_exact;
-              Obs.span_str sp "path" "spp-exact"
-          | Sched.Spp, false ->
-              Obs.incr c_path_spp_bounds;
-              Obs.span_str sp "path" "spp-bounds"
-          | Sched.Spnp, _ ->
-              Obs.incr c_path_spnp;
-              Obs.span_str sp "path" "spnp"
-          | Sched.Fcfs, true ->
-              Obs.incr c_path_fcfs_exact;
-              Obs.span_str sp "path" "fcfs-exact"
-          | Sched.Fcfs, false ->
-              Obs.incr c_path_fcfs;
-              Obs.span_str sp "path" "fcfs");
+          let counter, path =
+            match (sched, exact) with
+            | Sched.Spp, true -> (c_path_spp_exact, "spp-exact")
+            | Sched.Spp, false -> (c_path_spp_bounds, "spp-bounds")
+            | Sched.Spnp, _ -> (c_path_spnp, "spnp")
+            | Sched.Fcfs, true -> (c_path_fcfs_exact, "fcfs-exact")
+            | Sched.Fcfs, false -> (c_path_fcfs, "fcfs")
+          in
+          Obs.incr counter;
+          Obs.span_str sp "path" path;
           Obs.span_int sp "arr_lo.jumps" (Step.jump_count arr_lo);
           Obs.span_int sp "arr_hi.jumps" (Step.jump_count arr_hi);
           Obs.span_int sp "dep_lo.jumps" (Step.jump_count dep_lo);
@@ -530,4 +244,5 @@ let run ?(cancel = Cancel.never) ?(variant = `Sound)
         Obs.span_end sp
       in
       List.iter compute order;
+      let entries = Array.map (Array.map Option.get) entries in
       Ok { system; horizon; release_horizon; entries }

@@ -1,34 +1,12 @@
-(** The paper's response-time analysis engine (Sections 4.1-4.2).
+(** The paper's response-time analysis engine (Sections 4.1-4.2) for
+    systems whose subjobs can be ordered.
 
-    Walks the subjobs of a system in dependency order ({!Deps}) and computes,
-    for every subjob, bounds on its arrival, service and departure functions:
-
-    - on an SPP processor whose inputs are exact, Theorem 3 gives the
-      {e exact} service function and hence exact departures (Theorem 2);
-    - on an SPP/SPNP processor with bounded inputs, Theorems 5-6 (with
-      blocking Eq. 15; blocking 0 for SPP) give lower/upper service bounds,
-      and Lemmas 1-2 turn them into departure/arrival bounds;
-    - on an FCFS processor, Theorems 7-9 bound departures through the
-      utilization function.
-
-    Conventions beyond the paper's text (all documented choices err on the
-    sound side; see DESIGN.md section 4):
-
-    - minima over real time are evaluated with left limits at workload
-      discontinuities ([`Left] mode) for exact/lower quantities and with the
-      right-continuous values ([`Right] mode) for upper quantities;
-    - departure lower bounds are capped by the arrival lower bound (an
-      instance not guaranteed to have arrived cannot be guaranteed to have
-      departed), and departure upper bounds by the arrival upper bound;
-    - service bounds are monotonized with the running maximum, which is
-      sound because true service functions are non-decreasing;
-    - FCFS bounds are built per instance:
-      the i-th departure is guaranteed by the time the (lower-bounded)
-      utilization reaches the upper-bounded workload arrived up to the
-      latest possible arrival of instance i, and can occur no earlier than
-      the time the upper-bounded utilization reaches the lower-bounded
-      workload that must precede the earliest possible arrival of instance
-      i plus one execution time (Theorem 9's [+ tau]). *)
+    Walks the subjobs in dependency order ({!Deps}) and computes, for every
+    subjob, bounds on its arrival, service and departure functions: the
+    first stage's arrivals are the exact release trace, every later stage
+    inherits its predecessor's departure bounds (Theorem 1 / Lemma 2's
+    chain), and the per-processor step ({!Local}) turns each arrival
+    bracket into service and departure bounds. *)
 
 type entry = {
   id : Rta_model.System.subjob_id;
@@ -41,9 +19,7 @@ type entry = {
   dep_hi : Rta_curve.Step.t;  (** upper bound on the departure function *)
   exact : bool;
       (** true when [arr_lo = arr_hi] and [dep_lo = dep_hi] describe the
-          true functions exactly: SPP with exact inputs, or FCFS with exact
-          tie-free inputs (an extension beyond the paper; ties are what
-          made the paper deem exact FCFS infeasible). *)
+          true functions exactly (see {!Local.output}) *)
 }
 
 type t = {
@@ -55,7 +31,8 @@ type t = {
 
 val run :
   ?cancel:Cancel.t ->
-  ?variant:[ `Sound | `As_printed ] ->
+  ?fault:Local.fault ->
+  ?variant:Local.variant ->
   ?extra_blocking:(Rta_model.System.subjob_id -> int) ->
   ?release_horizon:int ->
   horizon:int ->
@@ -71,12 +48,12 @@ val run :
     {!Cancel.Cancelled} and no partial result escapes.  The service front
     ends use it to enforce per-request deadlines mid-flight.
 
-    [variant] selects the SPP/SPNP approximate bound construction:
-    [`Sound] (default) uses the level-k busy-window formulation proved in
-    engine.ml; [`As_printed] reproduces the paper's Eqs. 16-19 literally,
-    whose lower bound is demonstrably unsound (see EXPERIMENTS.md) — it is
-    retained only for the ablation study.  The SPP exact path and FCFS are
-    unaffected by [variant].
+    [fault] (default [`None]) plants a known-unsound bug for the fuzz
+    oracle's self-test; only {!Rta_check} passes anything else.
+
+    [variant] (default [`Sound]) selects the SPP/SPNP approximate bound
+    construction ({!Local.variant}).  The SPP exact path and FCFS are
+    unaffected by it.
 
     [extra_blocking] models contention for shared resources other than the
     processors — the second open problem of the paper's Section 6 — as a
@@ -98,21 +75,6 @@ val check_entry : t -> entry -> string list
     [dep = floor (S / tau)].  The fuzz oracle ({!Rta_check}) runs this on
     every entry of every generated system. *)
 
-(** {1 Test-only fault injection}
-
-    The fuzz harness plants a known-unsound bug to prove its oracle can
-    catch one.  Process-global; always reset to [`None] after use. *)
-
-type fault =
-  [ `None
-  | `Fcfs_drop_tau
-    (** drop Theorem 9's [+ tau] (the instance's own demand) from the FCFS
-        guaranteed-departure target: dep_lo claims departures one execution
-        time too early *) ]
-
-val set_fault : fault -> unit
-val current_fault : unit -> fault
-
 val entry_csv : t -> Rta_model.System.subjob_id -> string
 (** The entry's four counting functions (arrival and departure bounds) as
     CSV over their merged change points: [t, arr_lo, arr_hi, dep_lo,
@@ -121,44 +83,3 @@ val entry_csv : t -> Rta_model.System.subjob_id -> string
 val is_exact : t -> bool
 (** Whether every entry is exact (the SPP/Exact regime: all processors SPP
     and the dependency order acyclic). *)
-
-(** {1 Low-level per-processor bound builders}
-
-    Shared with {!Fixpoint}, which re-derives arrival bounds from response
-    variables instead of chain propagation. *)
-
-val sp_bounds :
-  blocking:int ->
-  hp_lo:Rta_curve.Pl.t list ->
-  hp_work_lo:Rta_curve.Step.t list ->
-  hp_work_hi:Rta_curve.Step.t list ->
-  work_lo:Rta_curve.Step.t ->
-  work_hi:Rta_curve.Step.t ->
-  Rta_curve.Pl.t * Rta_curve.Pl.t
-(** Sound SPP/SPNP service bounds (lower, upper); see the implementation
-    comment for the proof sketch. *)
-
-val fcfs_departures :
-  ?cancel:Cancel.t ->
-  ?exact_inputs:bool ->
-  horizon:int ->
-  tau:int ->
-  arr_lo:Rta_curve.Step.t ->
-  arr_hi:Rta_curve.Step.t ->
-  g_lo:Rta_curve.Step.t ->
-  g_hi:Rta_curve.Step.t ->
-  unit ->
-  Rta_curve.Step.t * Rta_curve.Step.t
-(** FCFS departure bounds (lower, upper) from the processor's total
-    workload bounds (Theorems 7-9).  With [exact_inputs] (exact, tie-free
-    arrivals) the bounds coincide: the FCFS analysis is exact. *)
-
-val departures :
-  horizon:int ->
-  tau:int ->
-  arr_lo:Rta_curve.Step.t ->
-  arr_hi:Rta_curve.Step.t ->
-  svc_lo:Rta_curve.Pl.t ->
-  svc_hi:Rta_curve.Pl.t ->
-  Rta_curve.Step.t * Rta_curve.Step.t
-(** Theorem 2 / Lemmas 1-2 with arrival caps. *)

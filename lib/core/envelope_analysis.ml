@@ -11,7 +11,7 @@ type source = {
   prio : int;
 }
 
-type verdict = Bounded of int | Unbounded
+type verdict = Verdict.t = Bounded of int | Unbounded
 
 (* Cumulative worst-case workload of a source over window lengths: the
    envelope materialized as its critical-instant counting function, scaled

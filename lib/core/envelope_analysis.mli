@@ -33,7 +33,7 @@ type source = {
   prio : int;  (** static priority (ignored under FCFS) *)
 }
 
-type verdict = Bounded of int | Unbounded
+type verdict = Verdict.t = Bounded of int | Unbounded
 
 val response_bound :
   sched:Rta_model.Sched.t -> sources:source list -> int -> verdict

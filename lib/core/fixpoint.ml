@@ -1,6 +1,5 @@
 open Rta_model
 module Step = Rta_curve.Step
-module Pl = Rta_curve.Pl
 
 let log_src = Logs.Src.create "rta.fixpoint" ~doc:"Section 6 fixed-point analysis"
 
@@ -16,14 +15,12 @@ let h_dirty = Obs.histogram "fixpoint.dirty_per_iteration"
 let g_last_iterations = Obs.gauge "fixpoint.last.iterations"
 let g_last_converged = Obs.gauge "fixpoint.last.converged"
 
-type verdict = Bounded of int | Unbounded
+type verdict = Verdict.t = Bounded of int | Unbounded
 type result = {
   per_job : verdict array;
   per_stage : verdict array array;
   iterations : int;
 }
-
-type strategy = [ `Dirty | `Full ]
 
 (* Sentinel for "no bound within the horizon": larger than any reachable
    completion offset, so joins keep it absorbing. *)
@@ -36,15 +33,15 @@ let unbounded_sentinel horizon = (2 * horizon) + 1
 
    - stage st's arrival is bracketed by release + best-case prefix (earliest)
      and release + X_{st-1} (latest);
-   - local departure bounds follow from the per-processor machinery;
+   - local departure bounds follow from the per-processor step ({!Local});
    - X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)).
 
    X grows monotonically (joined with the previous iterate); convergence
    yields sound completion bounds, and the end-to-end response is X at the
    last stage (the Theorem 1 shape applied to departure lower bounds).
 
-   Incremental evaluation (the `Dirty strategy, default): recomputing
-   subjob [id] reads exactly these X components —
+   Incremental evaluation: recomputing subjob [id] reads exactly these X
+   components —
 
    - X of its chain predecessor (its own latest-arrival shift);
    - on SPP/SPNP: X of the chain predecessor of every higher-priority
@@ -58,11 +55,11 @@ let unbounded_sentinel horizon = (2 * horizon) + 1
    whose recompute could change when it moves.  Each iteration then re-runs
    only the subjobs marked dirty by the previous iteration's changes.  A
    recompute with unchanged inputs is deterministic and reproduces its
-   previous value, so the dirty iterates, the convergence test and the
-   iteration count coincide exactly with `Full recomputation — asserted by
-   the differential tests in test/core. *)
-let analyze ?(cancel = Cancel.never) ?(max_iterations = 64)
-    ?(strategy = (`Dirty : strategy)) ?release_horizon ~horizon system =
+   previous value, so the iterates, the convergence test and the iteration
+   count coincide exactly with the textbook full sweep — asserted by the
+   differential tests in test/core. *)
+let analyze ?(cancel = Cancel.never) ?(max_iterations = 64) ?release_horizon
+    ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
   Obs.incr c_analyses;
   let sp_run =
@@ -70,8 +67,6 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64)
       let sp = Obs.span_begin "fixpoint.analyze" in
       Obs.span_int sp "horizon" horizon;
       Obs.span_int sp "subjobs" (System.subjob_count system);
-      Obs.span_str sp "strategy"
-        (match strategy with `Dirty -> "dirty" | `Full -> "full");
       sp
     end
     else Obs.no_span
@@ -94,149 +89,123 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64)
   done;
   let n_subjobs = offsets.(n_jobs) in
   let flat (id : System.subjob_id) = offsets.(id.System.job) + id.System.step in
-  let best_prefix_tbl =
-    (* Sum of execution times of stages 0..st-1 (earliest start of stage
-       st after release). *)
+  (* ends.(j).(st): sum of the execution times of stages 0..st, the
+     earliest completion of stage st after release. *)
+  let ends =
     Array.init n_jobs (fun j ->
-        let steps = chain j in
         let acc = ref 0 in
+        Array.map
+          (fun (s : System.step) ->
+            acc := !acc + s.System.exec;
+            !acc)
+          (chain j))
+  in
+  (* X.(j).(st): completion bound of stage st relative to release. *)
+  let x = Array.map Array.copy ends in
+  (* The earliest-start shift delays releases the least, so it is the upper
+     arrival counting function of the bracket; it never changes. *)
+  let arr_hi =
+    Array.init n_jobs (fun j ->
         Array.mapi
           (fun st _ ->
-            let v = !acc in
-            acc := v + steps.(st).System.exec;
-            v)
-          steps)
-  in
-  let best_prefix j st = best_prefix_tbl.(j).(st) in
-  (* X.(j).(st): completion bound of stage st relative to release. *)
-  let x =
-    Array.init n_jobs (fun j ->
-        Array.init
-          (Array.length (chain j))
-          (fun st -> best_prefix j st + (chain j).(st).System.exec))
-  in
-  (* Arrival brackets, memoized per subjob: the earliest-arrival shift is
-     static (best-case prefix), and the latest-arrival shift only changes
-     when the predecessor's X component does — which the dirty propagation
-     already tracks, so re-shifting the release trace every iteration for
-     every subjob is pure waste. *)
-  let arr_hi_cache =
-    (* The best-prefix shift delays releases the least, so it is the upper
-       arrival counting function of the bracket. *)
-    Array.init n_jobs (fun j ->
-        Array.init
-          (Array.length (chain j))
-          (fun st ->
             let f = release_trace.(j) in
-            if st = 0 then f else Step.shift_right f (best_prefix j st)))
+            if st = 0 then f else Step.shift_right f ends.(j).(st - 1))
+          (chain j))
   in
-  let arr_lo_memo : (int * Step.t) option array = Array.make n_subjobs None in
-  let arr_bounds j st =
-    let f = release_trace.(j) in
-    if st = 0 then (f, f)
-    else
-      let latest = min x.(j).(st - 1) sentinel in
-      let k = offsets.(j) + st in
-      let lo =
-        (* Memoized only under `Dirty: the memo belongs to the incremental
-           machinery, and `Full is the faithful textbook sweep (it is also
-           the bench harness's reference path, so it must not borrow the
-           optimization it is measured against). *)
-        match arr_lo_memo.(k) with
-        | Some (l, lo) when l = latest && strategy = `Dirty -> lo
-        | _ ->
-            let lo = Step.shift_right f latest in
-            if strategy = `Dirty then arr_lo_memo.(k) <- Some (latest, lo);
-            lo
-      in
-      (lo, arr_hi_cache.(j).(st))
-  in
-  (* Per-X-component dependents: dependents.(flat s) lists the subjobs whose
-     recompute reads X_s (see the read-set derivation above). *)
   let all_subjobs =
     List.concat
       (List.init n_jobs (fun j ->
            List.init (Array.length (chain j)) (fun st ->
                { System.job = j; step = st })))
   in
-  let dependents : System.subjob_id list array = Array.make n_subjobs [] in
-  let add_read (reader : System.subjob_id) (read : System.subjob_id) =
-    let k = flat read in
-    dependents.(k) <- reader :: dependents.(k)
+  (* Read lists, as flat indices of X components (see the read-set
+     derivation above): a subjob's arrival bracket reads its chain
+     predecessor; its static-priority bounds also read the predecessors of
+     its higher-priority co-residents; an FCFS processor's context, and so
+     every FCFS resident's bounds, read the predecessors of all
+     residents. *)
+  let pred_reads (id : System.subjob_id) =
+    if id.System.step = 0 then [] else [ flat id - 1 ]
   in
-  let pred (id : System.subjob_id) =
-    if id.System.step = 0 then None
-    else Some { id with System.step = id.System.step - 1 }
+  let fcfs_reads =
+    Array.init (System.processor_count system) (fun p ->
+        List.concat_map pred_reads (System.subjobs_on system p))
   in
+  let reads = Array.make n_subjobs [] in
   List.iter
     (fun (id : System.subjob_id) ->
       let p = (System.step system id).System.proc in
-      Option.iter (add_read id) (pred id);
-      match System.scheduler_of system p with
-      | Sched.Spp | Sched.Spnp ->
-          List.iter
-            (fun h -> Option.iter (add_read id) (pred h))
-            (System.higher_priority_on system id)
-      | Sched.Fcfs ->
-          List.iter
-            (fun r -> if r <> id then Option.iter (add_read id) (pred r))
-            (System.subjobs_on system p))
+      reads.(flat id) <-
+        (match System.scheduler_of system p with
+        | Sched.Fcfs -> fcfs_reads.(p)
+        | Sched.Spp | Sched.Spnp ->
+            pred_reads id
+            @ List.concat_map pred_reads (System.higher_priority_on system id)))
+    all_subjobs;
+  (* Inverted: dependents.(k) lists the subjobs whose recompute reads X_k. *)
+  let dependents = Array.make n_subjobs [] in
+  List.iter
+    (fun id ->
+      List.iter (fun k -> dependents.(k) <- id :: dependents.(k)) reads.(flat id))
     all_subjobs;
   let dirty = Array.make n_subjobs true in
   let next_dirty = Array.make n_subjobs false in
-  let is_dirty id = match strategy with `Full -> true | `Dirty -> dirty.(flat id) in
-  (* Version stamps for the cross-iteration caches below (`Dirty only):
+  let is_dirty id = dirty.(flat id) in
+  (* Version stamps for the cross-iteration caches below:
      [version.(k)] is the global tick at which X component [k] last changed.
-     A cached derived value lists the X components it reads; it is valid as
-     long as the maximum version over that read list is unchanged, because
-     ticks only grow. *)
+     A cached value is valid as long as the maximum version over its read
+     list is unchanged, because ticks only grow. *)
   let tick = ref 0 in
   let version = Array.make n_subjobs 0 in
   let max_version = List.fold_left (fun acc k -> max acc version.(k)) 0 in
-  let pred_flat = Array.make n_subjobs (-1) in
-  List.iter
-    (fun id -> Option.iter (fun p -> pred_flat.(flat id) <- flat p) (pred id))
-    all_subjobs;
-  let pred_reads id =
-    let k = pred_flat.(flat id) in
-    if k >= 0 then [ k ] else []
-  in
-  (* Read lists of the cached quantities: a subjob's scaled workload reads
-     its own predecessor; its service bounds additionally read the
-     predecessors of its higher-priority co-residents; a processor's FCFS
-     workload sum reads the predecessors of all residents. *)
-  let svc_reads =
-    Array.make n_subjobs ([] : int list)
-  in
-  List.iter
-    (fun (id : System.subjob_id) ->
-      svc_reads.(flat id) <-
-        pred_reads id
-        @ List.concat_map pred_reads (System.higher_priority_on system id))
-    all_subjobs;
-  let n_procs = System.processor_count system in
-  let fcfs_reads = Array.make n_procs ([] : int list) in
-  for p = 0 to n_procs - 1 do
-    fcfs_reads.(p) <- List.concat_map pred_reads (System.subjobs_on system p)
-  done;
-  let work_cache : (int * (Step.t * Step.t)) option array =
-    Array.make n_subjobs None
-  in
-  let svc_cache : (int * (Pl.t * Pl.t)) option array =
-    Array.make n_subjobs None
-  in
-  let g_cache : (int * (Step.t * Step.t)) option array = Array.make n_procs None in
   let cached cache k reads compute =
-    match strategy with
-    | `Full -> compute ()
-    | `Dirty -> (
-        let cur = max_version reads in
-        match cache.(k) with
-        | Some (v, value) when v = cur -> value
-        | _ ->
-            let value = compute () in
-            cache.(k) <- Some (cur, value);
-            value)
+    let cur = max_version reads in
+    match cache.(k) with
+    | Some (v, value) when v = cur -> value
+    | _ ->
+        let value = compute () in
+        cache.(k) <- Some (cur, value);
+        value
+  in
+  let input_cache = Array.make n_subjobs None in
+  let output_cache = Array.make n_subjobs None in
+  let fcfs_cache = Array.make (System.processor_count system) None in
+  let input_of (id : System.subjob_id) =
+    cached input_cache (flat id) (pred_reads id) (fun () ->
+        let j = id.System.job and st = id.System.step in
+        let arr_lo =
+          if st = 0 then release_trace.(j)
+          else Step.shift_right release_trace.(j) (min x.(j).(st - 1) sentinel)
+        in
+        Local.input ~tau:(System.step system id).System.exec ~arr_lo
+          ~arr_hi:arr_hi.(j).(st) ~exact:false)
+  in
+  (* A subjob's bounds are cached under its read list: whenever the cache
+     is stale the subjob is dirty this round, so each dirty recompute runs
+     the local step exactly once, whether its own turn or a lower-priority
+     co-resident asks first. *)
+  let rec output_of (id : System.subjob_id) =
+    let p = (System.step system id).System.proc in
+    cached output_cache (flat id) reads.(flat id) @@ fun () ->
+    match System.scheduler_of system p with
+    | Sched.Fcfs ->
+        let ctx =
+          cached fcfs_cache p fcfs_reads.(p) (fun () ->
+              Local.fcfs ~exact:false
+                (List.map input_of (System.subjobs_on system p)))
+        in
+        Local.step ~cancel ~horizon (Local.Fcfs ctx) (input_of id)
+    | Sched.Spp | Sched.Spnp ->
+        let hp =
+          List.map
+            (fun h -> (input_of h, output_of h))
+            (System.higher_priority_on system id)
+        in
+        let preemptive = System.scheduler_of system p = Sched.Spp in
+        let blocking = if preemptive then 0 else System.max_blocking system id in
+        Local.step ~cancel ~horizon
+          (Local.Static { preemptive; blocking; hp })
+          (input_of id)
   in
   (* Instance release times, precomputed once: inv_release.(j).(m - 1) is
      the release of the m-th instance of job j. *)
@@ -268,85 +237,17 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64)
       let residents = System.subjobs_on system p in
       let dirty_residents = List.filter is_dirty residents in
       if dirty_residents <> [] then begin
-        let resident_arr =
-          List.map
-            (fun (id : System.subjob_id) ->
-              (id, arr_bounds id.System.job id.System.step))
-            residents
-        in
-        let arr_of id = List.assoc id resident_arr in
-        let work_of (id : System.subjob_id) =
-          cached work_cache (flat id) (pred_reads id) (fun () ->
-              let tau = (System.step system id).System.exec in
-              let lo, hi = arr_of id in
-              (Step.scale lo tau, Step.scale hi tau))
-        in
-        let memo = Hashtbl.create 8 in
-        let rec svc_bounds_of sub =
-          match Hashtbl.find_opt memo sub with
-          | Some b -> b
-          | None ->
-              let b =
-                cached svc_cache (flat sub) svc_reads.(flat sub) (fun () ->
-                    svc_bounds_compute sub)
-              in
-              Hashtbl.add memo sub b;
-              b
-        and svc_bounds_compute sub =
-          let s_tau = (System.step system sub).System.exec in
-          let s_arr_lo, s_arr_hi = arr_of sub in
-          let s_hp = System.higher_priority_on system sub in
-          Engine.sp_bounds
-            ~blocking:
-              (match System.scheduler_of system p with
-              | Sched.Spnp -> System.max_blocking system sub
-              | Sched.Spp | Sched.Fcfs -> 0)
-            ~hp_lo:(List.map (fun h -> fst (svc_bounds_of h)) s_hp)
-            ~hp_work_lo:(List.map (fun h -> fst (work_of h)) s_hp)
-            ~hp_work_hi:(List.map (fun h -> snd (work_of h)) s_hp)
-            ~work_lo:(Step.scale s_arr_lo s_tau)
-            ~work_hi:(Step.scale s_arr_hi s_tau)
-        in
         let process_subjob (id : System.subjob_id) =
           Cancel.check cancel;
           incr dirty_count;
           Obs.incr c_recomputes;
-          let tau = (System.step system id).System.exec in
-          let arr_lo, arr_hi = arr_of id in
-          let dep_lo, _dep_hi =
-            match System.scheduler_of system p with
-            | Sched.Fcfs ->
-                let g_lo, g_hi =
-                  cached g_cache p fcfs_reads.(p) (fun () ->
-                      ( Step.sum (List.map (fun i -> fst (work_of i)) residents),
-                        Step.sum (List.map (fun i -> snd (work_of i)) residents)
-                      ))
-                in
-                Engine.fcfs_departures ~cancel ~horizon ~tau ~arr_lo ~arr_hi
-                  ~g_lo ~g_hi ()
-            | Sched.Spp | Sched.Spnp ->
-                let svc_lo, svc_hi = svc_bounds_of id in
-                Engine.departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi
-          in
-          let releases = release_trace.(id.System.job) in
-          let count = Step.final_value releases in
-          (* worst = max over instances m of
-             (inverse dep_lo m - inverse releases m); sentinel if dep_lo
-             never reaches count.  Under `Dirty the departure jumps are
-             swept once against the precomputed instance release times;
-             `Full keeps the per-instance binary searches of the textbook
-             path. *)
-          let worst_full () =
-            let rec go m acc =
-              if m > count then acc
-              else
-                match (Step.inverse dep_lo m, Step.inverse releases m) with
-                | Some d, Some rel -> go (m + 1) (max acc (d - rel))
-                | None, _ | _, None -> sentinel
-            in
-            go 1 0
-          in
-          let worst_sweep () =
+          let dep_lo = (output_of id).Local.dep_lo in
+          let count = Step.final_value release_trace.(id.System.job) in
+          (* worst = max over instances m of (inverse dep_lo m - release of
+             m), or the sentinel if dep_lo never reaches count: the
+             departure jumps are swept once against the precomputed
+             instance release times. *)
+          let worst () =
             let inv = inv_release.(id.System.job) in
             let acc = ref 0 and m = ref 1 in
             let consume t v =
@@ -360,9 +261,6 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64)
             if !m <= count then sentinel else !acc
           in
           let prev = x.(id.System.job).(id.System.step) in
-          let worst () =
-            match strategy with `Full -> worst_full () | `Dirty -> worst_sweep ()
-          in
           let r = if count = 0 then prev else min (worst ()) sentinel in
           if r > prev then begin
             x'.(id.System.job).(id.System.step) <- r;

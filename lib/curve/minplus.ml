@@ -15,23 +15,6 @@ let h_avail_knots = Obs.histogram "minplus.avail.knots"
 let h_out_knots = Obs.histogram "minplus.out.knots"
 let h_seconds = Obs.histogram "minplus.prefix_min.seconds"
 
-(* Kernel selection: `Reference routes prefix_min and convolve through the
-   frozen baseline implementations in {!Reference}.  Exists for the bench
-   harness (so the regression gate can measure optimized-vs-reference on
-   identical call paths, engine included) and for debugging suspected
-   kernel bugs without rebuilding. *)
-type impl = [ `Optimized | `Reference ]
-
-let impl_state = ref (`Optimized : impl)
-
-let set_impl i =
-  impl_state := i;
-  (* The pointwise combination kernels live in Pl (convolve and the
-     reference baselines are built on them); keep their switch in step. *)
-  Pl.set_reference_kernels (i = `Reference)
-
-let current_impl () = !impl_state
-
 (* Sorted, deduplicated event times: 0, every knot of [avail], and for every
    jump time j of [work] both j and j+1 (so that both the value and the left
    limit of [work] are constant on every open interval between events).
@@ -149,11 +132,7 @@ let prefix_min_impl ~mode ~avail ~work =
    and durations characterize the whole curve layer's hot path. *)
 let prefix_min ~mode ~avail ~work =
   let t0 = if Obs.enabled () then Obs.now () else 0. in
-  let result =
-    match !impl_state with
-    | `Optimized -> prefix_min_impl ~mode ~avail ~work
-    | `Reference -> Reference.prefix_min ~mode ~avail ~work
-  in
+  let result = prefix_min_impl ~mode ~avail ~work in
   if Obs.enabled () then begin
     Obs.incr c_prefix_min;
     Obs.observe_int h_work_jumps (Step.jump_count work);
@@ -309,9 +288,7 @@ let convolve_impl f g =
 
 let convolve f g =
   Obs.incr c_convolve;
-  match !impl_state with
-  | `Optimized -> convolve_impl f g
-  | `Reference -> Reference.convolve f g
+  convolve_impl f g
 
 let vertical_deviation ~upper ~lower = Pl.sup (Pl.sub upper lower)
 

@@ -68,25 +68,6 @@ val convolve : Pl.t -> Pl.t -> Pl.t
     @raise Invalid_argument on the general path when the operands' absolute
     values (over the span of their knots) sum to at least [2^39]. *)
 
-(** {1 Kernel selection}
-
-    The optimized kernels are differential-tested against the frozen
-    baselines in {!Reference} (property tests, [rta fuzz --kernels]).  The
-    switch below additionally lets whole-analysis callers (the bench
-    harness's regression gate) run the engine's exact call paths on the
-    reference kernels. *)
-
-type impl = [ `Optimized | `Reference ]
-
-val set_impl : impl -> unit
-(** Route {!prefix_min} and {!convolve} through the optimized kernels
-    (default) or the {!Reference} baselines, and {!Pl}'s pointwise
-    combination kernels through their pre-optimization bodies (see
-    {!Pl.set_reference_kernels}).  Global, not thread-safe; intended for
-    benchmarks and debugging, not production configuration. *)
-
-val current_impl : unit -> impl
-
 val vertical_deviation : upper:Pl.t -> lower:Pl.t -> int option
 (** [sup over t of (upper(t) - lower(t))], the backlog bound when [upper]
     is an arrival (workload) envelope and [lower] a service curve; [None]

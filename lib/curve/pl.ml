@@ -265,25 +265,12 @@ let merge_knot_times f g =
   let k = go 0 0 0 in
   Array.sub out 0 k
 
-(* Kernel selection: the pointwise combination kernels below keep their
-   pre-optimization bodies (one binary search per merged time) as reference
-   implementations, switchable at runtime so benchmarks and differential
-   tests can run whole call paths on the baselines.  Flipped by
-   Minplus.set_impl, never directly. *)
-let reference_kernels = ref false
-let set_reference_kernels b = reference_kernels := b
-
+(* Merged times are ascending, so two cursors replace per-time binary
+   searches ({!Reference.add} keeps the searching original). *)
 let lift2 op f g =
   let xs = merge_knot_times f g in
-  let ys =
-    if !reference_kernels then Array.map (fun t -> op (eval f t) (eval g t)) xs
-    else begin
-      (* Merged times are ascending, so two cursors replace the per-time
-         binary searches. *)
-      let cf = Cursor.make f and cg = Cursor.make g in
-      Array.map (fun t -> op (Cursor.eval cf t) (Cursor.eval cg t)) xs
-    end
-  in
+  let cf = Cursor.make f and cg = Cursor.make g in
+  let ys = Array.map (fun t -> op (Cursor.eval cf t) (Cursor.eval cg t)) xs in
   normalize ~tail:(op f.tail g.tail) xs ys
 
 let observed c r =
@@ -313,37 +300,11 @@ let crossing_floors d0 ds =
     Some (num / ds) (* both num and ds share sign; integer division floors
                        toward zero which equals floor here since signs agree *)
 
-let pointwise2_reference op f g =
-  let base = merge_knot_times f g in
-  let times = ref [] in
-  let add_time t = if t >= 0 then times := t :: !times in
-  Array.iter add_time base;
-  let n = Array.length base in
-  let consider i =
-    let x = base.(i) in
-    let x_end = if i = n - 1 then None else Some base.(i + 1) in
-    let yf = eval f x and yg = eval g x in
-    let sf = segment_slope f (index_at f x) and sg = segment_slope g (index_at g x) in
-    match crossing_floors (yf - yg) (sf - sg) with
-    | None -> ()
-    | Some du ->
-        let t1 = x + du and t2 = x + du + 1 in
-        let inside t = t > x && (match x_end with None -> true | Some e -> t < e) in
-        if inside t1 then add_time t1;
-        if inside t2 then add_time t2
-  in
-  for i = 0 to n - 1 do
-    consider i
-  done;
-  let xs = List.sort_uniq Int.compare !times |> Array.of_list in
-  let ys = Array.map (fun t -> op (eval f t) (eval g t)) xs in
-  normalize ~tail:(op f.tail g.tail) xs ys
-
-(* Same candidate times and values as the reference, produced in one
+(* The candidate times and values of {!Reference.min2}, produced in one
    ascending sweep: base times and straddle pairs are generated in order
    (straddles fall strictly inside their interval), so a Builder replaces
    the list + sort_uniq and two cursors replace every binary search. *)
-let pointwise2_fast op f g =
+let pointwise2 op f g =
   let base = merge_knot_times f g in
   let n = Array.length base in
   let cf = Cursor.make f and cg = Cursor.make g in
@@ -365,10 +326,6 @@ let pointwise2_fast op f g =
           Builder.push b t2 (op (Cursor.eval cf t2) (Cursor.eval cg t2))
   done;
   Builder.to_pl ~tail:(op f.tail g.tail) b
-
-let pointwise2 op f g =
-  if !reference_kernels then pointwise2_reference op f g
-  else pointwise2_fast op f g
 
 let min2 f g = observed c_min2 (pointwise2 min f g)
 let max2 f g = observed c_max2 (pointwise2 max f g)

@@ -182,15 +182,6 @@ val to_step_floor_div : ?cap:int -> t -> int -> Step.t
 
 (** {1 Comparison} *)
 
-val set_reference_kernels : bool -> unit
-(** Route the pointwise combination kernels ({!add}, {!sub}, {!min2},
-    {!max2} and everything built on them) through their pre-optimization
-    bodies — one binary search per merged time — instead of the
-    cursor-merge fast paths.  The two produce identical normal forms; the
-    switch exists so benchmarks and differential tests can run whole call
-    paths on the baselines.  Flipped by {!Minplus.set_impl}; do not call
-    directly. *)
-
 val equal : t -> t -> bool
 (** Extensional equality on the grid (normal-form representation). *)
 

@@ -1,8 +1,9 @@
 (* Frozen baseline curve kernels.
 
    These are the original (pre-optimization) implementations of the
-   min-plus convolution, the prefix-minimum scan and the step-to-polyline
-   conversion, kept verbatim as an executable specification.  The optimized
+   pointwise combinations, the min-plus convolution, the prefix-minimum
+   scan and the step-to-polyline conversion, kept as an executable
+   specification built only on the public curve API.  The optimized
    kernels in {!Minplus} and {!Pl} are differential-tested against this
    module by the property tests and by `rta fuzz --kernels`, so every
    speedup ships with a proof-of-parity.  Do not "improve" this module:
@@ -111,6 +112,43 @@ let prefix_min ~mode ~avail ~work =
   intervals 0;
   Pl.of_knots ~tail:!tail (List.rev !buf)
 
+(* Pointwise combinations: every merged knot time is evaluated by an
+   independent binary search ({!Pl.eval}), and the result is rebuilt through
+   {!Pl.of_knots}. *)
+let knot_times f g =
+  Array.to_list (Array.append (Pl.knots f) (Pl.knots g))
+  |> List.map fst |> List.sort_uniq Int.compare
+
+let of_times op f g times =
+  Pl.of_knots
+    ~tail:(op (Pl.tail_slope f) (Pl.tail_slope g))
+    (List.map (fun t -> (t, op (Pl.eval f t) (Pl.eval g t))) times)
+
+let add f g = of_times ( + ) f g (knot_times f g)
+let sub f g = of_times ( - ) f g (knot_times f g)
+
+(* Min and max are non-linear where the two operands cross: besides the
+   merged knot times, take the pair of integer times straddling every
+   crossing inside a segment. *)
+let pointwise op f g =
+  let base = Array.of_list (knot_times f g) in
+  let n = Array.length base in
+  let slope h x = Pl.eval h (x + 1) - Pl.eval h x in
+  let straddles i =
+    let x = base.(i) in
+    let d0 = Pl.eval f x - Pl.eval g x and ds = slope f x - slope g x in
+    if ds = 0 || d0 = 0 || d0 * ds > 0 then []
+    else
+      let du = -d0 / ds in
+      let inside t = t > x && (i = n - 1 || t < base.(i + 1)) in
+      List.filter inside [ x + du; x + du + 1 ]
+  in
+  let crossings = List.concat (List.init n straddles) in
+  of_times op f g (List.sort_uniq Int.compare (Array.to_list base @ crossings))
+
+let min2 = pointwise min
+let max2 = pointwise max
+
 (* A value safely above any reachable curve value; see {!Minplus.masked}. *)
 let masked = 1 lsl 40
 
@@ -122,15 +160,14 @@ let convolve f g =
   let shifted_copies base knots =
     Array.to_list knots
     |> List.map (fun (x, y) ->
-           let curve = Pl.add (Pl.shift_right ~fill:masked base x) (Pl.const y) in
-           curve)
+           add (Pl.shift_right ~fill:masked base x) (Pl.const y))
   in
   let candidates =
     shifted_copies g (Pl.knots f) @ shifted_copies f (Pl.knots g)
   in
   match candidates with
   | [] -> invalid_arg "Reference.convolve: empty curve"
-  | first :: rest -> List.fold_left Pl.min2 first rest
+  | first :: rest -> List.fold_left min2 first rest
 
 (* The original list-buffer step-to-polyline conversion. *)
 let of_step step =

@@ -15,6 +15,17 @@ module Dense = Dense
 module Envelope = Envelope
 module Reference = Reference
 
+(** The curve kernels with a frozen baseline: the optimized {!Pl} and
+    {!Minplus} functions and their {!Reference} originals both satisfy it,
+    so code written over it ({!Rta_core.Local.Make}) runs on either. *)
+module type KERNELS = sig
+  val add : Pl.t -> Pl.t -> Pl.t
+  val sub : Pl.t -> Pl.t -> Pl.t
+  val min2 : Pl.t -> Pl.t -> Pl.t
+  val max2 : Pl.t -> Pl.t -> Pl.t
+  val prefix_min : mode:[ `Left | `Right ] -> avail:Pl.t -> work:Step.t -> Pl.t
+end
+
 (* First-class conformance witnesses: packing the modules here both proves
    at compile time that they satisfy CURVE and gives generic clients (the
    fuzz oracle's invariant sweep) ready-made values to iterate over. *)

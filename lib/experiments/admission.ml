@@ -58,31 +58,20 @@ let judge_set ?estimator ~methods ~config_of ~utilization ~seed set =
     methods
 
 let sweep ?estimator ?domains ~methods ~config_of ~utilizations ~sets ~seed () =
-  let domains =
-    max 1 (Option.value ~default:(Domain.recommended_domain_count ()) domains)
-  in
+  let jobs = Option.value ~default:(Rta_service.Backend.default_jobs ()) domains in
   List.map
     (fun utilization ->
-      (* Every job set is independent and seed-addressed, so sets chunk
-         freely across domains; the result is identical for any count. *)
+      (* Every job set is independent and seed-addressed, so sets spread
+         freely over the pool; the result is identical for any count. *)
       let judge = judge_set ?estimator ~methods ~config_of ~utilization ~seed in
-      let chunk d =
-        let rec go set acc =
-          if set >= sets then acc
-          else
-            go (set + domains)
-              (List.map2 (fun ok n -> if ok then n + 1 else n) (judge set) acc)
-        in
-        go d (List.map (fun _ -> 0) methods)
-      in
+      let verdicts = Array.make sets [] in
+      Rta_service.Backend.run ~jobs
+        (Array.init sets (fun set () -> verdicts.(set) <- judge set));
       let counts =
-        if domains = 1 then chunk 0
-        else
-          List.init (domains - 1) (fun d -> Domain.spawn (fun () -> chunk (d + 1)))
-          |> fun workers ->
-          List.fold_left
-            (fun acc w -> List.map2 ( + ) acc (Domain.join w))
-            (chunk 0) workers
+        Array.fold_left
+          (List.map2 (fun n ok -> if ok then n + 1 else n))
+          (List.map (fun _ -> 0) methods)
+          verdicts
       in
       {
         utilization;

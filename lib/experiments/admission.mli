@@ -44,9 +44,9 @@ val sweep :
     the same random parameters for every method.
 
     Job sets are independent and seed-addressed, so they are evaluated in
-    parallel across [domains] (default:
-    [Domain.recommended_domain_count ()]); the result is bit-identical for
-    any domain count. *)
+    parallel on [domains] workers of {!Rta_service.Backend} (default:
+    {!Rta_service.Backend.default_jobs}); the result is bit-identical for
+    any worker count. *)
 
 val to_table : point list -> header:string list -> string list list * string list
 (** Rows and header for {!Tabular.render}: one row per utilization, one

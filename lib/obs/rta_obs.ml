@@ -5,9 +5,8 @@
 
    Thread/domain safety: counters and gauges are lock-free [Atomic]s;
    histogram observations, the span store and the registration tables are
-   protected by mutexes.  The disabled path takes no lock.  On OCaml 4.14
-   [Mutex] comes from the compiler-bundled threads library; on 5.x it is
-   the stdlib one and the hooks are safe to call from any domain. *)
+   protected by the stdlib's mutexes.  The disabled path takes no lock,
+   and the hooks are safe to call from any domain. *)
 
 module Json = struct
   type t =

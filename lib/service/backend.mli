@@ -1,26 +1,18 @@
-(** Execution backend for the batch service.
-
-    Exactly one implementation is selected at build time by a dune rule:
-    on OCaml >= 5.0 a [Domain]-based worker pool ([backend_domains.ml.in]),
-    below that a transparent sequential fallback ([backend_seq.ml.in]).
-    Callers are identical either way; [parallel] tells them which one they
-    got. *)
+(** The worker pool: every parallel fan-out in the project ({!Batch},
+    {!Server}, [Rta_experiments.Admission.sweep]) runs through it. *)
 
 val name : string
-(** ["domains"] or ["sequential"]. *)
-
-val parallel : bool
-(** Whether [run ~jobs] with [jobs > 1] actually executes in parallel. *)
+(** ["domains"]: workers are OCaml 5 domains. *)
 
 val default_jobs : unit -> int
 (** A sensible worker count for this machine: the runtime's recommended
-    domain count on OCaml 5, [1] on the sequential fallback. *)
+    domain count. *)
 
 val run : jobs:int -> (unit -> unit) array -> unit
 (** [run ~jobs tasks] executes every task exactly once.  Workers pull
-    tasks in array order from a shared index, so with [jobs = 1] (or on
-    the sequential fallback) execution order is exactly array order; with
-    more workers tasks are {e dispatched} in array order but may complete
-    out of order.  Tasks are expected to handle their own exceptions; if
-    one leaks, the remaining tasks still run and the first exception is
-    re-raised after all workers finish. *)
+    tasks in array order from a shared index, so with [jobs = 1]
+    execution order is exactly array order; with more workers tasks are
+    {e dispatched} in array order but may complete out of order.  Tasks
+    are expected to handle their own exceptions; if one leaks, the
+    remaining tasks still run and the first exception is re-raised after
+    all workers finish. *)

@@ -8,10 +8,8 @@
      onto the bounded queue;
    - the accept loop is its own thread, spawning connection readers;
    - the worker pool runs through {!Backend}: each pool slot executes
-     [worker_loop], which drains the queue until it is closed and empty.
-     On OCaml 5 the slots are domains (parallel analyses); on the
-     sequential fallback [Backend.run] runs slot 0 to completion first,
-     which still drains everything — one effective worker;
+     [worker_loop], which drains the queue until it is closed and empty;
+     the slots are domains, so analyses run in parallel;
    - a closer thread joins the input threads and then closes the queue,
      which is what lets the pool terminate.
 

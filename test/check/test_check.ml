@@ -49,45 +49,38 @@ let test_determinism () =
   Alcotest.(check int) "passed" a.Rta_check.Fuzz.passed b.Rta_check.Fuzz.passed;
   Alcotest.(check int) "skipped" a.Rta_check.Fuzz.skipped b.Rta_check.Fuzz.skipped
 
-let with_planted_fault f =
-  Engine.set_fault `Fcfs_drop_tau;
-  Fun.protect ~finally:(fun () -> Engine.set_fault `None) f
+let fault = `Fcfs_drop_tau
 
 let test_planted_fault_caught () =
   let out_dir = "fuzz-fault-out" in
-  with_planted_fault (fun () ->
-      let outcome = Rta_check.Fuzz.run ~out_dir ~seed:0 ~count:100 () in
-      let cexs = outcome.Rta_check.Fuzz.counterexamples in
-      Alcotest.(check bool)
-        "planted fault caught" true
-        (List.length cexs > 0);
-      let cex = List.hd cexs in
-      (* The fault makes dep_lo of any FCFS subjob claim a departure at its
-         very first arrival instant, so the shrinker can always reach a
-         near-trivial system. *)
-      Alcotest.(check bool)
-        "shrunk to at most 3 subjobs" true
-        (subjob_count cex.Rta_check.Fuzz.shrunk <= 3);
-      Alcotest.(check bool)
-        "violations recorded" true
-        (cex.Rta_check.Fuzz.violations <> []);
-      (* The counterexample file replays to the same failure while the
-         fault is planted... *)
-      let file =
-        match cex.Rta_check.Fuzz.file with
-        | Some f -> f
-        | None -> Alcotest.fail "counterexample not written"
-      in
-      match Rta_check.Fuzz.replay file with
-      | Ok (Rta_check.Oracle.Failed _) -> ()
-      | Ok _ -> Alcotest.fail "replay did not reproduce the violation"
-      | Error msg -> Alcotest.fail ("replay failed to parse: " ^ msg));
-  (* ... and passes once the engine is healthy again. *)
+  let outcome = Rta_check.Fuzz.run ~fault ~out_dir ~seed:0 ~count:100 () in
+  let cexs = outcome.Rta_check.Fuzz.counterexamples in
+  Alcotest.(check bool) "planted fault caught" true (List.length cexs > 0);
+  let cex = List.hd cexs in
+  (* The fault makes dep_lo of any FCFS subjob claim a departure at its
+     very first arrival instant, so the shrinker can always reach a
+     near-trivial system. *)
+  Alcotest.(check bool)
+    "shrunk to at most 3 subjobs" true
+    (subjob_count cex.Rta_check.Fuzz.shrunk <= 3);
+  Alcotest.(check bool)
+    "violations recorded" true
+    (cex.Rta_check.Fuzz.violations <> []);
+  (* The counterexample file replays to the same failure with the fault
+     planted... *)
+  let file =
+    match cex.Rta_check.Fuzz.file with
+    | Some f -> f
+    | None -> Alcotest.fail "counterexample not written"
+  in
+  (match Rta_check.Fuzz.replay ~fault file with
+  | Ok (Rta_check.Oracle.Failed _) -> ()
+  | Ok _ -> Alcotest.fail "replay did not reproduce the violation"
+  | Error msg -> Alcotest.fail ("replay failed to parse: " ^ msg));
+  (* ... and passes without it. *)
   let file = Sys.readdir out_dir in
   Alcotest.(check bool) "artifact on disk" true (Array.length file > 0);
-  match
-    Rta_check.Fuzz.replay (Filename.concat out_dir file.(0))
-  with
+  match Rta_check.Fuzz.replay (Filename.concat out_dir file.(0)) with
   | Ok Rta_check.Oracle.Passed -> ()
   | Ok (Rta_check.Oracle.Failed vs) ->
       Alcotest.fail
@@ -98,19 +91,18 @@ let test_planted_fault_caught () =
   | Error msg -> Alcotest.fail ("replay failed to parse: " ^ msg)
 
 let test_render_is_parseable () =
-  with_planted_fault (fun () ->
-      let outcome = Rta_check.Fuzz.run ~seed:0 ~count:50 () in
-      match outcome.Rta_check.Fuzz.counterexamples with
-      | [] -> Alcotest.fail "expected a counterexample"
-      | cex :: _ -> (
-          let text = Rta_check.Fuzz.render cex in
-          match Rta_model.Parser.parse text with
-          | Ok system ->
-              Alcotest.(check int)
-                "round-trips the shrunk system"
-                (System.subjob_count cex.Rta_check.Fuzz.shrunk.Rta_check.Gen.system)
-                (System.subjob_count system)
-          | Error msg -> Alcotest.fail ("rendered text does not parse: " ^ msg)))
+  let outcome = Rta_check.Fuzz.run ~fault ~seed:0 ~count:50 () in
+  match outcome.Rta_check.Fuzz.counterexamples with
+  | [] -> Alcotest.fail "expected a counterexample"
+  | cex :: _ -> (
+      let text = Rta_check.Fuzz.render cex in
+      match Rta_model.Parser.parse text with
+      | Ok system ->
+          Alcotest.(check int)
+            "round-trips the shrunk system"
+            (System.subjob_count cex.Rta_check.Fuzz.shrunk.Rta_check.Gen.system)
+            (System.subjob_count system)
+      | Error msg -> Alcotest.fail ("rendered text does not parse: " ^ msg))
 
 let () =
   Alcotest.run "check"

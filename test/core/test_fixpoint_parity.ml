@@ -1,12 +1,14 @@
 (* Dirty-set / full-sweep parity for the fixpoint engine.
 
-   [`Dirty] skips subjobs whose read set (chain predecessors of self and of
-   scheduling-relevant co-residents) did not change in the previous round.
-   Recomputing a subjob from unchanged inputs reproduces its value, so the
-   two strategies must walk the SAME iterate sequence: identical per-job
-   verdicts, identical per-stage verdicts, and the same iteration count —
-   not just the same fixed point.  Any divergence means the dirty
-   propagation missed a dependency edge. *)
+   [Fixpoint.analyze] skips subjobs whose read set (chain predecessors of
+   self and of scheduling-relevant co-residents) did not change in the
+   previous round.  Recomputing a subjob from unchanged inputs reproduces
+   its value, so it must walk the SAME iterate sequence as the textbook
+   full sweep on the reference kernels ([Rta_testsupport.Jacobi]):
+   identical per-job verdicts, identical per-stage verdicts, and the same
+   iteration count — not just the same fixed point.  Any divergence means
+   the dirty propagation missed a dependency edge or an optimized kernel
+   disagrees with its baseline. *)
 
 open Rta_model
 module Fixpoint = Rta_core.Fixpoint
@@ -25,10 +27,9 @@ let same_result (a : Fixpoint.result) (b : Fixpoint.result) =
   a.per_job = b.per_job && a.per_stage = b.per_stage
   && a.iterations = b.iterations
 
-let run strategy system =
-  Fixpoint.analyze ~strategy ~release_horizon ~horizon system
-
-let parity_prop system = same_result (run `Dirty system) (run `Full system)
+let dirty system = Fixpoint.analyze ~release_horizon ~horizon system
+let full system = Rta_testsupport.Jacobi.analyze ~release_horizon ~horizon system
+let parity_prop system = same_result (dirty system) (full system)
 
 let qparity name sched_gen =
   QCheck_alcotest.to_alcotest
@@ -50,7 +51,7 @@ let test_parity_fixed () =
     QCheck2.Gen.generate1 ~rand:(Random.State.make [| 11 |])
       (Sg.system_gen ~release_horizon ())
   in
-  let d = run `Dirty system and f = run `Full system in
+  let d = dirty system and f = full system in
   Alcotest.(check (array verdict)) "per_job" f.per_job d.per_job;
   Alcotest.(check (array (array verdict)))
     "per_stage" f.per_stage d.per_stage;

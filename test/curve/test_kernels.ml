@@ -1,19 +1,14 @@
 (* Differential tests for the optimized curve kernels against the frozen
    baselines in [Reference]: randomized parity on general operands, the
    convex/concave convolve fast paths, adversarial shapes (plateaus,
-   one-tick segments, negative-slope availability), the pointwise kernel
-   switch, builder/cursor contracts, and the convolve mask-headroom
+   one-tick segments, negative-slope availability), the pointwise
+   kernels, builder/cursor contracts, and the convolve mask-headroom
    boundary. *)
 
 open Rta_curve
 module G = Rta_testsupport.Gen
 
 let check_bool = Alcotest.(check bool)
-
-let with_impl impl f =
-  let saved = Minplus.current_impl () in
-  Minplus.set_impl impl;
-  Fun.protect ~finally:(fun () -> Minplus.set_impl saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Generators: adversarial curve shapes                                *)
@@ -122,16 +117,18 @@ let prop_of_step =
       Pl.equal (Pl.of_step s) (Reference.of_step s))
 
 (* ------------------------------------------------------------------ *)
-(* Pointwise kernel switch                                             *)
+(* Pointwise kernels                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let pointwise_agrees (f, g) =
   List.for_all
-    (fun op ->
-      Pl.equal
-        (with_impl `Optimized (fun () -> op f g))
-        (with_impl `Reference (fun () -> op f g)))
-    [ Pl.min2; Pl.max2; Pl.add; Pl.sub ]
+    (fun (fast, slow) -> Pl.equal (fast f g) (slow f g))
+    [
+      (Pl.min2, Reference.min2);
+      (Pl.max2, Reference.max2);
+      (Pl.add, Reference.add);
+      (Pl.sub, Reference.sub);
+    ]
 
 let prop_pointwise =
   qpair "pointwise min2/max2/add/sub: fast = reference" G.pl_gen G.pl_gen

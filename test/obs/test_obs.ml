@@ -132,9 +132,8 @@ let test_disabled_no_alloc () =
 (* Concurrency: hooks from several workers must not lose updates       *)
 (* ------------------------------------------------------------------ *)
 
-(* Hammer every hook from [workers] tasks at once through the service
-   backend (real domains on OCaml 5, sequential on 4.14 — the totals
-   must be exact either way).  Counters and gauges are atomics;
+(* Hammer every hook from [workers] tasks at once on the service's domain
+   pool: the totals must be exact.  Counters and gauges are atomics;
    histograms and spans serialise on the registry mutex. *)
 let test_concurrent_hooks () =
   with_obs (fun () ->

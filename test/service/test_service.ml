@@ -714,6 +714,141 @@ let test_server_store_restart () =
     second.Store.hits;
   check_int "restarted daemon never re-runs the engine" 0 second.Store.misses
 
+(* ------------------------------------------------------------------ *)
+(* Golden batch output                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A fixed seeded corpus whose rendered batch output is pinned by MD5, so
+   a refactor of the analysis cannot move a bound, a verdict, a method
+   label or a byte of the wire format unnoticed.  The fuzz generator
+   supplies the bulk (small systems with every policy mix, release ties
+   and the occasional dependency cycle, plus paper-style shops); a few
+   hand-built shapes guarantee that every analysis path is present
+   whatever the generator draws, which the test checks before comparing
+   the digest. *)
+
+let golden_digest = "2a7a6f53c73afa0bc97a6053da6f6066"
+
+let golden_job ?(prios = []) name arrival deadline steps =
+  {
+    System.name;
+    arrival;
+    deadline;
+    steps =
+      Array.of_list
+        (List.mapi
+           (fun i (proc, exec) ->
+             let prio = match List.nth_opt prios i with Some p -> p | None -> 0 in
+             { System.proc; exec; prio })
+           steps);
+  }
+
+let golden_shapes =
+  let per period offset = Arrival.Periodic { period; offset } in
+  let dm schedulers jobs =
+    System.make_exn ~schedulers ~jobs:(Priority.deadline_monotonic (Array.of_list jobs))
+  in
+  [
+    (* FCFS with exact, tie-free releases: the exact FCFS path. *)
+    dm [| Sched.Fcfs; Sched.Fcfs |]
+      [
+        golden_job "A" (per 20 0) 60 [ (0, 3); (1, 2) ];
+        golden_job "B" (per 30 7) 90 [ (0, 4); (1, 3) ];
+      ];
+    (* One policy per stage. *)
+    dm [| Sched.Spp; Sched.Spnp; Sched.Fcfs |]
+      [
+        golden_job "A" (per 25 0) 80 [ (0, 2); (1, 3); (2, 2) ];
+        golden_job "B" (Arrival.Bursty { period = 30 }) 120 [ (0, 3); (1, 2); (2, 4) ];
+        golden_job "C" (per 40 5) 160 [ (0, 4); (1, 4); (2, 3) ];
+      ];
+    (* A chain revisiting an FCFS processor: cyclic, so the fixed point. *)
+    dm [| Sched.Fcfs; Sched.Spp |]
+      [
+        golden_job "L1" (per 40 0) 120 [ (0, 3); (1, 4); (0, 2) ];
+        golden_job "L2" (per 50 5) 150 [ (1, 2); (0, 3) ];
+      ];
+    (* Processor-level order is cyclic (A.1 over B.2 on P0, B.1 over A.2
+       on P1) while the subjob order is not. *)
+    System.make_exn
+      ~schedulers:[| Sched.Spp; Sched.Spp |]
+      ~jobs:
+        [|
+          golden_job ~prios:[ 1; 2 ] "A" (per 30 0) 90 [ (0, 3); (1, 4) ];
+          golden_job ~prios:[ 1; 2 ] "B" (per 45 4) 135 [ (1, 2); (0, 5) ];
+        |];
+  ]
+
+let golden_corpus () =
+  let generated =
+    List.init 150 (fun i ->
+        let c = Rta_check.Gen.generate (Rta_workload.Rng.make (7000 + i)) in
+        (c.Rta_check.Gen.system, c.Rta_check.Gen.release_horizon, c.Rta_check.Gen.horizon))
+  in
+  let shaped =
+    List.map
+      (fun s ->
+        let rh, h = System.suggested_horizons s in
+        (s, rh, h))
+      golden_shapes
+  in
+  List.mapi
+    (fun i (system, release_horizon, horizon) ->
+      let estimator = if i mod 4 = 3 then `Sum else `Direct in
+      (system,
+       Batch.request
+         ~id:(Printf.sprintf "g%d" i)
+         ~config:(Rta_core.Analysis.config ~estimator ~release_horizon ~horizon ())
+         (Parser.print system)))
+    (generated @ shaped)
+
+(* Which analysis paths a system exercises. *)
+let golden_paths (system, (req : Batch.request)) =
+  let cfg = req.Batch.config in
+  let release_horizon, horizon = Rta_core.Analysis.resolve_horizons cfg system in
+  let scheds =
+    List.sort_uniq compare
+      (List.init (System.processor_count system) (System.scheduler_of system))
+  in
+  let policy =
+    match scheds with
+    | [ Sched.Spp ] -> [ "spp" ]
+    | [ Sched.Spnp ] -> [ "spnp" ]
+    | [ Sched.Fcfs ] -> [ "fcfs" ]
+    | _ -> [ "mixed" ]
+  in
+  match Rta_core.Engine.run ~release_horizon ~horizon system with
+  | Error (`Cyclic _) -> "cyclic" :: policy
+  | Ok e ->
+      let fcfs_exact =
+        List.exists
+          (fun j ->
+            List.exists
+              (fun st ->
+                let id = { System.job = j; step = st } in
+                System.scheduler_of system (System.step system id).System.proc
+                = Sched.Fcfs
+                && (Rta_core.Engine.entry e id).Rta_core.Engine.exact)
+              (List.init (Array.length (System.job system j).System.steps) Fun.id))
+          (List.init (System.job_count system) Fun.id)
+      in
+      if fcfs_exact then "fcfs-exact" :: policy else policy
+
+let test_golden_batch_output () =
+  let corpus = golden_corpus () in
+  let seen = List.concat_map golden_paths corpus in
+  List.iter
+    (fun path ->
+      check_bool (Printf.sprintf "corpus covers %s" path) true (List.mem path seen))
+    [ "spp"; "spnp"; "fcfs"; "fcfs-exact"; "mixed"; "cyclic" ];
+  let requests = Array.of_list (List.map (fun (_, r) -> Ok r) corpus) in
+  let out =
+    Batch.run ~jobs:1 requests
+    |> Array.map Batch.response_line
+    |> Array.to_list |> String.concat "\n"
+  in
+  check_string "batch output digest" golden_digest (Digest.to_hex (Digest.string out))
+
 let () =
   Alcotest.run "rta_service"
     [
@@ -769,4 +904,5 @@ let () =
           Alcotest.test_case "response is valid JSON" `Quick
             test_response_roundtrips_as_json;
         ] );
+      ("golden", [ Alcotest.test_case "batch output digest" `Quick test_golden_batch_output ]);
     ]
