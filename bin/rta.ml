@@ -460,11 +460,11 @@ let batch_cmd =
     let elapsed = Rta_obs.now () -. started in
     let s = !summary in
     Format.eprintf "batch: %a@." Rta_service.Batch.pp_summary s;
-    Format.eprintf "batch: %.2fs elapsed, %.0f systems/s (jobs=%d, backend=%s)@."
+    Format.eprintf "batch: %.2fs elapsed, %.0f systems/s (jobs=%d)@."
       elapsed
       (if elapsed > 0. then float_of_int s.Rta_service.Batch.total /. elapsed
        else 0.)
-      jobs Rta_service.Backend.name;
+      jobs;
     if
       s.Rta_service.Batch.invalid > 0
       || s.Rta_service.Batch.failed > 0

@@ -5,8 +5,7 @@
     of a hot-path kernel that {!Minplus} and {!Pl} have since replaced with
     faster equivalents.  The property tests (test/curve) and the
     [rta fuzz --kernels] mode check [Pl.equal] between the optimized and
-    reference results on randomized and adversarial curves; the bench
-    harness times both sides and gates CI on the speedup ratio.  The module
+    reference results on randomized and adversarial curves.  The module
     satisfies {!Rta_curve.KERNELS}, so a whole analysis can run on it
     ({!Rta_core.Local.Make}).
 

@@ -16,19 +16,18 @@
     (formatted span names, curve sizes read through fresh arrays) must be
     guarded by the caller with [if Rta_obs.enabled () then ...].
 
-    {b Thread/domain safety.}  Hooks may be called concurrently from
-    several threads or (on OCaml 5) domains: counters and gauges are
-    lock-free atomics, histogram observations and the span store are
-    mutex-protected, so concurrent use never loses increments or corrupts
-    memory.  Span {e parentage} is exact in sequential use; under
-    parallelism a new span's parent is whichever span was most recently
-    opened anywhere (a single global "current span"), so concurrent span
-    trees are flattened heuristically rather than per-domain.  The
-    disabled path takes no lock.
+    {b Domain safety.}  Hooks may be called concurrently from several
+    domains: counters and gauges are lock-free atomics, histogram
+    observations and the span store are mutex-protected, so concurrent use
+    never loses increments or corrupts memory.  Span {e parentage} is
+    exact in sequential use; under parallelism a new span's parent is
+    whichever span was most recently opened anywhere (a single global
+    "current span"), so concurrent span trees are flattened heuristically
+    rather than per-domain.  The disabled path takes no lock.
 
-    The only dependencies are the compiler-bundled [unix] and [threads]
-    libraries, used for the default wall clock and the locks; the clock is
-    pluggable via {!set_clock}. *)
+    The only dependency is the compiler-bundled [unix] library, used for
+    the default wall clock (pluggable via {!set_clock}); the locks and
+    atomics are the OCaml 5 standard library's. *)
 
 (** {1 Minimal JSON} *)
 

@@ -1,6 +1,5 @@
 (* Domain-based worker pool. *)
 
-let name = "domains"
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
 let run ~jobs tasks =

@@ -1,9 +1,6 @@
 (** The worker pool: every parallel fan-out in the project ({!Batch},
     {!Server}, [Rta_experiments.Admission.sweep]) runs through it. *)
 
-val name : string
-(** ["domains"]: workers are OCaml 5 domains. *)
-
 val default_jobs : unit -> int
 (** A sensible worker count for this machine: the runtime's recommended
     domain count. *)

@@ -2,8 +2,9 @@
    baselines in [Reference]: randomized parity on general operands, the
    convex/concave convolve fast paths, adversarial shapes (plateaus,
    one-tick segments, negative-slope availability), the pointwise
-   kernels, builder/cursor contracts, and the convolve mask-headroom
-   boundary. *)
+   kernels, builder/cursor contracts, the convolve mask-headroom
+   boundary, and which convolve path each operand shape takes (read from
+   the Rta_obs path counters, so it cannot flake the way a timing can). *)
 
 open Rta_curve
 module G = Rta_testsupport.Gen
@@ -86,6 +87,67 @@ let prop_convolve_plateau =
 let prop_convolve_one_tick =
   qpair "convolve: optimized = reference (one-tick segments)" pl_one_tick_gen
     pl_one_tick_gen convolve_agrees
+
+(* ------------------------------------------------------------------ *)
+(* Convolve: which path each operand shape takes                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Deterministic 200-knot operands.  [pl_zigzag] has non-monotone slopes,
+   so convolve must take the general (min-tree) path; [pl_convex] has
+   strictly increasing slopes (slope-merge path); [pl_concave] runs
+   through the origin with strictly decreasing slopes (pointwise-min
+   path).  Strictly distinct slopes keep normalization from merging
+   segments, so [n] is the real knot count. *)
+let pl_zigzag n =
+  let slopes = [| 3; -2; 4; 0; -3; 1 |] and lens = [| 1; 2; 1; 3; 1; 2 |] in
+  let knots = ref [ (0, 10) ] in
+  let x = ref 0 and y = ref 10 in
+  for i = 0 to n - 2 do
+    x := !x + lens.(i mod 6);
+    y := !y + (slopes.(i mod 6) * lens.(i mod 6));
+    knots := (!x, !y) :: !knots
+  done;
+  Pl.of_knots ~tail:1 (List.rev !knots)
+
+let pl_monotone n ~slope ~tail =
+  let knots = ref [ (0, 0) ] in
+  let x = ref 0 and y = ref 0 in
+  for i = 0 to n - 2 do
+    let len = 1 + (i mod 3) in
+    x := !x + len;
+    y := !y + (slope i * len);
+    knots := (!x, !y) :: !knots
+  done;
+  Pl.of_knots ~tail (List.rev !knots)
+
+let pl_convex n = pl_monotone n ~slope:(fun i -> i) ~tail:n
+let pl_concave n = pl_monotone n ~slope:(fun i -> n - i) ~tail:1
+
+(* The path counters one convolve of [f] with itself increments. *)
+let convolve_paths f =
+  Rta_obs.reset ();
+  Rta_obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Rta_obs.set_enabled false;
+      Rta_obs.reset ())
+    (fun () ->
+      ignore (Minplus.convolve f f);
+      List.map
+        (fun path ->
+          let c = Rta_obs.counter ("minplus.convolve." ^ path) in
+          (path, Rta_obs.counter_value c))
+        [ "general"; "convex_fast_path"; "concave_fast_path" ])
+
+let test_convolve_path name operand ~general ~convex ~concave () =
+  Alcotest.(check (list (pair string int)))
+    name
+    [
+      ("general", general);
+      ("convex_fast_path", convex);
+      ("concave_fast_path", concave);
+    ]
+    (convolve_paths (operand 200))
 
 (* ------------------------------------------------------------------ *)
 (* Prefix minimum and of_step                                          *)
@@ -236,6 +298,15 @@ let () =
           prop_convolve_plateau;
           prop_convolve_one_tick;
           Alcotest.test_case "mask boundary" `Quick test_mask_boundary;
+          Alcotest.test_case "zigzag 200x200 takes the general path" `Quick
+            (test_convolve_path "zigzag" pl_zigzag ~general:1 ~convex:0
+               ~concave:0);
+          Alcotest.test_case "convex 200x200 takes the slope merge" `Quick
+            (test_convolve_path "convex" pl_convex ~general:0 ~convex:1
+               ~concave:0);
+          Alcotest.test_case "concave 200x200 takes the pointwise min" `Quick
+            (test_convolve_path "concave" pl_concave ~general:0 ~convex:0
+               ~concave:1);
         ] );
       ( "prefix_min",
         [

@@ -6,7 +6,9 @@
      (checked with Gc.minor_words around a hot loop of every hook);
    - the engine and fixpoint instrumentation record what the report
      promises: per-subjob spans carrying the theorem path and curve sizes,
-     and iteration counts matching a hand-checked cyclic example. *)
+     and iteration counts matching a hand-checked cyclic example;
+   - the kernel-call counts of every theorem path on fixed seeded shops
+     stay at or below their pins (the operation-count gate). *)
 
 open Rta_model
 module Obs = Rta_obs
@@ -410,6 +412,107 @@ let test_fixpoint_iterations () =
             (List.assoc_opt "residual" last.Obs.si_attrs = Some (Obs.Int 0))
       | [] -> Alcotest.fail "no iteration spans")
 
+(* ------------------------------------------------------------------ *)
+(* Operation-count gate                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The work each theorem path does, as deterministic kernel-call counts
+   on fixed seeded shops: the same on any hardware and free of timing
+   noise.  Every count must stay at or below its pin (skipped_clean at or
+   above), so a glue regression - say, re-summing a processor-wide
+   workload per resident - fails here.  Lower a pin when an optimization
+   lowers the count. *)
+
+let seeded_shop ~stages ~jobs sched =
+  let config =
+    Rta_workload.Jobshop.default ~stages ~jobs ~utilization:0.5
+      ~arrival:Rta_workload.Jobshop.Periodic_eq25
+      ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0) ~sched
+  in
+  Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 7)
+
+let check_counts ~at_most ?(at_least = []) run () =
+  with_obs (fun () ->
+      run ();
+      let value name = Obs.counter_value (Obs.counter name) in
+      List.iter
+        (fun (name, pin) ->
+          let v = value name in
+          if v > pin then Alcotest.failf "%s = %d, above its pin %d" name v pin)
+        at_most;
+      List.iter
+        (fun (name, pin) ->
+          let v = value name in
+          if v < pin then Alcotest.failf "%s = %d, below its pin %d" name v pin)
+        at_least)
+
+let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
+    ~prefix_min =
+  [
+    ("step.add.calls", step_add);
+    ("step.scale.calls", step_scale);
+    ("pl.add.calls", pl_add);
+    ("pl.sub.calls", pl_sub);
+    ("pl.min2.calls", pl_min2);
+    ("pl.max2.calls", pl_max2);
+    ("minplus.prefix_min.calls", prefix_min);
+  ]
+
+let engine_counts sched ~pins =
+  check_counts ~at_most:pins (fun () ->
+      let system = seeded_shop ~stages:3 ~jobs:6 sched in
+      let release_horizon, horizon =
+        Rta_workload.Jobshop.suggested_horizons system
+      in
+      match Rta_core.Engine.run ~release_horizon ~horizon system with
+      | Ok e -> ignore (Rta_core.Response.schedulable e ~estimator:`Direct)
+      | Error (`Cyclic _) -> Alcotest.fail "job shops are acyclic")
+
+let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
+  check_counts
+    ~at_most:(("fixpoint.recomputes", recomputes) :: pins)
+    ~at_least:[ ("fixpoint.skipped_clean", skipped_clean) ]
+    (fun () ->
+      let system = seeded_shop ~stages ~jobs Sched.Spp in
+      let release_horizon, horizon =
+        Rta_workload.Jobshop.suggested_horizons system
+      in
+      ignore (Rta_core.Fixpoint.analyze ~release_horizon ~horizon system))
+
+let count_cases =
+  [
+    ( "engine SPP 6x3",
+      engine_counts Sched.Spp
+        ~pins:
+          (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:38 ~pl_sub:18
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:18) );
+    ( "engine SPNP 6x3",
+      engine_counts Sched.Spnp
+        ~pins:
+          (kernel_pins ~step_add:58 ~step_scale:30 ~pl_add:56 ~pl_sub:36
+             ~pl_min2:18 ~pl_max2:36 ~prefix_min:36) );
+    ( "engine FCFS 6x3",
+      engine_counts Sched.Fcfs
+        ~pins:
+          (kernel_pins ~step_add:36 ~step_scale:66 ~pl_add:54 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:36) );
+    ( "fixpoint 3x2",
+      fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
+        ~pins:
+          (kernel_pins ~step_add:14 ~step_scale:11 ~pl_add:19 ~pl_sub:16
+             ~pl_min2:8 ~pl_max2:16 ~prefix_min:16) );
+    ( "fixpoint 6x3",
+      fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
+        ~pins:
+          (kernel_pins ~step_add:115 ~step_scale:58 ~pl_add:110 ~pl_sub:70
+             ~pl_min2:35 ~pl_max2:70 ~prefix_min:70) );
+    ( "fixpoint 9x4",
+      fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
+        ~pins:
+          (kernel_pins ~step_add:438 ~step_scale:159 ~pl_add:354 ~pl_sub:180
+             ~pl_min2:90 ~pl_max2:180 ~prefix_min:180) );
+  ]
+
 let () =
   Alcotest.run "rta_obs"
     [
@@ -440,4 +543,8 @@ let () =
           Alcotest.test_case "cyclic iteration count" `Quick
             test_fixpoint_iterations;
         ] );
+      ( "counts",
+        List.map
+          (fun (name, f) -> Alcotest.test_case name `Quick f)
+          count_cases );
     ]

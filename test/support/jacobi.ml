@@ -3,7 +3,7 @@
    {!Rta_curve.Reference} kernels.  No dirty set, no caches across rounds,
    and Eq. 12 extracted by one binary search per instance.
    [Rta_core.Fixpoint.analyze] must walk the same iterates (the parity
-   tests), and the bench times it as the fixpoint's reference lane. *)
+   tests). *)
 
 open Rta_model
 module Step = Rta_curve.Step
