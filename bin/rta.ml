@@ -361,6 +361,19 @@ let store_arg =
        & info [ "store" ] ~docv:"DIR"
            ~doc:"Persist analysis results in $(docv) (created if missing) and serve repeated specs from it without re-running the engine, across process restarts.  Corrupt entries are evicted, not fatal.")
 
+(* More workers than cores only contend for them: on 2 cores, 400
+   generated 12x3 systems ran at 585 systems/s with 2 workers and at 30
+   with 8, with identical output.  The front ends clamp; [Backend.run]
+   itself does not, so tests can still ask for more domains than cores. *)
+let clamp_workers cmd n =
+  let cores = Domain.recommended_domain_count () in
+  if n <= cores then n
+  else begin
+    Format.eprintf "%s: clamping %d workers to %d (recommended domain count)@."
+      cmd n cores;
+    cores
+  end
+
 let batch_cmd =
   let file_arg =
     Arg.(value & pos 0 string "-"
@@ -375,7 +388,7 @@ let batch_cmd =
     in
     Arg.(value & opt int default
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker count (default: $(b,RTA_JOBS) or 1).  More than one worker runs on OCaml 5 domains, with identical output.")
+             ~doc:"Worker count (default: $(b,RTA_JOBS) or 1), at most the recommended domain count (larger values are clamped, with a note on stderr).  More than one worker runs on OCaml 5 domains, with identical output.")
   in
   let chunk_arg =
     Arg.(value & opt int 512
@@ -402,6 +415,7 @@ let batch_cmd =
       Format.eprintf "error: --chunk must be at least 1@.";
       exit 2
     end;
+    let jobs = clamp_workers "batch" jobs in
     let ic =
       if file = "-" then stdin
       else
@@ -482,7 +496,7 @@ let serve_cmd =
   let jobs_arg =
     Arg.(value & opt (some int) None
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker count (default: $(b,RTA_JOBS) or the backend's recommendation).  Workers run on OCaml 5 domains.")
+             ~doc:"Worker count (default: $(b,RTA_JOBS) or the backend's recommendation), at most the recommended domain count (larger values are clamped, with a note on stderr).  Workers run on OCaml 5 domains.")
   in
   let max_queue_arg =
     Arg.(value & opt int 64
@@ -523,6 +537,7 @@ let serve_cmd =
           | Some j when j >= 1 -> Some j
           | Some _ | None -> None)
     in
+    let workers = Option.map (clamp_workers "serve") workers in
     if max_queue < 1 then begin
       Format.eprintf "error: --max-queue must be at least 1@.";
       exit 2

@@ -173,9 +173,22 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         | Some c -> c
         | None ->
             let residents = System.subjobs_on system p in
-            let c = Local.fcfs ~exact:true (List.map input_of residents) in
+            let c =
+              Local.fcfs ~cancel ~exact:true ~horizon (List.map input_of residents)
+            in
             fcfs.(p) <- Some c;
             c
+      in
+      (* A static-priority resident depends on every resident above it, so
+         the dependency order computes a processor's residents in rank
+         order: one running aggregate per processor is always the
+         higher-priority set of the next resident computed there, paired
+         with the residents still to come (none listed for FCFS). *)
+      let running =
+        Array.init (System.processor_count system) (fun p ->
+            ( Local.empty,
+              if System.scheduler_of system p = Sched.Fcfs then []
+              else System.by_priority system p ))
       in
       (* Per subjob, not per processor: processor-level order can be cyclic
          when the subjob order is not (A.1 over B.2 on P while B.1 over A.2
@@ -193,9 +206,7 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         let proc = (System.step system id).System.proc in
         let sched = System.scheduler_of system proc in
         let static ~preemptive ~blocking =
-          let hp = System.higher_priority_on system id in
-          let hp = List.map (fun h -> (input_of h, output_of h)) hp in
-          Local.Static { preemptive; blocking; hp }
+          Local.Static { preemptive; blocking; hp = fst running.(proc) }
         in
         let policy =
           match sched with
@@ -208,6 +219,14 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         let i = input_of id in
         let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
         outputs.(id.job).(id.step) <- Some o;
+        (* The lowest resident's aggregate would never be read: its
+           processor is done, and its sums are dropped. *)
+        (match running.(proc) with
+        | hp, next :: below ->
+            assert (next = id);
+            running.(proc) <-
+              ((if below = [] then Local.empty else Local.push hp i o), below)
+        | _, [] -> ());
         let { Local.tau; arr_lo; arr_hi; _ } = i in
         let { Local.dep_lo; dep_hi; exact; _ } = o in
         let svc_lo = Lazy.force o.Local.svc_lo and svc_hi = Lazy.force o.Local.svc_hi in

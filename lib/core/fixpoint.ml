@@ -169,6 +169,7 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64) ?release_horizon
   in
   let input_cache = Array.make n_subjobs None in
   let output_cache = Array.make n_subjobs None in
+  let hp_cache = Array.make n_subjobs None in
   let fcfs_cache = Array.make (System.processor_count system) None in
   let input_of (id : System.subjob_id) =
     cached input_cache (flat id) (pred_reads id) (fun () ->
@@ -180,10 +181,25 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64) ?release_horizon
         Local.input ~tau:(System.step system id).System.exec ~arr_lo
           ~arr_hi:arr_hi.(j).(st) ~exact:false)
   in
-  (* A subjob's bounds are cached under its read list: whenever the cache
-     is stale the subjob is dirty this round, so each dirty recompute runs
-     the local step exactly once, whether its own turn or a lower-priority
-     co-resident asks first. *)
+  (* The next-higher resident on each static-priority processor: a
+     resident's higher-priority aggregate is its next-higher resident's
+     extended by that resident. *)
+  let above = Array.make n_subjobs None in
+  for p = 0 to System.processor_count system - 1 do
+    if System.scheduler_of system p <> Sched.Fcfs then
+      ignore
+        (List.fold_left
+           (fun prev id ->
+             above.(flat id) <- prev;
+             Some id)
+           None (System.by_priority system p))
+  done;
+  (* A subjob's bounds, and its higher-priority aggregate, are cached under
+     its read list: whenever the cache is stale the subjob is dirty this
+     round, so each dirty recompute runs the local step exactly once,
+     whether its own turn or a lower-priority co-resident asks first.  The
+     next-higher resident's read list is contained in this one's, so its
+     aggregate is fresh too. *)
   let rec output_of (id : System.subjob_id) =
     let p = (System.step system id).System.proc in
     cached output_cache (flat id) reads.(flat id) @@ fun () ->
@@ -191,21 +207,22 @@ let analyze ?(cancel = Cancel.never) ?(max_iterations = 64) ?release_horizon
     | Sched.Fcfs ->
         let ctx =
           cached fcfs_cache p fcfs_reads.(p) (fun () ->
-              Local.fcfs ~exact:false
+              Local.fcfs ~cancel ~exact:false ~horizon
                 (List.map input_of (System.subjobs_on system p)))
         in
         Local.step ~cancel ~horizon (Local.Fcfs ctx) (input_of id)
     | Sched.Spp | Sched.Spnp ->
-        let hp =
-          List.map
-            (fun h -> (input_of h, output_of h))
-            (System.higher_priority_on system id)
-        in
         let preemptive = System.scheduler_of system p = Sched.Spp in
         let blocking = if preemptive then 0 else System.max_blocking system id in
         Local.step ~cancel ~horizon
-          (Local.Static { preemptive; blocking; hp })
+          (Local.Static { preemptive; blocking; hp = hp_of id })
           (input_of id)
+  and hp_of (id : System.subjob_id) =
+    match above.(flat id) with
+    | None -> Local.empty
+    | Some h ->
+        cached hp_cache (flat id) reads.(flat id) (fun () ->
+            Local.push (hp_of h) (input_of h) (output_of h))
   in
   (* Instance release times, precomputed once: inv_release.(j).(m - 1) is
      the release of the m-th instance of job j. *)

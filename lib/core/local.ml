@@ -28,7 +28,13 @@ type output = {
   exact : bool;
 }
 
-type fcfs = { g_lo : Step.t; g_hi : Step.t; exact_inputs : bool }
+type fcfs = {
+  g_lo : Step.t;
+  g_hi : Step.t;
+  u_lo : Pl.t;
+  u_hi : Pl.t;
+  exact_inputs : bool;
+}
 
 (* Beyond the paper: with exact resident arrivals and no release ties on
    the processor, the FCFS order is fully determined and the lower/upper
@@ -56,18 +62,34 @@ let tie_free residents =
   List.for_all (fun (_, n) -> n <= 1) releases
   && List.length (List.sort_uniq Int.compare times) = List.length times
 
-let fcfs ~exact residents =
+(* The running sums of a higher-priority set.  Each lazy sum captures only
+   the previous lazy sum and the pushed curve, never the previous record:
+   on an SPP-exact processor the work sums are never forced, and a closure
+   over the record would keep every earlier service sum alive through that
+   unforced chain. *)
+type hp = {
+  count : int;
+  work_lo : Step.t Lazy.t;
+  work_hi : Step.t Lazy.t;
+  svc_lo : Pl.t Lazy.t;
+  exact : bool;
+}
+
+let empty =
   {
-    g_lo = Step.sum (List.map (fun r -> r.work_lo) residents);
-    g_hi = Step.sum (List.map (fun r -> r.work_hi) residents);
-    exact_inputs =
-      exact
-      && List.for_all (fun r -> Step.equal r.arr_lo r.arr_hi) residents
-      && tie_free residents;
+    count = 0;
+    work_lo = Lazy.from_val Step.zero;
+    work_hi = Lazy.from_val Step.zero;
+    svc_lo = Lazy.from_val Pl.zero;
+    exact = true;
   }
 
+let hp_work_lo hp = Lazy.force hp.work_lo
+let hp_work_hi hp = Lazy.force hp.work_hi
+let hp_svc_lo hp = Lazy.force hp.svc_lo
+
 type policy =
-  | Static of { preemptive : bool; blocking : int; hp : (input * output) list }
+  | Static of { preemptive : bool; blocking : int; hp : hp }
   | Fcfs of fcfs
 
 (* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2), with the
@@ -93,6 +115,9 @@ let departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi =
 let cancel_stride = 512
 
 module type S = sig
+  val push : hp -> input -> output -> hp
+  val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
+
   val step :
     ?cancel:Cancel.t ->
     ?fault:fault ->
@@ -104,15 +129,54 @@ module type S = sig
 end
 
 module Make (K : Rta_curve.KERNELS) = struct
-  let sum l = List.fold_left K.add Pl.zero l
   let pos f = K.max2 f Pl.zero
   let transform ~mode ~avail ~work = K.add avail (K.prefix_min ~mode ~avail ~work)
+
+  let push hp (i : input) (o : output) =
+    let extend add sum x =
+      if hp.count = 0 then Lazy.from_val x else lazy (add (Lazy.force sum) x)
+    in
+    let work_lo = extend Step.add hp.work_lo i.work_lo in
+    let work_hi =
+      (* Exact brackets share one workload curve; so do their sums. *)
+      if hp.work_hi == hp.work_lo && i.work_hi == i.work_lo then work_lo
+      else extend Step.add hp.work_hi i.work_hi
+    in
+    let svc_lo =
+      if hp.count = 0 then o.svc_lo
+      else
+        let sum = hp.svc_lo and svc = o.svc_lo in
+        lazy (K.add (Lazy.force sum) (Lazy.force svc))
+    in
+    { count = hp.count + 1; work_lo; work_hi; svc_lo; exact = hp.exact && o.exact }
+
+  (* Theorem 7's utilization functions, once per processor and truncated
+     at the horizon.  With exact tie-free inputs the Left-limit
+     utilization serves as the upper one too, which makes the two FCFS
+     bounds coincide.  The cancellation token is polled after each
+     transform, the processor's other instance-bearing cost. *)
+  let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
+    let g_lo = Step.sum (List.map (fun (r : input) -> r.work_lo) residents) in
+    let g_hi = Step.sum (List.map (fun (r : input) -> r.work_hi) residents) in
+    let exact_inputs =
+      exact
+      && List.for_all (fun (r : input) -> Step.equal r.arr_lo r.arr_hi) residents
+      && tie_free residents
+    in
+    let utilization mode g =
+      Pl.truncate_at (transform ~mode ~avail:Pl.identity ~work:g) horizon
+    in
+    let u_lo = utilization `Left g_lo in
+    Cancel.check cancel;
+    let u_hi = if exact_inputs then u_lo else utilization `Right g_hi in
+    Cancel.check cancel;
+    { g_lo; g_hi; u_lo; u_hi; exact_inputs }
 
   (* Exact SPP service (Theorem 3): avail A = t - sum of exact
      higher-priority services; S = min over s <= t of
      (A(t) - A(s) + c(s-)). *)
-  let spp_exact_service ~hp_services ~work =
-    transform ~mode:`Left ~avail:(K.sub Pl.identity (sum hp_services)) ~work
+  let spp_exact_service ~hp_svc ~work =
+    transform ~mode:`Left ~avail:(K.sub Pl.identity hp_svc) ~work
 
   (* Approximate static-priority service bounds (the role of Theorems 5-6;
      SPP is the blocking-0 case).
@@ -144,15 +208,19 @@ module Make (K : Rta_curve.KERNELS) = struct
          sound);
      (b) S(t) <= min over s of ((t - s) + c_hi(s)): unit service rate
          applied to the upper-bounded own workload (Theorem 6's shape with
-         B = t). *)
-  let sp_bounds ~blocking ~hp_lo ~hp_work_lo ~hp_work_hi ~work_lo ~work_hi =
+         B = t).
+
+     The three higher-priority sums come from the running aggregate [hp]. *)
+  let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
     let lo =
       let d =
         K.sub
           (Pl.linear ~slope:1 ~offset:(-blocking))
-          (Pl.of_step (Step.sum hp_work_hi))
+          (Pl.of_step (Lazy.force hp.work_hi))
       in
-      let w_lo = Step.sum (work_lo :: hp_work_lo) in
+      let w_lo =
+        if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
+      in
       let m = K.prefix_min ~mode:`Left ~avail:Pl.identity ~work:w_lo in
       (* The minimum ranges over s <= t - b (the paper's Eq. 16 domain):
          the candidate s = t - b is bounded below by the level-k workload
@@ -161,7 +229,7 @@ module Make (K : Rta_curve.KERNELS) = struct
       K.add d (Pl.shift_right m blocking)
     in
     let hi =
-      let capacity_left = K.sub Pl.identity (sum hp_lo) in
+      let capacity_left = K.sub Pl.identity (Lazy.force hp.svc_lo) in
       let smoothed_work = transform ~mode:`Right ~avail:Pl.identity ~work:work_hi in
       K.min2 capacity_left smoothed_work
     in
@@ -170,45 +238,29 @@ module Make (K : Rta_curve.KERNELS) = struct
   (* Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), kept for
      the ablation study.  Known unsound as a departure lower bound (see
      above); never used by default. *)
-  let sp_bounds_as_printed ~blocking ~hp_lo ~work_lo ~work_hi =
-    let interference = sum hp_lo in
+  let sp_bounds_as_printed ~blocking ~hp_svc ~work_lo ~work_hi =
     let lo =
       let b_fun =
-        if blocking = 0 then K.sub Pl.identity interference
+        if blocking = 0 then K.sub Pl.identity hp_svc
         else
           Pl.splice ~at:blocking Pl.zero
-            (K.sub (Pl.linear ~slope:1 ~offset:(-blocking)) interference)
+            (K.sub (Pl.linear ~slope:1 ~offset:(-blocking)) hp_svc)
       in
       Rta_curve.Minplus.transform_blocked ~mode:`Left ~avail:b_fun ~work:work_lo
         ~blocking
     in
     let hi =
-      transform ~mode:`Right ~avail:(K.sub Pl.identity interference) ~work:work_hi
+      transform ~mode:`Right ~avail:(K.sub Pl.identity hp_svc) ~work:work_hi
     in
     (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi))
 
-  (* FCFS departure bounds (Theorems 7-9), built instance by instance; see
-     local.mli for the soundness argument.  [exact_inputs] (arrivals exact
-     and release-tie-free on this processor) selects the exact Left-limit
-     utilization for the upper bound too, which makes the two bounds
-     coincide.  The cancellation token is polled every [cancel_stride]
-     instances and between the min-plus transforms, the other
-     instance-bearing cost, to keep the deadline-to-response latency
+  (* FCFS departure bounds (Theorems 7-9), built instance by instance on
+     the processor's utilization functions; see local.mli for the
+     soundness argument.  The cancellation token is polled every
+     [cancel_stride] instances to keep the deadline-to-response latency
      bounded on huge horizons. *)
-  let fcfs_departures ~cancel ~fault ~exact_inputs ~horizon ~tau ~arr_lo
-      ~arr_hi ~g_lo ~g_hi =
-    let u_lo =
-      Pl.truncate_at (transform ~mode:`Left ~avail:Pl.identity ~work:g_lo) horizon
-    in
-    Cancel.check cancel;
-    let u_hi =
-      if exact_inputs then u_lo
-      else
-        Pl.truncate_at
-          (transform ~mode:`Right ~avail:Pl.identity ~work:g_hi)
-          horizon
-    in
-    Cancel.check cancel;
+  let fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
+    let { g_lo; g_hi; u_lo; u_hi; _ } = ctx in
     (* One departure jump per instance i of [arr], at [theta_of a_i]
        where a_i is the instance's arrival; stops at the first instance
        without one.  Jump times are non-decreasing in i because both the
@@ -249,25 +301,20 @@ module Make (K : Rta_curve.KERNELS) = struct
       ~horizon policy (i : input) =
     match policy with
     | Static { preemptive; blocking; hp } ->
-        let hp_lo = List.map (fun (_, o) -> Lazy.force o.svc_lo) hp in
         let svc_lo, svc_hi, exact =
-          if
-            preemptive && blocking = 0 && i.exact
-            && List.for_all (fun ((_ : input), o) -> o.exact) hp
-          then
-            let svc = spp_exact_service ~hp_services:hp_lo ~work:i.work_lo in
+          if preemptive && blocking = 0 && i.exact && hp.exact then
+            let svc =
+              spp_exact_service ~hp_svc:(Lazy.force hp.svc_lo) ~work:i.work_lo
+            in
             (svc, svc, true)
           else
             let lo, hi =
               match variant with
               | `Sound ->
-                  sp_bounds ~blocking ~hp_lo
-                    ~hp_work_lo:(List.map (fun (h, _) -> h.work_lo) hp)
-                    ~hp_work_hi:(List.map (fun (h, _) -> h.work_hi) hp)
-                    ~work_lo:i.work_lo ~work_hi:i.work_hi
+                  sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
               | `As_printed ->
-                  sp_bounds_as_printed ~blocking ~hp_lo ~work_lo:i.work_lo
-                    ~work_hi:i.work_hi
+                  sp_bounds_as_printed ~blocking ~hp_svc:(Lazy.force hp.svc_lo)
+                    ~work_lo:i.work_lo ~work_hi:i.work_hi
             in
             (lo, hi, false)
         in
@@ -282,12 +329,12 @@ module Make (K : Rta_curve.KERNELS) = struct
           dep_hi;
           exact;
         }
-    | Fcfs { g_lo; g_hi; exact_inputs } ->
+    | Fcfs ctx ->
         let dep_lo, dep_hi =
-          fcfs_departures ~cancel ~fault ~exact_inputs ~horizon ~tau:i.tau
-            ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi ~g_lo ~g_hi
+          fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau:i.tau
+            ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
         in
-        let exact = exact_inputs && Step.equal dep_lo dep_hi in
+        let exact = ctx.exact_inputs && Step.equal dep_lo dep_hi in
         let dep_hi = if exact then dep_lo else dep_hi in
         (* Thm 8/9-flavoured service curves, for inspection only. *)
         let svc_lo = lazy (Pl.of_step (Step.scale dep_lo i.tau)) in

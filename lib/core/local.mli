@@ -78,15 +78,36 @@ type output = {
 
 type fcfs
 (** One FCFS processor's context: the summed workload brackets [G_lo] and
-    [G_hi] of Theorem 7 over all residents, and whether the exact FCFS
-    construction applies.  Built once per processor and shared by its
-    residents. *)
+    [G_hi] of Theorem 7 over all residents, the utilization functions
+    [U_lo] and [U_hi] transformed from them (truncated at the horizon),
+    and whether the exact FCFS construction applies.  Built once per
+    processor ({!S.fcfs}) and shared by its residents. *)
 
-val fcfs : exact:bool -> input list -> fcfs
-(** The context of a processor with these residents.  With [exact] the
-    FCFS analysis is exact when every resident's bracket is a single
-    function and no two releases on the processor tie; [exact:false] never
-    claims exactness. *)
+type hp
+(** The running aggregate of a static-priority resident's higher-priority
+    set: the sums of its members' [work_lo], [work_hi] and [svc_lo], and
+    whether every member's output is exact.  Theorems 3 and 5-6 read the
+    set only through these, so a processor's residents taken in rank
+    order ({!Rta_model.System.by_priority}) extend one aggregate by one
+    member each ({!S.push}) instead of re-summing the set per resident.
+    The sums are built lazily, when a bound first needs them, on exact
+    canonical integer curves: the order of the pushes cannot change a
+    bound.
+
+    Rank-order invariant: a static-priority resident depends on every
+    resident above it ({!Deps}), so any dependency order computes an
+    SPP/SPNP processor's residents highest priority first.  {!Engine}
+    relies on this to keep a single aggregate per processor, pushing each
+    resident after computing it; {!Fixpoint} caches each resident's
+    aggregate, as its next-higher resident's plus that resident. *)
+
+val empty : hp
+(** The aggregate of the empty set: the highest-priority resident's. *)
+
+val hp_work_lo : hp -> Rta_curve.Step.t
+val hp_work_hi : hp -> Rta_curve.Step.t
+val hp_svc_lo : hp -> Rta_curve.Pl.t
+(** The aggregate's sums (forcing them), for tests and inspection. *)
 
 type policy =
   | Static of {
@@ -94,11 +115,24 @@ type policy =
       blocking : int;
           (** Eq. 15 blocking plus any resource blocking; a non-zero value
               forces the bound path even under SPP *)
-      hp : (input * output) list;  (** higher-priority co-residents *)
+      hp : hp;  (** the higher-priority co-residents, aggregated *)
     }
   | Fcfs of fcfs
 
 module type S = sig
+  val push : hp -> input -> output -> hp
+  (** [push hp i o] is the aggregate of [hp]'s set plus one resident with
+      bracket [i] and bounds [o]: pushing a resident after computing it
+      yields the aggregate of the next lower rank.  Nothing is summed
+      until a bound forces it. *)
+
+  val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
+  (** The context of a processor with these residents, over [0, horizon].
+      With [exact] the FCFS analysis is exact when every resident's
+      bracket is a single function and no two releases on the processor
+      tie; [exact:false] never claims exactness.  [cancel] (default
+      {!Cancel.never}) is polled after each utilization transform. *)
+
   val step :
     ?cancel:Cancel.t ->
     ?fault:fault ->
@@ -112,7 +146,8 @@ module type S = sig
       and the input and every higher-priority output are exact.  [cancel]
       (default {!Cancel.never}) is polled every few hundred FCFS instances;
       [fault] (default [`None]) and [variant] (default [`Sound]) as
-      above. *)
+      above.  An FCFS policy's context must have been built with the same
+      [horizon]. *)
 end
 
 module Make (K : Rta_curve.KERNELS) : S

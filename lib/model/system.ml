@@ -100,6 +100,11 @@ let subjobs_on t p =
     []
   |> List.rev
 
+let by_priority t p =
+  List.stable_sort
+    (fun a b -> Int.compare (step t a).prio (step t b).prio)
+    (subjobs_on t p)
+
 let related_priority cmp t id =
   let s = step t id in
   subjobs_on t s.proc

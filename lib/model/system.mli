@@ -44,6 +44,12 @@ val scheduler_of : t -> int -> Sched.t
 val subjobs_on : t -> int -> subjob_id list
 (** All subjobs assigned to a processor, in (job, step) order. *)
 
+val by_priority : t -> int -> subjob_id list
+(** A processor's residents in rank order, highest priority (smallest
+    [prio]) first; equal priorities (FCFS processors) keep {!subjobs_on}'s
+    order.  On an SPP/SPNP processor each resident's higher-priority set
+    is exactly the residents listed before it. *)
+
 val higher_priority_on : t -> subjob_id -> subjob_id list
 (** Subjobs sharing this subjob's processor with strictly higher priority
     (smaller [prio]).  Meaningful for SPP/SPNP processors. *)

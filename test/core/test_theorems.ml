@@ -264,6 +264,71 @@ let test_completion_jitter () =
   | Rta_core.Response.Bounded j -> check_int "FCFS tie jitter" 3 j
   | Rta_core.Response.Unbounded -> Alcotest.fail "unbounded"
 
+(* -------------------------------------------------------------------- *)
+(* The running higher-priority aggregate                                 *)
+(* -------------------------------------------------------------------- *)
+
+module G = Rta_testsupport.Gen
+module Local = Rta_core.Local
+
+(* A higher-priority member: its execution time, arrival bracket (the
+   upper side shared with the lower one when absent, as for exact
+   brackets), lower service curve and exactness. *)
+let member_gen =
+  let open QCheck2.Gen in
+  let* tau = int_range 1 3 in
+  let* arr_lo = G.step_gen in
+  let* arr_hi = option G.step_gen in
+  let* svc = G.pl_gen in
+  let* exact = bool in
+  return (tau, arr_lo, arr_hi, svc, exact)
+
+let print_members members =
+  List.map
+    (fun (tau, arr_lo, arr_hi, svc, _) ->
+      Printf.sprintf "tau=%d lo=%s hi=%s svc=%s" tau (G.print_step arr_lo)
+        (Option.fold ~none:"=lo" ~some:G.print_step arr_hi)
+        (G.print_pl svc))
+    members
+  |> String.concat "; "
+
+(* Folding [push] over the members, in either order, gives exactly the
+   sums a bound would otherwise take over the whole list. *)
+let aggregate_matches_sums push members =
+  let items =
+    List.map
+      (fun (tau, arr_lo, arr_hi, svc, exact) ->
+        let arr_hi = Option.value arr_hi ~default:arr_lo in
+        ( Local.input ~tau ~arr_lo ~arr_hi ~exact,
+          {
+            Local.svc_lo = Lazy.from_val svc;
+            svc_hi = Lazy.from_val svc;
+            dep_lo = Step.zero;
+            dep_hi = Step.zero;
+            exact;
+          } ))
+      members
+  in
+  let work_lo = Step.sum (List.map (fun ((i : Local.input), _) -> i.work_lo) items)
+  and work_hi = Step.sum (List.map (fun ((i : Local.input), _) -> i.work_hi) items)
+  and svc_lo =
+    Pl.sum (List.map (fun (_, (o : Local.output)) -> Lazy.force o.svc_lo) items)
+  in
+  List.for_all
+    (fun items ->
+      let hp = List.fold_left (fun hp (i, o) -> push hp i o) Local.empty items in
+      Step.equal (Local.hp_work_lo hp) work_lo
+      && Step.equal (Local.hp_work_hi hp) work_hi
+      && Pl.equal (Local.hp_svc_lo hp) svc_lo)
+    [ items; List.rev items ]
+
+module Reference_local = Local.Make (Rta_curve.Reference)
+
+let prop_aggregate name push =
+  G.qtest name
+    QCheck2.Gen.(list_size (int_range 0 6) member_gen)
+    print_members (aggregate_matches_sums push)
+
 let () =
   Alcotest.run "rta_theorems"
     [
@@ -281,5 +346,10 @@ let () =
           Alcotest.test_case "Thm 4: stage sum" `Quick test_theorem4_sum;
           Alcotest.test_case "completion jitter" `Quick test_completion_jitter;
           Alcotest.test_case "curve CSV" `Quick test_entry_csv;
+        ] );
+      ( "aggregate",
+        [
+          prop_aggregate "push sums, optimized kernels" Local.push;
+          prop_aggregate "push sums, reference kernels" Reference_local.push;
         ] );
     ]

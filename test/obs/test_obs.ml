@@ -446,27 +446,31 @@ let check_counts ~at_most ?(at_least = []) run () =
           if v < pin then Alcotest.failf "%s = %d, below its pin %d" name v pin)
         at_least)
 
+let kernel_counters =
+  [
+    "step.add.calls";
+    "step.scale.calls";
+    "pl.add.calls";
+    "pl.sub.calls";
+    "pl.min2.calls";
+    "pl.max2.calls";
+    "minplus.prefix_min.calls";
+  ]
+
 let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
     ~prefix_min =
-  [
-    ("step.add.calls", step_add);
-    ("step.scale.calls", step_scale);
-    ("pl.add.calls", pl_add);
-    ("pl.sub.calls", pl_sub);
-    ("pl.min2.calls", pl_min2);
-    ("pl.max2.calls", pl_max2);
-    ("minplus.prefix_min.calls", prefix_min);
-  ]
+  List.combine kernel_counters
+    [ step_add; step_scale; pl_add; pl_sub; pl_min2; pl_max2; prefix_min ]
+
+let run_engine system =
+  let release_horizon, horizon = Rta_workload.Jobshop.suggested_horizons system in
+  match Rta_core.Engine.run ~release_horizon ~horizon system with
+  | Ok e -> ignore (Rta_core.Response.schedulable e ~estimator:`Direct)
+  | Error (`Cyclic _) -> Alcotest.fail "job shops are acyclic"
 
 let engine_counts sched ~pins =
   check_counts ~at_most:pins (fun () ->
-      let system = seeded_shop ~stages:3 ~jobs:6 sched in
-      let release_horizon, horizon =
-        Rta_workload.Jobshop.suggested_horizons system
-      in
-      match Rta_core.Engine.run ~release_horizon ~horizon system with
-      | Ok e -> ignore (Rta_core.Response.schedulable e ~estimator:`Direct)
-      | Error (`Cyclic _) -> Alcotest.fail "job shops are acyclic")
+      run_engine (seeded_shop ~stages:3 ~jobs:6 sched))
 
 let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
   check_counts
@@ -484,34 +488,74 @@ let count_cases =
     ( "engine SPP 6x3",
       engine_counts Sched.Spp
         ~pins:
-          (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:38 ~pl_sub:18
+          (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:24 ~pl_sub:18
              ~pl_min2:0 ~pl_max2:0 ~prefix_min:18) );
     ( "engine SPNP 6x3",
       engine_counts Sched.Spnp
         ~pins:
-          (kernel_pins ~step_add:58 ~step_scale:30 ~pl_add:56 ~pl_sub:36
+          (kernel_pins ~step_add:22 ~step_scale:30 ~pl_add:42 ~pl_sub:36
              ~pl_min2:18 ~pl_max2:36 ~prefix_min:36) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
         ~pins:
-          (kernel_pins ~step_add:36 ~step_scale:66 ~pl_add:54 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:36) );
+          (kernel_pins ~step_add:36 ~step_scale:66 ~pl_add:30 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:12) );
     ( "fixpoint 3x2",
       fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
         ~pins:
-          (kernel_pins ~step_add:14 ~step_scale:11 ~pl_add:19 ~pl_sub:16
+          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:16 ~pl_sub:16
              ~pl_min2:8 ~pl_max2:16 ~prefix_min:16) );
     ( "fixpoint 6x3",
       fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
         ~pins:
-          (kernel_pins ~step_add:115 ~step_scale:58 ~pl_add:110 ~pl_sub:70
+          (kernel_pins ~step_add:46 ~step_scale:58 ~pl_add:82 ~pl_sub:70
              ~pl_min2:35 ~pl_max2:70 ~prefix_min:70) );
     ( "fixpoint 9x4",
       fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
         ~pins:
-          (kernel_pins ~step_add:438 ~step_scale:159 ~pl_add:354 ~pl_sub:180
+          (kernel_pins ~step_add:165 ~step_scale:159 ~pl_add:230 ~pl_sub:180
              ~pl_min2:90 ~pl_max2:180 ~prefix_min:180) );
   ]
+
+(* The glue is linear in the residents: the higher-priority sums grow by
+   one push per rank and the FCFS utilization functions are built once per
+   processor, so no kernel count may exceed a constant per subjob as the
+   shop grows.  The constant is 3 (an SPNP resident takes a push and two
+   bound terms in [pl.add], two pushes and its level-k workload in
+   [step.add]), except [step.scale]: an input bracket scales up to two
+   curves and an FCFS resident scales its two departure bounds into
+   service curves, so 4.  Quadratic glue
+   overshoots at 24 jobs: re-summing the higher-priority set per resident
+   costs SPP 6.7 [pl.add] and SPNP 12.5 [step.add] per subjob there. *)
+let per_subjob_counts sched () =
+  List.iter
+    (fun jobs ->
+      with_obs (fun () ->
+          let system = seeded_shop ~stages:3 ~jobs sched in
+          run_engine system;
+          let subjobs = System.subjob_count system in
+          List.iter
+            (fun name ->
+              let per = if name = "step.scale.calls" then 4 else 3 in
+              let v = Obs.counter_value (Obs.counter name) in
+              if v > per * subjobs then
+                Alcotest.failf "%d jobs: %s = %d, above %d per subjob (%d subjobs)"
+                  jobs name v per subjobs)
+            kernel_counters;
+          if sched = Sched.Fcfs then begin
+            (* Theorem 7's two utilization transforms, once per processor. *)
+            let processors =
+              List.length
+                (List.filter
+                   (fun p -> System.subjobs_on system p <> [])
+                   (List.init (System.processor_count system) Fun.id))
+            in
+            check_int
+              (Printf.sprintf "%d jobs: prefix_min per processor" jobs)
+              (2 * processors)
+              (Obs.counter_value (Obs.counter "minplus.prefix_min.calls"))
+          end))
+    [ 6; 12; 24 ]
 
 let () =
   Alcotest.run "rta_obs"
@@ -546,5 +590,10 @@ let () =
       ( "counts",
         List.map
           (fun (name, f) -> Alcotest.test_case name `Quick f)
-          count_cases );
+          (count_cases
+          @ [
+              ("engine SPP per subjob", per_subjob_counts Sched.Spp);
+              ("engine SPNP per subjob", per_subjob_counts Sched.Spnp);
+              ("engine FCFS per subjob", per_subjob_counts Sched.Fcfs);
+            ]) );
     ]

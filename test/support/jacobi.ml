@@ -54,34 +54,27 @@ let analyze ?(max_iterations = 64) ?release_horizon ~horizon system =
             (id, Local.input ~tau ~arr_lo ~arr_hi ~exact:false))
           residents
       in
-      let fcfs = lazy (Local.fcfs ~exact:false (List.map snd inputs)) in
-      (* Within one round every lower-priority resident needs a
-         higher-priority one's bounds; compute each once. *)
-      let outputs = Hashtbl.create 8 in
-      let rec output (id : System.subjob_id) =
-        match Hashtbl.find_opt outputs id with
-        | Some o -> o
-        | None ->
-            let sched = System.scheduler_of system p in
-            let policy =
-              if sched = Sched.Fcfs then Local.Fcfs (Lazy.force fcfs)
-              else
-                Local.Static
-                  {
-                    preemptive = sched = Sched.Spp;
-                    blocking =
-                      (if sched = Sched.Spp then 0
-                       else System.max_blocking system id);
-                    hp =
-                      List.map
-                        (fun h -> (List.assoc h inputs, output h))
-                        (System.higher_priority_on system id);
-                  }
-            in
-            let o = Reference_local.step ~horizon policy (List.assoc id inputs) in
-            Hashtbl.add outputs id o;
-            o
+      let sched = System.scheduler_of system p in
+      let step policy id = Reference_local.step ~horizon policy (List.assoc id inputs) in
+      (* Every resident's bounds this round: FCFS residents share one
+         context; static-priority ones are computed highest rank first,
+         each extending the aggregate of those above it. *)
+      let outputs =
+        if sched = Sched.Fcfs then
+          let ctx = Reference_local.fcfs ~exact:false ~horizon (List.map snd inputs) in
+          List.map (fun id -> (id, step (Local.Fcfs ctx) id)) residents
+        else
+          let preemptive = sched = Sched.Spp in
+          List.fold_left
+            (fun (hp, acc) id ->
+              let blocking = if preemptive then 0 else System.max_blocking system id in
+              let o = step (Local.Static { preemptive; blocking; hp }) id in
+              (Reference_local.push hp (List.assoc id inputs) o, (id, o) :: acc))
+            (Local.empty, [])
+            (System.by_priority system p)
+          |> snd
       in
+      let output id = List.assoc id outputs in
       List.iter
         (fun (id : System.subjob_id) ->
           let j = id.System.job and st = id.System.step in
