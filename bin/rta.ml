@@ -129,46 +129,50 @@ let analyze_cmd =
     Format.printf "%a@.%a@." System.pp system
       (Rta_core.Analysis.pp_report system)
       report;
-    if explain then begin
+    (* One engine run serves both --explain and --dump-curves, and only
+       when one of them is asked for. *)
+    if explain || dump <> None then begin
       match Rta_core.Engine.run ~release_horizon ~horizon system with
       | Error (`Cyclic _) ->
-          Format.printf "(cyclic system: no per-stage breakdown)@."
+          if explain then
+            Format.printf "(cyclic system: no per-stage breakdown)@.";
+          if dump <> None then Format.eprintf "cyclic system: no curves@."
       | Ok engine ->
-          Format.printf "@.per-stage local response bounds (Eq. 12):@.";
-          for j = 0 to System.job_count system - 1 do
-            Format.printf "  %-8s" (System.job system j).System.name;
-            List.iteri
-              (fun st v ->
-                match v with
-                | Rta_core.Response.Bounded r ->
-                    Format.printf " stage%d=%a" (st + 1) Time.pp r
-                | Rta_core.Response.Unbounded ->
-                    Format.printf " stage%d=inf" (st + 1))
-              (Rta_core.Response.stage_bounds engine ~job:j);
-            Format.printf "@."
-          done
-    end;
-    (match dump with
-    | None -> ()
-    | Some dir -> (
-        match Rta_core.Engine.run ~release_horizon ~horizon system with
-        | Error (`Cyclic _) -> Format.eprintf "cyclic system: no curves@."
-        | Ok engine ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          if explain then begin
+            Format.printf "@.per-stage local response bounds (Eq. 12):@.";
             for j = 0 to System.job_count system - 1 do
-              let job = System.job system j in
-              Array.iteri
-                (fun st _ ->
-                  let path =
-                    Filename.concat dir
-                      (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
-                  in
-                  Out_channel.with_open_text path (fun oc ->
-                      Out_channel.output_string oc
-                        (Rta_core.Engine.entry_csv engine { System.job = j; step = st })))
-                job.System.steps
-            done;
-            Format.printf "curves written to %s/@." dir));
+              Format.printf "  %-8s" (System.job system j).System.name;
+              List.iteri
+                (fun st v ->
+                  match v with
+                  | Rta_core.Response.Bounded r ->
+                      Format.printf " stage%d=%a" (st + 1) Time.pp r
+                  | Rta_core.Response.Unbounded ->
+                      Format.printf " stage%d=inf" (st + 1))
+                (Rta_core.Response.stage_bounds engine ~job:j);
+              Format.printf "@."
+            done
+          end;
+          Option.iter
+            (fun dir ->
+              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+              for j = 0 to System.job_count system - 1 do
+                let job = System.job system j in
+                Array.iteri
+                  (fun st _ ->
+                    let path =
+                      Filename.concat dir
+                        (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
+                    in
+                    Out_channel.with_open_text path (fun oc ->
+                        Out_channel.output_string oc
+                          (Rta_core.Engine.entry_csv engine
+                             { System.job = j; step = st })))
+                  job.System.steps
+              done;
+              Format.printf "curves written to %s/@." dir)
+            dump
+    end;
     if not report.Rta_core.Analysis.schedulable then exit 1
   in
   Cmd.v
@@ -253,15 +257,7 @@ let baseline_cmd =
         | Error e ->
             Format.eprintf "not applicable: %s@." e;
             exit 2
-        | Ok v ->
-            print_verdicts "Joseph-Pandya"
-              (Array.map
-                 (function
-                   | Rta_baselines.Joseph_pandya.Bounded r ->
-                       Rta_baselines.Sunliu.Bounded r
-                   | Rta_baselines.Joseph_pandya.Unbounded ->
-                       Rta_baselines.Sunliu.Unbounded)
-                 v))
+        | Ok v -> print_verdicts "Joseph-Pandya" v)
     | `Util -> (
         match
           ( Rta_baselines.Utilization.under_unit_utilization system,
@@ -571,37 +567,13 @@ let serve_cmd =
 let envelope_cmd =
   let run () file auto_prio =
     let system = load_system file auto_prio in
-    let n_procs = System.processor_count system in
-    let n_jobs = System.job_count system in
-    let release_horizon, _ = System.suggested_horizons system in
-    let chain_is_pipeline j =
-      let steps = (System.job system j).System.steps in
-      Array.length steps = n_procs
-      && Array.for_all Fun.id
-           (Array.mapi (fun st (s : System.step) -> s.System.proc = st) steps)
+    let result =
+      match Rta_core.Envelope_analysis.system_bounds system with
+      | Some result -> result
+      | None ->
+          Format.eprintf "cyclic dependencies: no envelope order@.";
+          exit 2
     in
-    let all_pipeline =
-      List.for_all chain_is_pipeline (List.init n_jobs Fun.id)
-    in
-    if not all_pipeline then begin
-      Format.eprintf
-        "envelope analysis needs a pure pipeline: every job crossing \
-         processors 0..%d in order@."
-        (n_procs - 1);
-      exit 2
-    end;
-    let sources =
-      List.init n_jobs (fun j ->
-          let job = System.job system j in
-          {
-            Rta_core.Envelope_analysis.p_name = job.System.name;
-            p_envelope = Arrival.envelope job.System.arrival ~release_horizon;
-            taus = Array.map (fun (s : System.step) -> s.System.exec) job.System.steps;
-            p_prio = job.System.steps.(0).System.prio;
-          })
-    in
-    let scheds = Array.init n_procs (System.scheduler_of system) in
-    let result = Rta_core.Envelope_analysis.pipeline_bounds ~scheds ~sources in
     Format.printf "horizon-free envelope bounds (hold for every conforming trace):@.";
     Array.iteri
       (fun j v ->
@@ -617,7 +589,7 @@ let envelope_cmd =
   in
   Cmd.v
     (Cmd.info "envelope"
-       ~doc:"Horizon-free envelope bounds for pipeline systems (network-calculus extension).")
+       ~doc:"Horizon-free envelope bounds for any acyclic system (network-calculus extension).")
     Term.(const run $ obs_term $ file_arg $ auto_prio_arg)
 
 (* sensitivity *)

@@ -1,6 +1,6 @@
 open Rta_model
 
-type verdict = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 let analyze system =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

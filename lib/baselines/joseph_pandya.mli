@@ -4,7 +4,7 @@
     anchor — on its domain it must agree with {!Sunliu} and with the paper's
     SPP/Exact under synchronous release. *)
 
-type verdict = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 val analyze : Rta_model.System.t -> (verdict array, string) result
 (** Per-job worst-case response times.  [Error] if the system is not a

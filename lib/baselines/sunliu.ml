@@ -1,6 +1,6 @@
 open Rta_model
 
-type verdict = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 type result = { per_job : verdict array; iterations : int }
 
 type subjob_state = {

@@ -16,7 +16,7 @@
     [J = C_k(j-1)] of the original holistic analysis that Sun & Liu
     improved upon — kept for the ablation table. *)
 
-type verdict = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 type result = {
   per_job : verdict array;  (** end-to-end response bound per job *)

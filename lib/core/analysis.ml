@@ -27,7 +27,7 @@ let resolve_horizons cfg system =
   in
   (release_horizon, horizon)
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 type report = {
   method_used : [ `Exact | `Approximate | `Fixpoint ];

@@ -47,7 +47,7 @@ val resolve_horizons : config -> Rta_model.System.t -> int * int
     (huge periods, near-[max_int] traces) cannot produce a negative or
     zero horizon downstream. *)
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 type report = {
   method_used : [ `Exact | `Approximate | `Fixpoint ];

@@ -11,7 +11,7 @@ type source = {
   prio : int;
 }
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 (* Cumulative worst-case workload of a source over window lengths: the
    envelope materialized as its critical-instant counting function, scaled
@@ -89,86 +89,27 @@ let response_bound ~sched ~sources i =
 let all_bounds ~sched ~sources =
   Array.init (List.length sources) (response_bound ~sched ~sources)
 
-type pipeline_source = {
-  p_name : string;
-  p_envelope : Envelope.t;
-  taus : int array;
-  p_prio : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Whole systems.                                                      *)
+(* ------------------------------------------------------------------ *)
 
-type pipeline_result = {
+type result = {
   end_to_end : verdict array;
   per_stage : verdict array array;
 }
 
-let pipeline_bounds ~scheds ~sources =
-  let stages = Array.length scheds in
-  List.iter
-    (fun s ->
-      if Array.length s.taus <> stages then
-        invalid_arg
-          (Printf.sprintf
-             "Envelope_analysis.pipeline_bounds: source %s has %d stages, \
-              expected %d"
-             s.p_name (Array.length s.taus) stages))
-    sources;
-  let n = List.length sources in
-  let per_stage = Array.make_matrix n stages Unbounded in
-  (* Current envelope of every source entering the stage under analysis.
-     If any source's stage bound diverges, its downstream arrivals have no
-     envelope, so every later stage of every source is unsound: the whole
-     tail is poisoned (left Unbounded). *)
-  let envelopes = Array.of_list (List.map (fun s -> s.p_envelope) sources) in
-  let poisoned = ref false in
-  for k = 0 to stages - 1 do
-    if not !poisoned then begin
-      let stage_sources =
-        List.mapi
-          (fun i s ->
-            { name = s.p_name; envelope = envelopes.(i); tau = s.taus.(k); prio = s.p_prio })
-          sources
-      in
-      let died = ref false in
-      List.iteri
-        (fun i s ->
-          match response_bound ~sched:scheds.(k) ~sources:stage_sources i with
-          | Bounded r ->
-              per_stage.(i).(k) <- Bounded r;
-              envelopes.(i) <-
-                Envelope.widen envelopes.(i) ~jitter:(max 0 (r - s.taus.(k)))
-          | Unbounded -> died := true)
-        sources;
-      if !died then poisoned := true
-    end
-  done;
-  let end_to_end =
-    Array.init n (fun i ->
-        Array.fold_left
-          (fun acc v ->
-            match (acc, v) with
-            | Bounded a, Bounded b -> Bounded (a + b)
-            | Unbounded, _ | _, Unbounded -> Unbounded)
-          (Bounded 0) per_stage.(i))
-  in
-  { end_to_end; per_stage }
-
-(* ------------------------------------------------------------------ *)
-(* Whole systems: the degraded-mode fallback.                          *)
-(* ------------------------------------------------------------------ *)
-
-(* [system_bounds] generalizes [pipeline_bounds] from one-processor-per-
-   stage pipelines to arbitrary acyclic systems, so the service layer has
-   an envelope answer for any spec it can analyze exactly.  Subjobs are
-   walked in dependency order ({!Deps}); a subjob's arrival envelope is its
-   chain predecessor's envelope widened by the predecessor's response
-   jitter (stage 0: the release envelope), and its response bound is the
-   single-processor [response_bound] against its co-residents' envelopes.
-   Everything an interfering co-resident needs — its own predecessor's
-   envelope and bound — is a {!Deps} dependency of the subjob under
-   analysis, so the walk never reads an unset cell.  A diverging stage
-   poisons its own chain downstream (no envelope propagates), but unlike
-   the pipeline case other chains keep their bounds: interference uses
-   envelopes, not verdicts. *)
+(* Envelope propagation over any acyclic system, so `rta envelope` and the
+   service layer's degraded answer have a bound for any spec the engine can
+   analyze exactly.  Subjobs are walked in dependency order ({!Deps}); a
+   subjob's arrival envelope is its chain predecessor's envelope widened by
+   the predecessor's response jitter (stage 0: the release envelope), and
+   its response bound is the single-processor [response_bound] against its
+   co-residents' envelopes, each at its own per-stage priority.  Everything
+   an interfering co-resident needs — its own predecessor's envelope and
+   bound — is a {!Deps} dependency of the subjob under analysis, so the walk
+   never reads an unset cell.  A diverging stage poisons its own chain
+   downstream (no envelope propagates), but other chains keep their bounds:
+   interference uses envelopes, not verdicts. *)
 let system_bounds system =
   match Deps.compute system with
   | Deps.Cyclic _ -> None
@@ -276,12 +217,3 @@ let system_bounds system =
               (Bounded 0) per_stage.(j))
       in
       Some { end_to_end; per_stage }
-
-let schedulable ~sched ~deadlines ~sources =
-  if List.length deadlines <> List.length sources then
-    invalid_arg "Envelope_analysis.schedulable: deadline count mismatch";
-  List.for_all2
-    (fun deadline verdict ->
-      match verdict with Bounded r -> r <= deadline | Unbounded -> false)
-    deadlines
-    (Array.to_list (all_bounds ~sched ~sources))

@@ -15,7 +15,7 @@ let h_dirty = Obs.histogram "fixpoint.dirty_per_iteration"
 let g_last_iterations = Obs.gauge "fixpoint.last.iterations"
 let g_last_converged = Obs.gauge "fixpoint.last.converged"
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 type result = {
   per_job : verdict array;
   per_stage : verdict array array;
@@ -58,8 +58,11 @@ let unbounded_sentinel horizon = (2 * horizon) + 1
    previous value, so the iterates, the convergence test and the iteration
    count coincide exactly with the textbook full sweep — asserted by the
    differential tests in test/core. *)
-let analyze ?(cancel = Cancel.never) ?(max_iterations = 64) ?release_horizon
-    ~horizon system =
+(* Iteration cap: a system whose X vector still moves after this many
+   rounds is reported [Unbounded] (stated in the .mli). *)
+let max_iterations = 64
+
+let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
   Obs.incr c_analyses;
   let sp_run =

@@ -38,7 +38,7 @@
     comparable to {!Engine} (the ablation benchmark measures the price of
     breaking cycles). *)
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 
 type result = {
   per_job : verdict array;
@@ -57,12 +57,11 @@ val unbounded_sentinel : int -> int
 
 val analyze :
   ?cancel:Cancel.t ->
-  ?max_iterations:int ->
   ?release_horizon:int ->
   horizon:int ->
   Rta_model.System.t ->
   result
-(** [max_iterations] defaults to 64; hitting it yields [Unbounded] for
-    every job.  [cancel] (default {!Cancel.never}) is polled at every
+(** The iteration stops after at most 64 rounds; a system still moving
+    then yields [Unbounded] for every job.  [cancel] (default {!Cancel.never}) is polled at every
     iteration and every recomputed subjob; when it fires the iteration
     unwinds with {!Cancel.Cancelled}. *)

@@ -1,7 +1,7 @@
 open Rta_model
 module Step = Rta_curve.Step
 
-type verdict = Verdict.t = Bounded of int | Unbounded
+type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 type estimator = [ `Exact | `Direct | `Sum ]
 
 let instance_count engine ~job =

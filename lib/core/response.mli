@@ -7,7 +7,7 @@
     last stage — sound for the same reason Theorem 4 is, and never looser
     than the per-stage sum; the ablation benchmark quantifies the gap. *)
 
-type verdict = Verdict.t =
+type verdict = Rta_model.Verdict.t =
   | Bounded of int  (** worst-case end-to-end response time, in ticks *)
   | Unbounded
       (** some instance could not be shown to depart within the analysis

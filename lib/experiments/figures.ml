@@ -197,8 +197,8 @@ let envelope_admission ?(sets = 100) ?(seed = 48) () =
       }
     in
     let raw = Jobshop.generate config ~rng:(Rng.make (seed + seed_offset)) in
-    (* Uniform per-job priority (the stage-0 Eq. 24 rank on every stage) so
-       the pipeline-envelope and trace analyses see the same assignment. *)
+    (* Uniform per-job priority (the stage-0 Eq. 24 rank on every stage):
+       the T-5 tandem ranks each job once, on every stage alike. *)
     let jobs =
       Array.init (System.job_count raw) (fun j ->
           let job = System.job raw j in
@@ -223,21 +223,8 @@ let envelope_admission ?(sets = 100) ?(seed = 48) () =
               if Rta_core.Response.schedulable e ~estimator:`Exact then
                 incr trace_ok
           | Error (`Cyclic _) -> ());
-          let sources =
-            List.init (System.job_count system) (fun j ->
-                let job = System.job system j in
-                {
-                  Rta_core.Envelope_analysis.p_name = job.System.name;
-                  p_envelope =
-                    Rta_model.Arrival.envelope job.System.arrival ~release_horizon;
-                  taus =
-                    Array.map (fun (s : System.step) -> s.System.exec) job.System.steps;
-                  p_prio = job.System.steps.(0).System.prio;
-                })
-          in
           let result =
-            Rta_core.Envelope_analysis.pipeline_bounds
-              ~scheds:(Array.make stages Sched.Spp) ~sources
+            Option.get (Rta_core.Envelope_analysis.system_bounds system)
           in
           let all_ok =
             Array.for_all Fun.id

@@ -30,8 +30,8 @@ val fig3_csv : ?sets:int -> ?jobs:int -> ?seed:int -> unit -> string
 
 val envelope_admission : ?sets:int -> ?seed:int -> unit -> string
 (** Extension table T-5: admission probability of the horizon-free
-    envelope pipeline analysis vs the trace-based exact analysis on tandem
-    shops — the price of covering {e all} conforming traces. *)
+    envelope analysis ({!Rta_core.Envelope_analysis.system_bounds}) vs the
+    trace-based exact analysis on tandem shops — the price of covering {e all} conforming traces. *)
 
 val robustness : ?sets:int -> ?seed:int -> unit -> string
 (** Extension table T-3: the method ordering at a fixed operating point

@@ -792,38 +792,34 @@ let prop_envelope_dominates_trace_analysis =
 (* Pipeline envelope analysis                                          *)
 (* ------------------------------------------------------------------ *)
 
+let envelope_bounds system =
+  match Rta_core.Envelope_analysis.system_bounds system with
+  | Some result -> result
+  | None -> Alcotest.fail "unexpected cyclic dependency"
+
 let test_pipeline_single_stage_consistency () =
-  (* A one-stage pipeline must agree with the single-processor bound. *)
-  let sources =
-    [
-      {
-        Rta_core.Envelope_analysis.p_name = "A";
-        p_envelope = Rta_curve.Envelope.periodic ~period:10 ();
-        taus = [| 3 |];
-        p_prio = 1;
-      };
-      {
-        Rta_core.Envelope_analysis.p_name = "B";
-        p_envelope = Rta_curve.Envelope.periodic ~period:15 ();
-        taus = [| 4 |];
-        p_prio = 2;
-      };
-    ]
+  (* A one-stage system must agree with the single-processor bound. *)
+  let specs = [ ("A", 10, 3, 1); ("B", 15, 4, 2) ] in
+  let system =
+    one_proc_system
+      (List.map
+         (fun (name, period, exec, prio) ->
+           job name (Arrival.Periodic { period; offset = 0 })
+             [ { System.proc = 0; exec; prio } ])
+         specs)
   in
   let flat =
     List.map
-      (fun s ->
+      (fun (name, period, tau, prio) ->
         {
-          Rta_core.Envelope_analysis.name = s.Rta_core.Envelope_analysis.p_name;
-          envelope = s.Rta_core.Envelope_analysis.p_envelope;
-          tau = s.Rta_core.Envelope_analysis.taus.(0);
-          prio = s.Rta_core.Envelope_analysis.p_prio;
+          Rta_core.Envelope_analysis.name;
+          envelope = Rta_curve.Envelope.periodic ~period ();
+          tau;
+          prio;
         })
-      sources
+      specs
   in
-  let pipe =
-    Rta_core.Envelope_analysis.pipeline_bounds ~scheds:[| Sched.Spp |] ~sources
-  in
+  let pipe = envelope_bounds system in
   Array.iteri
     (fun i v ->
       let single =
@@ -846,22 +842,6 @@ let test_pipeline_dominates_trace () =
   (* Two-stage periodic pipeline: the envelope bound must dominate the
      exact trace analysis on the synchronous instantiation. *)
   let specs = [ (12, 2, 3); (18, 3, 2) ] in
-  let sources =
-    List.mapi
-      (fun i (period, t1, t2) ->
-        {
-          Rta_core.Envelope_analysis.p_name = Printf.sprintf "T%d" i;
-          p_envelope = Rta_curve.Envelope.periodic ~period ();
-          taus = [| t1; t2 |];
-          p_prio = i + 1;
-        })
-      specs
-  in
-  let pipe =
-    Rta_core.Envelope_analysis.pipeline_bounds
-      ~scheds:[| Sched.Spp; Sched.Spp |]
-      ~sources
-  in
   let jobs =
     List.mapi
       (fun i (period, t1, t2) ->
@@ -879,6 +859,7 @@ let test_pipeline_dominates_trace () =
     |> Array.of_list
   in
   let system = System.make_exn ~schedulers:[| Sched.Spp; Sched.Spp |] ~jobs in
+  let pipe = envelope_bounds system in
   let e = analyze system in
   Array.iteri
     (fun i v ->
@@ -890,6 +871,64 @@ let test_pipeline_dominates_trace () =
       | Rta_core.Envelope_analysis.Unbounded, _ -> ()
       | _, Rta_core.Response.Unbounded -> ())
     pipe.Rta_core.Envelope_analysis.end_to_end
+
+(* Every job's envelope bound is at least its simulated worst response. *)
+let check_envelope_dominates_sim system =
+  let pipe = envelope_bounds system in
+  let release_horizon, horizon = System.suggested_horizons system in
+  let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
+  Array.iteri
+    (fun j v ->
+      match (v, Rta_sim.Sim.worst_response sim j) with
+      | Rta_core.Envelope_analysis.Bounded b, Some w ->
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d: envelope %d >= simulated %d" j b w)
+            true (b >= w)
+      | Rta_core.Envelope_analysis.Bounded _, None
+      | Rta_core.Envelope_analysis.Unbounded, _ ->
+          ())
+    pipe.Rta_core.Envelope_analysis.end_to_end;
+  pipe
+
+let test_envelope_per_stage_priorities () =
+  (* The priority order flips between the stages: A outranks B on P0, B
+     outranks A on P1.  A's second stage then waits behind B's 6-unit
+     step (simulated worst 7.000 for both jobs); a bound that read only
+     the stage-0 priorities would claim 2.000 for A. *)
+  let system =
+    match
+      Parser.parse
+        {|processors spp spp
+job A arrival periodic period=10.0 offset=1.0 deadline 40.0
+  step proc=0 exec=1.0 prio=1
+  step proc=1 exec=1.0 prio=2
+job B arrival periodic period=10.0 deadline 40.0
+  step proc=0 exec=1.0 prio=2
+  step proc=1 exec=6.0 prio=1
+|}
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let pipe = check_envelope_dominates_sim system in
+  match pipe.Rta_core.Envelope_analysis.end_to_end.(0) with
+  | Rta_core.Envelope_analysis.Bounded a ->
+      Alcotest.(check bool) (Printf.sprintf "A: %d >= 7000" a) true (a >= 7000)
+  | Rta_core.Envelope_analysis.Unbounded -> Alcotest.fail "A unbounded"
+
+let test_envelope_two_procs_per_stage () =
+  (* A generated Figure 2 shop (two processors per stage, jobs routed to
+     either): not a pipeline, but acyclic, so the envelope walk answers. *)
+  let system =
+    Rta_workload.Jobshop.generate
+      (Rta_workload.Jobshop.default ~stages:3 ~jobs:5 ~utilization:0.4
+         ~arrival:Rta_workload.Jobshop.Periodic_eq25
+         ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0)
+         ~sched:Sched.Spp)
+      ~rng:(Rta_workload.Rng.make 7)
+  in
+  check_int "processors" 6 (System.processor_count system);
+  ignore (check_envelope_dominates_sim system)
 
 (* ------------------------------------------------------------------ *)
 (* Priority search                                                     *)
@@ -1095,6 +1134,10 @@ let () =
             test_pipeline_single_stage_consistency;
           Alcotest.test_case "pipeline dominates trace" `Quick
             test_pipeline_dominates_trace;
+          Alcotest.test_case "per-stage priorities dominate simulation" `Quick
+            test_envelope_per_stage_priorities;
+          Alcotest.test_case "two processors per stage" `Quick
+            test_envelope_two_procs_per_stage;
         ] );
       ( "priority-search",
         [
