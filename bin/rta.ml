@@ -11,15 +11,12 @@ let load_system path auto_prio =
       exit 2
   | Ok system ->
       if not auto_prio then system
-      else
-        let jobs =
-          Array.init (System.job_count system) (System.job system)
-          |> Priority.deadline_monotonic
-        in
-        let schedulers =
-          Array.init (System.processor_count system) (System.scheduler_of system)
-        in
-        System.make_exn ~schedulers ~jobs
+      else (
+        match Priority.deadline_monotonic_system system with
+        | Ok system -> system
+        | Error e ->
+            Format.eprintf "error: auto-prio: %s@." e;
+            exit 2)
 
 (* Horizon defaulting is owned by Analysis.resolve_horizons; the CLI only
    builds a config from its flags and lets the library resolve it, so
@@ -651,7 +648,7 @@ let fuzz_cmd =
   let kernels_arg =
     Arg.(value & flag
          & info [ "kernels" ]
-             ~doc:"Fuzz the curve kernels instead of whole systems: optimized convolve/prefix_min/of_step/cursor evaluation are cross-checked against the frozen Reference baselines on random curves, and mismatching inputs shrunk.")
+             ~doc:"Fuzz the curve kernels instead of whole systems: optimized pointwise add/sub/min2/max2, prefix_min and cursor evaluation are cross-checked against the frozen Reference baselines on random curves, and mismatching inputs shrunk.")
   in
   let print_violations vs =
     List.iter

@@ -2,7 +2,6 @@ module Rng = Rta_workload.Rng
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
 module Minplus = Rta_curve.Minplus
-module Reference = Rta_curve.Reference
 module Obs = Rta_obs
 
 let c_trials = Obs.counter "kernels.trials"
@@ -32,8 +31,7 @@ let show_step f = Format.asprintf "%a" Step.pp f
    slope), which satisfies of_knots' integrality requirement by
    construction and makes the adversarial shapes — plateaus (slope 0),
    one-tick segments (length 1), negative slopes — just corners of the
-   same distribution.  Sorting the drawn slopes produces operands that
-   exercise convolve's convex and concave fast paths. *)
+   same distribution. *)
 
 let gen_segments rng ~n ~lo_slope ~hi_slope =
   List.init n (fun _ ->
@@ -57,28 +55,6 @@ let gen_pl rng =
     ~y0:(Rng.int_range rng (-5) 10)
     ~tail:(Rng.int_range rng (-2) 4)
     segs
-
-let gen_pl_convex rng =
-  let n = Rng.int_range rng 0 6 in
-  let segs =
-    List.sort
-      (fun (_, a) (_, b) -> Int.compare a b)
-      (gen_segments rng ~n ~lo_slope:0 ~hi_slope:6)
-  in
-  let last = List.fold_left (fun _ (_, s) -> s) 0 segs in
-  pl_of_segments ~y0:(Rng.int_range rng 0 10)
-    ~tail:(last + Rng.int_range rng 0 3)
-    segs
-
-let gen_pl_concave rng =
-  let n = Rng.int_range rng 0 6 in
-  let segs =
-    List.sort
-      (fun (_, a) (_, b) -> Int.compare b a)
-      (gen_segments rng ~n ~lo_slope:0 ~hi_slope:6)
-  in
-  let last = List.fold_left (fun acc (_, s) -> min acc s) 6 segs in
-  pl_of_segments ~y0:0 ~tail:(max 0 (last - Rng.int_range rng 0 2)) segs
 
 let gen_step rng =
   let n = Rng.int_range rng 0 8 in
@@ -150,17 +126,6 @@ let rec shrink1 shrinks still_fails a =
 
 (* --- the differential checks ------------------------------------------- *)
 
-let convolve_mismatch (f, g) =
-  let opt = Minplus.convolve f g in
-  let ref_ = Reference.convolve f g in
-  not (Pl.equal opt ref_)
-
-let convolve_detail (f, g) =
-  let opt = Minplus.convolve f g in
-  let ref_ = Reference.convolve f g in
-  Printf.sprintf "f = %s\ng = %s\noptimized convolve = %s\nreference convolve = %s"
-    (show_pl f) (show_pl g) (show_pl opt) (show_pl ref_)
-
 let prefix_mismatch mode (avail, work) =
   let opt = Minplus.prefix_min ~mode ~avail ~work in
   let ref_ = Reference.prefix_min ~mode ~avail ~work in
@@ -193,14 +158,6 @@ let pointwise_detail (f, g) =
             Printf.sprintf "%s: fast %s, reference %s" name
               (show_pl (fast f g)) (show_pl (slow f g)))
           pointwise_ops))
-
-let of_step_mismatch work = not (Pl.equal (Pl.of_step work) (Reference.of_step work))
-
-let of_step_detail work =
-  Printf.sprintf "work = %s\nbuilder of_step = %s\nreference of_step = %s"
-    (show_step work)
-    (show_pl (Pl.of_step work))
-    (show_pl (Reference.of_step work))
 
 let cursor_pl_mismatch times f =
   let c = Pl.Cursor.make f in
@@ -262,17 +219,6 @@ let run ?out_dir ?budget_s ~seed ~count () =
     let rng = Rng.make (seed + i) in
     let found = ref [] in
     let record check detail = found := (check, detail) :: !found in
-    (* convolve: general operands plus shaped pairs for the fast paths. *)
-    List.iter
-      (fun (check, pair) ->
-        if convolve_mismatch pair then
-          let pair = shrink2 pl_shrinks pl_shrinks convolve_mismatch pair in
-          record check (convolve_detail pair))
-      [
-        ("convolve", (gen_pl rng, gen_pl rng));
-        ("convolve-convex", (gen_pl_convex rng, gen_pl_convex rng));
-        ("convolve-concave", (gen_pl_concave rng, gen_pl_concave rng));
-      ];
     (* pointwise combination kernels, fast vs reference bodies. *)
     (let pair = (gen_pl rng, gen_pl rng) in
      if pointwise_mismatch pair then
@@ -286,11 +232,6 @@ let run ?out_dir ?budget_s ~seed ~count () =
           let pair = shrink2 pl_shrinks step_shrinks (prefix_mismatch mode) pair in
           record check (prefix_detail mode pair))
       [ ("prefix-min-left", `Left); ("prefix-min-right", `Right) ];
-    (* of_step array builder vs the list-buffer baseline. *)
-    (let work = gen_step rng in
-     if of_step_mismatch work then
-       let work = shrink1 step_shrinks of_step_mismatch work in
-       record "of-step" (of_step_detail work));
     (* cursor evaluation vs direct evaluation at ascending times. *)
     (let times = gen_times rng in
      let f = gen_pl rng in

@@ -1,14 +1,13 @@
 (** Differential fuzzing of the optimized curve kernels against the frozen
-    {!Rta_curve.Reference} baselines ([rta fuzz --kernels]).
+    {!Reference} baselines ([rta fuzz --kernels]).
 
     Where {!Fuzz} compares the whole analysis against a discrete-event
     simulation, this module compares the {e kernels} pairwise on random
-    curves: {!Rta_curve.Minplus.convolve} (general, convex and concave
-    operand shapes), {!Rta_curve.Minplus.prefix_min} (both infimum modes),
-    the array-builder {!Rta_curve.Pl.of_step}, and cursor evaluation
-    against direct evaluation.  Curves are generated segment-wise so
-    plateaus, one-tick segments and negative slopes are ordinary members
-    of the distribution, not special cases.
+    curves: the pointwise {!Rta_curve.Pl.add}, [sub], [min2] and [max2],
+    {!Rta_curve.Minplus.prefix_min} (both infimum modes), and cursor
+    evaluation against direct evaluation.  Curves are generated
+    segment-wise so plateaus, one-tick segments and negative slopes are
+    ordinary members of the distribution, not special cases.
 
     Because normal forms are canonical, any disagreement is a real bug in
     one of the two implementations.  Mismatching inputs are greedily shrunk
@@ -19,7 +18,7 @@
 type mismatch = {
   seed : int;
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
-  check : string;  (** e.g. ["convolve-convex"], ["prefix-min-left"] *)
+  check : string;  (** e.g. ["pointwise"], ["prefix-min-left"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

@@ -153,6 +153,6 @@ end
 module Make (K : Rta_curve.KERNELS) : S
 (** The step on the given curve kernels.  The analysis runs on the
     optimized ones (below); the test support runs a textbook fixed point
-    on {!Rta_curve.Reference} to check the two end to end. *)
+    on [Rta_check.Reference] to check the two end to end. *)
 
 include S

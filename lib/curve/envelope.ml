@@ -8,10 +8,6 @@ type t =
          period: the general affine staircase; phase 0 is the pure
          (sigma, rho)-style curve *)
 
-let of_step f =
-  if Step.eval f 0 < 1 then invalid_arg "Envelope.of_step: alpha(0) must be >= 1";
-  Explicit f
-
 let periodic ?(jitter = 0) ?(burst = 1) ~period () =
   if period < 1 then invalid_arg "Envelope.periodic: period must be >= 1";
   if burst < 1 then invalid_arg "Envelope.periodic: burst must be >= 1";

@@ -17,10 +17,6 @@ type t
 
 (** {1 Construction} *)
 
-val of_step : Step.t -> t
-(** Interpret a step function of window lengths as an envelope.
-    @raise Invalid_argument if [f 0 < 1]. *)
-
 val periodic : ?jitter:int -> ?burst:int -> period:int -> unit -> t
 (** [periodic ~period ()] allows [1 + floor (d / period)] releases per
     window.  [jitter] widens every window by the release-jitter bound

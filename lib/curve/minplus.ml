@@ -6,10 +6,6 @@ type mode = [ `Left | `Right ]
 module Obs = Rta_obs
 
 let c_prefix_min = Obs.counter "minplus.prefix_min.calls"
-let c_convolve = Obs.counter "minplus.convolve.calls"
-let c_convolve_convex = Obs.counter "minplus.convolve.convex_fast_path"
-let c_convolve_concave = Obs.counter "minplus.convolve.concave_fast_path"
-let c_convolve_general = Obs.counter "minplus.convolve.general"
 let h_work_jumps = Obs.histogram "minplus.work.jumps"
 let h_avail_knots = Obs.histogram "minplus.avail.knots"
 let h_out_knots = Obs.histogram "minplus.out.knots"
@@ -152,145 +148,6 @@ let transform_blocked ~mode ~avail ~work ~blocking =
     let m = prefix_min ~mode ~avail ~work in
     let shifted = Pl.shift_right m blocking in
     Pl.splice ~at:blocking Pl.zero (Pl.add avail shifted)
-
-(* A value safely above any reachable curve value, used to mask the region
-   where a shifted convolution candidate is not yet defined.  Kept well
-   below max_int so sums of two masked values cannot overflow. *)
-let masked = 1 lsl 40
-
-(* Masking is only sound while genuine candidate values stay strictly below
-   [masked] minus any knot offset; we require both operands' magnitudes
-   (over the span of all knots) to sum below this limit and reject anything
-   larger, instead of silently returning curves in which a mask value won a
-   minimum.  The fast paths below never mask, so well-behaved huge curves
-   (convex, or concave through the origin) are still convolvable. *)
-let mask_limit = 1 lsl 39
-
-(* Largest |value| the polyline takes on [0, extent]: attained at a knot or
-   at [extent] itself (segments are linear). *)
-let magnitude_within f extent =
-  let m = Array.fold_left (fun acc (_, y) -> max acc (abs y)) 0 (Pl.knots f) in
-  max m (abs (Pl.eval f extent))
-
-let last_knot_time f =
-  Array.fold_left (fun acc (x, _) -> max acc x) 0 (Pl.knots f)
-
-let check_mask_headroom f g =
-  let extent = max (last_knot_time f) (last_knot_time g) in
-  if magnitude_within f extent + magnitude_within g extent >= mask_limit then
-    invalid_arg
-      "Minplus.convolve: curve values too large for the candidate mask \
-       (operand magnitudes must sum below 2^39)"
-
-(* Finite (length, slope) segments, knot to knot; the tail is separate. *)
-let segments f =
-  let ks = Pl.knots f in
-  let n = Array.length ks in
-  List.init (n - 1) (fun i ->
-      let x0, y0 = ks.(i) and x1, y1 = ks.(i + 1) in
-      (x1 - x0, (y1 - y0) / (x1 - x0)))
-
-let slopes_nondecreasing segs tail =
-  let rec go prev = function
-    | [] -> prev <= tail
-    | (_, s) :: rest -> s >= prev && go s rest
-  in
-  go min_int segs
-
-let slopes_nonincreasing segs tail =
-  let rec go prev = function
-    | [] -> prev >= tail
-    | (_, s) :: rest -> s <= prev && go s rest
-  in
-  go max_int segs
-
-(* Convex ⊛ convex in O(n + m): the convolution starts at f(0) + g(0) and
-   its segments are the slope-sorted merge of both operands' segments — the
-   cheapest capacity is always spent first.  Segments at or above the
-   smaller tail slope never materialize: the infinite tail precedes them in
-   the merge.  All knots stay integral (sums of integer lengths), so the
-   merged polyline's grid restriction is exactly the grid convolution. *)
-let convolve_convex f g =
-  let tail = min (Pl.tail_slope f) (Pl.tail_slope g) in
-  (* Convexity sorts each operand's slopes, so a take-while suffices. *)
-  let rec before_tail = function
-    | (len, s) :: rest when s < tail -> (len, s) :: before_tail rest
-    | _ -> []
-  in
-  let rec merge a b =
-    match (a, b) with
-    | [], l | l, [] -> l
-    | (la, sa) :: ra, (lb, sb) :: rb ->
-        if sa <= sb then (la, sa) :: merge ra b else (lb, sb) :: merge a rb
-  in
-  let merged = merge (before_tail (segments f)) (before_tail (segments g)) in
-  let b = Pl.Builder.create (List.length merged + 1) in
-  let x = ref 0 and y = ref (Pl.eval f 0 + Pl.eval g 0) in
-  Pl.Builder.push b 0 !y;
-  List.iter
-    (fun (len, s) ->
-      x := !x + len;
-      y := !y + (s * len);
-      Pl.Builder.push b !x !y)
-    merged;
-  Pl.Builder.to_pl ~tail b
-
-(* Balanced tournament of pointwise minima: pairing candidates keeps the
-   intermediate curves' sizes balanced, so the total knot work is
-   O(total_knots · log #candidates) instead of the left-deep fold's
-   O(#candidates · accumulated_size) = O((n + m)^2). *)
-let rec min_tree = function
-  | [] -> invalid_arg "Minplus.convolve: empty curve"
-  | [ c ] -> c
-  | l ->
-      let rec pair_up = function
-        | a :: b :: rest -> Pl.min2 a b :: pair_up rest
-        | rest -> rest
-      in
-      min_tree (pair_up l)
-
-let convolve_impl f g =
-  let segs_f = segments f and segs_g = segments g in
-  let tail_f = Pl.tail_slope f and tail_g = Pl.tail_slope g in
-  if slopes_nondecreasing segs_f tail_f && slopes_nondecreasing segs_g tail_g
-  then begin
-    Obs.incr c_convolve_convex;
-    convolve_convex f g
-  end
-  else if
-    (* Concave through the origin: (f ⊛ g)(t) = min(f(t), g(t)).  The s = 0
-       and s = t candidates give ≤; concavity with f(0) = g(0) = 0 gives
-       f(s) ≥ (s/t)·f(t) and g(t-s) ≥ ((t-s)/t)·g(t), whose sum dominates
-       the smaller endpoint value, giving ≥. *)
-    Pl.eval f 0 = 0
-    && Pl.eval g 0 = 0
-    && slopes_nonincreasing segs_f tail_f
-    && slopes_nonincreasing segs_g tail_g
-  then begin
-    Obs.incr c_convolve_concave;
-    Pl.min2 f g
-  end
-  else begin
-    Obs.incr c_convolve_general;
-    check_mask_headroom f g;
-    (* (f * g)(t) = min over candidate curves:
-         for every knot (x, y) of f:  y + g(t - x)   (defined for t >= x)
-         for every knot (x, y) of g:  y + f(t - x)
-       The minimum over integer s within any segment pair is attained when s
-       or t-s is a knot (linearity), so these candidates are exhaustive. *)
-    let shifted_copies base knots =
-      Array.to_list knots
-      |> List.map (fun (x, y) ->
-             Pl.add (Pl.shift_right ~fill:masked base x) (Pl.const y))
-    in
-    min_tree (shifted_copies g (Pl.knots f) @ shifted_copies f (Pl.knots g))
-  end
-
-let convolve f g =
-  Obs.incr c_convolve;
-  convolve_impl f g
-
-let vertical_deviation ~upper ~lower = Pl.sup (Pl.sub upper lower)
 
 let horizontal_deviation ~upper ~lower =
   if not (Pl.is_nondecreasing lower) then

@@ -42,37 +42,6 @@ val transform_blocked :
     [avail(t) + m(t - blocking)] beyond, where [m] is the prefix minimum
     above.  [blocking >= 0]. *)
 
-(** {1 Min-plus convolution and deviations}
-
-    The paper's service-function technique is an instance of the network
-    calculus its references [20, 21] (Cruz) founded; these operators make
-    that connection usable: envelope-specified sources get horizon-free
-    response bounds through service curves. *)
-
-val convolve : Pl.t -> Pl.t -> Pl.t
-(** Min-plus convolution on the grid:
-    [(f * g)(t) = min over integer 0 <= s <= t of (f(s) + g(t - s))].
-    Exact on the grid.
-
-    Cost: O(n + m) by slope merge when both operands are convex (slopes
-    non-decreasing — every service curve of Theorems 5-9 after
-    monotonization qualifies); O(n + m) by pointwise minimum when both are
-    concave with value 0 at the origin (arrival envelopes); otherwise a
-    balanced tournament of pointwise minima over the (n + m) shifted
-    candidate curves, O((n + m) log (n + m)) knot insertions.
-
-    The general path masks the undefined prefix of each shifted candidate
-    with a large sentinel; operands whose value magnitudes sum to 2^39 or
-    more would make genuine values collide with the mask and are rejected.
-    The convex and concave fast paths never mask and accept any values.
-    @raise Invalid_argument on the general path when the operands' absolute
-    values (over the span of their knots) sum to at least [2^39]. *)
-
-val vertical_deviation : upper:Pl.t -> lower:Pl.t -> int option
-(** [sup over t of (upper(t) - lower(t))], the backlog bound when [upper]
-    is an arrival (workload) envelope and [lower] a service curve; [None]
-    if unbounded (the envelope outgrows the service rate). *)
-
 val horizontal_deviation : upper:Pl.t -> lower:Pl.t -> int option
 (** [sup over t of min { d >= 0 | lower(t + d) >= upper(t) }]: the delay
     bound — how long until the service curve catches up with the demand, in

@@ -204,16 +204,6 @@ let knots f = Array.init (Array.length f.xs) (fun i -> (f.xs.(i), f.ys.(i)))
 let tail_slope f = f.tail
 let knot_count f = Array.length f.xs
 
-let sup f =
-  if f.tail > 0 then None
-  else begin
-    (* The maximum sits at a knot (segments are linear and the tail is
-       non-increasing). *)
-    let m = ref f.ys.(0) in
-    Array.iter (fun y -> if y > !m then m := y) f.ys;
-    Some !m
-  end
-
 let fold_slopes op init f =
   let acc = ref init in
   for i = 0 to Array.length f.xs - 1 do
@@ -266,7 +256,7 @@ let merge_knot_times f g =
   Array.sub out 0 k
 
 (* Merged times are ascending, so two cursors replace per-time binary
-   searches ({!Reference.add} keeps the searching original). *)
+   searches. *)
 let lift2 op f g =
   let xs = merge_knot_times f g in
   let cf = Cursor.make f and cg = Cursor.make g in
@@ -280,9 +270,7 @@ let observed c r =
 
 let add f g = observed c_add (lift2 ( + ) f g)
 let sub f g = observed c_sub (lift2 ( - ) f g)
-let neg f = { f with ys = Array.map (fun y -> -y) f.ys; tail = -f.tail }
 let sum l = List.fold_left add zero l
-let scale f k = { f with ys = Array.map (fun y -> k * y) f.ys; tail = k * f.tail }
 
 (* Grid-exact pointwise transform machinery: apply [op] to the values of [f]
    (and [g]) at a set of times that includes, for every segment on which the
@@ -300,10 +288,10 @@ let crossing_floors d0 ds =
     Some (num / ds) (* both num and ds share sign; integer division floors
                        toward zero which equals floor here since signs agree *)
 
-(* The candidate times and values of {!Reference.min2}, produced in one
-   ascending sweep: base times and straddle pairs are generated in order
-   (straddles fall strictly inside their interval), so a Builder replaces
-   the list + sort_uniq and two cursors replace every binary search. *)
+(* The candidate times and values, produced in one ascending sweep: base
+   times and straddle pairs are generated in order (straddles fall strictly
+   inside their interval), so a Builder collects them and two cursors
+   replace every binary search. *)
 let pointwise2 op f g =
   let base = merge_knot_times f g in
   let n = Array.length base in
@@ -393,19 +381,14 @@ let splice ~at before after =
   in
   of_knots ~tail:after.tail (head @ mid @ after_knots)
 
-let shift_right ?fill f d =
+let shift_right f d =
   if d < 0 then invalid_arg "Pl.shift_right: negative shift";
   if d = 0 then f
   else
-    let y0 = f.ys.(0) in
-    let fill = match fill with None -> y0 | Some v -> v in
     let shifted =
       Array.to_list (Array.init (Array.length f.xs) (fun i -> (f.xs.(i) + d, f.ys.(i))))
     in
-    let prefix =
-      if fill = y0 || d = 1 then [ (0, fill) ] else [ (0, fill); (d - 1, fill) ]
-    in
-    of_knots ~tail:f.tail (prefix @ shifted)
+    of_knots ~tail:f.tail ((0, f.ys.(0)) :: shifted)
 
 let truncate_at f h =
   if h < 0 then invalid_arg "Pl.truncate_at: negative horizon";

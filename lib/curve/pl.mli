@@ -107,11 +107,6 @@ val invariant : t -> unit
     produced by long operation chains.
     @raise Invalid_argument with a descriptive message if violated. *)
 
-val sup : t -> int option
-(** Supremum over the grid: [None] when the tail slope is positive (the
-    function grows without bound), otherwise the maximum value, attained at
-    a knot. *)
-
 val min_slope : t -> int
 (** Smallest segment slope, including the tail. *)
 
@@ -130,9 +125,7 @@ val inverse_geq : t -> int -> int option
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val sum : t list -> t
-val scale : t -> int -> t
 
 (** {1 Pointwise transforms (grid-exact)} *)
 
@@ -156,9 +149,8 @@ val splice : at:int -> t -> t -> t
 (** [splice ~at before after] equals [before] on [0, at] and [after] on
     [at+1, +inf) (grid semantics; the tick between is a linear ramp). *)
 
-val shift_right : ?fill:int -> t -> int -> t
-(** [shift_right f d] is [fun t -> if t >= d then f (t - d) else fill]
-    with [fill] defaulting to [f 0].  [d >= 0]. *)
+val shift_right : t -> int -> t
+(** [shift_right f d] is [fun t -> f (max 0 (t - d))].  [d >= 0]. *)
 
 val truncate_at : t -> int -> t
 (** [truncate_at f h] agrees with [f] on [0, h] and is constant ([f h])

@@ -3,21 +3,19 @@
 
     {!Step} and {!Pl} are the two curve representations, both implementing
     {!module-type:CURVE}; {!Minplus} is the min-plus transform connecting
-    them; {!Dense} is the brute-force oracle used by the property tests;
-    {!Envelope} is the horizon-free arrival-envelope extension. *)
+    them; {!Envelope} is the horizon-free arrival-envelope extension. *)
 
 module type CURVE = Curve_sig.CURVE
 
 module Step = Step
 module Pl = Pl
 module Minplus = Minplus
-module Dense = Dense
 module Envelope = Envelope
-module Reference = Reference
 
 (** The curve kernels with a frozen baseline: the optimized {!Pl} and
-    {!Minplus} functions and their {!Reference} originals both satisfy it,
-    so code written over it ({!Rta_core.Local.Make}) runs on either. *)
+    {!Minplus} functions and their [Rta_check.Reference] originals both
+    satisfy it, so code written over it ({!Rta_core.Local.Make}) runs on
+    either. *)
 module type KERNELS = sig
   val add : Pl.t -> Pl.t -> Pl.t
   val sub : Pl.t -> Pl.t -> Pl.t

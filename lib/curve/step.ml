@@ -94,8 +94,6 @@ let of_arrival_times times =
   done;
   normalize ~init:0 !pairs
 
-let step_at t = normalize ~init:0 [ (max 0 t, 1) ]
-
 let of_samples ?(init = 0) l =
   let check_time last (t, _) =
     if t < 0 then invalid_arg "Step.of_samples: negative time";
@@ -186,13 +184,6 @@ let inverse f v =
 let scale f k =
   if k < 1 then invalid_arg "Step.scale: factor must be >= 1";
   { f with init = f.init * k; vs = Array.map (fun v -> v * k) f.vs }
-
-let floor_div f k =
-  if k < 1 then invalid_arg "Step.floor_div: divisor must be >= 1";
-  let pairs =
-    Array.to_list (Array.init (Array.length f.ts) (fun i -> (f.ts.(i), f.vs.(i) / k)))
-  in
-  normalize ~init:(f.init / k) pairs
 
 (* Merge the jump points of [f] and [g], combining values with [op]. *)
 let combine op f g =

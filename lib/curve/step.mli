@@ -35,9 +35,6 @@ val of_arrival_times : int array -> t
     sorted non-decreasing with non-negative entries; duplicates are allowed
     (simultaneous releases). *)
 
-val step_at : int -> t
-(** [step_at t] is the unit step: 0 before [t], 1 from [t] on. *)
-
 val of_samples : ?init:int -> (int * int) list -> t
 (** [of_samples ~init l] builds a step function from possibly redundant
     [(time, value)] samples in non-decreasing time order: later samples at
@@ -115,10 +112,6 @@ val support_end : t -> int
 val scale : t -> int -> t
 (** [scale f k] is [fun t -> k * f(t)], for [k >= 1].  Turns a counting
     function into a workload function (Definition 3, [c = f_arr * tau]). *)
-
-val floor_div : t -> int -> t
-(** [floor_div f k] is [fun t -> f(t) / k] (integer division), for
-    [k >= 1]. *)
 
 val add : t -> t -> t
 (** Pointwise sum. *)

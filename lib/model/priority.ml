@@ -44,6 +44,16 @@ let rank_by key jobs =
 
 let deadline_monotonic jobs = rank_by subdeadline jobs
 
+let deadline_monotonic_system system =
+  let jobs =
+    Array.init (System.job_count system) (System.job system)
+    |> deadline_monotonic
+  in
+  let schedulers =
+    Array.init (System.processor_count system) (System.scheduler_of system)
+  in
+  System.make ~schedulers ~jobs
+
 let rate_monotonic jobs =
   let period (j : System.job) _ =
     match Arrival.rate_per_tick_denominator j.arrival with

@@ -10,6 +10,11 @@ val deadline_monotonic : System.job array -> System.job array
     (1 = highest).  Ties are broken by (job, step) index, making the
     assignment deterministic.  Priorities are unique per processor. *)
 
+val deadline_monotonic_system : System.t -> (System.t, string) result
+(** [system] rebuilt with {!deadline_monotonic} priorities and the same
+    schedulers: what [--auto-prio] and a batch request's ["auto_prio"]
+    analyze.  [Error] carries {!System.make}'s message. *)
+
 val rate_monotonic : System.job array -> System.job array
 (** Classic rate-monotonic ranks (by the job's asymptotic period, shorter
     period = higher priority).  Jobs with [Trace] arrivals are ranked last.

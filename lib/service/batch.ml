@@ -171,17 +171,8 @@ let prepare = function
       | Error e -> P_invalid (Printf.sprintf "spec: %s" e)
       | Ok system -> (
           match
-            if not req.auto_prio then Ok system
-            else
-              let jobs =
-                Array.init (System.job_count system) (System.job system)
-                |> Priority.deadline_monotonic
-              in
-              let schedulers =
-                Array.init (System.processor_count system)
-                  (System.scheduler_of system)
-              in
-              System.make ~schedulers ~jobs
+            if req.auto_prio then Priority.deadline_monotonic_system system
+            else Ok system
           with
           | Error e -> P_invalid (Printf.sprintf "auto_prio: %s" e)
           | Ok system ->

@@ -2,7 +2,9 @@
    - the differential oracle passes on a clean engine over many seeds;
    - a planted unsound engine fault is caught, shrunk to a tiny system,
      written as a replayable counterexample, and replays as a failure;
-   - the whole pipeline is deterministic in the seed. *)
+   - the whole pipeline is deterministic in the seed;
+   - the kernel fuzzer ([rta fuzz --kernels]) runs clean against the
+     frozen reference kernels. *)
 
 module Engine = Rta_core.Engine
 module System = Rta_model.System
@@ -104,6 +106,14 @@ let test_render_is_parseable () =
             (System.subjob_count system)
       | Error msg -> Alcotest.fail ("rendered text does not parse: " ^ msg))
 
+let test_kernels_clean () =
+  let outcome = Rta_check.Kernels.run ~seed:42 ~count:500 () in
+  List.iter
+    (fun m -> Alcotest.failf "%s" (Rta_check.Kernels.render m))
+    outcome.Rta_check.Kernels.mismatches;
+  Alcotest.(check int) "tested" 500 outcome.Rta_check.Kernels.tested;
+  Alcotest.(check int) "passed" 500 outcome.Rta_check.Kernels.passed
+
 let () =
   Alcotest.run "check"
     [
@@ -115,4 +125,5 @@ let () =
           Alcotest.test_case "planted fault caught" `Slow test_planted_fault_caught;
           Alcotest.test_case "render parseable" `Quick test_render_is_parseable;
         ] );
+      ("kernels", [ Alcotest.test_case "clean sweep" `Quick test_kernels_clean ]);
     ]

@@ -322,7 +322,7 @@ let aggregate_matches_sums push members =
       && Pl.equal (Local.hp_svc_lo hp) svc_lo)
     [ items; List.rev items ]
 
-module Reference_local = Local.Make (Rta_curve.Reference)
+module Reference_local = Local.Make (Rta_check.Reference)
 
 let prop_aggregate name push =
   G.qtest name

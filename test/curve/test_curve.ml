@@ -3,6 +3,7 @@
    oracle. *)
 
 open Rta_curve
+module Dense = Rta_check.Dense
 module G = Rta_testsupport.Gen
 
 let h = G.horizon
@@ -41,9 +42,6 @@ let test_step_arith () =
   let g = Step.scale f 3 in
   check_int "scaled" 3 (Step.eval g 1);
   check_int "scaled 2" 6 (Step.eval g 4);
-  let d = Step.floor_div g 2 in
-  check_int "floor_div" 1 (Step.eval d 1);
-  check_int "floor_div 2" 3 (Step.eval d 4);
   let s = Step.add f g in
   check_int "add" 4 (Step.eval s 1);
   check_int "add final" 8 (Step.final_value s)
@@ -136,11 +134,6 @@ let prop_step_inverse_galois =
         | Some _, None -> ok := false
       done;
       !ok)
-
-let prop_step_scale_div =
-  G.qtest "floor_div inverts scale" G.step_gen G.print_step (fun f ->
-      let k = 7 in
-      Step.equal (Step.floor_div (Step.scale f k) k) f)
 
 let prop_step_shift_roundtrip =
   G.qtest "shift_left after shift_right is identity" G.step_gen G.print_step
@@ -340,6 +333,13 @@ let prop_pl_floor_div =
       let dense = Dense.floor_div (Dense.of_pl ~horizon:h f) tau in
       Dense.equal_on sparse dense)
 
+let prop_pl_of_step =
+  G.qtest "of_step = dense step, flat tail" G.step_gen G.print_step (fun s ->
+      let horizon = Step.support_end s + 2 in
+      let f = Pl.of_step s in
+      Dense.equal_on (Dense.of_pl ~horizon f) (Dense.of_step ~horizon s)
+      && Pl.tail_slope f = 0)
+
 let prop_pl_truncate =
   G.qtest "truncate_at freezes the tail" G.pl_gen G.print_pl (fun f ->
       let g = Pl.truncate_at f 20 in
@@ -467,18 +467,8 @@ let prop_minplus_monotone_service =
       done;
       !ok)
 
-let test_pl_sup () =
-  Alcotest.(check (option int)) "bounded" (Some 4)
-    (Pl.sup (Pl.of_knots ~tail:0 [ (0, 1); (3, 4); (6, 1) ]));
-  Alcotest.(check (option int)) "declining tail still bounded" (Some 7)
-    (Pl.sup (Pl.of_knots ~tail:(-1) [ (0, 7) ]));
-  Alcotest.(check (option int)) "growing tail unbounded" None
-    (Pl.sup Pl.identity)
-
-let test_pl_neg_scale_sum () =
+let test_pl_sum () =
   let f = Pl.of_knots ~tail:1 [ (0, 2); (4, 6) ] in
-  check_int "neg" (-6) (Pl.eval (Pl.neg f) 4);
-  check_int "scale" 18 (Pl.eval (Pl.scale f 3) 4);
   check_int "sum" 12 (Pl.eval (Pl.sum [ f; f ]) 4);
   check_int "sum empty is zero" 0 (Pl.eval (Pl.sum []) 10)
 
@@ -490,48 +480,8 @@ let test_step_observers () =
   check_int "sum" 6 (Step.eval (Step.sum [ f; f ]) 10)
 
 (* ------------------------------------------------------------------ *)
-(* Min-plus convolution and deviations                                 *)
+(* Horizontal deviation                                                *)
 (* ------------------------------------------------------------------ *)
-
-let prop_convolve =
-  G.qtest2 ~count:200 "convolve = dense brute force" G.pl_mono_gen G.print_pl
-    G.pl_mono_gen G.print_pl (fun (f, g) ->
-      let c = Minplus.convolve f g in
-      let ok = ref true in
-      for t = 0 to h do
-        let brute = ref max_int in
-        for s = 0 to t do
-          let v = Pl.eval f s + Pl.eval g (t - s) in
-          if v < !brute then brute := v
-        done;
-        if Pl.eval c t <> !brute then ok := false
-      done;
-      !ok)
-
-let prop_convolve_commutative =
-  G.qtest2 ~count:100 "convolution is commutative on the grid" G.pl_mono_gen
-    G.print_pl G.pl_mono_gen G.print_pl (fun (f, g) ->
-      let a = Minplus.convolve f g and b = Minplus.convolve g f in
-      let ok = ref true in
-      for t = 0 to h do
-        if Pl.eval a t <> Pl.eval b t then ok := false
-      done;
-      !ok)
-
-let prop_vertical_deviation =
-  G.qtest2 ~count:200 "vertical deviation = dense sup of difference"
-    G.pl_mono_gen G.print_pl G.pl_mono_gen G.print_pl (fun (f, g) ->
-      match Minplus.vertical_deviation ~upper:f ~lower:g with
-      | None -> Pl.tail_slope f > Pl.tail_slope g
-      | Some d ->
-          let brute = ref min_int in
-          for t = 0 to h do
-            let v = Pl.eval f t - Pl.eval g t in
-            if v > !brute then brute := v
-          done;
-          (* The sparse sup is global; the dense scan only covers the
-             horizon, so it can only be below. *)
-          d >= !brute)
 
 let prop_horizontal_deviation =
   (* Lower curves are unit-rate (the operator's contract: processor service
@@ -688,7 +638,6 @@ let () =
           prop_step_max;
           prop_step_counting;
           prop_step_inverse_galois;
-          prop_step_scale_div;
           prop_step_shift_roundtrip;
           prop_step_eval_left;
         ] );
@@ -704,8 +653,7 @@ let () =
           Alcotest.test_case "truncate edge cases" `Quick test_pl_truncate_edges;
           Alcotest.test_case "floor_div" `Quick test_pl_floor_div;
           Alcotest.test_case "of_step" `Quick test_pl_of_step;
-          Alcotest.test_case "sup" `Quick test_pl_sup;
-          Alcotest.test_case "neg/scale/sum" `Quick test_pl_neg_scale_sum;
+          Alcotest.test_case "sum" `Quick test_pl_sum;
           Alcotest.test_case "step observers" `Quick test_step_observers;
         ] );
       ( "pl.props",
@@ -719,6 +667,7 @@ let () =
           prop_pl_splice;
           prop_pl_inverse;
           prop_pl_floor_div;
+          prop_pl_of_step;
           prop_pl_truncate;
           prop_pl_shift;
           prop_pl_dominates;
@@ -739,9 +688,6 @@ let () =
         ] );
       ( "netcalc",
         [
-          prop_convolve;
-          prop_convolve_commutative;
-          prop_vertical_deviation;
           prop_horizontal_deviation;
           Alcotest.test_case "horizontal deviation values" `Quick
             test_horizontal_deviation_values;

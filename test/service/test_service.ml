@@ -261,6 +261,53 @@ let test_deadline_timeout () =
     (Batch.response_line responses.(0))
 
 (* ------------------------------------------------------------------ *)
+(* auto_prio                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A's deadline is the tighter one, yet the spec gives B the higher
+   priority on both processors: Eq. 24 must swap them. *)
+let inverted_prio_spec =
+  "processors spp spp\n\
+   job A arrival periodic period=10.0 deadline 10.0\n\
+  \  step proc=0 exec=1.0 prio=2\n\
+  \  step proc=1 exec=1.0 prio=2\n\
+   job B arrival periodic period=20.0 deadline 40.0\n\
+  \  step proc=0 exec=2.0 prio=1\n\
+  \  step proc=1 exec=2.0 prio=1\n"
+
+let test_batch_auto_prio () =
+  let prios system =
+    List.init (System.job_count system) (fun j ->
+        Array.to_list
+          (Array.map (fun (s : System.step) -> s.prio) (System.job system j).steps))
+  in
+  let prepared auto =
+    let line =
+      Json.to_string
+        (Json.Obj
+           [ ("spec", Json.String inverted_prio_spec); ("auto_prio", Json.Bool auto) ])
+    in
+    match Batch.prepare (Batch.request_of_line line) with
+    | Batch.P_ready { system; _ } -> prios system
+    | Batch.P_invalid e -> Alcotest.failf "request should prepare: %s" e
+  in
+  let parsed =
+    match Parser.parse inverted_prio_spec with
+    | Ok system -> system
+    | Error e -> Alcotest.failf "spec should parse: %s" e
+  in
+  let expected =
+    match Priority.deadline_monotonic_system parsed with
+    | Ok system -> prios system
+    | Error e -> Alcotest.failf "auto_prio rebuild failed: %s" e
+  in
+  let pp = Alcotest.(list (list int)) in
+  Alcotest.check pp "spec priorities kept without auto_prio" [ [ 2; 2 ]; [ 1; 1 ] ]
+    (prepared false);
+  Alcotest.check pp "Eq. 24 ranks" [ [ 1; 1 ]; [ 2; 2 ] ] expected;
+  Alcotest.check pp "batch auto_prio = Priority helper" expected (prepared true)
+
+(* ------------------------------------------------------------------ *)
 (* NDJSON request decoding                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -901,6 +948,7 @@ let () =
       ( "ndjson",
         [
           Alcotest.test_case "request decoding" `Quick test_request_decoding;
+          Alcotest.test_case "auto_prio applies Eq. 24" `Quick test_batch_auto_prio;
           Alcotest.test_case "response is valid JSON" `Quick
             test_response_roundtrips_as_json;
         ] );

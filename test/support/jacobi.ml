@@ -1,6 +1,6 @@
 (* The textbook Section 6 fixed point: a full Jacobi sweep that recomputes
    every subjob from the previous iterate each round, on the frozen
-   {!Rta_curve.Reference} kernels.  No dirty set, no caches across rounds,
+   {!Rta_check.Reference} kernels.  No dirty set, no caches across rounds,
    and Eq. 12 extracted by one binary search per instance.
    [Rta_core.Fixpoint.analyze] must walk the same iterates (the parity
    tests). *)
@@ -9,7 +9,7 @@ open Rta_model
 module Step = Rta_curve.Step
 module Local = Rta_core.Local
 module Fixpoint = Rta_core.Fixpoint
-module Reference_local = Local.Make (Rta_curve.Reference)
+module Reference_local = Local.Make (Rta_check.Reference)
 
 let analyze ?(max_iterations = 64) ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
