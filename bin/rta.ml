@@ -20,11 +20,15 @@ let load_system path auto_prio =
 
 (* Horizon defaulting is owned by Analysis.resolve_horizons; the CLI only
    builds a config from its flags and lets the library resolve it, so
-   `rta analyze`, `rta simulate` and `rta batch` agree by construction. *)
-let horizons system horizon release_horizon =
-  Rta_core.Analysis.resolve_horizons
-    (Rta_core.Analysis.config ?release_horizon ?horizon ())
-    system
+   `rta analyze`, `rta simulate` and `rta batch` agree by construction.
+   Two explicit horizons that contradict each other are a usage error. *)
+let horizon_config ?estimator horizon release_horizon =
+  (match (release_horizon, horizon) with
+  | Some r, Some h when r > h ->
+      Format.eprintf "error: --release-horizon %d exceeds --horizon %d@." r h;
+      exit 2
+  | _ -> ());
+  Rta_core.Analysis.config ?estimator ?release_horizon ?horizon ()
 
 (* Shared options *)
 
@@ -116,9 +120,7 @@ let analyze_cmd =
   let run () file horizon release_horizon auto_prio estimator verbose explain dump =
     setup_logs verbose;
     let system = load_system file auto_prio in
-    let config =
-      Rta_core.Analysis.config ~estimator ?release_horizon ?horizon ()
-    in
+    let config = horizon_config ~estimator horizon release_horizon in
     let report = Rta_core.Analysis.run ~config system in
     (* The horizons the analysis actually used, for --explain/--dump-curves. *)
     let release_horizon = report.Rta_core.Analysis.release_horizon in
@@ -185,7 +187,11 @@ let simulate_cmd =
   in
   let run () file horizon release_horizon auto_prio gantt =
     let system = load_system file auto_prio in
-    let release_horizon, horizon = horizons system horizon release_horizon in
+    let release_horizon, horizon =
+      Rta_core.Analysis.resolve_horizons
+        (horizon_config horizon release_horizon)
+        system
+    in
     let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
     Format.printf "%a@.simulated over [0, %a], releases in [0, %a]@." System.pp
       system Time.pp horizon Time.pp release_horizon;
@@ -340,15 +346,6 @@ let generate_cmd =
 
 (* batch / serve *)
 
-(* The persistent store validates payloads with the full analysis decoder:
-   anything that does not round-trip (truncated write, manual edit, schema
-   drift) is evicted on read and recomputed, never served. *)
-let open_store dir =
-  Rta_service.Store.open_
-    ~validate:(fun s ->
-      Result.is_ok (Rta_service.Batch.analysis_of_string s))
-    dir
-
 let store_arg =
   Arg.(value & opt (some string) None
        & info [ "store" ] ~docv:"DIR"
@@ -419,14 +416,12 @@ let batch_cmd =
     in
     let defaults =
       Rta_service.Batch.request ~auto_prio
-        ~config:
-          (Rta_core.Analysis.config ~estimator
-             ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
-             ())
+        ~config:(Rta_core.Analysis.config ~estimator ())
+        ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
         ""
     in
     let cache = Rta_service.Cache.create () in
-    let store = Option.map open_store store_dir in
+    let store = Option.map Rta_service.Store.open_ store_dir in
     let started = Rta_obs.now () in
     let summary = ref Rta_service.Batch.empty_summary in
     let index_base = ref 0 in
@@ -541,13 +536,11 @@ let serve_cmd =
     end;
     let defaults =
       Rta_service.Batch.request ~auto_prio
-        ~config:
-          (Rta_core.Analysis.config ~estimator
-             ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
-             ())
+        ~config:(Rta_core.Analysis.config ~estimator ())
+        ?deadline_s:(Option.map (fun ms -> ms /. 1e3) deadline_ms)
         ""
     in
-    let store = Option.map open_store store_dir in
+    let store = Option.map Rta_service.Store.open_ store_dir in
     let cfg =
       Rta_service.Server.config ?workers ~max_queue ~defaults ?store ?socket
         ~stdio:(not no_stdio) ()
@@ -565,7 +558,8 @@ let envelope_cmd =
   let run () file auto_prio =
     let system = load_system file auto_prio in
     let result =
-      match Rta_core.Envelope_analysis.system_bounds system with
+      let release_horizon, _ = System.suggested_horizons system in
+      match Rta_core.Envelope_analysis.system_bounds ~release_horizon system with
       | Some result -> result
       | None ->
           Format.eprintf "cyclic dependencies: no envelope order@.";
@@ -594,7 +588,7 @@ let envelope_cmd =
 let sensitivity_cmd =
   let run () file horizon release_horizon auto_prio =
     let system = load_system file auto_prio in
-    let config = Rta_core.Analysis.config ?release_horizon ?horizon () in
+    let config = horizon_config horizon release_horizon in
     (match Rta_core.Sensitivity.utilization_headroom system with
     | Some h -> Format.printf "utilization headroom (naive): %.3f@." h
     | None -> Format.printf "utilization headroom: n/a (trace arrivals)@.");

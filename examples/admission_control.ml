@@ -44,7 +44,7 @@ let () =
       Priority.deadline_monotonic (Array.of_list (!admitted @ [ candidate ]))
     in
     let system = System.make_exn ~schedulers ~jobs in
-    let release_horizon, horizon = Rta_workload.Jobshop.suggested_horizons system in
+    let release_horizon, horizon = System.suggested_horizons system in
     let report = Rta_core.Analysis.run ~config:(Rta_core.Analysis.config ~release_horizon ~horizon ()) system in
     if report.Rta_core.Analysis.schedulable then begin
       admitted := !admitted @ [ candidate ];

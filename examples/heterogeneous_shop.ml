@@ -25,7 +25,7 @@ let base_system sched_array =
 
 let show name sched_array =
   let system = base_system sched_array in
-  let release_horizon, horizon = Jobshop.suggested_horizons system in
+  let release_horizon, horizon = System.suggested_horizons system in
   let report = Rta_core.Analysis.run ~config:(Rta_core.Analysis.config ~release_horizon ~horizon ()) system in
   let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
   Format.printf "@.%s (method: %s)@." name

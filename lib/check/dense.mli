@@ -24,10 +24,6 @@ val equal_on : t -> t -> bool
 val pointwise : (int -> int -> int) -> t -> t -> t
 val map : (int -> int) -> t -> t
 
-val prefix_min : mode:[ `Left | `Right ] -> avail:t -> work_step:Step.t -> t
-(** Literal [min over s <= t of (c*(s) - A(s))] with [c*] the left limit or
-    value of the workload per mode — O(horizon^2) triple-checked loop. *)
-
 val transform : mode:[ `Left | `Right ] -> avail:t -> work_step:Step.t -> t
 (** Literal [min over s <= t of (A(t) - A(s) + c*(s))]. *)
 

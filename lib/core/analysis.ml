@@ -4,28 +4,28 @@ type config = {
   estimator : [ `Direct | `Sum ];
   release_horizon : int option;
   horizon : int option;
-  deadline_s : float option;
 }
 
-let default =
-  { estimator = `Direct; release_horizon = None; horizon = None; deadline_s = None }
+let default = { estimator = `Direct; release_horizon = None; horizon = None }
 
-let config ?(estimator = `Direct) ?release_horizon ?horizon ?deadline_s () =
-  { estimator; release_horizon; horizon; deadline_s }
+let config ?(estimator = `Direct) ?release_horizon ?horizon () =
+  { estimator; release_horizon; horizon }
 
 let resolve_horizons cfg system =
   let suggested_release, suggested = System.suggested_horizons system in
   let sat_double x = if x > max_int / 2 then max_int else 2 * x in
-  let release_horizon =
-    max 1 (Option.value ~default:suggested_release cfg.release_horizon)
-  in
-  let horizon =
-    max 1
-      (Option.value
-         ~default:(max suggested (sat_double release_horizon))
-         cfg.horizon)
-  in
-  (release_horizon, horizon)
+  let derived_horizon r = max suggested (sat_double r) in
+  let explicit = Option.map (max 1) in
+  match (explicit cfg.release_horizon, explicit cfg.horizon) with
+  | Some r, Some h -> (r, h)
+  | Some r, None -> (r, derived_horizon r)
+  | None, Some h ->
+      (* A derived release horizon never exceeds an explicit horizon:
+         releases past it could never be seen to depart. *)
+      (min (max 1 suggested_release) h, h)
+  | None, None ->
+      let r = max 1 suggested_release in
+      (r, derived_horizon r)
 
 type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 

@@ -15,10 +15,6 @@ type config = {
           regime ignores it *)
   release_horizon : int option;  (** ticks; derived from the periods if absent *)
   horizon : int option;  (** ticks; derived if absent *)
-  deadline_s : float option;
-      (** wall-clock budget for service front ends ([Rta_service.Batch]
-          drops requests not started within it); the analysis itself
-          ignores it and it does not affect results *)
 }
 (** Everything a front end can ask of an analysis, in one record.  The
     CLI, the batch service and the fuzz harness all build a [config] in
@@ -26,23 +22,21 @@ type config = {
     ([Rta_service.Key]) hash the record canonically. *)
 
 val default : config
-(** [`Direct] estimator, derived horizons, no deadline. *)
+(** [`Direct] estimator, derived horizons. *)
 
 val config :
-  ?estimator:[ `Direct | `Sum ] ->
-  ?release_horizon:int ->
-  ?horizon:int ->
-  ?deadline_s:float ->
-  unit ->
-  config
+  ?estimator:[ `Direct | `Sum ] -> ?release_horizon:int -> ?horizon:int -> unit -> config
 (** {!default} with the given fields overridden. *)
 
 val resolve_horizons : config -> Rta_model.System.t -> int * int
 (** [(release_horizon, horizon)] as {!run} will use them: explicit fields
     win; otherwise [release_horizon] comes from
-    {!Rta_model.System.suggested_horizons} and [horizon] defaults to
-    [max suggested (2 * release_horizon)].  Both results are always
-    positive: doublings saturate at [max_int] instead of wrapping and
+    {!Rta_model.System.suggested_horizons}, capped at an explicit
+    [horizon], and [horizon] defaults to
+    [max suggested (2 * release_horizon)].  So [release_horizon <= horizon]
+    unless both fields are explicit and contradict each other, which the
+    front ends reject as invalid input ({!Engine.run} raises on it).  Both
+    results are always positive: doublings saturate at [max_int] instead of wrapping and
     non-positive explicit fields are clamped to 1, so degenerate systems
     (huge periods, near-[max_int] traces) cannot produce a negative or
     zero horizon downstream. *)
@@ -62,9 +56,6 @@ val run : ?cancel:Cancel.t -> ?config:config -> Rta_model.System.t -> report
     (default {!Cancel.never}) is threaded into {!Engine.run} and
     {!Fixpoint.analyze}; when it fires mid-flight the call raises
     {!Cancel.Cancelled} and service front ends degrade to
-    {!Envelope_analysis} bounds.  [config.deadline_s] itself is {e not}
-    turned into a token here — converting a relative budget into an
-    absolute deadline is the caller's job (it knows when the request was
-    admitted). *)
+    {!Envelope_analysis} bounds. *)
 
 val pp_report : Rta_model.System.t -> Format.formatter -> report -> unit

@@ -1,14 +1,12 @@
-type t = Never | Deadline of float | Pred of (unit -> bool)
+type t = Never | Deadline of float
 
 exception Cancelled
 
 let never = Never
 let of_deadline d = Deadline d
-let make f = Pred f
 
 let cancelled = function
   | Never -> false
   | Deadline d -> Rta_obs.now () > d
-  | Pred f -> f ()
 
 let check t = if cancelled t then raise Cancelled

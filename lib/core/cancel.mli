@@ -1,8 +1,8 @@
 (** Cooperative cancellation for long-running analyses.
 
-    A token is a cheap predicate the engine and the fixed-point solver
+    A token is a cheap deadline test the engine and the fixed-point solver
     poll at natural checkpoints (per subjob, per iteration, every few
-    thousand FCFS instances).  When the predicate fires, the analysis
+    thousand FCFS instances).  When the token fires, the analysis
     raises {!Cancelled} and unwinds; callers catch it and degrade (the
     batch/serve front ends fall back to {!Envelope_analysis} bounds).
 
@@ -24,16 +24,7 @@ val never : t
 
 val of_deadline : float -> t
 (** [of_deadline t] fires once {!Rta_obs.now} exceeds [t] (absolute
-    seconds on the configured clock).  The deadline is evaluated at every
-    {!check}, so replacing the clock ({!Rta_obs.set_clock}) affects
-    in-flight tokens. *)
-
-val make : (unit -> bool) -> t
-(** Fires when the predicate returns [true].  The predicate must be fast
-    and safe to call from any domain. *)
-
-val cancelled : t -> bool
-(** Poll without raising. *)
+    wall-clock seconds).  The deadline is evaluated at every {!check}. *)
 
 val check : t -> unit
 (** @raise Cancelled if the token has fired. *)

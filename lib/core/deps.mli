@@ -25,7 +25,3 @@ type order =
           cycle. *)
 
 val compute : Rta_model.System.t -> order
-
-val dependencies :
-  Rta_model.System.t -> Rta_model.System.subjob_id -> Rta_model.System.subjob_id list
-(** The direct prerequisites of one subjob (as described above). *)

@@ -70,16 +70,15 @@ let check_entry t e =
   let fail fmt =
     Format.kasprintf (fun s -> failures := s :: !failures) fmt
   in
-  let check_inv (type a) name
-      (module C : Rta_curve.CURVE with type t = a) (c : a) =
-    try C.invariant c with Invalid_argument msg -> fail "%s: %s" name msg
+  let check_inv name invariant c =
+    try invariant c with Invalid_argument msg -> fail "%s: %s" name msg
   in
-  check_inv "arr_lo" Rta_curve.step_curve e.arr_lo;
-  check_inv "arr_hi" Rta_curve.step_curve e.arr_hi;
-  check_inv "dep_lo" Rta_curve.step_curve e.dep_lo;
-  check_inv "dep_hi" Rta_curve.step_curve e.dep_hi;
-  check_inv "svc_lo" Rta_curve.pl_curve e.svc_lo;
-  check_inv "svc_hi" Rta_curve.pl_curve e.svc_hi;
+  check_inv "arr_lo" Step.invariant e.arr_lo;
+  check_inv "arr_hi" Step.invariant e.arr_hi;
+  check_inv "dep_lo" Step.invariant e.dep_lo;
+  check_inv "dep_hi" Step.invariant e.dep_hi;
+  check_inv "svc_lo" Pl.invariant e.svc_lo;
+  check_inv "svc_hi" Pl.invariant e.svc_hi;
   if not (Pl.is_nondecreasing e.svc_lo) then fail "svc_lo is decreasing somewhere";
   if not (Pl.is_nondecreasing e.svc_hi) then fail "svc_hi is decreasing somewhere";
   if Pl.eval e.svc_lo 0 < 0 then

@@ -69,7 +69,7 @@ val entry : t -> Rta_model.System.subjob_id -> entry
 val check_entry : t -> entry -> string list
 (** Structural invariants of a computed entry, one message per violation
     (empty = all hold): every curve satisfies its representation invariant
-    ({!Rta_curve.CURVE}), service curves are non-decreasing and
+    ([Step.invariant], [Pl.invariant]), service curves are non-decreasing and
     non-negative, upper bounds dominate lower bounds within the horizon,
     and [exact] entries have coinciding bounds satisfying Theorem 2's
     [dep = floor (S / tau)].  The fuzz oracle ({!Rta_check}) runs this on

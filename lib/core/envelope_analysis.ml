@@ -110,11 +110,10 @@ type result = {
    never reads an unset cell.  A diverging stage poisons its own chain
    downstream (no envelope propagates), but other chains keep their bounds:
    interference uses envelopes, not verdicts. *)
-let system_bounds system =
+let system_bounds ~release_horizon system =
   match Deps.compute system with
   | Deps.Cyclic _ -> None
   | Deps.Acyclic order ->
-      let release_horizon, _ = System.suggested_horizons system in
       let n_jobs = System.job_count system in
       let release_env =
         Array.init n_jobs (fun j ->

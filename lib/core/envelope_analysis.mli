@@ -72,8 +72,11 @@ type result = {
   per_stage : verdict array array;  (** [per_stage.(j).(k)]: job j, step k *)
 }
 
-val system_bounds : Rta_model.System.t -> result option
-(** [None] when the system's dependencies are cyclic ({!Deps.Cyclic}) —
-    envelope propagation needs an order.  A stage whose bound diverges
-    poisons its own chain's downstream stages ([Unbounded]) but not other
-    chains. *)
+val system_bounds : release_horizon:int -> Rta_model.System.t -> result option
+(** Bounds for the releases within [release_horizon]: the bursty, sporadic
+    and trace envelopes ({!Rta_model.Arrival.envelope}) are built from those
+    releases, so a caller standing in for an analysis passes that
+    analysis's resolved release horizon.  [None] when the system's
+    dependencies are cyclic ({!Deps.Cyclic}) — envelope propagation needs
+    an order.  A stage whose bound diverges poisons its own chain's
+    downstream stages ([Unbounded]) but not other chains. *)

@@ -108,7 +108,3 @@ let schedulable engine ~estimator =
   let n = System.job_count engine.Engine.system in
   let rec go j = j >= n || (job_ok engine ~estimator ~job:j && go (j + 1)) in
   go 0
-
-let pp_verdict ppf = function
-  | Bounded r -> Format.fprintf ppf "bounded(%a)" Time.pp r
-  | Unbounded -> Format.pp_print_string ppf "unbounded"

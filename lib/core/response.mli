@@ -43,10 +43,6 @@ val completion_jitter : Engine.t -> job:int -> verdict
     the exact regime; what a downstream consumer outside the system (e.g.
     an actuator) must tolerate otherwise. *)
 
-val job_ok : Engine.t -> estimator:estimator -> job:int -> bool
-(** Whether the job's verdict is bounded and within its deadline. *)
-
 val schedulable : Engine.t -> estimator:estimator -> bool
-(** Conjunction of {!job_ok} over all jobs: the admission test. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
+(** Whether every job's verdict is bounded and within its deadline: the
+    admission test. *)

@@ -87,18 +87,6 @@ let dominates a b =
   in
   go 0 && rate a >= rate b
 
-let min2 a b =
-  let upto = max (probe_limit a) (probe_limit b) in
-  let samples = List.init (upto + 1) (fun d -> (d, min (eval a d) (eval b d))) in
-  (* Beyond [upto] both sides keep growing (or are constant); freezing the
-     explicit form there under-approximates the true minimum, which is the
-     sound direction for an envelope used as a constraint but not as a
-     bound.  Keep the staircase when one side dominates asymptotically. *)
-  match (a, b) with
-  | Staircase _, Staircase _ when dominates a b -> b
-  | Staircase _, Staircase _ when dominates b a -> a
-  | _ -> Explicit (Step.of_samples ~init:(min (eval a 0) (eval b 0)) samples)
-
 let widen alpha ~jitter =
   if jitter < 0 then invalid_arg "Envelope.widen: negative jitter";
   if jitter = 0 then alpha

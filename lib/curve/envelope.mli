@@ -48,9 +48,6 @@ val dominates : t -> t -> bool
 (** [dominates a b]: [a] allows at least as many releases as [b] in every
     window (every [b]-conforming trace is [a]-conforming). *)
 
-val min2 : t -> t -> t
-(** Pointwise minimum — the conjunction of two envelope constraints. *)
-
 val widen : t -> jitter:int -> t
 (** [widen alpha ~jitter] is [fun d -> alpha (d + jitter)]: the envelope of
     a stream that conformed to [alpha] and then crossed a stage with

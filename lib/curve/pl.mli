@@ -102,8 +102,8 @@ val knot_count : t -> int
 val invariant : t -> unit
 (** Checks the representation invariant (at least one knot, first at time
     0, strictly increasing knot times, integer segment slopes).  Always
-    holds for values built through this interface; exposed so generic
-    consumers ({!Curve_sig.CURVE}, the fuzz oracle) can audit curves
+    holds for values built through this interface; exposed so
+    {!Rta_core.Engine.check_entry} and the fuzz oracle can audit curves
     produced by long operation chains.
     @raise Invalid_argument with a descriptive message if violated. *)
 

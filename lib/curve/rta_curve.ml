@@ -1,11 +1,9 @@
 (** The curve layer: exact integer curve algebra for the service-function
     calculus.
 
-    {!Step} and {!Pl} are the two curve representations, both implementing
-    {!module-type:CURVE}; {!Minplus} is the min-plus transform connecting
-    them; {!Envelope} is the horizon-free arrival-envelope extension. *)
-
-module type CURVE = Curve_sig.CURVE
+    {!Step} and {!Pl} are the two curve representations; {!Minplus} is the
+    min-plus transform connecting them; {!Envelope} is the horizon-free
+    arrival-envelope extension. *)
 
 module Step = Step
 module Pl = Pl
@@ -23,10 +21,3 @@ module type KERNELS = sig
   val max2 : Pl.t -> Pl.t -> Pl.t
   val prefix_min : mode:[ `Left | `Right ] -> avail:Pl.t -> work:Step.t -> Pl.t
 end
-
-(* First-class conformance witnesses: packing the modules here both proves
-   at compile time that they satisfy CURVE and gives generic clients (the
-   fuzz oracle's invariant sweep) ready-made values to iterate over. *)
-
-let step_curve : (module CURVE with type t = Step.t) = (module Step)
-let pl_curve : (module CURVE with type t = Pl.t) = (module Pl)

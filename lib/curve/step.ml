@@ -63,18 +63,6 @@ let normalize ~init pairs =
   invariant f;
   f
 
-let of_jumps ?(init = 0) l =
-  if init < 0 then invalid_arg "Step.of_jumps: negative init";
-  let check_sorted (last_t, last_v) (t, v) =
-    if t < 0 then invalid_arg "Step.of_jumps: negative time";
-    if t <= last_t && last_t >= 0 then
-      invalid_arg "Step.of_jumps: times not strictly increasing";
-    if v <= last_v then invalid_arg "Step.of_jumps: values not increasing";
-    (t, v)
-  in
-  ignore (List.fold_left check_sorted (-1, init) l);
-  normalize ~init l
-
 let of_arrival_times times =
   let n = Array.length times in
   let check i =

@@ -22,13 +22,6 @@ val zero : t
 val const : int -> t
 (** [const v] is the constant function [fun _ -> v].  [v] must be [>= 0]. *)
 
-val of_jumps : ?init:int -> (int * int) list -> t
-(** [of_jumps ~init l] builds the function with value [init] (default 0)
-    before the first jump, where [l] lists [(time, value_from_time_on)]
-    pairs.  Times must be [>= 0] and strictly increasing, values strictly
-    increasing and [> init].
-    @raise Invalid_argument if the invariants are violated. *)
-
 val of_arrival_times : int array -> t
 (** [of_arrival_times ts] is the counting function of the release times
     [ts]: [f(t)] = number of entries of [ts] that are [<= t].  [ts] must be
@@ -40,8 +33,8 @@ val of_samples : ?init:int -> (int * int) list -> t
     [(time, value)] samples in non-decreasing time order: later samples at
     the same time win, samples that do not increase the value are dropped.
     The resulting function has value [init] before the first retained
-    sample.  Unlike {!of_jumps}, no strictness is required — this is the
-    lenient constructor used when deriving step functions from scans. *)
+    sample.  No strictness is required: this is the lenient constructor
+    used when deriving step functions from scans. *)
 
 (** {1 Observation} *)
 
@@ -83,15 +76,14 @@ val jump_count : t -> int
 (** Number of jump points. *)
 
 val knot_count : t -> int
-(** Alias of {!jump_count}: the description size in the sense of
-    {!Curve_sig.CURVE}. *)
+(** Alias of {!jump_count}: the description size, named as in {!Pl}. *)
 
 val invariant : t -> unit
 (** Checks the representation invariant (non-negative strictly increasing
     jump times, strictly increasing values above the initial value).
     Always holds for values built through this interface; exposed so
-    generic consumers ({!Curve_sig.CURVE}, the fuzz oracle) can audit
-    curves produced by long operation chains.
+    {!Rta_core.Engine.check_entry} and the fuzz oracle can audit curves
+    produced by long operation chains.
     @raise Invalid_argument with a descriptive message if violated. *)
 
 val jumps : t -> (int * int) array

@@ -15,7 +15,7 @@ let sched_of = function
   | Fcfs_app -> Sched.Fcfs
 
 let admits ?(estimator = `Sum) method_ system =
-  let release_horizon, horizon = Rta_workload.Jobshop.suggested_horizons system in
+  let release_horizon, horizon = System.suggested_horizons system in
   match method_ with
   | Spp_sl -> (
       match Rta_baselines.Sunliu.analyze system with

@@ -16,12 +16,11 @@ type method_ =
           value of exactness from the value of preemption *)
 
 val method_name : method_ -> string
-val sched_of : method_ -> Rta_model.Sched.t
 
 val admits :
   ?estimator:[ `Direct | `Sum ] -> method_ -> Rta_model.System.t -> bool
 (** Whether the method admits the job set (horizons from
-    {!Rta_workload.Jobshop.suggested_horizons}).  [estimator] (default
+    {!Rta_model.System.suggested_horizons}).  [estimator] (default
     [`Sum], the paper's Theorem 4) applies to the approximate methods. *)
 
 type point = {

@@ -217,14 +217,15 @@ let envelope_admission ?(sets = 100) ?(seed = 48) () =
         let trace_ok = ref 0 and envelope_ok = ref 0 in
         for set = 0 to sets - 1 do
           let system = tandem ~utilization (51 * set) in
-          let release_horizon, horizon = Jobshop.suggested_horizons system in
+          let release_horizon, horizon = System.suggested_horizons system in
           (match Rta_core.Engine.run ~release_horizon ~horizon system with
           | Ok e ->
               if Rta_core.Response.schedulable e ~estimator:`Exact then
                 incr trace_ok
           | Error (`Cyclic _) -> ());
           let result =
-            Option.get (Rta_core.Envelope_analysis.system_bounds system)
+            Option.get
+              (Rta_core.Envelope_analysis.system_bounds ~release_horizon system)
           in
           let all_ok =
             Array.for_all Fun.id
@@ -313,7 +314,7 @@ let perf_scaling ?(seed = 47) () =
         ~deadline:(Jobshop.Multiple_of_period 2.0) ~sched:Sched.Spp
     in
     let system = Jobshop.generate config ~rng:(Rng.make seed) in
-    let release_horizon, horizon = Jobshop.suggested_horizons system in
+    let release_horizon, horizon = System.suggested_horizons system in
     let runs = 5 in
     let t0 = Sys.time () in
     for _ = 1 to runs do
@@ -368,7 +369,7 @@ let tightness ?(sets = 60) ?(seed = 44) () =
               ~deadline:(Jobshop.Multiple_of_period 4.0) ~sched
           in
           let system = Jobshop.generate config ~rng in
-          let release_horizon, horizon = Jobshop.suggested_horizons system in
+          let release_horizon, horizon = System.suggested_horizons system in
           match Rta_core.Engine.run ~release_horizon ~horizon system with
           | Error (`Cyclic _) -> ()
           | Ok engine ->
@@ -462,7 +463,7 @@ let ablation ?(sets = 60) ?(seed = 45) () =
       in
       let rng = Rng.make (seed + (17 * set)) in
       let system = Jobshop.generate config ~rng in
-      let release_horizon, horizon = Jobshop.suggested_horizons system in
+      let release_horizon, horizon = System.suggested_horizons system in
       let run variant =
         Rta_core.Engine.run ~variant ~release_horizon ~horizon system
       in
@@ -546,7 +547,7 @@ let ablation ?(sets = 60) ?(seed = 45) () =
       in
       let rng = Rng.make (seed + (11 * set)) in
       let system = Jobshop.generate config ~rng in
-      let release_horizon, horizon = Jobshop.suggested_horizons system in
+      let release_horizon, horizon = System.suggested_horizons system in
       let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
       match Rta_core.Engine.run ~release_horizon ~horizon system with
       | Error (`Cyclic _) -> ()

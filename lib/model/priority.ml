@@ -53,11 +53,3 @@ let deadline_monotonic_system system =
     Array.init (System.processor_count system) (System.scheduler_of system)
   in
   System.make ~schedulers ~jobs
-
-let rate_monotonic jobs =
-  let period (j : System.job) _ =
-    match Arrival.rate_per_tick_denominator j.arrival with
-    | Some p -> float_of_int p
-    | None -> Float.max_float
-  in
-  rank_by period jobs

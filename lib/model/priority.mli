@@ -14,12 +14,3 @@ val deadline_monotonic_system : System.t -> (System.t, string) result
 (** [system] rebuilt with {!deadline_monotonic} priorities and the same
     schedulers: what [--auto-prio] and a batch request's ["auto_prio"]
     analyze.  [Error] carries {!System.make}'s message. *)
-
-val rate_monotonic : System.job array -> System.job array
-(** Classic rate-monotonic ranks (by the job's asymptotic period, shorter
-    period = higher priority).  Jobs with [Trace] arrivals are ranked last.
-    Ties broken by (job, step) index; unique per processor. *)
-
-val subdeadline : System.job -> int -> float
-(** [subdeadline job i] is Eq. 24's [D_{job,i}] in ticks (as a float; used
-    for ranking only). *)

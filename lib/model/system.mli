@@ -54,9 +54,6 @@ val higher_priority_on : t -> subjob_id -> subjob_id list
 (** Subjobs sharing this subjob's processor with strictly higher priority
     (smaller [prio]).  Meaningful for SPP/SPNP processors. *)
 
-val lower_priority_on : t -> subjob_id -> subjob_id list
-(** Subjobs sharing the processor with strictly lower priority. *)
-
 val max_blocking : t -> subjob_id -> int
 (** Eq. 15: the largest execution time among lower-priority subjobs on this
     subjob's processor (0 if none). *)

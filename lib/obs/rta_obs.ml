@@ -314,9 +314,7 @@ let enabled_flag = ref false
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
-let clock = ref Unix.gettimeofday
-let set_clock f = clock := f
-let now () = !clock ()
+let now = Unix.gettimeofday
 
 (* Registration tables and mutable stores share one lock.  Hooks on the
    enabled path hold it only for short, bounded sections (a table lookup,
@@ -585,10 +583,6 @@ let span_str t k v =
           let r = !span_store.(t) in
           r.s_attrs <- (k, Str v) :: r.s_attrs
         end)
-
-let with_span name f =
-  let t = span_begin name in
-  Fun.protect ~finally:(fun () -> span_end t) f
 
 type span_info = {
   si_name : string;

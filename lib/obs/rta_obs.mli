@@ -26,8 +26,8 @@
     rather than per-domain.  The disabled path takes no lock.
 
     The only dependency is the compiler-bundled [unix] library, used for
-    the default wall clock (pluggable via {!set_clock}); the locks and
-    atomics are the OCaml 5 standard library's. *)
+    the wall clock; the locks and atomics are the OCaml 5 standard
+    library's. *)
 
 (** {1 Minimal JSON} *)
 
@@ -43,8 +43,6 @@ module Json : sig
 
   val to_string : t -> string
   (** Compact, valid JSON.  Non-finite floats are emitted as [null]. *)
-
-  val to_channel : out_channel -> t -> unit
 
   val of_string : string -> (t, string) result
   (** Parse one strict JSON value (no trailing garbage).  Numbers without
@@ -62,12 +60,8 @@ val reset : unit -> unit
 (** Zero every registered metric, drop all recorded spans and observations.
     Handles stay registered and valid. *)
 
-val set_clock : (unit -> float) -> unit
-(** Replace the time source (seconds, monotonically non-decreasing).
-    Default: [Unix.gettimeofday]. *)
-
 val now : unit -> float
-(** Current reading of the configured clock. *)
+(** The wall clock, [Unix.gettimeofday], in seconds. *)
 
 (** {1 Counters} *)
 
@@ -137,10 +131,6 @@ val span_int : span -> string -> int -> unit
 val span_str : span -> string -> string -> unit
 (** Attach a string attribute (e.g. the theorem path taken). *)
 
-val with_span : string -> (unit -> 'a) -> 'a
-(** Convenience wrapper for cold paths (allocates a closure regardless of
-    the enabled state — do not use inside hot loops). *)
-
 type attr = Int of int | Str of string
 
 type span_info = {
@@ -170,8 +160,6 @@ val report : Format.formatter -> unit -> unit
 val metrics_json : unit -> Json.t
 (** Counters, gauges and histogram summaries only (no spans). *)
 
-val snapshot_json : unit -> Json.t
-(** {!metrics_json} plus the full span tree. *)
-
 val write_snapshot : string -> unit
-(** Write {!snapshot_json} to a file. *)
+(** Write {!metrics_json} plus the full span tree to a file (schema
+    [rta-obs-snapshot/1]). *)

@@ -6,11 +6,12 @@ type request = {
   spec : string;
   auto_prio : bool;
   config : Rta_core.Analysis.config;
+  deadline_s : float option;
 }
 
-let request ?id ?(auto_prio = false) ?(config = Rta_core.Analysis.default) spec
-    =
-  { id; spec; auto_prio; config }
+let request ?id ?(auto_prio = false) ?(config = Rta_core.Analysis.default)
+    ?deadline_s spec =
+  { id; spec; auto_prio; config; deadline_s }
 
 type verdict = { job_name : string; bound : int option }
 
@@ -113,9 +114,17 @@ let request_of_json ?(defaults = request "") json =
         | None -> defaults.config.Rta_core.Analysis.release_horizon
         | h -> h
       in
+      let* () =
+        match (release_horizon, horizon) with
+        | Some r, Some h when r > h ->
+            Error
+              (Printf.sprintf
+                 "\"release_horizon\" (%d) exceeds \"horizon\" (%d)" r h)
+        | _ -> Ok ()
+      in
       let* deadline_s =
         match List.assoc_opt "deadline_ms" fields with
-        | None -> Ok defaults.config.Rta_core.Analysis.deadline_s
+        | None -> Ok defaults.deadline_s
         | Some (Json.Int ms) when ms >= 0 -> Ok (Some (float_of_int ms /. 1e3))
         | Some (Json.Float ms) when ms >= 0. -> Ok (Some (ms /. 1e3))
         | Some _ -> Error "\"deadline_ms\" must be a non-negative number"
@@ -125,8 +134,8 @@ let request_of_json ?(defaults = request "") json =
           id;
           spec;
           auto_prio;
-          config =
-            { Rta_core.Analysis.estimator; release_horizon; horizon; deadline_s };
+          config = { Rta_core.Analysis.estimator; release_horizon; horizon };
+          deadline_s;
         }
   | _ -> Error "request line must be a JSON object"
 
@@ -153,12 +162,6 @@ let request_h = Rta_obs.histogram "service.request.seconds"
 (* ------------------------------------------------------------------ *)
 (* Batch execution                                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* The defaulting rule lives in one place (Analysis.resolve_horizons, built
-   on System.suggested_horizons), so `rta batch` and N separate
-   `rta analyze` runs resolve identical horizons by construction. *)
-let resolve_horizons system ~config =
-  Rta_core.Analysis.resolve_horizons config system
 
 type prepared =
   | P_invalid of string
@@ -285,11 +288,13 @@ let analysis_of_string s =
 (* Sound last resort for a request whose exact analysis was cancelled
    mid-flight: envelope bounds cost milliseconds and hold for every trace,
    so the client still gets usable numbers inside (a small multiple of) its
-   deadline.  Cyclic systems have no envelope order; they report the plain
-   timeout.  Any failure here must read as the timeout it is, not as an
-   analysis error. *)
-let degrade system =
-  match Rta_core.Envelope_analysis.system_bounds system with
+   deadline.  The bounds cover the releases the analysis would have seen
+   (its resolved release horizon), as the analysis does.  Cyclic systems
+   have no envelope order; they report the plain timeout.  Any failure here
+   must read as the timeout it is, not as an analysis error. *)
+let degrade ~config system =
+  let release_horizon, _ = Rta_core.Analysis.resolve_horizons config system in
+  match Rta_core.Envelope_analysis.system_bounds ~release_horizon system with
   | None -> Timed_out
   | Some r ->
       let bound_of = function
@@ -321,11 +326,7 @@ let execute ?cache ?store ~admitted prepared =
   match prepared with
   | P_invalid e -> Invalid e
   | P_ready { req; system; key } -> (
-      let deadline =
-        Option.map
-          (fun d -> admitted +. d)
-          req.config.Rta_core.Analysis.deadline_s
-      in
+      let deadline = Option.map (fun d -> admitted +. d) req.deadline_s in
       let expired =
         match deadline with Some d -> Rta_obs.now () > d | None -> false
       in
@@ -349,17 +350,12 @@ let execute ?cache ?store ~admitted prepared =
           match store with
           | None -> fresh ()
           | Some st -> (
-              match Store.find st ~key:khex with
-              | None -> fresh ()
-              | Some payload -> (
-                  match analysis_of_string payload with
-                  | Ok a -> a
-                  | Error _ ->
-                      (* Syntactically valid JSON that is not an analysis
-                         (schema drift, manual edits): drop it and
-                         recompute. *)
-                      Store.remove st ~key:khex;
-                      fresh ()))
+              (* A payload that does not decode as an analysis (truncated
+                 write, manual edit, schema drift) is evicted by the store
+                 and recomputed here, never served. *)
+              match Store.find st ~key:khex ~decode:analysis_of_string with
+              | Some a -> a
+              | None -> fresh ())
         in
         match
           match cache with
@@ -369,7 +365,8 @@ let execute ?cache ?store ~admitted prepared =
           | None -> compute ()
         with
         | a -> Analyzed a
-        | exception Rta_core.Cancel.Cancelled -> degrade system
+        | exception Rta_core.Cancel.Cancelled ->
+            degrade ~config:req.config system
         | exception e -> Failed (Printexc.to_string e))
 
 let status_tag = function

@@ -25,30 +25,34 @@ type request = {
   spec : string;  (** textual system description ({!Rta_model.Parser}) *)
   auto_prio : bool;  (** apply the Eq. 24 deadline-monotonic assignment *)
   config : Rta_core.Analysis.config;
-      (** how to analyze: estimator, horizons, request deadline
-          ([config.deadline_s] drops the request as [Timed_out] if a worker
-          has not started it within that many seconds of batch
-          submission) *)
+      (** how to analyze: estimator and horizons *)
+  deadline_s : float option;
+      (** wall-clock budget in seconds from admission: past due before a
+          worker starts the request means [Timed_out], past due mid-flight
+          means [Degraded].  It changes whether the analysis runs, never
+          its result, so it is not part of the cache key. *)
 }
 
 val request :
-  ?id:string -> ?auto_prio:bool -> ?config:Rta_core.Analysis.config -> string -> request
+  ?id:string ->
+  ?auto_prio:bool ->
+  ?config:Rta_core.Analysis.config ->
+  ?deadline_s:float ->
+  string ->
+  request
 (** [request spec] with defaults: no id, no auto-prio,
-    {!Rta_core.Analysis.default} (direct estimator, derived horizons, no
-    deadline). *)
-
-val request_of_json :
-  ?defaults:request -> Rta_obs.Json.t -> (request, string) result
-(** Decode [{"spec": "...", ...}].  Recognized fields: [spec] (required),
-    [schema_version] (integer; absent means 1, anything else is rejected),
-    [id] (string or int), [auto_prio] (bool), [estimator] ("direct" |
-    "sum"), [horizon] and [release_horizon] (positive int ticks),
-    [deadline_ms] (non-negative number).  Unknown fields are ignored.
-    Absent fields default to [defaults] (itself defaulting to
-    [request ""]).  See doc/BATCH.md for the wire format. *)
+    {!Rta_core.Analysis.default} (direct estimator, derived horizons), no
+    deadline. *)
 
 val request_of_line : ?defaults:request -> string -> (request, string) result
-(** {!request_of_json} over one parsed NDJSON line. *)
+(** Decode one NDJSON line [{"spec": "...", ...}].  Recognized fields:
+    [spec] (required), [schema_version] (integer; absent means 1, anything
+    else is rejected), [id] (string or int), [auto_prio] (bool),
+    [estimator] ("direct" | "sum"), [horizon] and [release_horizon]
+    (positive int ticks; a [release_horizon] above the [horizon] is
+    rejected), [deadline_ms] (non-negative number).  Unknown fields are
+    ignored.  Absent fields default to [defaults] (itself defaulting to
+    [request ""]).  See doc/BATCH.md for the wire format. *)
 
 type verdict = { job_name : string; bound : int option  (** ticks; [None] = unbounded *) }
 
@@ -86,12 +90,6 @@ type response = {
   status : status;
 }
 
-val resolve_horizons :
-  Rta_model.System.t -> config:Rta_core.Analysis.config -> int * int
-(** The horizons the batch will analyze [system] with: delegates to
-    {!Rta_core.Analysis.resolve_horizons}, the single home of the
-    defaulting rule shared with [rta analyze]. *)
-
 (** {1 Per-request building blocks}
 
     {!prepare} and {!execute} are the two halves {!run} is made of,
@@ -114,7 +112,7 @@ val execute :
   prepared ->
   status
 (** Analyze one prepared request.  [admitted] (a {!Rta_obs.now} timestamp)
-    anchors the request's [deadline_ms]: already past due means
+    anchors the request's [deadline_s]: already past due means
     [Timed_out] without touching the engine; otherwise the deadline
     becomes a {!Rta_core.Cancel} token polled inside the engine, and a
     mid-flight expiry degrades the request to envelope bounds
@@ -155,12 +153,10 @@ val status_tag : status -> string
 (** Short label for spans and logs: ["ok"], ["unschedulable"],
     ["degraded"], ["invalid"], ["timeout"] or ["failed"]. *)
 
-val response_json : response -> Rta_obs.Json.t
-(** Always carries [("schema_version", 1)] as its first field; see
-    doc/BATCH.md for the full wire format. *)
-
 val response_line : response -> string
-(** One compact NDJSON line (no trailing newline). *)
+(** One compact NDJSON line (no trailing newline).  Always carries
+    [("schema_version", 1)] as its first field; see doc/BATCH.md for the
+    full wire format. *)
 
 type summary = {
   total : int;

@@ -41,20 +41,6 @@ let find t key =
 
 let stats t = locked t (fun () -> (t.hits, t.misses))
 
-let clear t =
-  locked t (fun () ->
-      (* Keep Pending markers: an in-flight computation must still find its
-         marker to replace.  Only completed results are dropped. *)
-      let pending =
-        Hashtbl.fold
-          (fun k e acc -> match e with Pending -> k :: acc | Done _ -> acc)
-          t.tbl []
-      in
-      Hashtbl.reset t.tbl;
-      List.iter (fun k -> Hashtbl.replace t.tbl k Pending) pending;
-      t.hits <- 0;
-      t.misses <- 0)
-
 let find_or_compute t ~key f =
   Mutex.lock t.mutex;
   let rec decide () =

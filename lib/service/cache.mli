@@ -34,9 +34,4 @@ val length : 'a t -> int
 (** Number of completed entries. *)
 
 val stats : 'a t -> int * int
-(** [(hits, misses)] accumulated by {!find_or_compute} since creation (or
-    the last {!clear}). *)
-
-val clear : 'a t -> unit
-(** Drop all completed entries and zero the statistics.  In-flight
-    markers survive so concurrent computations complete normally. *)
+(** [(hits, misses)] accumulated by {!find_or_compute} since creation. *)

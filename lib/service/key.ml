@@ -1,7 +1,5 @@
 type t = string
 
-let canonical_spec system = Rta_model.Parser.print system
-
 let estimator_tag = function `Direct -> "direct" | `Sum -> "sum"
 
 let of_system ~config system =
@@ -10,9 +8,7 @@ let of_system ~config system =
      analysis parameters with horizons RESOLVED (an explicit horizon equal
      to the derived default hashes identically), and the canonicalized
      system (parse + re-print normalizes whitespace, comments, key order
-     and number formatting).  [config.deadline_s] is deliberately absent:
-     a request deadline changes whether the analysis runs, never its
-     result. *)
+     and number formatting). *)
   let release_horizon, horizon =
     Rta_core.Analysis.resolve_horizons config system
   in
@@ -24,7 +20,7 @@ let of_system ~config system =
         estimator_tag config.Rta_core.Analysis.estimator;
         string_of_int release_horizon;
         string_of_int horizon;
-        canonical_spec system;
+        Rta_model.Parser.print system;
       ]
   in
   Digest.to_hex (Digest.string canonical)

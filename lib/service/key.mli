@@ -15,12 +15,8 @@ val of_system : config:Rta_core.Analysis.config -> Rta_model.System.t -> t
 (** The key of analyzing [system] under [config].  Horizons are resolved
     ({!Rta_core.Analysis.resolve_horizons}) before hashing, so an explicit
     horizon equal to the derived default yields the same key as omitting
-    it.  [config.deadline_s] does not participate: a request deadline
-    changes whether the analysis runs, never its result. *)
-
-val canonical_spec : Rta_model.System.t -> string
-(** The canonical textual form used in the digest
-    ({!Rta_model.Parser.print}). *)
+    it.  The whole [config] participates; a request deadline is not part
+    of it ({!Batch.request}). *)
 
 val to_hex : t -> string
 val equal : t -> t -> bool

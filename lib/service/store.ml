@@ -30,7 +30,6 @@ type entry = { mutable size : int; mutable stamp : int }
 type t = {
   dir : string;
   max_bytes : int;
-  validate : string -> bool;
   mutex : Mutex.t;
   index : (string, entry) Hashtbl.t;
   mutable bytes : int;
@@ -40,8 +39,6 @@ type t = {
   mutable evictions : int;
   mutable corrupt : int;
 }
-
-let default_max_bytes = 64 * 1024 * 1024
 
 let key_ok key =
   String.length key = 32
@@ -68,13 +65,12 @@ let key_of_filename name =
     if key_ok key then Some key else None
   else None
 
-let open_ ?(max_bytes = default_max_bytes) ?(validate = fun _ -> true) dir =
+let open_ ?(max_bytes = 64 * 1024 * 1024) dir =
   mkdir_p dir;
   let t =
     {
       dir;
       max_bytes;
-      validate;
       mutex = Mutex.create ();
       index = Hashtbl.create 256;
       bytes = 0;
@@ -154,7 +150,7 @@ let read_file p =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let find t ~key =
+let find t ~key ~decode =
   locked t (fun () ->
       let miss () =
         t.misses <- t.misses + 1;
@@ -170,17 +166,16 @@ let find t ~key =
             | exception (Sys_error _ | End_of_file) ->
                 evict_corrupt t key entry;
                 miss ()
-            | payload ->
-                if t.validate payload then begin
-                  t.hits <- t.hits + 1;
-                  Rta_obs.incr m_hits;
-                  touch t key entry;
-                  Some payload
-                end
-                else begin
-                  evict_corrupt t key entry;
-                  miss ()
-                end))
+            | payload -> (
+                match decode payload with
+                | Ok v ->
+                    t.hits <- t.hits + 1;
+                    Rta_obs.incr m_hits;
+                    touch t key entry;
+                    Some v
+                | Error _ ->
+                    evict_corrupt t key entry;
+                    miss ())))
 
 let put t ~key payload =
   locked t (fun () ->
@@ -216,12 +211,6 @@ let put t ~key payload =
              failing to persist must not fail the request. *)
           ()
       end)
-
-let remove t ~key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.index key with
-      | Some entry -> drop t key entry
-      | None -> ())
 
 let flush t =
   locked t (fun () ->

@@ -16,10 +16,10 @@
     {b Corruption tolerance.}  A store directory is user-writable state
     and must never take the daemon down.  On {!open_}, unparseable
     filenames are ignored.  On {!find}, an entry that cannot be read or
-    whose payload fails validation (truncated write on a non-atomic
-    filesystem, manual editing, bit rot) is {e evicted} — deleted and
-    counted in [stats.corrupt] — and the lookup reports a miss so the
-    caller recomputes and overwrites it.
+    whose payload the caller's [decode] rejects (truncated write on a
+    non-atomic filesystem, manual editing, bit rot, schema drift) is
+    {e evicted} — deleted and counted in [stats.corrupt] — and the lookup
+    reports a miss so the caller recomputes and overwrites it.
 
     {b Eviction.}  The store is size-capped ([max_bytes]).  When a put
     would exceed the cap, least-recently-used entries are deleted first;
@@ -41,32 +41,26 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;  (** entries deleted to stay under [max_bytes] *)
-  corrupt : int;  (** entries evicted because they failed validation *)
+  corrupt : int;  (** entries evicted because they could not be decoded *)
 }
 
-val default_max_bytes : int
-(** 64 MiB. *)
-
-val open_ :
-  ?max_bytes:int -> ?validate:(string -> bool) -> string -> t
+val open_ : ?max_bytes:int -> string -> t
 (** [open_ dir] creates [dir] (and parents) if needed, sweeps leftover
-    temporaries, and indexes existing entries by mtime.  [validate]
-    (default: accepts anything) is applied to every payload returned by
-    {!find}; rejected payloads are treated as corrupt.  Counters start at
-    zero — they describe this process's lifetime, not the directory's. *)
+    temporaries, and indexes existing entries by mtime.  [max_bytes]
+    defaults to 64 MiB.  Counters start at zero — they describe this
+    process's lifetime, not the directory's. *)
 
-val find : t -> key:string -> string option
-(** The stored payload, refreshing the entry's recency, or [None] on
-    miss/corruption.  Keys that are not 32 lowercase hex digits (see
-    {!Key.of_system}) never touch the filesystem and count as misses. *)
+val find : t -> key:string -> decode:(string -> ('a, 'e) result) -> 'a option
+(** The stored payload decoded by [decode], refreshing the entry's
+    recency, or [None] on a miss.  An unreadable entry or one [decode]
+    rejects is evicted and counted as corrupt and as a miss, so the
+    counters do not depend on who opened the store.  Keys that are not 32
+    lowercase hex digits (see {!Key.of_system}) never touch the filesystem
+    and count as misses. *)
 
 val put : t -> key:string -> string -> unit
 (** Store (or overwrite) the payload atomically, evicting LRU entries as
     needed.  Malformed keys and oversized payloads are ignored. *)
-
-val remove : t -> key:string -> unit
-(** Delete the entry if present (used by callers whose richer decoding
-    spots corruption that [validate] let through). *)
 
 val flush : t -> unit
 (** Best-effort [fsync] of the store directory, making published renames

@@ -98,5 +98,3 @@ let generate c ~rng =
   in
   let jobs = Priority.deadline_monotonic jobs in
   System.make_exn ~schedulers:(Array.make n_procs c.sched) ~jobs
-
-let suggested_horizons = System.suggested_horizons

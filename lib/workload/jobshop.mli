@@ -58,7 +58,3 @@ val default :
 val generate : config -> rng:Rng.t -> Rta_model.System.t
 (** A random job set drawn from the configuration.  Deterministic in the
     rng state. *)
-
-val suggested_horizons : Rta_model.System.t -> int * int
-(** Alias of {!Rta_model.System.suggested_horizons}, kept for callers that
-    already work through this module. *)

@@ -793,7 +793,8 @@ let prop_envelope_dominates_trace_analysis =
 (* ------------------------------------------------------------------ *)
 
 let envelope_bounds system =
-  match Rta_core.Envelope_analysis.system_bounds system with
+  let release_horizon, _ = System.suggested_horizons system in
+  match Rta_core.Envelope_analysis.system_bounds ~release_horizon system with
   | Some result -> result
   | None -> Alcotest.fail "unexpected cyclic dependency"
 
@@ -889,6 +890,32 @@ let check_envelope_dominates_sim system =
           ())
     pipe.Rta_core.Envelope_analysis.end_to_end;
   pipe
+
+let test_envelope_request_release_horizon () =
+  (* The burst at 20.000 lies past the trace's suggested release horizon
+     (10.000).  Bounds standing in for an analysis that releases up to
+     30.000 (the service layer's degraded answer) must cover it. *)
+  let system =
+    match
+      Parser.parse
+        {|processors spp
+job A arrival trace 0,20,20,20 deadline 50
+  step proc=0 exec=1 prio=1
+|}
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let release_horizon = 30_000 and horizon = 60_000 in
+  let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
+  let worst = Option.get (Rta_sim.Sim.worst_response sim 0) in
+  check_int "the burst is simulated" 3_000 worst;
+  match Rta_core.Envelope_analysis.system_bounds ~release_horizon system with
+  | Some { end_to_end = [| Rta_core.Envelope_analysis.Bounded b |]; _ } ->
+      Alcotest.(check bool)
+        (Printf.sprintf "envelope %d >= simulated %d" b worst)
+        true (b >= worst)
+  | _ -> Alcotest.fail "expected one bounded job"
 
 let test_envelope_per_stage_priorities () =
   (* The priority order flips between the stages: A outranks B on P0, B
@@ -1079,6 +1106,43 @@ let test_resolve_horizons_degenerate () =
   Alcotest.(check int) "negative horizon becomes one" 1
     (snd (resolve ~horizon:(-3) trace))
 
+let test_resolve_horizons_combinations () =
+  (* Each field present or absent: explicit values win, and a derived
+     release horizon never exceeds the horizon it is analyzed against. *)
+  let system =
+    one_proc_system
+      [
+        job "T"
+          (Arrival.Periodic { period = 10_000; offset = 0 })
+          [ { System.proc = 0; exec = 1_000; prio = 1 } ];
+      ]
+  in
+  let suggested_release, _ = System.suggested_horizons system in
+  let small = suggested_release / 2 in
+  List.iter
+    (fun (release_horizon, horizon) ->
+      let label =
+        let show = function None -> "-" | Some v -> string_of_int v in
+        Printf.sprintf "release %s, horizon %s" (show release_horizon)
+          (show horizon)
+      in
+      let rh, h =
+        Rta_core.Analysis.resolve_horizons
+          (Rta_core.Analysis.config ?release_horizon ?horizon ())
+          system
+      in
+      Alcotest.(check bool) (label ^ ": release <= horizon") true (rh <= h);
+      Option.iter (check_int (label ^ ": explicit release wins") rh) release_horizon;
+      Option.iter (check_int (label ^ ": explicit horizon wins") h) horizon)
+    [
+      (None, None);
+      (Some small, None);
+      (None, Some small);
+      (None, Some (4 * suggested_release));
+      (Some small, Some small);
+      (Some small, Some suggested_release);
+    ]
+
 let () =
   Alcotest.run "rta_core"
     [
@@ -1119,6 +1183,8 @@ let () =
           Alcotest.test_case "resolve_horizons degenerate" `Quick
             test_resolve_horizons_degenerate;
           prop_sum_equals_direct_single_stage;
+          Alcotest.test_case "resolve_horizons field combinations" `Quick
+            test_resolve_horizons_combinations;
         ] );
       ( "invariants",
         [ prop_per_instance_matches_sim; prop_time_scaling_invariance ] );
@@ -1138,6 +1204,8 @@ let () =
             test_envelope_per_stage_priorities;
           Alcotest.test_case "two processors per stage" `Quick
             test_envelope_two_procs_per_stage;
+          Alcotest.test_case "request release horizon dominates simulation"
+            `Quick test_envelope_request_release_horizon;
         ] );
       ( "priority-search",
         [

@@ -463,7 +463,7 @@ let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
     [ step_add; step_scale; pl_add; pl_sub; pl_min2; pl_max2; prefix_min ]
 
 let run_engine system =
-  let release_horizon, horizon = Rta_workload.Jobshop.suggested_horizons system in
+  let release_horizon, horizon = System.suggested_horizons system in
   match Rta_core.Engine.run ~release_horizon ~horizon system with
   | Ok e -> ignore (Rta_core.Response.schedulable e ~estimator:`Direct)
   | Error (`Cyclic _) -> Alcotest.fail "job shops are acyclic"
@@ -479,7 +479,7 @@ let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
     (fun () ->
       let system = seeded_shop ~stages ~jobs Sched.Spp in
       let release_horizon, horizon =
-        Rta_workload.Jobshop.suggested_horizons system
+        System.suggested_horizons system
       in
       ignore (Rta_core.Fixpoint.analyze ~release_horizon ~horizon system))
 

@@ -92,16 +92,22 @@ let test_key_canonicalization () =
   check_bool "horizon is part of the key" false (Key.equal (key a) k_h);
   let k_rh = Key.of_system ~config:(cfg ~release_horizon:25 ()) a in
   check_bool "release horizon is part of the key" false (Key.equal (key a) k_rh);
-  (* The key hashes the RESOLVED config: a request deadline does not
-     change the analysis result, and spelling out the derived default
-     horizons hashes like omitting them. *)
-  let k_deadline =
-    Key.of_system
-      ~config:{ (cfg ()) with Rta_core.Analysis.deadline_s = Some 1.0 }
-      a
+  (* A request deadline does not change the analysis result, so two
+     requests that differ only in it share a key. *)
+  let prepared_key line =
+    match Batch.prepare (Batch.request_of_line line) with
+    | Batch.P_ready { key; _ } -> key
+    | Batch.P_invalid e -> Alcotest.failf "request should prepare: %s" e
   in
-  check_bool "deadline_s is not part of the key" true
-    (Key.equal (key a) k_deadline);
+  let line extra =
+    Printf.sprintf {|{"spec": %S, "horizon": 100%s}|} sample_spec extra
+  in
+  check_bool "deadline_ms is not part of the key" true
+    (Key.equal
+       (prepared_key (line ""))
+       (prepared_key (line {|, "deadline_ms": 1000|})));
+  (* The key hashes the RESOLVED config: spelling out the derived default
+     horizons hashes like omitting them. *)
   let k_default = Key.of_system ~config:Rta_core.Analysis.default a in
   let rh, h =
     Rta_core.Analysis.resolve_horizons Rta_core.Analysis.default a
@@ -184,7 +190,7 @@ let test_differential_vs_sequential_analyze () =
       let req = match requests.(i) with Ok r -> r | Error _ -> assert false in
       let system = parse_exn req.Batch.spec in
       let _, horizon =
-        Batch.resolve_horizons system ~config:Rta_core.Analysis.default
+        Rta_core.Analysis.resolve_horizons Rta_core.Analysis.default system
       in
       let report = Rta_core.Analysis.run system in
       match response.Batch.status with
@@ -243,9 +249,7 @@ let test_deadline_timeout () =
   let requests =
     [|
       Ok
-        (Batch.request ~id:"expired"
-           ~config:(Rta_core.Analysis.config ~deadline_s:(-1.) ())
-           (spec_of_seed 2));
+        (Batch.request ~id:"expired" ~deadline_s:(-1.) (spec_of_seed 2));
       Ok (Batch.request ~id:"fine" (spec_of_seed 2));
     |]
   in
@@ -333,7 +337,7 @@ let test_request_decoding () =
   check_bool "horizon decoded" true
     (r.Batch.config.Rta_core.Analysis.horizon = Some 99);
   check_bool "deadline decoded" true
-    (r.Batch.config.Rta_core.Analysis.deadline_s = Some 0.25);
+    (r.Batch.deadline_s = Some 0.25);
   let d = ok {|{"spec": "processors spp\n"}|} in
   check_bool "defaults" true
     (d.Batch.id = None && (not d.Batch.auto_prio)
@@ -349,6 +353,20 @@ let test_request_decoding () =
   reject "bad estimator" {|{"spec": "processors spp\n", "estimator": "magic"}|};
   reject "bad horizon" {|{"spec": "processors spp\n", "horizon": -5}|};
   reject "bad deadline" {|{"spec": "processors spp\n", "deadline_ms": -1}|}
+
+let test_contradictory_horizons_invalid () =
+  (* Two explicit horizons that contradict each other are bad input, not
+     an analysis failure: no worker is spent and nothing is cached. *)
+  let line =
+    Printf.sprintf {|{"spec": %S, "release_horizon": 5000, "horizon": 2000}|}
+      (spec_of_seed 1)
+  in
+  (match Batch.request_of_line line with
+  | Ok _ -> Alcotest.fail "release_horizon above horizon should be rejected"
+  | Error _ -> ());
+  let r = (Batch.run [| Batch.request_of_line line |]).(0) in
+  check_string "answered invalid" "invalid" (Batch.status_tag r.Batch.status);
+  check_bool "not a cache miss" true (r.Batch.cache = `Uncached)
 
 let test_response_roundtrips_as_json () =
   let requests = [| Ok (Batch.request ~id:"r0" (spec_of_seed 3)) |] in
@@ -389,17 +407,17 @@ let slow_spec =
   Parser.print
     (Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 3))
 
-let slow_config ?deadline_s () =
-  Rta_core.Analysis.config ?deadline_s ~release_horizon:4_000_000
+let slow_release_horizon = 4_000_000
+
+let slow_config =
+  Rta_core.Analysis.config ~release_horizon:slow_release_horizon
     ~horizon:8_000_000 ()
 
 let test_midflight_degrade () =
   let requests =
     [|
       Ok
-        (Batch.request ~id:"slow"
-           ~config:(slow_config ~deadline_s:0.4 ())
-           slow_spec);
+        (Batch.request ~id:"slow" ~config:slow_config ~deadline_s:0.4 slow_spec);
     |]
   in
   let t0 = Unix.gettimeofday () in
@@ -431,16 +449,17 @@ let test_midflight_degrade () =
 let test_degraded_matches_envelope () =
   let system = parse_exn slow_spec in
   let expected =
-    match Rta_core.Envelope_analysis.system_bounds system with
+    match
+      Rta_core.Envelope_analysis.system_bounds
+        ~release_horizon:slow_release_horizon system
+    with
     | Some r -> r.Rta_core.Envelope_analysis.end_to_end
     | None -> Alcotest.fail "jobshop systems are acyclic"
   in
   let requests =
     [|
       Ok
-        (Batch.request ~id:"slow"
-           ~config:(slow_config ~deadline_s:0.3 ())
-           slow_spec);
+        (Batch.request ~id:"slow" ~config:slow_config ~deadline_s:0.3 slow_spec);
     |]
   in
   match (Batch.run ~jobs:1 requests).(0).Batch.status with
@@ -492,7 +511,7 @@ let test_store_warm_restart () =
   let dir = temp_dir "store" in
   let requests = corpus ~n:3 ~unique:3 in
   let cold =
-    let store = Store.open_ ~validate:validate_analysis dir in
+    let store = Store.open_ dir in
     let r = Batch.run ~jobs:1 ~cache:(Cache.create ()) ~store requests in
     Store.flush store;
     let s = Store.stats store in
@@ -502,17 +521,20 @@ let test_store_warm_restart () =
   in
   (* A fresh process: new store handle, empty in-process cache.  Every
      result must come off disk without touching the engine. *)
-  let store = Store.open_ ~validate:validate_analysis dir in
+  let store = Store.open_ dir in
   let warm = Batch.run ~jobs:1 ~cache:(Cache.create ()) ~store requests in
   let s = Store.stats store in
   check_int "warm restart answers from the store" 3 s.Store.hits;
   check_int "warm restart never recomputes" 0 s.Store.misses;
   check_string "restart changes no response bytes" (render cold) (render warm)
 
-let test_store_corruption_evicted () =
+(* A store opened plainly still never serves a payload that does not decode
+   as an analysis: unparseable bytes and valid JSON of the wrong shape are
+   both evicted, counted as corrupt and as a miss, and recomputed. *)
+let check_corrupt_payload garbage =
   let dir = temp_dir "corrupt" in
   let requests = [| Ok (Batch.request ~id:"a" (spec_of_seed 4)) |] in
-  let store = Store.open_ ~validate:validate_analysis dir in
+  let store = Store.open_ dir in
   ignore (Batch.run ~jobs:1 ~cache:(Cache.create ()) ~store requests);
   let entry =
     match
@@ -523,10 +545,10 @@ let test_store_corruption_evicted () =
     | l -> Alcotest.failf "expected one store entry, found %d" (List.length l)
   in
   let oc = open_out entry in
-  output_string oc "{ definitely not an analysis";
+  output_string oc garbage;
   close_out oc;
   (* Fresh handle, as after a restart onto a damaged directory. *)
-  let store = Store.open_ ~validate:validate_analysis dir in
+  let store = Store.open_ dir in
   let responses = Batch.run ~jobs:1 ~cache:(Cache.create ()) ~store requests in
   (match responses.(0).Batch.status with
   | Batch.Analyzed _ -> ()
@@ -536,11 +558,16 @@ let test_store_corruption_evicted () =
   let s = Store.stats store in
   check_int "corrupt entry detected and evicted" 1 s.Store.corrupt;
   check_int "and recomputed" 1 s.Store.misses;
+  check_int "never served" 0 s.Store.hits;
   let ic = open_in_bin entry in
   let payload = really_input_string ic (in_channel_length ic) in
   close_in ic;
   check_bool "entry healed on disk by the recompute" true
     (validate_analysis payload)
+
+let test_store_corruption_evicted () =
+  List.iter check_corrupt_payload
+    [ "{ definitely not an analysis"; {|{"method":"exact"}|} ]
 
 let test_store_lru_eviction () =
   let dir = temp_dir "lru" in
@@ -551,13 +578,13 @@ let test_store_lru_eviction () =
   for i = 0 to 2 do
     Store.put store ~key:(key i) (payload i)
   done;
-  check_bool "all three fit" true (Store.find store ~key:(key 0) <> None);
+  check_bool "all three fit" true (Store.find store ~key:(key 0) ~decode:Result.ok <> None);
   (* That find refreshed key 0, so key 1 is now the least recently used. *)
   Store.put store ~key:(key 3) (payload 3);
-  check_bool "LRU entry evicted" true (Store.find store ~key:(key 1) = None);
+  check_bool "LRU entry evicted" true (Store.find store ~key:(key 1) ~decode:Result.ok = None);
   check_bool "recently-used entry survives" true
-    (Store.find store ~key:(key 0) <> None);
-  check_bool "newest entry present" true (Store.find store ~key:(key 3) <> None);
+    (Store.find store ~key:(key 0) ~decode:Result.ok <> None);
+  check_bool "newest entry present" true (Store.find store ~key:(key 3) ~decode:Result.ok <> None);
   check_bool "evictions counted" true ((Store.stats store).Store.evictions >= 1)
 
 let test_store_hygiene () =
@@ -573,12 +600,12 @@ let test_store_hygiene () =
   let store = Store.open_ dir in
   check_bool "stale temporary swept on open" false (Sys.file_exists stale);
   check_bool "pre-existing entry indexed" true
-    (Store.find store ~key:manual_key = Some "hello");
+    (Store.find store ~key:manual_key ~decode:Result.ok = Some "hello");
   check_bool "path-traversal keys never touch the filesystem" true
-    (Store.find store ~key:"../../etc/passwd" = None);
+    (Store.find store ~key:"../../etc/passwd" ~decode:Result.ok = None);
   Store.put store ~key:"not-a-key" "x";
   check_bool "malformed keys are not stored" true
-    (Store.find store ~key:"not-a-key" = None)
+    (Store.find store ~key:"not-a-key" ~decode:Result.ok = None)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon (socket transport; stop () instead of signals)               *)
@@ -740,7 +767,7 @@ let test_server_store_restart () =
   let path = socket_path "warmstart" in
   let spec = spec_of_seed 6 in
   let run_once () =
-    let store = Store.open_ ~validate:validate_analysis dir in
+    let store = Store.open_ dir in
     let cfg =
       Server.config ~workers:1 ~max_queue:4 ~store ~socket:path ~stdio:false ()
     in
@@ -951,6 +978,8 @@ let () =
           Alcotest.test_case "auto_prio applies Eq. 24" `Quick test_batch_auto_prio;
           Alcotest.test_case "response is valid JSON" `Quick
             test_response_roundtrips_as_json;
+          Alcotest.test_case "contradictory horizons are invalid" `Quick
+            test_contradictory_horizons_invalid;
         ] );
       ("golden", [ Alcotest.test_case "batch output digest" `Quick test_golden_batch_output ]);
     ]

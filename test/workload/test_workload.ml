@@ -151,7 +151,7 @@ let test_determinism () =
 
 let test_horizons () =
   let system = Jobshop.generate (config ()) ~rng:(Rng.make 13) in
-  let release, horizon = Jobshop.suggested_horizons system in
+  let release, horizon = System.suggested_horizons system in
   check_bool "release positive" true (release > 0);
   check_int "horizon doubles" (2 * release) horizon;
   (* Ten periods of the longest job. *)
