@@ -68,6 +68,33 @@ let gen_step rng =
   in
   Step.of_samples ~init samples
 
+(* Non-decreasing curves for the inverse check: the same segment-wise
+   shapes without negative slopes. *)
+let gen_pl_mono rng =
+  let n = Rng.int_range rng 0 6 in
+  let segs = gen_segments rng ~n ~lo_slope:0 ~hi_slope:6 in
+  pl_of_segments
+    ~y0:(Rng.int_range rng (-5) 10)
+    ~tail:(Rng.int_range rng 0 4)
+    segs
+
+(* A curve that falls somewhere: one segment, or the tail, is forced
+   negative. *)
+let gen_pl_falling rng =
+  let n = Rng.int_range rng 0 6 in
+  let segs = gen_segments rng ~n ~lo_slope:0 ~hi_slope:6 in
+  let at = Rng.int_range rng 0 n in
+  let fall = -Rng.int_range rng 1 4 in
+  let segs =
+    List.mapi (fun i (len, s) -> (len, if i = at then fall else s)) segs
+  in
+  pl_of_segments
+    ~y0:(Rng.int_range rng (-5) 10)
+    ~tail:(if at = n then fall else Rng.int_range rng 0 4)
+    segs
+
+let gen_steps rng = List.init (Rng.int_range rng 0 6) (fun _ -> gen_step rng)
+
 let gen_times rng =
   let n = Rng.int_range rng 1 20 in
   let t = ref 0 in
@@ -109,6 +136,15 @@ let step_shrinks f =
     if init <> 0 then [ (fun () -> Step.of_samples ~init:0 jumps) ] else []
   in
   List.filter_map keep_valid (drops @ zero_init)
+
+(* Drop one member, or shrink one member in place. *)
+let list_shrinks shrinks l =
+  let drops = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
+  let replace i x' = List.mapi (fun j y -> if j = i then x' else y) l in
+  let inner =
+    List.concat (List.mapi (fun i x -> List.map (replace i) (shrinks x)) l)
+  in
+  drops @ inner
 
 let rec shrink2 shrinks_a shrinks_b still_fails (a, b) =
   let cands =
@@ -179,6 +215,60 @@ let cursor_step_detail times f =
   Printf.sprintf "f = %s\ntimes = [%s]" (show_step f)
     (String.concat "; " (List.map string_of_int times))
 
+(* The checked inverse handle against the dense scan, over targets from
+   below the curve's start to past its value at the dense horizon: a
+   handle answer beyond that horizon is the one thing the scan cannot
+   see. *)
+let inverse_horizon f =
+  let ks = Pl.knots f in
+  fst ks.(Array.length ks - 1) + 8
+
+(* Every target with the handle's and the scan's answers, and whether they
+   agree.  Raises [Invalid_argument] if [make] rejects [f]. *)
+let inverse_answers f =
+  let h = inverse_horizon f in
+  let d = Dense.of_pl ~horizon:h f and inv = Pl.Inverse.make f in
+  List.init
+    (Pl.eval f h - Pl.eval f 0 + 4)
+    (fun k ->
+      let v = Pl.eval f 0 - 1 + k in
+      let a = Pl.Inverse.geq inv v and b = Dense.inverse_geq d v in
+      let agree = match (a, b) with Some t, None -> t > h | _ -> a = b in
+      (v, a, b, agree))
+
+let inverse_mismatch f =
+  match inverse_answers f with
+  | exception Invalid_argument _ -> true
+  | answers -> List.exists (fun (_, _, _, agree) -> not agree) answers
+
+let inverse_detail f =
+  let show = function None -> "none" | Some t -> string_of_int t in
+  Printf.sprintf "f = %s\n%s" (show_pl f)
+    (match inverse_answers f with
+    | exception Invalid_argument msg -> "Inverse.make raised: " ^ msg
+    | answers ->
+        Printf.sprintf "target: handle/dense = [%s]"
+          (String.concat "; "
+             (List.map
+                (fun (v, a, b, _) ->
+                  Printf.sprintf "%d: %s/%s" v (show a) (show b))
+                answers)))
+
+let inverse_accepts_falling f =
+  match Pl.Inverse.make f with
+  | exception Invalid_argument _ -> false
+  | _ -> true
+
+(* The balanced sum against a left fold of the pairwise addition. *)
+let left_fold_sum l = List.fold_left Step.add Step.zero l
+let sum_mismatch l = not (Step.equal (Step.sum l) (left_fold_sum l))
+
+let sum_detail l =
+  Printf.sprintf "terms = [%s]\nsum = %s\nleft fold = %s"
+    (String.concat "; " (List.map show_step l))
+    (show_step (Step.sum l))
+    (show_step (left_fold_sum l))
+
 (* --- the loop ----------------------------------------------------------- *)
 
 let render m =
@@ -243,6 +333,20 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if cursor_step_mismatch times f then
        let f = shrink1 step_shrinks (cursor_step_mismatch times) f in
        record "cursor-step" (cursor_step_detail times f));
+    (* Appended checks draw after every earlier one, so adding them left
+       the earlier checks' inputs unchanged. *)
+    (let f = gen_pl_mono rng in
+     if inverse_mismatch f then
+       let f = shrink1 pl_shrinks inverse_mismatch f in
+       record "inverse-geq" (inverse_detail f));
+    (let f = gen_pl_falling rng in
+     if inverse_accepts_falling f then
+       record "inverse-geq"
+         ("Inverse.make accepted a falling curve\nf = " ^ show_pl f));
+    (let l = gen_steps rng in
+     if sum_mismatch l then
+       let l = shrink1 (list_shrinks step_shrinks) sum_mismatch l in
+       record "step-sum" (sum_detail l));
     if !found = [] then incr passed;
     List.iter
       (fun (check, detail) ->

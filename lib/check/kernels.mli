@@ -4,21 +4,26 @@
     Where {!Fuzz} compares the whole analysis against a discrete-event
     simulation, this module compares the {e kernels} pairwise on random
     curves: the pointwise {!Rta_curve.Pl.add}, [sub], [min2] and [max2],
-    {!Rta_curve.Minplus.prefix_min} (both infimum modes), and cursor
-    evaluation against direct evaluation.  Curves are generated
-    segment-wise so plateaus, one-tick segments and negative slopes are
-    ordinary members of the distribution, not special cases.
+    {!Rta_curve.Minplus.prefix_min} (both infimum modes), cursor
+    evaluation against direct evaluation, the checked inverse handle
+    {!Rta_curve.Pl.Inverse} against the dense scan [Dense.inverse_geq]
+    (and its rejection of a falling curve), and the pairwise
+    {!Rta_curve.Step.sum} against a left fold of [Step.add].  Curves are
+    generated segment-wise so plateaus, one-tick segments and negative
+    slopes are ordinary members of the distribution, not special cases.
 
     Because normal forms are canonical, any disagreement is a real bug in
     one of the two implementations.  Mismatching inputs are greedily shrunk
-    (dropping knots and jumps, zeroing tails) before reporting; a case is
-    reproduced by re-running with the same [seed] and a [count] that covers
-    its [index]. *)
+    (dropping knots, jumps and sum terms, zeroing tails) before reporting;
+    a case is reproduced by re-running with the same [seed] and a [count]
+    that covers its [index]. *)
 
 type mismatch = {
   seed : int;
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
-  check : string;  (** e.g. ["pointwise"], ["prefix-min-left"] *)
+  check : string;
+      (** e.g. ["pointwise"], ["prefix-min-left"], ["inverse-geq"],
+          ["step-sum"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

@@ -31,8 +31,8 @@ type output = {
 type fcfs = {
   g_lo : Step.t;
   g_hi : Step.t;
-  u_lo : Pl.t;
-  u_hi : Pl.t;
+  u_lo : Pl.Inverse.inv;
+  u_hi : Pl.Inverse.inv;
   exact_inputs : bool;
 }
 
@@ -151,13 +151,24 @@ module Make (K : Rta_curve.KERNELS) = struct
     { count = hp.count + 1; work_lo; work_hi; svc_lo; exact = hp.exact && o.exact }
 
   (* Theorem 7's utilization functions, once per processor and truncated
-     at the horizon.  With exact tie-free inputs the Left-limit
-     utilization serves as the upper one too, which makes the two FCFS
-     bounds coincide.  The cancellation token is polled after each
-     transform, the processor's other instance-bearing cost. *)
+     at the horizon, kept as inverse handles: every departure bound reads
+     them only through their pseudo-inverse.  With exact tie-free inputs
+     the Left-limit utilization serves as the upper one too, which makes
+     the two FCFS bounds coincide.  The cancellation token is polled after
+     each transform, the processor's other instance-bearing cost.
+
+     Cost per processor with I instances: the pairwise workload sums and
+     the tie check's sort are O(I log I), the two transforms O(I), and
+     every departure bound one O(log I) query per instance, so
+     O(I log I) in all. *)
   let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
     let g_lo = Step.sum (List.map (fun (r : input) -> r.work_lo) residents) in
-    let g_hi = Step.sum (List.map (fun (r : input) -> r.work_hi) residents) in
+    let g_hi =
+      (* Exact brackets share one workload curve; so do their sums. *)
+      if List.for_all (fun (r : input) -> r.work_hi == r.work_lo) residents
+      then g_lo
+      else Step.sum (List.map (fun (r : input) -> r.work_hi) residents)
+    in
     let exact_inputs =
       exact
       && List.for_all (fun (r : input) -> Step.equal r.arr_lo r.arr_hi) residents
@@ -166,9 +177,11 @@ module Make (K : Rta_curve.KERNELS) = struct
     let utilization mode g =
       Pl.truncate_at (transform ~mode ~avail:Pl.identity ~work:g) horizon
     in
-    let u_lo = utilization `Left g_lo in
+    let u_lo = Pl.Inverse.make (utilization `Left g_lo) in
     Cancel.check cancel;
-    let u_hi = if exact_inputs then u_lo else utilization `Right g_hi in
+    let u_hi =
+      if exact_inputs then u_lo else Pl.Inverse.make (utilization `Right g_hi)
+    in
     Cancel.check cancel;
     { g_lo; g_hi; u_lo; u_hi; exact_inputs }
 
@@ -286,13 +299,13 @@ module Make (K : Rta_curve.KERNELS) = struct
                    exactly at a_i — the instance's own tau. *)
                 Step.eval_left g_hi a_i
           in
-          match Pl.inverse_geq u_lo target with
+          match Pl.Inverse.geq u_lo target with
           | Some theta when theta <= horizon -> Some theta
           | Some _ | None -> None)
     in
     let dep_hi =
       per_instance arr_hi (fun a_i ->
-          Pl.inverse_geq u_hi (Step.eval_left g_lo a_i + tau)
+          Pl.Inverse.geq u_hi (Step.eval_left g_lo a_i + tau)
           |> Option.map (max (a_i + tau)))
     in
     (Step.min2 dep_lo arr_lo, Step.min2 dep_hi arr_hi)

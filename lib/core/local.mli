@@ -79,9 +79,15 @@ type output = {
 type fcfs
 (** One FCFS processor's context: the summed workload brackets [G_lo] and
     [G_hi] of Theorem 7 over all residents, the utilization functions
-    [U_lo] and [U_hi] transformed from them (truncated at the horizon),
-    and whether the exact FCFS construction applies.  Built once per
-    processor ({!S.fcfs}) and shared by its residents. *)
+    [U_lo] and [U_hi] transformed from them (truncated at the horizon)
+    as checked inverse handles ({!Rta_curve.Pl.Inverse}), and whether the
+    exact FCFS construction applies.  Built once per processor
+    ({!S.fcfs}) and shared by its residents.
+
+    Cost for a processor with I released instances: the workloads are
+    summed in pairwise rounds and each resident reads one departure per
+    instance and bound off the handles with an O(log I) search, so the
+    processor costs O(I log I) in all. *)
 
 type hp
 (** The running aggregate of a static-priority resident's higher-priority

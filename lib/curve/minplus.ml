@@ -150,12 +150,13 @@ let transform_blocked ~mode ~avail ~work ~blocking =
     Pl.splice ~at:blocking Pl.zero (Pl.add avail shifted)
 
 let horizontal_deviation ~upper ~lower =
-  if not (Pl.is_nondecreasing lower) then
-    invalid_arg "Minplus.horizontal_deviation: lower must be non-decreasing";
+  (* Both curves are searched through checked inverse handles, which
+     reject a decreasing curve: one monotonicity scan each, then
+     O(log knots) per candidate. *)
+  let lower_inv = Pl.Inverse.make lower in
   if Pl.max_slope lower > 1 then
     invalid_arg "Minplus.horizontal_deviation: lower must have unit rate";
-  if not (Pl.is_nondecreasing upper) then
-    invalid_arg "Minplus.horizontal_deviation: upper must be non-decreasing";
+  let upper_inv = Pl.Inverse.make upper in
   (* The supremum of t -> (inverse lower (upper t)) - t is attained either
      at a knot of upper or at a point where (inverse lower) jumps, i.e.
      where upper crosses a knot value of lower; checking both knot sets'
@@ -169,7 +170,7 @@ let horizontal_deviation ~upper ~lower =
       let from_lower =
         (* t where upper(t) first reaches a lower-knot value. *)
         Array.to_list (Pl.knots lower)
-        |> List.filter_map (fun (_, v) -> Pl.inverse_geq upper v)
+        |> List.filter_map (fun (_, v) -> Pl.Inverse.geq upper_inv v)
       in
       let tail_start =
         (* One representative beyond all knots: by then both curves run at
@@ -187,7 +188,7 @@ let horizontal_deviation ~upper ~lower =
         (List.concat_map (fun t -> [ max 0 (t - 1); t ]) raw)
     in
     let deviation_at t =
-      match Pl.inverse_geq lower (Pl.eval upper t) with
+      match Pl.Inverse.geq lower_inv (Pl.eval upper t) with
       | Some catch -> Some (max 0 (catch - t))
       | None -> None
     in

@@ -215,25 +215,50 @@ let min_slope f = fold_slopes min max_int f
 let max_slope f = fold_slopes max min_int f
 let is_nondecreasing f = min_slope f >= 0
 
-let inverse_geq f v =
-  if not (is_nondecreasing f) then
-    invalid_arg "Pl.inverse_geq: function is not non-decreasing";
-  let n = Array.length f.xs in
-  if f.ys.(0) >= v then Some 0
-  else
-    (* Find the first knot whose value reaches v and solve in the segment
-       before it; otherwise solve in the tail. *)
-    let solve x y slope =
-      if slope <= 0 then None
-      else Some (x + ((v - y + slope - 1) / slope))
-    in
-    let rec scan i =
-      if i >= n then solve f.xs.(n - 1) f.ys.(n - 1) f.tail
-      else if f.ys.(i) >= v then
-        solve f.xs.(i - 1) f.ys.(i - 1) (segment_slope f (i - 1))
-      else scan (i + 1)
-    in
-    scan 1
+(* A checked curve is its own inverse handle: the monotonicity scan runs
+   once at [make], and each query binary-searches [ys] for the first knot
+   reaching the target.  The probe count (reads of [ys] by the search) is
+   reported once per query, not per step. *)
+module Inverse = struct
+  type pl = t
+  type inv = pl
+
+  let c_handles = Obs.counter "pl.inverse.handles"
+  let c_queries = Obs.counter "pl.inverse.queries"
+  let c_probes = Obs.counter "pl.inverse.probes"
+  let g_knots = Obs.gauge "pl.inverse.knots.max"
+
+  let make f =
+    if not (is_nondecreasing f) then
+      invalid_arg "Pl.Inverse.make: function is not non-decreasing";
+    Obs.incr c_handles;
+    Obs.max_gauge g_knots (Array.length f.xs);
+    f
+
+  (* The ceiling division solves [y + slope * d >= v] for the least
+     [d >= 0] on a rising segment; a flat tail never reaches [v]. *)
+  let solve v x y slope =
+    if slope <= 0 then None else Some (x + ((v - y + slope - 1) / slope))
+
+  let geq f v =
+    Obs.incr c_queries;
+    let n = Array.length f.xs in
+    if f.ys.(0) >= v then begin
+      Obs.add c_probes 1;
+      Some 0
+    end
+    else begin
+      (* Invariant: ys.(lo) < v, and ys.(hi) >= v unless hi = n. *)
+      let lo = ref 0 and hi = ref n and probes = ref 1 in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        incr probes;
+        if f.ys.(mid) >= v then hi := mid else lo := mid
+      done;
+      Obs.add c_probes !probes;
+      solve v f.xs.(!lo) f.ys.(!lo) (segment_slope f !lo)
+    end
+end
 
 (* Merged, deduplicated knot times of two functions. *)
 let merge_knot_times f g =

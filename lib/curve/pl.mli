@@ -115,11 +115,31 @@ val max_slope : t -> int
 
 val is_nondecreasing : t -> bool
 
-val inverse_geq : t -> int -> int option
-(** [inverse_geq f v = min { t >= 0 | f(t) >= v }] over integer [t], for
-    non-decreasing [f] (the pseudo-inverse of Definition 5 restricted to the
-    grid).  [None] if [f] never reaches [v].
-    @raise Invalid_argument if [f] is decreasing somewhere. *)
+module Inverse : sig
+  (** The pseudo-inverse of Definition 5 restricted to the grid, as a
+      checked handle: [geq (make f) v = min { t >= 0 | f(t) >= v }] over
+      integer [t], or [None] if [f] never reaches [v].
+
+      {!make} runs the monotonicity check once, in O(knots); each {!geq}
+      query then binary-searches the knot values, in O(log knots) with at
+      most [ceil (log2 knots) + 1] reads of them.  A processor that reads
+      one departure per instance off its utilization function (Theorems
+      7-9) therefore pays O(I log I) rather than O(I * knots).  The handle
+      is the checked curve itself, not a copy.
+
+      Counted when {!Rta_obs.enabled}: [pl.inverse.handles] per {!make},
+      [pl.inverse.queries] per {!geq}, [pl.inverse.probes] for the knot
+      values each query's search reads, and the gauge
+      [pl.inverse.knots.max] for the largest handle's knot count. *)
+
+  type pl := t
+  type inv
+
+  val make : pl -> inv
+  (** @raise Invalid_argument if the curve is decreasing somewhere. *)
+
+  val geq : inv -> int -> int option
+end
 
 (** {1 Arithmetic} *)
 

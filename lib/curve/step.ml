@@ -201,6 +201,7 @@ module Obs = Rta_obs
 
 let c_add = Obs.counter "step.add.calls"
 let c_scale = Obs.counter "step.scale.calls"
+let c_add_jumps = Obs.counter "step.add.jumps"
 let h_out_jumps = Obs.histogram "step.out.jumps"
 
 let observed c r =
@@ -208,11 +209,29 @@ let observed c r =
   Obs.observe_int h_out_jumps (Array.length r.ts);
   r
 
-let add f g = observed c_add (combine ( + ) f g)
+let add f g =
+  let r = observed c_add (combine ( + ) f g) in
+  Obs.add c_add_jumps (Array.length r.ts);
+  r
+
 let scale f k = observed c_scale (scale f k)
 let min2 = combine min
 let max2 = combine max
-let sum l = List.fold_left add zero l
+
+(* Pairwise rounds: every jump takes part in O(log n) additions instead of
+   up to n in a left fold.  Exact integer addition is associative and
+   commutative and results are normalized, so the sum is the same curve. *)
+let sum l =
+  let rec pairs = function
+    | f :: g :: rest -> add f g :: pairs rest
+    | rest -> rest
+  in
+  let rec rounds = function
+    | [] -> zero
+    | [ f ] -> f
+    | l -> rounds (pairs l)
+  in
+  rounds l
 
 let shift_right f d =
   if d < 0 then invalid_arg "Step.shift_right: negative shift";

@@ -106,10 +106,13 @@ val scale : t -> int -> t
     function into a workload function (Definition 3, [c = f_arr * tau]). *)
 
 val add : t -> t -> t
-(** Pointwise sum. *)
+(** Pointwise sum.  Counted when {!Rta_obs.enabled}: [step.add.calls] per
+    call and [step.add.jumps] for the jumps of its result. *)
 
 val sum : t list -> t
-(** Pointwise sum of a list ([zero] for the empty list). *)
+(** Pointwise sum of a list ([zero] for the empty list), added in pairwise
+    rounds: n curves with J jumps in all cost O(J log n), where a left fold
+    costs up to O(J n). *)
 
 val shift_right : t -> int -> t
 (** [shift_right f d] is [fun t -> f(t - d)] (value [init_value f] on

@@ -100,6 +100,16 @@ let prop_step_add = dense_eq_step "step add = dense add" Step.add (Dense.pointwi
 let prop_step_min = dense_eq_step "step min2 = dense min" Step.min2 (Dense.pointwise min)
 let prop_step_max = dense_eq_step "step max2 = dense max" Step.max2 (Dense.pointwise max)
 
+let prop_step_sum =
+  (* The pairwise rounds of [Step.sum] regroup the additions; exact
+     integer sums and normal forms make the regrouping invisible. *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"sum = left fold of add"
+       ~print:(fun l -> String.concat "; " (List.map G.print_step l))
+       QCheck2.Gen.(list_size (int_range 0 9) G.step_gen)
+       (fun l ->
+         Step.equal (Step.sum l) (List.fold_left Step.add Step.zero l)))
+
 let prop_step_counting =
   G.qtest "of_arrival_times counts releases" G.arrivals_gen
     (fun a -> Fmt.str "%a" Fmt.(Dump.array int) a)
@@ -170,14 +180,17 @@ let test_pl_normal_form () =
   check_bool "normalizes to identity" true (Pl.equal f Pl.identity);
   check_int "single knot" 1 (Pl.knot_count f)
 
+(* One query on a fresh handle; the tests below also reuse one handle. *)
+let inverse_geq f v = Pl.Inverse.geq (Pl.Inverse.make f) v
+
 let test_pl_inverse () =
   let f = Pl.of_knots ~tail:0 [ (0, 0); (4, 4); (10, 4) ] in
-  Alcotest.(check (option int)) "within ramp" (Some 3) (Pl.inverse_geq f 3);
-  Alcotest.(check (option int)) "at top" (Some 4) (Pl.inverse_geq f 4);
-  Alcotest.(check (option int)) "unreachable" None (Pl.inverse_geq f 5);
+  Alcotest.(check (option int)) "within ramp" (Some 3) (inverse_geq f 3);
+  Alcotest.(check (option int)) "at top" (Some 4) (inverse_geq f 4);
+  Alcotest.(check (option int)) "unreachable" None (inverse_geq f 5);
   let g = Pl.of_knots ~tail:2 [ (0, 0) ] in
-  Alcotest.(check (option int)) "tail, exact" (Some 3) (Pl.inverse_geq g 6);
-  Alcotest.(check (option int)) "tail, rounded up" (Some 4) (Pl.inverse_geq g 7)
+  Alcotest.(check (option int)) "tail, exact" (Some 3) (inverse_geq g 6);
+  Alcotest.(check (option int)) "tail, rounded up" (Some 4) (inverse_geq g 7)
 
 let test_pl_splice () =
   let f = Pl.splice ~at:5 Pl.zero Pl.identity in
@@ -192,25 +205,38 @@ let test_pl_inverse_edges () =
   (* Ramp, flat plateau, then a second ramp: the pseudo-inverse must pick
      the plateau's left edge, not anywhere inside it. *)
   let f = Pl.of_knots ~tail:0 [ (0, 0); (2, 2); (8, 2); (10, 4) ] in
-  Alcotest.(check (option int)) "plateau left edge" (Some 2) (Pl.inverse_geq f 2);
+  Alcotest.(check (option int)) "plateau left edge" (Some 2) (inverse_geq f 2);
   Alcotest.(check (option int)) "resumes on second ramp" (Some 9)
-    (Pl.inverse_geq f 3);
+    (inverse_geq f 3);
   Alcotest.(check (option int)) "top of second ramp" (Some 10)
-    (Pl.inverse_geq f 4);
+    (inverse_geq f 4);
   Alcotest.(check (option int)) "flat tail never reaches" None
-    (Pl.inverse_geq f 5);
+    (inverse_geq f 5);
   (* Targets at or below f(0) are met immediately. *)
-  Alcotest.(check (option int)) "v = 0 at t = 0" (Some 0) (Pl.inverse_geq f 0);
+  Alcotest.(check (option int)) "v = 0 at t = 0" (Some 0) (inverse_geq f 0);
   Alcotest.(check (option int)) "below initial value" (Some 0)
-    (Pl.inverse_geq (Pl.const 5) 3);
+    (inverse_geq (Pl.const 5) 3);
   Alcotest.(check (option int)) "const never grows" None
-    (Pl.inverse_geq (Pl.const 5) 6);
+    (inverse_geq (Pl.const 5) 6);
   (* Steep tail: integer grid rounds up to the next tick. *)
   let g = Pl.of_knots ~tail:3 [ (0, 0) ] in
   Alcotest.(check (option int)) "slope-3 tail, exact" (Some 3)
-    (Pl.inverse_geq g 9);
+    (inverse_geq g 9);
   Alcotest.(check (option int)) "slope-3 tail, rounded up" (Some 3)
-    (Pl.inverse_geq g 7)
+    (inverse_geq g 7);
+  (* One handle answers any number of queries, in any order. *)
+  let inv = Pl.Inverse.make f in
+  Alcotest.(check (list (option int))) "queries on one handle"
+    [ None; Some 10; Some 2; Some 0; Some 9 ]
+    (List.map (Pl.Inverse.geq inv) [ 5; 4; 2; -1; 3 ]);
+  (* The monotonicity check happens once, at construction. *)
+  Alcotest.check_raises "make rejects a decreasing curve"
+    (Invalid_argument "Pl.Inverse.make: function is not non-decreasing")
+    (fun () ->
+      ignore (Pl.Inverse.make (Pl.of_knots ~tail:1 [ (0, 3); (2, 1) ])));
+  Alcotest.check_raises "make rejects a decreasing tail"
+    (Invalid_argument "Pl.Inverse.make: function is not non-decreasing")
+    (fun () -> ignore (Pl.Inverse.make (Pl.linear ~slope:(-1) ~offset:9)))
 
 let test_pl_splice_edges () =
   (* Splicing at 0 keeps exactly one point of [before]. *)
@@ -314,9 +340,10 @@ let prop_pl_splice =
 let prop_pl_inverse =
   G.qtest "inverse_geq = dense scan" G.pl_mono_gen G.print_pl (fun f ->
       let d = Dense.of_pl ~horizon:h f in
+      let inv = Pl.Inverse.make f in
       let ok = ref true in
       for v = Pl.eval f 0 - 1 to Pl.eval f h + 2 do
-        match (Pl.inverse_geq f v, Dense.inverse_geq d v) with
+        match (Pl.Inverse.geq inv v, Dense.inverse_geq d v) with
         | Some a, Some b -> if a <> b then ok := false
         | None, None -> ()
         | Some a, None -> if a <= h then ok := false
@@ -636,6 +663,7 @@ let () =
           prop_step_add;
           prop_step_min;
           prop_step_max;
+          prop_step_sum;
           prop_step_counting;
           prop_step_inverse_galois;
           prop_step_shift_roundtrip;

@@ -465,12 +465,14 @@ let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
 let run_engine system =
   let release_horizon, horizon = System.suggested_horizons system in
   match Rta_core.Engine.run ~release_horizon ~horizon system with
-  | Ok e -> ignore (Rta_core.Response.schedulable e ~estimator:`Direct)
+  | Ok e ->
+      ignore (Rta_core.Response.schedulable e ~estimator:`Direct);
+      e
   | Error (`Cyclic _) -> Alcotest.fail "job shops are acyclic"
 
 let engine_counts sched ~pins =
   check_counts ~at_most:pins (fun () ->
-      run_engine (seeded_shop ~stages:3 ~jobs:6 sched))
+      ignore (run_engine (seeded_shop ~stages:3 ~jobs:6 sched)))
 
 let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
   check_counts
@@ -498,8 +500,17 @@ let count_cases =
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
         ~pins:
-          (kernel_pins ~step_add:36 ~step_scale:66 ~pl_add:30 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:12) );
+          (kernel_pins ~step_add:20 ~step_scale:66 ~pl_add:30 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:12
+          @ [
+              (* Two inverse handles per processor, one O(log knots)
+                 search per instance bound, and workload sums added in
+                 pairwise rounds. *)
+              ("pl.inverse.handles", 12);
+              ("pl.inverse.queries", 654);
+              ("pl.inverse.probes", 4706);
+              ("step.add.jumps", 922);
+            ]) );
     ( "fixpoint 3x2",
       fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
         ~pins:
@@ -517,6 +528,57 @@ let count_cases =
              ~pl_min2:90 ~pl_max2:180 ~prefix_min:180) );
   ]
 
+let ceil_log2 n =
+  let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
+  go 0 1
+
+(* An FCFS processor with N residents and I instances costs O(I log I):
+   - Theorem 7's two utilization transforms, once per processor;
+   - at most two inverse handles per processor (one when exact inputs
+     share the utilization function);
+   - at most [ceil (log2 knots) + 1] knot reads per inverse query, a
+     binary search where a linear scan reads up to every knot;
+   - workload sums in pairwise rounds: a sum over residents whose
+     brackets have J jumps in all outputs at most J jumps per round in
+     [ceil (log2 N)] rounds, where a left fold outputs about J N / 2
+     (it overshoots at 12 and 24 jobs: 7,418 > 7,344, 45,079 > 33,960). *)
+let fcfs_counts ~jobs system e =
+  let value name = Obs.counter_value (Obs.counter name) in
+  let at_most what v bound =
+    if v > bound then Alcotest.failf "%d jobs: %s = %d, above %d" jobs what v bound
+  in
+  let processors =
+    List.filter
+      (fun p -> System.subjobs_on system p <> [])
+      (List.init (System.processor_count system) Fun.id)
+  in
+  let n_procs = List.length processors in
+  check_int
+    (Printf.sprintf "%d jobs: prefix_min per processor" jobs)
+    (2 * n_procs)
+    (value "minplus.prefix_min.calls");
+  at_most "pl.inverse.handles" (value "pl.inverse.handles") (2 * n_procs);
+  let max_knots =
+    Option.value ~default:0 (Obs.gauge_value (Obs.gauge "pl.inverse.knots.max"))
+  in
+  at_most "pl.inverse.probes" (value "pl.inverse.probes")
+    (value "pl.inverse.queries" * (ceil_log2 max_knots + 1));
+  let sum_bound p =
+    let residents = System.subjobs_on system p in
+    let jumps side =
+      List.fold_left
+        (fun acc sid ->
+          let en = Rta_core.Engine.entry e sid in
+          acc + Rta_curve.Step.jump_count (side en))
+        0 residents
+    in
+    let j_lo = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_lo)
+    and j_hi = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_hi) in
+    (j_lo + j_hi) * ceil_log2 (List.length residents)
+  in
+  at_most "step.add.jumps" (value "step.add.jumps")
+    (List.fold_left (fun acc p -> acc + sum_bound p) 0 processors)
+
 (* The glue is linear in the residents: the higher-priority sums grow by
    one push per rank and the FCFS utilization functions are built once per
    processor, so no kernel count may exceed a constant per subjob as the
@@ -532,7 +594,7 @@ let per_subjob_counts sched () =
     (fun jobs ->
       with_obs (fun () ->
           let system = seeded_shop ~stages:3 ~jobs sched in
-          run_engine system;
+          let e = run_engine system in
           let subjobs = System.subjob_count system in
           List.iter
             (fun name ->
@@ -542,19 +604,7 @@ let per_subjob_counts sched () =
                 Alcotest.failf "%d jobs: %s = %d, above %d per subjob (%d subjobs)"
                   jobs name v per subjobs)
             kernel_counters;
-          if sched = Sched.Fcfs then begin
-            (* Theorem 7's two utilization transforms, once per processor. *)
-            let processors =
-              List.length
-                (List.filter
-                   (fun p -> System.subjobs_on system p <> [])
-                   (List.init (System.processor_count system) Fun.id))
-            in
-            check_int
-              (Printf.sprintf "%d jobs: prefix_min per processor" jobs)
-              (2 * processors)
-              (Obs.counter_value (Obs.counter "minplus.prefix_min.calls"))
-          end))
+          if sched = Sched.Fcfs then fcfs_counts ~jobs system e))
     [ 6; 12; 24 ]
 
 let () =

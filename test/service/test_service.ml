@@ -394,24 +394,31 @@ let test_response_roundtrips_as_json () =
 module Store = Rta_service.Store
 module Server = Rta_service.Server
 
-(* A spec the engine chews on for seconds at the horizons below: wide
-   FCFS jobshop, with [release_horizon] raised so the released-instance
-   population — what the cost actually scales with — is large. *)
+(* A spec whose full analysis runs far past every deadline below: the
+   SPNP job shop `rta generate --stages 4 --jobs 8 --sched spnp --seed 3`
+   at an 80 M-tick release horizon.  Its cost is the SPNP bound
+   construction: each of a processor's N residents builds curves with
+   O(I) knots from the higher-priority sums, O(N I) per processor for I
+   released instances, which the raised release horizon makes large.  The
+   full run took 15.0 s (893 MB peak RSS) on a 2-core box with OCaml
+   5.1.1, over 10x the largest deadline that leans on it (0.4 s here, 1 s
+   in the CI serve smoke); a cancelled run stops long before that size. *)
 let slow_spec =
   let config =
     Rta_workload.Jobshop.default ~stages:4 ~jobs:8 ~utilization:0.5
       ~arrival:Rta_workload.Jobshop.Periodic_eq25
       ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0)
-      ~sched:Sched.Fcfs
+      ~sched:Sched.Spnp
   in
   Parser.print
     (Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 3))
 
-let slow_release_horizon = 4_000_000
+let slow_release_horizon = 80_000_000
+let slow_horizon = 160_000_000
 
 let slow_config =
   Rta_core.Analysis.config ~release_horizon:slow_release_horizon
-    ~horizon:8_000_000 ()
+    ~horizon:slow_horizon ()
 
 let test_midflight_degrade () =
   let requests =
@@ -747,8 +754,8 @@ let test_server_queue_full () =
             send_line fd
               (req_json
                  ~id:(Printf.sprintf "s%d" i)
-                 ~deadline_ms:400 ~horizon:8_000_000
-                 ~release_horizon:4_000_000 slow_spec)
+                 ~deadline_ms:400 ~horizon:slow_horizon
+                 ~release_horizon:slow_release_horizon slow_spec)
           done;
           let lines = recv_lines fd 4 in
           let count st =
