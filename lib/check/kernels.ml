@@ -2,6 +2,7 @@ module Rng = Rta_workload.Rng
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
 module Minplus = Rta_curve.Minplus
+module Local = Rta_core.Local
 module Obs = Rta_obs
 
 let c_trials = Obs.counter "kernels.trials"
@@ -102,6 +103,19 @@ let gen_times rng =
       t := !t + Rng.int_range rng 0 9;
       !t)
 
+(* One processor's exact SPP residents, highest rank first, as
+   (tau, release times), and a horizon that may cut completions off.
+   Releases may coincide, within and across residents. *)
+let gen_spp rng =
+  let resident _ =
+    let times =
+      List.init (Rng.int_range rng 0 8) (fun _ -> Rng.int_range rng 0 40)
+    in
+    (Rng.int_range rng 1 6, List.sort Int.compare times)
+  in
+  let residents = List.init (Rng.int_range rng 1 4) resident in
+  (Rng.int_range rng 0 120, residents)
+
 (* --- shrinking ----------------------------------------------------------
 
    Greedy descent over structural candidates; candidates that violate a
@@ -136,6 +150,11 @@ let step_shrinks f =
     if init <> 0 then [ (fun () -> Step.of_samples ~init:0 jumps) ] else []
   in
   List.filter_map keep_valid (drops @ zero_init)
+
+(* Drop a release, or lower tau. *)
+let resident_shrinks (tau, times) =
+  List.mapi (fun i _ -> (tau, List.filteri (fun j _ -> j <> i) times)) times
+  @ if tau > 1 then [ (tau - 1, times) ] else []
 
 (* Drop one member, or shrink one member in place. *)
 let list_shrinks shrinks l =
@@ -269,6 +288,51 @@ let sum_detail l =
     (show_step (Step.sum l))
     (show_step (left_fold_sum l))
 
+(* The idle-map SPP path against Theorem 3's formula on the reference
+   kernels: each resident's departures and forced service curve, pushed
+   rank by rank through one running aggregate.  The first disagreeing
+   resident, if any, with both sides. *)
+let spp_idle_first_mismatch (horizon, residents) =
+  let residents =
+    List.map
+      (fun (tau, times) -> (tau, Step.of_arrival_times (Array.of_list times)))
+      residents
+  in
+  let oracle = Reference.spp_exact ~horizon residents in
+  let rec go hp rank = function
+    | [] -> None
+    | ((tau, arr), (svc, dep)) :: rest ->
+        let i = Local.input ~tau ~arr_lo:arr ~arr_hi:arr ~exact:true in
+        let o =
+          Local.step ~horizon
+            (Local.Static { preemptive = true; blocking = 0; hp })
+            i
+        in
+        let got = Lazy.force o.svc_lo in
+        if o.exact && Step.equal o.dep_lo dep && Pl.equal got svc then
+          go (Local.push hp i o) (rank + 1) rest
+        else
+          Some
+            (Printf.sprintf
+               "resident %d (exact: %b)\nidle departures = %s\nTheorem 3 departures = %s\nidle service = %s\nTheorem 3 service = %s"
+               rank o.exact (show_step o.dep_lo) (show_step dep) (show_pl got)
+               (show_pl svc))
+  in
+  go Local.empty 1 (List.combine residents oracle)
+
+let spp_idle_mismatch case = Option.is_some (spp_idle_first_mismatch case)
+
+let spp_idle_detail ((horizon, residents) as case) =
+  Printf.sprintf "horizon = %d\nresidents (tau: releases), highest rank first = [%s]\n%s"
+    horizon
+    (String.concat "; "
+       (List.map
+          (fun (tau, times) ->
+            Printf.sprintf "%d: %s" tau
+              (String.concat "," (List.map string_of_int times)))
+          residents))
+    (Option.value ~default:"" (spp_idle_first_mismatch case))
+
 (* --- the loop ----------------------------------------------------------- *)
 
 let render m =
@@ -347,6 +411,11 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if sum_mismatch l then
        let l = shrink1 (list_shrinks step_shrinks) sum_mismatch l in
        record "step-sum" (sum_detail l));
+    (let horizon, residents = gen_spp rng in
+     let still_fails residents = spp_idle_mismatch (horizon, residents) in
+     if still_fails residents then
+       let residents = shrink1 (list_shrinks resident_shrinks) still_fails residents in
+       record "spp-idle" (spp_idle_detail (horizon, residents)));
     if !found = [] then incr passed;
     List.iter
       (fun (check, detail) ->

@@ -7,14 +7,19 @@
     {!Rta_curve.Minplus.prefix_min} (both infimum modes), cursor
     evaluation against direct evaluation, the checked inverse handle
     {!Rta_curve.Pl.Inverse} against the dense scan [Dense.inverse_geq]
-    (and its rejection of a falling curve), and the pairwise
-    {!Rta_curve.Step.sum} against a left fold of [Step.add].  Curves are
+    (and its rejection of a falling curve), the pairwise
+    {!Rta_curve.Step.sum} against a left fold of [Step.add], and the exact
+    SPP path of {!Rta_core.Local}, which consumes idle intervals
+    ({!Rta_curve.Idle}), against Theorem 3's formula
+    ({!Reference.spp_exact}) on random release sets ranked on one
+    processor: every resident's departures and service curve.  Curves are
     generated segment-wise so plateaus, one-tick segments and negative
     slopes are ordinary members of the distribution, not special cases.
 
     Because normal forms are canonical, any disagreement is a real bug in
     one of the two implementations.  Mismatching inputs are greedily shrunk
-    (dropping knots, jumps and sum terms, zeroing tails) before reporting;
+    (dropping knots, jumps, sum terms, residents and releases, zeroing
+    tails, lowering execution times) before reporting;
     a case is reproduced by re-running with the same [seed] and a [count]
     that covers its [index]. *)
 
@@ -23,7 +28,7 @@ type mismatch = {
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
   check : string;
       (** e.g. ["pointwise"], ["prefix-min-left"], ["inverse-geq"],
-          ["step-sum"] *)
+          ["step-sum"], ["spp-idle"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

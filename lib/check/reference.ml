@@ -151,3 +151,18 @@ let pointwise op f g =
 
 let min2 = pointwise min
 let max2 = pointwise max
+
+(* Theorem 3 as printed, rank by rank: A = t - (summed service above),
+   S = A + min over s <= t of (c(s-) - A(s)), and Theorem 2's departures
+   min (floor (S / tau)) arr on the service truncated at the horizon. *)
+let spp_exact ~horizon residents =
+  snd
+    (List.fold_left_map
+       (fun hp_svc (tau, arr) ->
+         let avail = sub Pl.identity hp_svc in
+         let svc = add avail (prefix_min ~mode:`Left ~avail ~work:(Step.scale arr tau)) in
+         let dep =
+           Step.min2 (Pl.to_step_floor_div (Pl.truncate_at svc horizon) tau) arr
+         in
+         (add hp_svc svc, (svc, dep)))
+       Pl.zero residents)

@@ -3,7 +3,8 @@
 
     Each function here is the original, asymptotically naive implementation
     of a hot-path kernel that {!Rta_curve.Minplus} and {!Rta_curve.Pl} have
-    since replaced with faster equivalents.  The property tests (test/curve)
+    since replaced with faster equivalents, or, for {!spp_exact}, of the
+    Theorem 3 computation that {!Rta_curve.Idle} replaced.  The property tests (test/curve)
     and the [rta fuzz --kernels] mode check [Pl.equal] between the optimized
     and reference results on randomized and adversarial curves.  The module
     satisfies {!Rta_curve.KERNELS}, so a whole analysis can run on it
@@ -32,3 +33,13 @@ val max2 : Pl.t -> Pl.t -> Pl.t
 val prefix_min : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
 (** List-buffer prefix-minimum scan with per-event binary-search evaluation;
     same semantics as {!Rta_curve.Minplus.prefix_min}. *)
+
+val spp_exact : horizon:int -> (int * Step.t) list -> (Pl.t * Step.t) list
+(** The oracle for the exact SPP path: Theorem 3's formula evaluated on
+    this module's kernels, for one processor's residents given highest
+    rank first as [(tau, arrivals)].  Each resident gets its service
+    [S = A + min over s <= t of (c(s-) - A(s))], where [A] is [t] minus
+    the summed service of the residents above it, and its departures
+    [min (floor (S / tau)) arr] on [S] truncated at [horizon]
+    (Theorem 2).  {!Rta_core.Local} computes the same curves by consuming
+    idle intervals ({!Rta_curve.Idle}). *)

@@ -20,9 +20,10 @@ let resolve_horizons cfg system =
   | Some r, Some h -> (r, h)
   | Some r, None -> (r, derived_horizon r)
   | None, Some h ->
-      (* A derived release horizon never exceeds an explicit horizon:
-         releases past it could never be seen to depart. *)
-      (min (max 1 suggested_release) h, h)
+      (* A derived release horizon keeps the default rule's drain window
+         under an explicit horizon: at most half of it, so releases near
+         its end still have time to be seen to depart. *)
+      (min (max 1 suggested_release) (max 1 (h / 2)), h)
   | None, None ->
       let r = max 1 suggested_release in
       (r, derived_horizon r)

@@ -31,8 +31,9 @@ val config :
 val resolve_horizons : config -> Rta_model.System.t -> int * int
 (** [(release_horizon, horizon)] as {!run} will use them: explicit fields
     win; otherwise [release_horizon] comes from
-    {!Rta_model.System.suggested_horizons}, capped at an explicit
-    [horizon], and [horizon] defaults to
+    {!Rta_model.System.suggested_horizons}, capped at half an explicit
+    [horizon] (at least 1) so that releases keep a window to drain in, and
+    [horizon] defaults to
     [max suggested (2 * release_horizon)].  So [release_horizon <= horizon]
     unless both fields are explicit and contradict each other, which the
     front ends reject as invalid input ({!Engine.run} raises on it).  Both

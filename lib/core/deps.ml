@@ -5,22 +5,43 @@ type order = Acyclic of System.subjob_id list | Cyclic of System.subjob_id list
 let predecessor (id : System.subjob_id) =
   if id.step = 0 then None else Some { id with System.step = id.step - 1 }
 
-let dependencies system (id : System.subjob_id) =
-  let s = System.step system id in
-  let chain = match predecessor id with None -> [] | Some p -> [ p ] in
-  let sched = System.scheduler_of system s.proc in
-  let local =
-    match sched with
-    | Sched.Spp | Sched.Spnp ->
-        (* Higher-priority residents' service functions. *)
-        System.higher_priority_on system id
-    | Sched.Fcfs ->
-        (* Arrival functions of all residents: their chain predecessors. *)
-        System.subjobs_on system s.proc
-        |> List.filter_map (fun other ->
-               if other = id then None else predecessor other)
-  in
-  chain @ local
+(* The dependency relation, with each processor's residents listed once.
+   A static-priority resident depends on its next-higher co-resident only:
+   that one depends on the next above it in turn, so the relation keeps
+   the same ancestors as "every higher-priority resident" (priorities are
+   distinct on a processor) with one edge per resident instead of one per
+   pair.  Kahn's walk below always takes the smallest ready subjob, and a
+   subjob is ready exactly when all its ancestors are done, so the order
+   is the same either way. *)
+let dependencies system =
+  let procs = List.init (System.processor_count system) Fun.id in
+  let residents = Array.of_list (List.map (System.subjobs_on system) procs) in
+  let above = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
+      if System.scheduler_of system p <> Sched.Fcfs then
+        ignore
+          (List.fold_left
+             (fun prev id ->
+               Option.iter (Hashtbl.replace above id) prev;
+               Some id)
+             None (System.by_priority system p)))
+    procs;
+  fun (id : System.subjob_id) ->
+    let s = System.step system id in
+    let chain = match predecessor id with None -> [] | Some p -> [ p ] in
+    let local =
+      match System.scheduler_of system s.proc with
+      | Sched.Spp | Sched.Spnp ->
+          (* The next-higher resident's service function. *)
+          Option.to_list (Hashtbl.find_opt above id)
+      | Sched.Fcfs ->
+          (* Arrival functions of all residents: their chain predecessors. *)
+          residents.(s.proc)
+          |> List.filter_map (fun other ->
+                 if other = id then None else predecessor other)
+    in
+    chain @ local
 
 let compute system =
   let all =
@@ -31,10 +52,10 @@ let compute system =
              (fun s -> { System.job = j; step = s })))
   in
   (* Kahn's algorithm over the dependency relation. *)
+  let dependencies = dependencies system in
   let tbl = Hashtbl.create 64 in
   List.iter
-    (fun id ->
-      Hashtbl.replace tbl id (List.sort_uniq compare (dependencies system id)))
+    (fun id -> Hashtbl.replace tbl id (List.sort_uniq compare (dependencies id)))
     all;
   let in_degree = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace in_degree id 0) all;

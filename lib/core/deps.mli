@@ -6,7 +6,8 @@
     - the arrival function of the subjob itself, i.e. the departure function
       of its chain predecessor;
     - on SPP/SPNP processors: the service functions of every
-      higher-priority subjob sharing the processor;
+      higher-priority subjob sharing the processor, recorded as a
+      dependency on the next-higher one, which waits for the rest;
     - on FCFS processors: the arrival functions of {e all} subjobs sharing
       the processor (the total workload [G] of Theorem 7), i.e. the
       departures of all their predecessors.

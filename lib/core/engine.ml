@@ -136,11 +136,11 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         Array.init (System.job_count system) (fun j ->
             Array.make (Array.length (System.job system j).System.steps) init)
       in
-      let inputs = per_subjob None and outputs = per_subjob None in
-      let entries = per_subjob None in
-      let output_of (id : System.subjob_id) =
-        Option.get outputs.(id.job).(id.step)
-      in
+      (* Outputs are not kept: an entry holds what later stages read, and
+         an exact SPP output's idle map lives on only in its processor's
+         running aggregate. *)
+      let inputs = per_subjob None and entries = per_subjob None in
+      let entry_of (id : System.subjob_id) = Option.get entries.(id.job).(id.step) in
       (* Arrival brackets: the first stage is the exact release trace; later
          stages inherit the predecessor's departure bounds.  Built once per
          subjob, when it or an FCFS co-resident first needs it. *)
@@ -157,9 +157,9 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
                 in
                 Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
               else
-                let pred = output_of { id with System.step = id.step - 1 } in
-                Local.input ~tau ~arr_lo:pred.Local.dep_lo
-                  ~arr_hi:pred.Local.dep_hi ~exact:pred.Local.exact
+                let pred = entry_of { id with System.step = id.step - 1 } in
+                Local.input ~tau ~arr_lo:pred.dep_lo ~arr_hi:pred.dep_hi
+                  ~exact:pred.exact
             in
             inputs.(id.job).(id.step) <- Some i;
             i
@@ -217,7 +217,6 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         in
         let i = input_of id in
         let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
-        outputs.(id.job).(id.step) <- Some o;
         (* The lowest resident's aggregate would never be read: its
            processor is done, and its sums are dropped. *)
         (match running.(proc) with

@@ -20,12 +20,15 @@ let input ~tau ~arr_lo ~arr_hi ~exact =
   let work_hi = if arr_hi == arr_lo then work_lo else Step.scale arr_hi tau in
   { tau; arr_lo; arr_hi; work_lo; work_hi; exact }
 
+type handoff = Sums | Idle of Rta_curve.Idle.t | Level of Step.t
+
 type output = {
   svc_lo : Pl.t Lazy.t;
   svc_hi : Pl.t Lazy.t;
   dep_lo : Step.t;
   dep_hi : Step.t;
   exact : bool;
+  handoff : handoff;
 }
 
 type fcfs = {
@@ -62,17 +65,18 @@ let tie_free residents =
   List.for_all (fun (_, n) -> n <= 1) releases
   && List.length (List.sort_uniq Int.compare times) = List.length times
 
-(* The running sums of a higher-priority set.  Each lazy sum captures only
-   the previous lazy sum and the pushed curve, never the previous record:
-   on an SPP-exact processor the work sums are never forced, and a closure
-   over the record would keep every earlier service sum alive through that
-   unforced chain. *)
+(* The running sums of a higher-priority set, and while every member is
+   exact SPP the idle time they leave.  Each lazy sum captures only the
+   previous lazy sum and the pushed curve, never the previous record: on
+   an SPP-exact processor the work sums are never forced, and a closure
+   over the record would keep every earlier service sum and idle map
+   alive through that unforced chain. *)
 type hp = {
   count : int;
   work_lo : Step.t Lazy.t;
   work_hi : Step.t Lazy.t;
   svc_lo : Pl.t Lazy.t;
-  exact : bool;
+  idle : Rta_curve.Idle.t option;
 }
 
 let empty =
@@ -81,7 +85,7 @@ let empty =
     work_lo = Lazy.from_val Step.zero;
     work_hi = Lazy.from_val Step.zero;
     svc_lo = Lazy.from_val Pl.zero;
-    exact = true;
+    idle = Some Rta_curve.Idle.full;
   }
 
 let hp_work_lo hp = Lazy.force hp.work_lo
@@ -136,19 +140,30 @@ module Make (K : Rta_curve.KERNELS) = struct
     let extend add sum x =
       if hp.count = 0 then Lazy.from_val x else lazy (add (Lazy.force sum) x)
     in
-    let work_lo = extend Step.add hp.work_lo i.work_lo in
+    let work_lo =
+      match o.handoff with
+      | Level w -> Lazy.from_val w
+      | Sums | Idle _ -> extend Step.add hp.work_lo i.work_lo
+    in
     let work_hi =
       (* Exact brackets share one workload curve; so do their sums. *)
       if hp.work_hi == hp.work_lo && i.work_hi == i.work_lo then work_lo
       else extend Step.add hp.work_hi i.work_hi
     in
-    let svc_lo =
-      if hp.count = 0 then o.svc_lo
-      else
-        let sum = hp.svc_lo and svc = o.svc_lo in
-        lazy (K.add (Lazy.force sum) (Lazy.force svc))
+    let idle =
+      match (hp.idle, o.handoff) with
+      | Some _, Idle rest -> Some rest
+      | _ -> None
     in
-    { count = hp.count + 1; work_lo; work_hi; svc_lo; exact = hp.exact && o.exact }
+    let svc_lo =
+      match idle with
+      | Some rest -> lazy (Rta_curve.Idle.busy rest)
+      | None when hp.count = 0 -> o.svc_lo
+      | None ->
+          let sum = hp.svc_lo and svc = o.svc_lo in
+          lazy (K.add (Lazy.force sum) (Lazy.force svc))
+    in
+    { count = hp.count + 1; work_lo; work_hi; svc_lo; idle }
 
   (* Theorem 7's utilization functions, once per processor and truncated
      at the horizon, kept as inverse handles: every departure bound reads
@@ -185,12 +200,6 @@ module Make (K : Rta_curve.KERNELS) = struct
     Cancel.check cancel;
     { g_lo; g_hi; u_lo; u_hi; exact_inputs }
 
-  (* Exact SPP service (Theorem 3): avail A = t - sum of exact
-     higher-priority services; S = min over s <= t of
-     (A(t) - A(s) + c(s-)). *)
-  let spp_exact_service ~hp_svc ~work =
-    transform ~mode:`Left ~avail:(K.sub Pl.identity hp_svc) ~work
-
   (* Approximate static-priority service bounds (the role of Theorems 5-6;
      SPP is the blocking-0 case).
 
@@ -223,16 +232,18 @@ module Make (K : Rta_curve.KERNELS) = struct
          applied to the upper-bounded own workload (Theorem 6's shape with
          B = t).
 
-     The three higher-priority sums come from the running aggregate [hp]. *)
+     The three higher-priority sums come from the running aggregate [hp];
+     the level-k workload [W_lo] is returned too, for the next rank's
+     aggregate to reuse. *)
   let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
+    let w_lo =
+      if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
+    in
     let lo =
       let d =
         K.sub
           (Pl.linear ~slope:1 ~offset:(-blocking))
           (Pl.of_step (Lazy.force hp.work_hi))
-      in
-      let w_lo =
-        if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
       in
       let m = K.prefix_min ~mode:`Left ~avail:Pl.identity ~work:w_lo in
       (* The minimum ranges over s <= t - b (the paper's Eq. 16 domain):
@@ -246,7 +257,7 @@ module Make (K : Rta_curve.KERNELS) = struct
       let smoothed_work = transform ~mode:`Right ~avail:Pl.identity ~work:work_hi in
       K.min2 capacity_left smoothed_work
     in
-    (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi))
+    (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi), w_lo)
 
   (* Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), kept for
      the ablation study.  Known unsound as a departure lower bound (see
@@ -313,23 +324,37 @@ module Make (K : Rta_curve.KERNELS) = struct
   let step ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
       ~horizon policy (i : input) =
     match policy with
-    | Static { preemptive; blocking; hp } ->
-        let svc_lo, svc_hi, exact =
-          if preemptive && blocking = 0 && i.exact && hp.exact then
-            let svc =
-              spp_exact_service ~hp_svc:(Lazy.force hp.svc_lo) ~work:i.work_lo
-            in
-            (svc, svc, true)
-          else
-            let lo, hi =
-              match variant with
-              | `Sound ->
-                  sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
-              | `As_printed ->
-                  sp_bounds_as_printed ~blocking ~hp_svc:(Lazy.force hp.svc_lo)
-                    ~work_lo:i.work_lo ~work_hi:i.work_hi
-            in
-            (lo, hi, false)
+    | Static { preemptive = true; blocking = 0; hp = { idle = Some idle; _ } }
+      when i.exact ->
+        (* Theorem 3, read off the idle time the higher ranks left: the
+           departures are the completions by the horizon, which is
+           Theorem 2's [min (floor (S / tau)) arr] on the truncated
+           service. *)
+        let use =
+          Rta_curve.Idle.consume idle ~tau:i.tau ~arrivals:i.arr_lo ~horizon
+        in
+        {
+          svc_lo = use.service;
+          svc_hi = use.service;
+          dep_lo = use.departures;
+          dep_hi = use.departures;
+          exact = true;
+          handoff = Idle use.rest;
+        }
+    | Static { blocking; hp; _ } ->
+        let svc_lo, svc_hi, handoff =
+          match variant with
+          | `Sound ->
+              let lo, hi, w_lo =
+                sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
+              in
+              (lo, hi, Level w_lo)
+          | `As_printed ->
+              let lo, hi =
+                sp_bounds_as_printed ~blocking ~hp_svc:(Lazy.force hp.svc_lo)
+                  ~work_lo:i.work_lo ~work_hi:i.work_hi
+              in
+              (lo, hi, Sums)
         in
         let dep_lo, dep_hi =
           departures ~horizon ~tau:i.tau ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
@@ -340,7 +365,8 @@ module Make (K : Rta_curve.KERNELS) = struct
           svc_hi = Lazy.from_val svc_hi;
           dep_lo;
           dep_hi;
-          exact;
+          exact = false;
+          handoff;
         }
     | Fcfs ctx ->
         let dep_lo, dep_hi =
@@ -355,7 +381,7 @@ module Make (K : Rta_curve.KERNELS) = struct
           if exact then svc_lo
           else lazy (K.add (Pl.of_step (Step.scale dep_hi i.tau)) (Pl.const i.tau))
         in
-        { svc_lo; svc_hi; dep_lo; dep_hi; exact }
+        { svc_lo; svc_hi; dep_lo; dep_hi; exact; handoff = Sums }
 end
 
 include Make (struct

@@ -62,6 +62,17 @@ val input :
   tau:int -> arr_lo:Rta_curve.Step.t -> arr_hi:Rta_curve.Step.t -> exact:bool -> input
 (** A resident's arrival bracket, with its workload bracket scaled once. *)
 
+type handoff =
+  | Sums  (** nothing to reuse: {!S.push} sums the resident in lazily *)
+  | Idle of Rta_curve.Idle.t
+      (** an exact SPP resident: the idle time it leaves to lower ranks *)
+  | Level of Rta_curve.Step.t
+      (** a bounded static-priority resident: its level-k lower workload,
+          the higher-priority [work_lo] sum plus its own, which is the
+          next rank's higher-priority [work_lo] sum *)
+(** What a static-priority resident's step has already computed of the
+    next rank's aggregate, for {!S.push} to take instead of recomputing. *)
+
 type output = {
   svc_lo : Rta_curve.Pl.t Lazy.t;  (** lower service curve (Thm 3/5/8) *)
   svc_hi : Rta_curve.Pl.t Lazy.t;  (** upper service curve (Thm 3/6/9) *)
@@ -72,9 +83,11 @@ type output = {
           inputs, or FCFS with exact tie-free inputs (an extension beyond
           the paper; ties are what made the paper deem exact FCFS
           infeasible) *)
+  handoff : handoff;  (** [Sums] on FCFS processors *)
 }
-(** FCFS service curves are synthesized from the departure bounds and only
-    built when forced; the static-priority ones are always computed. *)
+(** FCFS service curves are synthesized from the departure bounds, and
+    exact SPP ones from the idle time taken; both are built only when
+    forced.  The static-priority bounds are always computed. *)
 
 type fcfs
 (** One FCFS processor's context: the summed workload brackets [G_lo] and
@@ -91,17 +104,27 @@ type fcfs
 
 type hp
 (** The running aggregate of a static-priority resident's higher-priority
-    set: the sums of its members' [work_lo], [work_hi] and [svc_lo], and
-    whether every member's output is exact.  Theorems 3 and 5-6 read the
-    set only through these, so a processor's residents taken in rank
-    order ({!Rta_model.System.by_priority}) extend one aggregate by one
-    member each ({!S.push}) instead of re-summing the set per resident.
-    The sums are built lazily, when a bound first needs them, on exact
-    canonical integer curves: the order of the pushes cannot change a
-    bound.
+    set: the sums of its members' [work_lo], [work_hi] and [svc_lo], and,
+    while every member is an exact SPP resident, the idle time they leave
+    ({!Rta_curve.Idle}).  Theorems 3 and 5-6 read the set only through
+    these, so a processor's residents taken in rank order
+    ({!Rta_model.System.by_priority}) extend one aggregate by one member
+    each ({!S.push}) instead of re-summing the set per resident.  The sums
+    are built lazily, when a bound first needs them, on exact canonical
+    integer curves: the order of the pushes cannot change a bound.  While
+    the idle map is valid, the [svc_lo] sum is read off it
+    ([t - idle time in [0, t]]) and no service curve is added.
+
+    Cost on an SPP processor with N residents and I instances: an exact
+    resident consumes its instances' idle time from the map, one
+    O(log I) search per instance and per interval it uses up, so exact
+    SPP costs O(I log I) per processor where summing the services above
+    each resident cost O(N I).  A bounded resident's level-k workload is summed
+    once and handed to the next rank ({!handoff}).
 
     Rank-order invariant: a static-priority resident depends on every
-    resident above it ({!Deps}), so any dependency order computes an
+    resident above it ({!Deps}, through the next-higher one), so any
+    dependency order computes an
     SPP/SPNP processor's residents highest priority first.  {!Engine}
     relies on this to keep a single aggregate per processor, pushing each
     resident after computing it; {!Fixpoint} caches each resident's
@@ -148,8 +171,13 @@ module type S = sig
     input ->
     output
   (** One resident's bounds over [0, horizon].  The SPP exact path
-      (Theorem 3) is taken when the policy is preemptive without blocking
-      and the input and every higher-priority output are exact.  [cancel]
+      (Theorem 3) is taken when the policy is preemptive without blocking,
+      the input is exact and the aggregate still holds an idle map (every
+      higher-priority output came from this path).  Its service equals
+      Theorem 3's formula at every integer time, provided the bracket
+      counts no instance at time 0 before it ([Step.init_value] is 0, as
+      for every bracket the analysis builds); instances counted there are
+      served from time 0.  [cancel]
       (default {!Cancel.never}) is polled every few hundred FCFS instances;
       [fault] (default [`None]) and [variant] (default [`Sound]) as
       above.  An FCFS policy's context must have been built with the same

@@ -8,6 +8,9 @@
     function [c] (a step function).  Writing
     [m(t) = min over s <= t of (c(s) - A(s))] this is [F = A + m], and [m]
     is computable with one scan over the merged event points of [A] and [c].
+    The analysis evaluates Theorem 3's exact SPP service by consuming idle
+    intervals instead ({!Idle}); the formula is kept as the oracle that
+    checks that path, on the frozen reference scan.
 
     The minimum over {e real} [s] matters at the discontinuities of [c]: the
     infimum approaches the left limit [c(s-)].  The [mode] argument selects

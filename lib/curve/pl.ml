@@ -42,25 +42,30 @@ let invariant f =
       fail "non-integer slope %d/%d on segment starting at index %d" dy dx i
   done
 
-(* Rebuild in normal form from raw knots (strictly increasing times starting
-   at 0, integral slopes assumed). *)
-let normalize ~tail xs ys =
-  let n = Array.length xs in
+(* Rebuild in normal form from the first [len] raw knots (strictly
+   increasing times starting at 0, integral slopes assumed), without
+   copying the raw arrays: the hot-path kernels pass their oversized
+   buffers as they are. *)
+let normalize ~tail ?len xs ys =
+  let n = Option.value len ~default:(Array.length xs) in
   let slope i =
     if i = n - 1 then tail else (ys.(i + 1) - ys.(i)) / (xs.(i + 1) - xs.(i))
   in
   (* A knot is kept iff it is the first one or the slope changes there. *)
-  let keep = Array.make n true in
-  let prev_slope = ref (slope 0) in
+  let keep = Bytes.make n '\001' in
+  let prev_slope = ref (slope 0) and count = ref 1 in
   for i = 1 to n - 1 do
     let s = slope i in
-    if s = !prev_slope then keep.(i) <- false else prev_slope := s
+    if s = !prev_slope then Bytes.set keep i '\000'
+    else begin
+      prev_slope := s;
+      incr count
+    end
   done;
-  let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 keep in
-  let xs' = Array.make count 0 and ys' = Array.make count 0 in
+  let xs' = Array.make !count 0 and ys' = Array.make !count 0 in
   let j = ref 0 in
   for i = 0 to n - 1 do
-    if keep.(i) then begin
+    if Bytes.get keep i = '\001' then begin
       xs'.(!j) <- xs.(i);
       ys'.(!j) <- ys.(i);
       incr j
@@ -109,7 +114,7 @@ module Builder = struct
 
   let to_pl ~tail b =
     if b.len = 0 then invalid_arg "Pl.Builder.to_pl: no knots";
-    normalize ~tail (Array.sub b.bxs 0 b.len) (Array.sub b.bys 0 b.len)
+    normalize ~tail ~len:b.len b.bxs b.bys
 end
 
 let const v = { xs = [| 0 |]; ys = [| v |]; tail = 0 }
@@ -260,7 +265,8 @@ module Inverse = struct
     end
 end
 
-(* Merged, deduplicated knot times of two functions. *)
+(* Merged, deduplicated knot times of two functions: the first [k] entries
+   of the returned array, for the returned [k]. *)
 let merge_knot_times f g =
   let nf = Array.length f.xs and ng = Array.length g.xs in
   let out = Array.make (nf + ng) 0 in
@@ -277,16 +283,18 @@ let merge_knot_times f g =
       out.(k) <- t;
       go i' j' (k + 1)
   in
-  let k = go 0 0 0 in
-  Array.sub out 0 k
+  (out, go 0 0 0)
 
 (* Merged times are ascending, so two cursors replace per-time binary
    searches. *)
 let lift2 op f g =
-  let xs = merge_knot_times f g in
+  let xs, len = merge_knot_times f g in
   let cf = Cursor.make f and cg = Cursor.make g in
-  let ys = Array.map (fun t -> op (Cursor.eval cf t) (Cursor.eval cg t)) xs in
-  normalize ~tail:(op f.tail g.tail) xs ys
+  let ys = Array.make len 0 in
+  for i = 0 to len - 1 do
+    ys.(i) <- op (Cursor.eval cf xs.(i)) (Cursor.eval cg xs.(i))
+  done;
+  normalize ~tail:(op f.tail g.tail) ~len xs ys
 
 let observed c r =
   Obs.incr c;
@@ -295,7 +303,16 @@ let observed c r =
 
 let add f g = observed c_add (lift2 ( + ) f g)
 let sub f g = observed c_sub (lift2 ( - ) f g)
-let sum l = List.fold_left add zero l
+(* Pairwise rounds, as [Step.sum]: every knot takes part in O(log n)
+   additions instead of up to n in a left fold, and exact integer sums in
+   normal form make the regrouping invisible. *)
+let sum l =
+  let rec pairs = function
+    | f :: g :: rest -> add f g :: pairs rest
+    | rest -> rest
+  in
+  let rec rounds = function [] -> zero | [ f ] -> f | l -> rounds (pairs l) in
+  rounds l
 
 (* Grid-exact pointwise transform machinery: apply [op] to the values of [f]
    (and [g]) at a set of times that includes, for every segment on which the
@@ -318,8 +335,7 @@ let crossing_floors d0 ds =
    inside their interval), so a Builder collects them and two cursors
    replace every binary search. *)
 let pointwise2 op f g =
-  let base = merge_knot_times f g in
-  let n = Array.length base in
+  let base, n = merge_knot_times f g in
   let cf = Cursor.make f and cg = Cursor.make g in
   let b = Builder.create ((3 * n) + 2) in
   for i = 0 to n - 1 do
@@ -349,12 +365,8 @@ let prefix_max f =
      dominates (continuity), so work only happens on rising segments that
      cross it: emit the straddle pair and follow f to the segment end. *)
   let n = Array.length f.xs in
-  let buf = ref [] in
-  let push t v =
-    match !buf with
-    | (t', _) :: rest when t' = t -> buf := (t, v) :: rest
-    | _ -> buf := (t, v) :: !buf
-  in
+  let b = Builder.create ((3 * n) + 1) in
+  let push = Builder.push b in
   let cur = ref f.ys.(0) in
   push 0 !cur;
   let tail = ref 0 in
@@ -387,7 +399,7 @@ let prefix_max f =
   for i = 0 to n - 1 do
     segment i
   done;
-  of_knots ~tail:!tail (List.rev !buf)
+  Builder.to_pl ~tail:!tail b
 
 let splice ~at before after =
   if at < 0 then invalid_arg "Pl.splice: negative splice point";
@@ -410,17 +422,19 @@ let shift_right f d =
   if d < 0 then invalid_arg "Pl.shift_right: negative shift";
   if d = 0 then f
   else
-    let shifted =
-      Array.to_list (Array.init (Array.length f.xs) (fun i -> (f.xs.(i) + d, f.ys.(i))))
-    in
-    of_knots ~tail:f.tail ((0, f.ys.(0)) :: shifted)
+    normalize ~tail:f.tail
+      (Array.append [| 0 |] (Array.map (fun x -> x + d) f.xs))
+      (Array.append [| f.ys.(0) |] f.ys)
 
 let truncate_at f h =
   if h < 0 then invalid_arg "Pl.truncate_at: negative horizon";
-  let kept = Array.to_list (knots f) |> List.filter (fun (x, _) -> x < h) in
-  let kept = match kept with [] -> [ (0, eval f 0) ] | l -> l in
-  let kept = if h > 0 then kept @ [ (h, eval f h) ] else kept in
-  of_knots ~tail:0 kept
+  if h = 0 then const (eval f 0)
+  else
+    (* The knots before [h], then [h] itself. *)
+    let k = index_at f (h - 1) + 1 in
+    normalize ~tail:0
+      (Array.append (Array.sub f.xs 0 k) [| h |])
+      (Array.append (Array.sub f.ys 0 k) [| eval f h |])
 
 let to_step_floor_div ?cap s tau =
   if tau < 1 then invalid_arg "Pl.to_step_floor_div: divisor must be >= 1";
@@ -477,8 +491,9 @@ let to_step_floor_div ?cap s tau =
 let equal f g = f.tail = g.tail && f.xs = g.xs && f.ys = g.ys
 
 let dominates f g =
-  let xs = merge_knot_times f g in
-  Array.for_all (fun t -> eval f t >= eval g t) xs && f.tail >= g.tail
+  let xs, len = merge_knot_times f g in
+  let rec from i = i >= len || (eval f xs.(i) >= eval g xs.(i) && from (i + 1)) in
+  from 0 && f.tail >= g.tail
 
 let pp ppf f =
   Format.fprintf ppf "@[<hov 2>pl{";

@@ -145,7 +145,11 @@ end
 
 val add : t -> t -> t
 val sub : t -> t -> t
+
 val sum : t list -> t
+(** Pointwise sum of a list ([zero] for the empty list), added in pairwise
+    rounds like {!Step.sum}: n curves with K knots in all cost
+    O(K log n), where a left fold costs up to O(K n). *)
 
 (** {1 Pointwise transforms (grid-exact)} *)
 

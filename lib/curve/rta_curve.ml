@@ -2,12 +2,15 @@
     calculus.
 
     {!Step} and {!Pl} are the two curve representations; {!Minplus} is the
-    min-plus transform connecting them; {!Envelope} is the horizon-free
-    arrival-envelope extension. *)
+    min-plus transform connecting them; {!Idle} is the idle time a
+    preemptive static-priority processor leaves to its lower ranks
+    (Theorem 3); {!Envelope} is the horizon-free arrival-envelope
+    extension. *)
 
 module Step = Step
 module Pl = Pl
 module Minplus = Minplus
+module Idle = Idle
 module Envelope = Envelope
 
 (** The curve kernels with a frozen baseline: the optimized {!Pl} and

@@ -1143,6 +1143,33 @@ let test_resolve_horizons_combinations () =
       (Some small, Some suggested_release);
     ]
 
+let test_horizon_only_drain_window () =
+  (* [rta generate --stages 2 --jobs 2], analyzed with only [--horizon
+     2000]: the derived release horizon leaves half the horizon to drain
+     in, so T1's first instance (released at 0, done at 1089) is seen to
+     depart.  With the release horizon equal to the horizon, both jobs
+     read as unbounded.  T2's chain needs 3305 ticks, past the horizon. *)
+  let system =
+    Result.get_ok
+      (Rta_model.Parser.parse
+         {|processors spp spp spp spp
+job T1 arrival periodic period=1.571 deadline 3.142
+  step proc=0 exec=0.786 prio=1
+  step proc=3 exec=0.303 prio=1
+job T2 arrival periodic period=4.093 deadline 8.186
+  step proc=1 exec=2.047 prio=1
+  step proc=3 exec=1.258 prio=2
+|})
+  in
+  let config = Rta_core.Analysis.config ~horizon:2000 () in
+  Alcotest.(check (pair int int)) "release horizon is half the horizon"
+    (1000, 2000)
+    (Rta_core.Analysis.resolve_horizons config system);
+  let r = Rta_core.Analysis.run ~config system in
+  Alcotest.(check bool) "T1 bounded, T2 past the horizon" true
+    (r.Rta_core.Analysis.per_job
+    = [| Rta_core.Analysis.Bounded 1089; Rta_core.Analysis.Unbounded |])
+
 let () =
   Alcotest.run "rta_core"
     [
@@ -1185,6 +1212,8 @@ let () =
           prop_sum_equals_direct_single_stage;
           Alcotest.test_case "resolve_horizons field combinations" `Quick
             test_resolve_horizons_combinations;
+          Alcotest.test_case "horizon only keeps a drain window" `Quick
+            test_horizon_only_drain_window;
         ] );
       ( "invariants",
         [ prop_per_instance_matches_sim; prop_time_scaling_invariance ] );

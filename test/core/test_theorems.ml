@@ -273,19 +273,18 @@ module Local = Rta_core.Local
 
 (* A higher-priority member: its execution time, arrival bracket (the
    upper side shared with the lower one when absent, as for exact
-   brackets), lower service curve and exactness. *)
+   brackets) and lower service curve. *)
 let member_gen =
   let open QCheck2.Gen in
   let* tau = int_range 1 3 in
   let* arr_lo = G.step_gen in
   let* arr_hi = option G.step_gen in
   let* svc = G.pl_gen in
-  let* exact = bool in
-  return (tau, arr_lo, arr_hi, svc, exact)
+  return (tau, arr_lo, arr_hi, svc)
 
 let print_members members =
   List.map
-    (fun (tau, arr_lo, arr_hi, svc, _) ->
+    (fun (tau, arr_lo, arr_hi, svc) ->
       Printf.sprintf "tau=%d lo=%s hi=%s svc=%s" tau (G.print_step arr_lo)
         (Option.fold ~none:"=lo" ~some:G.print_step arr_hi)
         (G.print_pl svc))
@@ -293,19 +292,22 @@ let print_members members =
   |> String.concat "; "
 
 (* Folding [push] over the members, in either order, gives exactly the
-   sums a bound would otherwise take over the whole list. *)
+   sums a bound would otherwise take over the whole list.  The members'
+   outputs hand nothing over, as bounded ones that reused nothing; the
+   exact SPP hand-over is checked against Theorem 3 below. *)
 let aggregate_matches_sums push members =
   let items =
     List.map
-      (fun (tau, arr_lo, arr_hi, svc, exact) ->
+      (fun (tau, arr_lo, arr_hi, svc) ->
         let arr_hi = Option.value arr_hi ~default:arr_lo in
-        ( Local.input ~tau ~arr_lo ~arr_hi ~exact,
+        ( Local.input ~tau ~arr_lo ~arr_hi ~exact:false,
           {
             Local.svc_lo = Lazy.from_val svc;
             svc_hi = Lazy.from_val svc;
             dep_lo = Step.zero;
             dep_hi = Step.zero;
-            exact;
+            exact = false;
+            handoff = Local.Sums;
           } ))
       members
   in
@@ -328,6 +330,51 @@ let prop_aggregate name push =
   G.qtest name
     QCheck2.Gen.(list_size (int_range 0 6) member_gen)
     print_members (aggregate_matches_sums push)
+
+(* The exact SPP path consumes idle intervals; Theorem 3's formula on the
+   reference kernels is its oracle.  Residents in rank order, each checked
+   for its departures, its service curve and the aggregate's service sum
+   after it is pushed. *)
+let exact_residents_gen =
+  let open QCheck2.Gen in
+  list_size (int_range 1 5)
+    (pair (int_range 1 6) (map Step.of_arrival_times G.arrivals_gen))
+
+let print_residents residents =
+  List.map
+    (fun (tau, arr) -> Printf.sprintf "tau=%d arr=%s" tau (G.print_step arr))
+    residents
+  |> String.concat "; "
+
+let idle_matches_theorem3 (horizon, residents) =
+  let oracle = Rta_check.Reference.spp_exact ~horizon residents in
+  let _, _, ok =
+    List.fold_left
+      (fun (hp, hp_svc, ok) ((tau, arr), (svc, dep)) ->
+        let i = Local.input ~tau ~arr_lo:arr ~arr_hi:arr ~exact:true in
+        let o =
+          Local.step ~horizon
+            (Local.Static { preemptive = true; blocking = 0; hp })
+            i
+        in
+        let hp = Local.push hp i o and hp_svc = Pl.add hp_svc svc in
+        ( hp,
+          hp_svc,
+          ok && o.exact
+          && Step.equal o.dep_lo dep
+          && Step.equal o.dep_hi dep
+          && Pl.equal (Lazy.force o.svc_lo) svc
+          && Pl.equal (Local.hp_svc_lo hp) hp_svc ))
+      (Local.empty, Pl.zero, true)
+      (List.combine residents oracle)
+  in
+  ok
+
+let prop_idle_theorem3 =
+  G.qtest ~count:500 "idle map = Theorem 3 formula"
+    QCheck2.Gen.(pair (int_range 0 (2 * G.horizon)) exact_residents_gen)
+    (fun (h, r) -> Printf.sprintf "horizon=%d %s" h (print_residents r))
+    idle_matches_theorem3
 
 let () =
   Alcotest.run "rta_theorems"
@@ -352,4 +399,5 @@ let () =
           prop_aggregate "push sums, optimized kernels" Local.push;
           prop_aggregate "push sums, reference kernels" Reference_local.push;
         ] );
+      ("exact SPP", [ prop_idle_theorem3 ]);
     ]

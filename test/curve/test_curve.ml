@@ -110,6 +110,14 @@ let prop_step_sum =
        (fun l ->
          Step.equal (Step.sum l) (List.fold_left Step.add Step.zero l)))
 
+let prop_pl_sum =
+  (* As for [Step.sum]: the pairwise rounds regroup exact additions. *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"sum = left fold of add"
+       ~print:(fun l -> String.concat "; " (List.map G.print_pl l))
+       QCheck2.Gen.(list_size (int_range 0 9) G.pl_gen)
+       (fun l -> Pl.equal (Pl.sum l) (List.fold_left Pl.add Pl.zero l)))
+
 let prop_step_counting =
   G.qtest "of_arrival_times counts releases" G.arrivals_gen
     (fun a -> Fmt.str "%a" Fmt.(Dump.array int) a)
@@ -699,6 +707,7 @@ let () =
           prop_pl_truncate;
           prop_pl_shift;
           prop_pl_dominates;
+          prop_pl_sum;
         ] );
       ( "minplus.unit",
         [

@@ -490,12 +490,20 @@ let count_cases =
     ( "engine SPP 6x3",
       engine_counts Sched.Spp
         ~pins:
-          (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:24 ~pl_sub:18
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:18) );
+          (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:0 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:0
+          @ [
+              (* Every resident is exact: it consumes idle intervals and
+                 runs no curve kernel, one map search per instance plus
+                 one per interval it uses up before it is done. *)
+              ("spp.idle.queries", 405);
+              ("spp.idle.removed", 19);
+              ("spp.idle.splits", 386);
+            ]) );
     ( "engine SPNP 6x3",
       engine_counts Sched.Spnp
         ~pins:
-          (kernel_pins ~step_add:22 ~step_scale:30 ~pl_add:42 ~pl_sub:36
+          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:42 ~pl_sub:36
              ~pl_min2:18 ~pl_max2:36 ~prefix_min:36) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
@@ -519,12 +527,12 @@ let count_cases =
     ( "fixpoint 6x3",
       fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
         ~pins:
-          (kernel_pins ~step_add:46 ~step_scale:58 ~pl_add:82 ~pl_sub:70
+          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:82 ~pl_sub:70
              ~pl_min2:35 ~pl_max2:70 ~prefix_min:70) );
     ( "fixpoint 9x4",
       fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
         ~pins:
-          (kernel_pins ~step_add:165 ~step_scale:159 ~pl_add:230 ~pl_sub:180
+          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:230 ~pl_sub:180
              ~pl_min2:90 ~pl_max2:180 ~prefix_min:180) );
   ]
 
@@ -579,16 +587,43 @@ let fcfs_counts ~jobs system e =
   at_most "step.add.jumps" (value "step.add.jumps")
     (List.fold_left (fun acc p -> acc + sum_bound p) 0 processors)
 
+(* An exact SPP processor with I instances costs O(I log I): each
+   instance takes one map search, cuts at most one interval at its start
+   and one at its end, and removes whole intervals, of which it can add
+   at most one.  So per processor, with the unbounded last interval never
+   removed, searches stay within 3 I + 1, removals within I + 1 and cuts
+   within 2 I.  A linear walk from the map's first interval reads up to
+   every interval per instance instead. *)
+let spp_counts ~jobs system e =
+  let value name = Obs.counter_value (Obs.counter name) in
+  let at_most what v bound =
+    if v > bound then Alcotest.failf "%d jobs: %s = %d, above %d" jobs what v bound
+  in
+  let procs = List.init (System.processor_count system) Fun.id in
+  let instances =
+    List.concat_map (System.subjobs_on system) procs
+    |> List.fold_left
+         (fun acc sid ->
+           acc + Rta_curve.Step.final_value (Rta_core.Engine.entry e sid).arr_lo)
+         0
+  in
+  let n_procs = List.length procs in
+  at_most "spp.idle.queries" (value "spp.idle.queries") ((3 * instances) + n_procs);
+  at_most "spp.idle.removed" (value "spp.idle.removed") (instances + n_procs);
+  at_most "spp.idle.splits" (value "spp.idle.splits") (2 * instances)
+
 (* The glue is linear in the residents: the higher-priority sums grow by
    one push per rank and the FCFS utilization functions are built once per
    processor, so no kernel count may exceed a constant per subjob as the
    shop grows.  The constant is 3 (an SPNP resident takes a push and two
-   bound terms in [pl.add], two pushes and its level-k workload in
-   [step.add]), except [step.scale]: an input bracket scales up to two
-   curves and an FCFS resident scales its two departure bounds into
-   service curves, so 4.  Quadratic glue
-   overshoots at 24 jobs: re-summing the higher-priority set per resident
-   costs SPP 6.7 [pl.add] and SPNP 12.5 [step.add] per subjob there. *)
+   bound terms in [pl.add]; in [step.add], its level-k workload, which the
+   next rank's push reuses as its [work_lo] sum, and the push's [work_hi]
+   sum), except [step.scale]: an input bracket scales up to two curves and
+   an FCFS resident scales its two departure bounds into service curves,
+   so 4.  Quadratic glue overshoots at 24 jobs: re-summing the
+   higher-priority set per resident costs SPNP 12.5 [step.add] per subjob
+   there, and exact SPP, which runs no curve kernel, fails its pins above
+   on the first [pl.sub] of an availability curve. *)
 let per_subjob_counts sched () =
   List.iter
     (fun jobs ->
@@ -604,7 +639,8 @@ let per_subjob_counts sched () =
                 Alcotest.failf "%d jobs: %s = %d, above %d per subjob (%d subjobs)"
                   jobs name v per subjobs)
             kernel_counters;
-          if sched = Sched.Fcfs then fcfs_counts ~jobs system e))
+          if sched = Sched.Fcfs then fcfs_counts ~jobs system e;
+          if sched = Sched.Spp then spp_counts ~jobs system e))
     [ 6; 12; 24 ]
 
 let () =

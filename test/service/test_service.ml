@@ -400,7 +400,7 @@ module Server = Rta_service.Server
    construction: each of a processor's N residents builds curves with
    O(I) knots from the higher-priority sums, O(N I) per processor for I
    released instances, which the raised release horizon makes large.  The
-   full run took 15.0 s (893 MB peak RSS) on a 2-core box with OCaml
+   full run took 28.5 s (882 MB peak RSS) on a 2-core box with OCaml
    5.1.1, over 10x the largest deadline that leans on it (0.4 s here, 1 s
    in the CI serve smoke); a cancelled run stops long before that size. *)
 let slow_spec =
