@@ -116,6 +116,16 @@ let gen_spp rng =
   let residents = List.init (Rng.int_range rng 1 4) resident in
   (Rng.int_range rng 0 120, residents)
 
+(* One static-priority resident's bound inputs: blocking, the
+   higher-priority upper workload and lower service sum (falling ones
+   too), the level-k lower workload and the own upper workload. *)
+let gen_sp rng =
+  let blocking = if Rng.int_range rng 0 2 = 0 then 0 else Rng.int_range rng 1 12 in
+  let hp_work_hi = gen_step rng in
+  let hp_svc_lo = if Rng.int_range rng 0 1 = 0 then gen_pl_mono rng else gen_pl rng in
+  let level_work = gen_step rng in
+  (blocking, hp_work_hi, hp_svc_lo, level_work, gen_step rng)
+
 (* --- shrinking ----------------------------------------------------------
 
    Greedy descent over structural candidates; candidates that violate a
@@ -155,6 +165,14 @@ let step_shrinks f =
 let resident_shrinks (tau, times) =
   List.mapi (fun i _ -> (tau, List.filteri (fun j _ -> j <> i) times)) times
   @ if tau > 1 then [ (tau - 1, times) ] else []
+
+(* Shrink one input in place, or lower the blocking. *)
+let sp_shrinks (b, c, p, w, own) =
+  List.map (fun c -> (b, c, p, w, own)) (step_shrinks c)
+  @ List.map (fun p -> (b, c, p, w, own)) (pl_shrinks p)
+  @ List.map (fun w -> (b, c, p, w, own)) (step_shrinks w)
+  @ List.map (fun own -> (b, c, p, w, own)) (step_shrinks own)
+  @ if b > 0 then [ (b - 1, c, p, w, own); (0, c, p, w, own) ] else []
 
 (* Drop one member, or shrink one member in place. *)
 let list_shrinks shrinks l =
@@ -333,6 +351,28 @@ let spp_idle_detail ((horizon, residents) as case) =
           residents))
     (Option.value ~default:"" (spp_idle_first_mismatch case))
 
+(* The bound sweeps against Theorems 5-6 composed on the reference
+   kernels. *)
+let sp_sweeps (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
+  let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
+  let hi =
+    Minplus.sp_upper ~hp_service:hp_svc_lo ~own_work:work_hi
+      ~own_util:(Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
+  in
+  ( (lo, hi),
+    Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work ~work_hi )
+
+let sp_sweep_mismatch case =
+  let (lo, hi), (lo_ref, hi_ref) = sp_sweeps case in
+  not (Pl.equal lo lo_ref && Pl.equal hi hi_ref)
+
+let sp_sweep_detail ((blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) as case) =
+  let (lo, hi), (lo_ref, hi_ref) = sp_sweeps case in
+  Printf.sprintf
+    "blocking = %d\nhp_work_hi = %s\nhp_svc_lo = %s\nlevel_work = %s\nwork_hi = %s\nlower sweep = %s\nlower formula = %s\nupper sweep = %s\nupper formula = %s"
+    blocking (show_step hp_work_hi) (show_pl hp_svc_lo) (show_step level_work)
+    (show_step work_hi) (show_pl lo) (show_pl lo_ref) (show_pl hi) (show_pl hi_ref)
+
 (* --- the loop ----------------------------------------------------------- *)
 
 let render m =
@@ -416,6 +456,9 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if still_fails residents then
        let residents = shrink1 (list_shrinks resident_shrinks) still_fails residents in
        record "spp-idle" (spp_idle_detail (horizon, residents)));
+    (let case = gen_sp rng in
+     if sp_sweep_mismatch case then
+       record "sp-sweep" (sp_sweep_detail (shrink1 sp_shrinks sp_sweep_mismatch case)));
     if !found = [] then incr passed;
     List.iter
       (fun (check, detail) ->

@@ -12,14 +12,17 @@
     SPP path of {!Rta_core.Local}, which consumes idle intervals
     ({!Rta_curve.Idle}), against Theorem 3's formula
     ({!Reference.spp_exact}) on random release sets ranked on one
-    processor: every resident's departures and service curve.  Curves are
+    processor: every resident's departures and service curve, and the
+    static-priority bound sweeps {!Rta_curve.Minplus.sp_lower} and
+    [sp_upper] against Theorems 5-6 composed on the reference kernels
+    ({!Reference.sp_bounds}).  Curves are
     generated segment-wise so plateaus, one-tick segments and negative
     slopes are ordinary members of the distribution, not special cases.
 
     Because normal forms are canonical, any disagreement is a real bug in
     one of the two implementations.  Mismatching inputs are greedily shrunk
     (dropping knots, jumps, sum terms, residents and releases, zeroing
-    tails, lowering execution times) before reporting;
+    tails, lowering execution times and blocking) before reporting;
     a case is reproduced by re-running with the same [seed] and a [count]
     that covers its [index]. *)
 
@@ -28,7 +31,7 @@ type mismatch = {
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
   check : string;
       (** e.g. ["pointwise"], ["prefix-min-left"], ["inverse-geq"],
-          ["step-sum"], ["spp-idle"] *)
+          ["step-sum"], ["spp-idle"], ["sp-sweep"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

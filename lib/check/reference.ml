@@ -166,3 +166,19 @@ let spp_exact ~horizon residents =
          in
          (add hp_svc svc, (svc, dep)))
        Pl.zero residents)
+
+(* Theorems 5-6 as the analysis composed them before the single-pass
+   sweeps: the lower bound t - b - C(t) + m(t - b), with m the level-k
+   prefix minimum, and the upper bound min (t - P(t), V(t)), each cut at 0
+   and monotonized. *)
+let sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work ~work_hi =
+  let lo =
+    add
+      (sub (Pl.linear ~slope:1 ~offset:(-blocking)) (Pl.of_step hp_work_hi))
+      (Pl.shift_right (prefix_min ~mode:`Left ~avail:Pl.identity ~work:level_work) blocking)
+  in
+  let hi =
+    min2 (sub Pl.identity hp_svc_lo)
+      (add Pl.identity (prefix_min ~mode:`Right ~avail:Pl.identity ~work:work_hi))
+  in
+  (Pl.prefix_max (max2 lo Pl.zero), Pl.prefix_max (max2 hi Pl.zero))

@@ -3,9 +3,11 @@
 
     Each function here is the original, asymptotically naive implementation
     of a hot-path kernel that {!Rta_curve.Minplus} and {!Rta_curve.Pl} have
-    since replaced with faster equivalents, or, for {!spp_exact}, of the
-    Theorem 3 computation that {!Rta_curve.Idle} replaced.  The property tests (test/curve)
-    and the [rta fuzz --kernels] mode check [Pl.equal] between the optimized
+    since replaced with faster equivalents, or, for {!spp_exact} and
+    {!sp_bounds}, of the Theorem 3 and Theorems 5-6 computations that
+    {!Rta_curve.Idle} and the {!Rta_curve.Minplus} sweeps replaced.  The
+    property tests (test/curve, test/core) and the [rta fuzz --kernels]
+    mode check [Pl.equal] between the optimized
     and reference results on randomized and adversarial curves.  The module
     satisfies {!Rta_curve.KERNELS}, so a whole analysis can run on it
     ({!Rta_core.Local.Make}).
@@ -43,3 +45,20 @@ val spp_exact : horizon:int -> (int * Step.t) list -> (Pl.t * Step.t) list
     [min (floor (S / tau)) arr] on [S] truncated at [horizon]
     (Theorem 2).  {!Rta_core.Local} computes the same curves by consuming
     idle intervals ({!Rta_curve.Idle}). *)
+
+val sp_bounds :
+  blocking:int ->
+  hp_work_hi:Step.t ->
+  hp_svc_lo:Pl.t ->
+  level_work:Step.t ->
+  work_hi:Step.t ->
+  Pl.t * Pl.t
+(** The oracle for the static-priority bound sweeps: Theorems 5-6 composed
+    from this module's kernels, as {!Rta_core.Local} computed them before
+    {!Rta_curve.Minplus.sp_lower} and {!Rta_curve.Minplus.sp_upper}
+    replaced the chain.  With [b = blocking], [C = hp_work_hi],
+    [P = hp_svc_lo] and [W = level_work], the lower bound is
+    [t - b - C(t) + m(max 0 (t - b))] with [m] the [`Left] prefix minimum
+    of [W] against the identity, and the upper bound
+    [min (t - P(t), V(t))] with [V] the [`Right] transform of [work_hi];
+    each is cut at 0 and monotonized ({!Rta_curve.Pl.prefix_max}). *)

@@ -5,17 +5,27 @@ type order = Acyclic of System.subjob_id list | Cyclic of System.subjob_id list
 let predecessor (id : System.subjob_id) =
   if id.step = 0 then None else Some { id with System.step = id.step - 1 }
 
+(* A node of the dependency graph: a subjob, or an FCFS processor's join
+   point, which stands for "every resident's arrival is known". *)
+type node = Subjob of System.subjob_id | Join of int
+
+let c_edges = Rta_obs.counter "deps.edges"
+
 (* The dependency relation, with each processor's residents listed once.
    A static-priority resident depends on its next-higher co-resident only:
    that one depends on the next above it in turn, so the relation keeps
    the same ancestors as "every higher-priority resident" (priorities are
    distinct on a processor) with one edge per resident instead of one per
-   pair.  Kahn's walk below always takes the smallest ready subjob, and a
-   subjob is ready exactly when all its ancestors are done, so the order
-   is the same either way. *)
+   pair.  Every FCFS resident depends on all its co-residents' chain
+   predecessors (its own included); those edges go through the
+   processor's join point, which depends on the predecessors, so a
+   processor with N residents has O(N) edges instead of N^2.  Kahn's walk
+   below always takes the smallest ready subjob, and a subjob is ready
+   exactly when all its ancestors are done, so the order is the same
+   either way, provided the walk settles a join point as soon as it is
+   ready. *)
 let dependencies system =
   let procs = List.init (System.processor_count system) Fun.id in
-  let residents = Array.of_list (List.map (System.subjobs_on system) procs) in
   let above = Hashtbl.create 64 in
   List.iter
     (fun p ->
@@ -27,21 +37,22 @@ let dependencies system =
                Some id)
              None (System.by_priority system p)))
     procs;
-  fun (id : System.subjob_id) ->
-    let s = System.step system id in
-    let chain = match predecessor id with None -> [] | Some p -> [ p ] in
-    let local =
+  function
+  | Join p ->
+      (* Arrival functions of all residents: their chain predecessors. *)
+      List.filter_map predecessor (System.subjobs_on system p)
+      |> List.map (fun id -> Subjob id)
+  | Subjob id -> (
+      let s = System.step system id in
+      let chain =
+        match predecessor id with None -> [] | Some p -> [ Subjob p ]
+      in
       match System.scheduler_of system s.proc with
       | Sched.Spp | Sched.Spnp ->
           (* The next-higher resident's service function. *)
-          Option.to_list (Hashtbl.find_opt above id)
-      | Sched.Fcfs ->
-          (* Arrival functions of all residents: their chain predecessors. *)
-          residents.(s.proc)
-          |> List.filter_map (fun other ->
-                 if other = id then None else predecessor other)
-    in
-    chain @ local
+          chain
+          @ List.map (fun h -> Subjob h) (Option.to_list (Hashtbl.find_opt above id))
+      | Sched.Fcfs -> Join s.proc :: chain)
 
 let compute system =
   let all =
@@ -51,42 +62,58 @@ let compute system =
              (Array.length (System.job system j).steps)
              (fun s -> { System.job = j; step = s })))
   in
+  let joins =
+    List.init (System.processor_count system) Fun.id
+    |> List.filter (fun p ->
+           System.scheduler_of system p = Sched.Fcfs
+           && System.subjobs_on system p <> [])
+    |> List.map (fun p -> Join p)
+  in
+  let nodes = List.map (fun id -> Subjob id) all @ joins in
   (* Kahn's algorithm over the dependency relation. *)
   let dependencies = dependencies system in
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun id -> Hashtbl.replace tbl id (List.sort_uniq compare (dependencies id)))
-    all;
   let in_degree = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace in_degree id 0) all;
+  List.iter (fun n -> Hashtbl.replace in_degree n 0) nodes;
   let dependents = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id deps ->
+  List.iter
+    (fun n ->
       List.iter
         (fun d ->
-          Hashtbl.replace in_degree id (Hashtbl.find in_degree id + 1);
-          Hashtbl.replace dependents d (id :: Option.value ~default:[] (Hashtbl.find_opt dependents d)))
-        deps)
-    tbl;
+          Rta_obs.incr c_edges;
+          Hashtbl.replace in_degree n (Hashtbl.find in_degree n + 1);
+          Hashtbl.replace dependents d (n :: Option.value ~default:[] (Hashtbl.find_opt dependents d)))
+        (List.sort_uniq compare (dependencies n)))
+    nodes;
+  (* Done with [n]: the subjobs it makes ready, with every join point it
+     makes ready settled on the spot. *)
+  let rec release n =
+    Option.value ~default:[] (Hashtbl.find_opt dependents n)
+    |> List.concat_map (fun d ->
+           let deg = Hashtbl.find in_degree d - 1 in
+           Hashtbl.replace in_degree d deg;
+           match d with
+           | _ when deg > 0 -> []
+           | Subjob id -> [ id ]
+           | Join _ -> release d)
+  in
   let ready =
-    List.filter (fun id -> Hashtbl.find in_degree id = 0) all
-    |> List.sort compare
+    let sources = List.filter (fun id -> Hashtbl.find in_degree (Subjob id) = 0) all in
+    let from_joins =
+      List.concat_map
+        (fun j -> if Hashtbl.find in_degree j = 0 then release j else [])
+        joins
+    in
+    List.sort compare (sources @ from_joins)
   in
   let rec walk ready acc =
     match ready with
     | [] -> List.rev acc
     | id :: rest ->
-        let next =
-          Option.value ~default:[] (Hashtbl.find_opt dependents id)
-          |> List.filter (fun d ->
-                 let deg = Hashtbl.find in_degree d - 1 in
-                 Hashtbl.replace in_degree d deg;
-                 deg = 0)
-        in
+        let next = release (Subjob id) in
         walk (List.merge compare rest (List.sort compare next)) (id :: acc)
   in
   let sorted = walk ready [] in
   if List.length sorted = List.length all then Acyclic sorted
   else
-    let stuck = List.filter (fun id -> Hashtbl.find in_degree id > 0) all in
+    let stuck = List.filter (fun id -> Hashtbl.find in_degree (Subjob id) > 0) all in
     Cyclic stuck

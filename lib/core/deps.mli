@@ -10,7 +10,8 @@
       dependency on the next-higher one, which waits for the rest;
     - on FCFS processors: the arrival functions of {e all} subjobs sharing
       the processor (the total workload [G] of Theorem 7), i.e. the
-      departures of all their predecessors.
+      departures of all their predecessors, recorded through one join
+      point per processor, so O(N) edges for N residents.
 
     This module builds that dependency relation and topologically sorts it.
     Chains that revisit processors or priority structures that interlock

@@ -217,9 +217,13 @@ module Make (K : Rta_curve.KERNELS) = struct
      bound):
 
        S_lo(t) = (t - b - sum_hp c_hi_hp(t))
-                 + min over s <= t of (W_lo(s-) - s)
+                 + min over s <= t - b of (W_lo(s-) - s)
 
-     with W_lo = c_lo_self + sum_hp c_lo_hp.  Note: the recursion printed
+     with W_lo = c_lo_self + sum_hp c_lo_hp.  The minimum ranges over
+     s <= t - b (the paper's Eq. 16 domain): the candidate s = t - b is
+     bounded below by the level-k workload already arrived, while s close
+     to t would drive the bound to minus infinity once arrivals stop.
+     Note: the recursion printed
      in the paper's Eq. 17 (interference via hp service {e lower} bounds)
      is unsound — see EXPERIMENTS.md for the two-job counterexample; this
      formulation replaces it.
@@ -234,30 +238,25 @@ module Make (K : Rta_curve.KERNELS) = struct
 
      The three higher-priority sums come from the running aggregate [hp];
      the level-k workload [W_lo] is returned too, for the next rank's
-     aggregate to reuse. *)
+     aggregate to reuse.  Both bounds, cut at 0 and monotonized, are one
+     sweep each (Minplus.sp_lower, sp_upper): the lower walks the jumps of
+     sum_hp c_hi_hp and W_lo once, and the upper reads the higher-priority
+     service sum only where the resident's own upper workload is above the
+     bound so far.  (b) is the resident's own [`Right] utilization. *)
   let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
     let w_lo =
       if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
     in
     let lo =
-      let d =
-        K.sub
-          (Pl.linear ~slope:1 ~offset:(-blocking))
-          (Pl.of_step (Lazy.force hp.work_hi))
-      in
-      let m = K.prefix_min ~mode:`Left ~avail:Pl.identity ~work:w_lo in
-      (* The minimum ranges over s <= t - b (the paper's Eq. 16 domain):
-         the candidate s = t - b is bounded below by the level-k workload
-         already arrived, while s close to t would drive the bound to minus
-         infinity once arrivals stop. *)
-      K.add d (Pl.shift_right m blocking)
+      Rta_curve.Minplus.sp_lower ~blocking ~hp_work:(Lazy.force hp.work_hi)
+        ~level_work:w_lo
     in
     let hi =
-      let capacity_left = K.sub Pl.identity (Lazy.force hp.svc_lo) in
-      let smoothed_work = transform ~mode:`Right ~avail:Pl.identity ~work:work_hi in
-      K.min2 capacity_left smoothed_work
+      Rta_curve.Minplus.sp_upper ~hp_service:(Lazy.force hp.svc_lo)
+        ~own_work:work_hi
+        ~own_util:(transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
     in
-    (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi), w_lo)
+    (lo, hi, w_lo)
 
   (* Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), kept for
      the ablation study.  Known unsound as a departure lower bound (see

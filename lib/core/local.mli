@@ -119,8 +119,20 @@ type hp
     resident consumes its instances' idle time from the map, one
     O(log I) search per instance and per interval it uses up, so exact
     SPP costs O(I log I) per processor where summing the services above
-    each resident cost O(N I).  A bounded resident's level-k workload is summed
-    once and handed to the next rank ({!handoff}).
+    each resident cost O(N I).
+
+    A bounded resident (SPNP, SPP with blocking, or bracketed inputs)
+    takes its Theorem 5-6 bounds from two single-pass sweeps
+    ({!Rta_curve.Minplus.sp_lower}, {!Rta_curve.Minplus.sp_upper}): the
+    lower one walks the jumps of the higher-priority [work_hi] sum and of
+    its level-k workload once, O(1) each; the upper one reads the
+    higher-priority [svc_lo] sum only in the windows where its own upper
+    workload is above the bound so far, one galloping search per window.
+    Its level-k workload is summed once and handed to the next rank
+    ({!handoff}), and its service is added into the [svc_lo] sum when
+    pushed, so a processor of bounded residents costs O(N I), with a
+    small constant: no curve of O(I) knots is built besides the running
+    sums.
 
     Rank-order invariant: a static-priority resident depends on every
     resident above it ({!Deps}, through the next-higher one), so any

@@ -57,12 +57,14 @@ let event_times avail work =
    inputs are evaluated through cursors (segment indices only ever move
    forward — no per-event binary search), and output knots land in a
    preallocated array builder (no list consing, no of_knots re-validation).
-   Each event interval pushes at most 6 knots, which bounds the builder
-   capacity up front. *)
+   The builder starts at one knot per event and doubles past it: an event
+   interval can push up to 6 knots, but sizing every scan for that made
+   each one allocate six knots per event, most of them never written,
+   and those buffers set the peak memory of FCFS fixpoint verdicts. *)
 let prefix_min_impl ~mode ~avail ~work =
   let events = event_times avail work in
   let n_events = Array.length events in
-  let b = Pl.Builder.create ((6 * n_events) + 2) in
+  let b = Pl.Builder.create (n_events + 2) in
   let push t v = Pl.Builder.push b t v in
   let ac = Pl.Cursor.make avail in
   let wc = Step.Cursor.make work in
@@ -148,6 +150,178 @@ let transform_blocked ~mode ~avail ~work ~blocking =
     let m = prefix_min ~mode ~avail ~work in
     let shifted = Pl.shift_right m blocking in
     Pl.splice ~at:blocking Pl.zero (Pl.add avail shifted)
+
+(* Theorem 5's level-k lower bound in one walk over the jumps of C and W.
+   L(t) = U(t - b) - C(t), where U(u) = u + min over s <= u of
+   (W(s-) - s) rises by one on every tick the level is busy and stays flat
+   when it idles; ticks before b count as busy (U(u) for u < 0 continues
+   the line back from U(0) = W(0-)).  The backlog of the level drains one
+   tick at a time, so the level is busy exactly before [busy_end], which a
+   W jump of J at u pushes to max busy_end (u + b) + J.  Between events L
+   is therefore a line of slope 1 up to [busy_end] and flat after it, and
+   at a C jump it drops.  The running maximum follows the line where the
+   line passes it; every event is O(1) and only its rises are pushed. *)
+let c_lo_events = Obs.counter "sp.lo.events"
+
+let sp_lower ~blocking ~hp_work:c ~level_work:w =
+  if blocking < 0 then invalid_arg "Minplus.sp_lower: negative blocking";
+  let nc = Step.jump_count c and nw = Step.jump_count w in
+  Obs.add c_lo_events (nc + nw);
+  let b = Pl.Builder.create 16 in
+  (* The next C and W events, at [tc] and [tw] ([max_int] when none). *)
+  let ic = ref 0 and iw = ref 0 in
+  let tc = ref (if nc > 0 then Step.jump_time c 0 else max_int) in
+  let tw = ref (if nw > 0 then Step.jump_time w 0 + blocking else max_int) in
+  let c_prev = ref (Step.init_value c) and w_prev = ref (Step.init_value w) in
+  (* [l] is L(t) and [r] is R(t), or [min_int] before time 0's events. *)
+  let t = ref 0 and l = ref (Step.init_value w - blocking - Step.init_value c) in
+  let r = ref min_int and busy_end = ref blocking in
+  let next = ref 0 in
+  while !next < max_int do
+    let time = !next in
+    if !r > min_int then begin
+      (* Follow L from [!t] to [time]: the line rises until [busy_end];
+         its last point counted is the tick before [time] when C drops
+         there, since L(time) is taken after the drop. *)
+      let top = min time !busy_end in
+      if top > !t then begin
+        let last = if top = !tc then top - 1 else top in
+        let v = !l + (last - !t) in
+        if v > !r then begin
+          Pl.Builder.push b (!t + !r - !l) !r;
+          Pl.Builder.push b last v;
+          r := v
+        end;
+        l := !l + (top - !t)
+      end;
+      t := time
+    end;
+    (* The jumps at [time]: C's lowers L from [time] on, and W's (at
+       [time - blocking]) extends the busy stretch. *)
+    if !tc = time then begin
+      let v = Step.jump_value c !ic in
+      l := !l - (v - !c_prev);
+      c_prev := v;
+      incr ic;
+      tc := if !ic < nc then Step.jump_time c !ic else max_int
+    end;
+    if !tw = time then begin
+      let v = Step.jump_value w !iw in
+      busy_end := max !busy_end time + (v - !w_prev);
+      w_prev := v;
+      incr iw;
+      tw := if !iw < nw then Step.jump_time w !iw + blocking else max_int
+    end;
+    if !r = min_int then begin
+      r := max 0 !l;
+      Pl.Builder.push b 0 !r
+    end;
+    next := min !tc !tw
+  done;
+  (* The last rise, to the end of the busy stretch. *)
+  if !busy_end > !t && !l + (!busy_end - !t) > !r then begin
+    Pl.Builder.push b (!t + !r - !l) !r;
+    Pl.Builder.push b !busy_end (!l + (!busy_end - !t))
+  end;
+  Pl.Builder.to_pl ~tail:0 b
+
+(* Theorem 6's upper bound R(t) = max (0, max over s <= t of f(s)) with
+   f = min (t - P, V).  Since f <= V <= c, R can rise at t only while
+   c(t) > R(t - 1): once R reaches the current level of c it stays put
+   until c next jumps above it, so the walk jumps from one such window to
+   the next with one galloping search into P, and reads nothing between.
+   Inside a window it walks the merged knots of P and V; on each span both
+   are lines, whose minimum on the grid is one line up to the floor of
+   their crossing, a one-tick straddle, and the other line after it.  The
+   running maximum follows every piece that rises past it. *)
+let c_hi_windows = Obs.counter "sp.hi.windows"
+let c_hi_reads = Obs.counter "sp.hi.reads"
+
+let sp_upper ~hp_service:p ~own_work:c ~own_util:v =
+  let cp = Pl.Cursor.make p and cv = Pl.Cursor.make v in
+  let b = Pl.Builder.create 16 in
+  let push = Pl.Builder.push b in
+  let f x = min (x - Pl.Cursor.eval cp x) (Pl.Cursor.eval cv x) in
+  let r = ref (max 0 (f 0)) in
+  push 0 !r;
+  let tail = ref 0 in
+  (* A linear piece from (x0, y0), already counted, to (x1, y1). *)
+  let piece x0 y0 x1 y1 =
+    if y1 > !r then begin
+      let s = (y1 - y0) / (x1 - x0) in
+      let xc = x0 + ((!r - y0) / s) + 1 in
+      push (xc - 1) !r;
+      push xc (y0 + (s * (xc - x0)));
+      push x1 y1;
+      r := y1
+    end
+  in
+  (* The unbounded last piece, from (x0, y0) on with slope [s]. *)
+  let last_piece x0 y0 s =
+    if s > 0 then begin
+      let xc = x0 + ((!r - y0) / s) + 1 in
+      push (xc - 1) !r;
+      push xc (y0 + (s * (xc - x0)));
+      tail := s
+    end
+  in
+  (* The span from [x] to the next knot of P or V. *)
+  let span x =
+    Obs.incr c_hi_reads;
+    let a0 = x - Pl.Cursor.eval cp x and sa = 1 - Pl.Cursor.slope cp x in
+    let v0 = Pl.Cursor.eval cv x and sv = Pl.Cursor.slope cv x in
+    let x' = min (Pl.Cursor.next_knot cp x) (Pl.Cursor.next_knot cv x) in
+    let at y = min (a0 + (sa * (y - x))) (v0 + (sv * (y - x))) in
+    let d0 = a0 - v0 and ds = sa - sv in
+    let cuts =
+      if ds = 0 || d0 = 0 || (d0 > 0) = (ds > 0) then []
+      else
+        let du = -d0 / ds in
+        List.filter (fun y -> y > x && y < x') [ x + du; x + du + 1 ]
+    in
+    let x_last, y_last =
+      List.fold_left
+        (fun (x0, y0) x1 ->
+          let y1 = at x1 in
+          piece x0 y0 x1 y1;
+          (x1, y1))
+        (x, at x) cuts
+    in
+    if x' = max_int then last_piece x_last y_last (at (x_last + 1) - y_last)
+    else piece x_last y_last x' (at x');
+    x'
+  in
+  let nc = Step.jump_count c in
+  let ic = ref 0 in
+  (* [!r] is R(x) and f(x) <= R(x). *)
+  let rec walk x =
+    while !ic < nc && Step.jump_time c !ic <= x do
+      incr ic
+    done;
+    let level = if !ic = 0 then Step.init_value c else Step.jump_value c (!ic - 1) in
+    if level > !r then begin
+      let x' = span x in
+      if x' < max_int then walk x'
+    end
+    else begin
+      while !ic < nc && Step.jump_value c !ic <= !r do
+        incr ic
+      done;
+      if !ic < nc then begin
+        let tau = Step.jump_time c !ic in
+        Obs.incr c_hi_windows;
+        let y = f tau in
+        if y > !r then begin
+          push (tau - 1) !r;
+          push tau y;
+          r := y
+        end;
+        walk tau
+      end
+    end
+  in
+  walk 0;
+  Pl.Builder.to_pl ~tail:!tail b
 
 let horizontal_deviation ~upper ~lower =
   (* Both curves are searched through checked inverse handles, which

@@ -45,6 +45,35 @@ val transform_blocked :
     [avail(t) + m(t - blocking)] beyond, where [m] is the prefix minimum
     above.  [blocking >= 0]. *)
 
+val sp_lower : blocking:int -> hp_work:Step.t -> level_work:Step.t -> Pl.t
+(** Theorem 5's static-priority service lower bound (the level-k busy-window
+    form proved in [Rta_core.Local]), monotonized: with [b = blocking],
+    [C = hp_work] (the higher-priority upper workload) and
+    [W = level_work] (the level-k lower workload, own plus higher
+    priority), it is
+
+    {[ fun t -> max (0, max over s <= t of L(s)) ]}
+
+    where [L(t) = t - b - C(t) + prefix_min `Left identity W (max 0 (t - b))].
+    One walk over the jumps of [C] and [W], O(1) each, builds it without
+    any intermediate curve.  [blocking >= 0].  Counted when
+    {!Rta_obs.enabled}: [sp.lo.events], the jumps walked. *)
+
+val sp_upper : hp_service:Pl.t -> own_work:Step.t -> own_util:Pl.t -> Pl.t
+(** Theorem 6's static-priority service upper bound, monotonized: with
+    [P = hp_service] (the higher-priority lower service sum), [c = own_work]
+    and [V = own_util], it is
+
+    {[ fun t -> max (0, max over s <= t of min (s - P(s), V(s))) ]}
+
+    [V] must be the resident's utilization
+    [transform ~mode:`Right ~avail:Pl.identity ~work:c], or any curve below
+    [c]: the bound can rise only where [c] is above it, so the walk reads
+    [P] and [V] only in those windows, seeking into [P] once per window.
+    Counted when {!Rta_obs.enabled}: [sp.hi.windows], the jumps of [c]
+    sought once the bound had caught up with [c], and [sp.hi.reads], the
+    spans between knots of [P] and [V] read inside windows. *)
+
 val horizontal_deviation : upper:Pl.t -> lower:Pl.t -> int option
 (** [sup over t of min { d >= 0 | lower(t + d) >= upper(t) }]: the delay
     bound — how long until the service curve catches up with the demand, in

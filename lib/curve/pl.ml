@@ -177,7 +177,10 @@ let eval f t =
 
 (* Sequential evaluation: when query times are non-decreasing (event sweeps,
    merged-grid walks) the segment index only ever moves forward, so each
-   query is amortized O(1) instead of a fresh O(log n) binary search. *)
+   query is amortized O(1) instead of a fresh O(log n) binary search.  The
+   index gallops (steps 1, 2, 4, ... then a binary search), so a query that
+   skips k knots reads O(log k) of them: a step to the next knot costs the
+   two reads a linear walk makes, and a long skip is one search. *)
 module Cursor = struct
   type pl = t
   type t = { f : pl; mutable i : int; mutable last : int }
@@ -190,9 +193,20 @@ module Cursor = struct
     c.last <- t;
     let xs = c.f.xs in
     let n = Array.length xs in
-    while c.i + 1 < n && xs.(c.i + 1) <= t do
-      c.i <- c.i + 1
-    done
+    if c.i + 1 < n && xs.(c.i + 1) <= t then begin
+      (* Invariant: xs.(lo) <= t, and xs.(hi) > t unless hi = n. *)
+      let lo = ref (c.i + 1) and step = ref 1 in
+      while !lo + !step < n && xs.(!lo + !step) <= t do
+        lo := !lo + !step;
+        step := 2 * !step
+      done;
+      let hi = ref (min n (!lo + !step)) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if xs.(mid) <= t then lo := mid else hi := mid
+      done;
+      c.i <- !lo
+    end
 
   let eval c t =
     if t < 0 then invalid_arg "Pl.Cursor.eval: negative time";
@@ -203,6 +217,11 @@ module Cursor = struct
     if t < 0 then invalid_arg "Pl.Cursor.slope: negative time";
     advance c t;
     segment_slope c.f c.i
+
+  let next_knot c t =
+    if t < 0 then invalid_arg "Pl.Cursor.next_knot: negative time";
+    advance c t;
+    if c.i + 1 < Array.length c.f.xs then c.f.xs.(c.i + 1) else max_int
 end
 
 let knots f = Array.init (Array.length f.xs) (fun i -> (f.xs.(i), f.ys.(i)))

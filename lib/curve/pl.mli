@@ -75,7 +75,9 @@ module Cursor : sig
       Event sweeps (the prefix-minimum scan, the fuzz oracle's merged-grid
       walk) evaluate curves at sorted times; a cursor walks the segment
       index forward instead of binary-searching from scratch on every
-      query.  All queries on one cursor must use non-decreasing times. *)
+      query, galloping over skipped knots, so a query that skips k knots
+      reads O(log k) of them.  All queries on one cursor must use
+      non-decreasing times. *)
 
   type pl := t
   type t
@@ -91,6 +93,11 @@ module Cursor : sig
   (** Slope of the segment containing [t] (the tail slope at or beyond the
       last knot): the value of [eval (t+1) - eval t] whenever [t+1] does not
       cross a knot.  Same monotonicity contract as {!eval}. *)
+
+  val next_knot : t -> int -> int
+  (** The time of the first knot after [t], where the segment containing
+      [t] ends; [max_int] at or beyond the last knot.  Same monotonicity
+      contract as {!eval}. *)
 end
 
 val knots : t -> (int * int) array

@@ -2,7 +2,8 @@
     calculus.
 
     {!Step} and {!Pl} are the two curve representations; {!Minplus} is the
-    min-plus transform connecting them; {!Idle} is the idle time a
+    min-plus transform connecting them, with the single-pass sweeps of the
+    static-priority bounds (Theorems 5-6); {!Idle} is the idle time a
     preemptive static-priority processor leaves to its lower ranks
     (Theorem 3); {!Envelope} is the horizon-free arrival-envelope
     extension. *)

@@ -150,6 +150,8 @@ let final_value f =
 
 let jump_count f = Array.length f.ts
 let knot_count = jump_count
+let jump_time f i = f.ts.(i)
+let jump_value f i = f.vs.(i)
 let jumps f = Array.init (Array.length f.ts) (fun i -> (f.ts.(i), f.vs.(i)))
 let support_end f =
   let n = Array.length f.ts in
@@ -173,29 +175,44 @@ let scale f k =
   if k < 1 then invalid_arg "Step.scale: factor must be >= 1";
   { f with init = f.init * k; vs = Array.map (fun v -> v * k) f.vs }
 
-(* Merge the jump points of [f] and [g], combining values with [op]. *)
+(* Merge the jump points of [f] and [g], combining values with [op]; a
+   combined value that does not rise is dropped (min and max can flatten).
+   The merge runs twice, first only to count the jumps kept, so the
+   result arrays are the only allocation. *)
 let combine op f g =
   let nf = Array.length f.ts and ng = Array.length g.ts in
-  let acc = ref [] in
-  let push t v = acc := (t, v) :: !acc in
-  let rec go i j =
-    if i >= nf && j >= ng then ()
-    else begin
+  let init = op f.init g.init in
+  let merge emit =
+    let n = ref 0 and last = ref init in
+    let i = ref 0 and j = ref 0 in
+    while !i < nf || !j < ng do
       let t =
-        if i >= nf then g.ts.(j)
-        else if j >= ng then f.ts.(i)
-        else min f.ts.(i) g.ts.(j)
+        if !i >= nf then g.ts.(!j)
+        else if !j >= ng then f.ts.(!i)
+        else min f.ts.(!i) g.ts.(!j)
       in
-      let i' = if i < nf && f.ts.(i) = t then i + 1 else i in
-      let j' = if j < ng && g.ts.(j) = t then j + 1 else j in
-      let vf = if i' = 0 then f.init else f.vs.(i' - 1) in
-      let vg = if j' = 0 then g.init else g.vs.(j' - 1) in
-      push t (op vf vg);
-      go i' j'
-    end
+      if !i < nf && f.ts.(!i) = t then incr i;
+      if !j < ng && g.ts.(!j) = t then incr j;
+      let vf = if !i = 0 then f.init else f.vs.(!i - 1) in
+      let vg = if !j = 0 then g.init else g.vs.(!j - 1) in
+      let v = op vf vg in
+      if v > !last then begin
+        emit !n t v;
+        incr n;
+        last := v
+      end
+    done;
+    !n
   in
-  go 0 0;
-  normalize ~init:(op f.init g.init) (List.rev !acc)
+  let n = merge (fun _ _ _ -> ()) in
+  let ts = Array.make n 0 and vs = Array.make n 0 in
+  ignore
+    (merge (fun k t v ->
+         ts.(k) <- t;
+         vs.(k) <- v));
+  let f = { init; ts; vs } in
+  invariant f;
+  f
 
 module Obs = Rta_obs
 

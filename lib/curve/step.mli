@@ -78,6 +78,13 @@ val jump_count : t -> int
 val knot_count : t -> int
 (** Alias of {!jump_count}: the description size, named as in {!Pl}. *)
 
+val jump_time : t -> int -> int
+val jump_value : t -> int -> int
+(** [jump_time f i] and [jump_value f i] are the time of the [i]-th jump
+    ([0 <= i < jump_count f]) and the value from then on, read in place:
+    sweeps that merge several curves' jumps walk them without the copy
+    {!jumps} makes. *)
+
 val invariant : t -> unit
 (** Checks the representation invariant (non-negative strictly increasing
     jump times, strictly increasing values above the initial value).

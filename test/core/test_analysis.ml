@@ -393,6 +393,87 @@ let test_cyclic_detected () =
   | Rta_core.Deps.Cyclic stuck ->
       Alcotest.(check bool) "some subjobs stuck" true (List.length stuck > 0)
 
+(* The dependency order against the relation it replaced, where every
+   FCFS resident lists each co-resident's chain predecessor itself (O(N^2)
+   edges per processor), walked by the same smallest-ready-first Kahn
+   rule.  Routing those edges through a per-processor join point must
+   give the same order, and the same stuck set on a cycle. *)
+let pairwise_order system =
+  let pred (id : System.subjob_id) =
+    if id.step = 0 then None else Some { id with System.step = id.step - 1 }
+  in
+  let all =
+    List.concat
+      (List.init (System.job_count system) (fun j ->
+           List.init
+             (Array.length (System.job system j).System.steps)
+             (fun s -> { System.job = j; step = s })))
+  in
+  let deps (id : System.subjob_id) =
+    let p = (System.step system id).System.proc in
+    let local =
+      match System.scheduler_of system p with
+      | Sched.Fcfs ->
+          List.filter_map
+            (fun o -> if o = id then None else pred o)
+            (System.subjobs_on system p)
+      | Sched.Spp | Sched.Spnp ->
+          let rec above = function
+            | h :: (x :: _ as rest) -> if x = id then [ h ] else above rest
+            | _ -> []
+          in
+          above (System.by_priority system p)
+    in
+    List.sort_uniq compare (Option.to_list (pred id) @ local)
+  in
+  let remaining = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace remaining id (deps id)) all;
+  let rec walk done_ acc =
+    let ready =
+      List.filter
+        (fun id ->
+          (not (List.mem id done_))
+          && List.for_all (fun d -> List.mem d done_) (Hashtbl.find remaining id))
+        all
+    in
+    match List.sort compare ready with
+    | [] ->
+        if List.length done_ = List.length all then Rta_core.Deps.Acyclic (List.rev acc)
+        else Rta_core.Deps.Cyclic (List.filter (fun id -> not (List.mem id done_)) all)
+    | id :: _ -> walk (id :: done_) (id :: acc)
+  in
+  walk [] []
+
+let same_order system =
+  match (Rta_core.Deps.compute system, pairwise_order system) with
+  | Rta_core.Deps.Acyclic a, Rta_core.Deps.Acyclic b
+  | Rta_core.Deps.Cyclic a, Rta_core.Deps.Cyclic b ->
+      a = b
+  | _ -> false
+
+let test_deps_join_order () =
+  List.iter
+    (fun (sched, jobs) ->
+      let config =
+        Rta_workload.Jobshop.default ~stages:3 ~jobs ~utilization:0.5
+          ~arrival:Rta_workload.Jobshop.Periodic_eq25
+          ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0) ~sched
+      in
+      let system = Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 7) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %d jobs" (Sched.to_string sched) jobs)
+        true (same_order system))
+    [ (Sched.Fcfs, 6); (Sched.Fcfs, 12); (Sched.Fcfs, 24); (Sched.Spnp, 12) ]
+
+(* Mixed schedulers, shared processors and cycles: the fuzz generator's
+   systems. *)
+let prop_deps_join_order =
+  qtest ~count:300 "dependency order = pairwise FCFS relation"
+    (QCheck2.Gen.map
+       (fun seed -> (Rta_check.Gen.generate (Rta_workload.Rng.make seed)).system)
+       (QCheck2.Gen.int_range 0 1_000_000))
+    Sg.print_system same_order
+
 let test_fixpoint_on_cycle () =
   (* The paper leaves convergence of the Section 6 iteration open; on
      mutually-cyclic windows it can creep with unit loop gain.  The
@@ -1198,6 +1279,8 @@ let () =
       ( "fixpoint",
         [
           Alcotest.test_case "cycle detected" `Quick test_cyclic_detected;
+          Alcotest.test_case "FCFS join order" `Quick test_deps_join_order;
+          prop_deps_join_order;
           Alcotest.test_case "fixpoint on cycle vs sim" `Quick test_fixpoint_on_cycle;
           prop_fixpoint_dominates_sim;
           Alcotest.test_case "facade dispatch" `Quick test_analysis_facade;

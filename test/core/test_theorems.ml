@@ -376,6 +376,41 @@ let prop_idle_theorem3 =
     (fun (h, r) -> Printf.sprintf "horizon=%d %s" h (print_residents r))
     idle_matches_theorem3
 
+(* The static-priority bounds are two single-pass sweeps; the composed
+   Theorem 5-6 formula on the reference kernels is their oracle.  Inputs
+   range over blocking (0 included), higher-priority upper workloads and
+   lower service sums (falling ones too), level-k lower workloads and own
+   upper workloads, all with arbitrary step initial values. *)
+let sp_case_gen =
+  let open QCheck2.Gen in
+  let* blocking = oneof [ return 0; int_range 0 12 ] in
+  let* hp_work_hi = G.step_gen in
+  let* hp_svc_lo = oneof [ G.pl_mono_gen; G.pl_gen; G.avail_gen ] in
+  let* level_work = G.step_gen in
+  let* work_hi = G.step_gen in
+  return (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi)
+
+let print_sp_case (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
+  Printf.sprintf "blocking=%d hp_work_hi=%s hp_svc_lo=%s level_work=%s work_hi=%s"
+    blocking (G.print_step hp_work_hi) (G.print_pl hp_svc_lo)
+    (G.print_step level_work) (G.print_step work_hi)
+
+let sweeps_match_oracle (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
+  let lo_ref, hi_ref =
+    Rta_check.Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work
+      ~work_hi
+  in
+  let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
+  let hi =
+    Minplus.sp_upper ~hp_service:hp_svc_lo ~own_work:work_hi
+      ~own_util:(Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
+  in
+  Pl.equal lo lo_ref && Pl.equal hi hi_ref
+
+let prop_sp_sweeps =
+  G.qtest ~count:2000 "sweeps = Theorem 5-6 formula" sp_case_gen print_sp_case
+    sweeps_match_oracle
+
 let () =
   Alcotest.run "rta_theorems"
     [
@@ -400,4 +435,5 @@ let () =
           prop_aggregate "push sums, reference kernels" Reference_local.push;
         ] );
       ("exact SPP", [ prop_idle_theorem3 ]);
+      ("SP bounds", [ prop_sp_sweeps ]);
     ]

@@ -462,6 +462,13 @@ let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
   List.combine kernel_counters
     [ step_add; step_scale; pl_add; pl_sub; pl_min2; pl_max2; prefix_min ]
 
+let sweep_pins ~lo_events ~hi_windows ~hi_reads =
+  [
+    ("sp.lo.events", lo_events);
+    ("sp.hi.windows", hi_windows);
+    ("sp.hi.reads", hi_reads);
+  ]
+
 let run_engine system =
   let release_horizon, horizon = System.suggested_horizons system in
   match Rta_core.Engine.run ~release_horizon ~horizon system with
@@ -503,8 +510,15 @@ let count_cases =
     ( "engine SPNP 6x3",
       engine_counts Sched.Spnp
         ~pins:
-          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:42 ~pl_sub:36
-             ~pl_min2:18 ~pl_max2:36 ~prefix_min:36) );
+          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:24 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:18
+          (* Each resident's bounds are two sweeps and one [`Right]
+             transform of its own workload: the lower sweep walks the
+             jumps of its higher-priority upper workload and its level-k
+             lower workload once, and the upper reads spans of the
+             higher-priority service sum only in the windows where its
+             own upper workload is above the bound so far. *)
+          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:466) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
         ~pins:
@@ -518,22 +532,29 @@ let count_cases =
               ("pl.inverse.queries", 654);
               ("pl.inverse.probes", 4706);
               ("step.add.jumps", 922);
+              (* Each resident depends on its chain predecessor and on its
+                 processor's join point, which depends on the residents'
+                 predecessors: O(N) edges per processor. *)
+              ("deps.edges", 42);
             ]) );
     ( "fixpoint 3x2",
       fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
         ~pins:
-          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:16 ~pl_sub:16
-             ~pl_min2:8 ~pl_max2:16 ~prefix_min:16) );
+          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:8 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:8
+          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195) );
     ( "fixpoint 6x3",
       fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
         ~pins:
-          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:82 ~pl_sub:70
-             ~pl_min2:35 ~pl_max2:70 ~prefix_min:70) );
+          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:47 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:35
+          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:952) );
     ( "fixpoint 9x4",
       fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
         ~pins:
-          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:230 ~pl_sub:180
-             ~pl_min2:90 ~pl_max2:180 ~prefix_min:180) );
+          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:140 ~pl_sub:0
+             ~pl_min2:0 ~pl_max2:0 ~prefix_min:90
+          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2599) );
   ]
 
 let ceil_log2 n =
@@ -612,18 +633,57 @@ let spp_counts ~jobs system e =
   at_most "spp.idle.removed" (value "spp.idle.removed") (instances + n_procs);
   at_most "spp.idle.splits" (value "spp.idle.splits") (2 * instances)
 
+(* A static-priority processor with N residents, whose brackets have J_lo
+   and J_hi jumps in all, bounds each resident with two sweeps:
+   - the lower one visits every jump of the resident's higher-priority
+     upper workload and level-k lower workload once, so at most
+     N (J_lo + J_hi) events;
+   - the upper one seeks into the higher-priority service sum once per
+     window, and every window starts at a jump of the resident's own
+     upper workload, so at most J_hi windows;
+   - inside the windows it reads spans of the sum and of its own
+     utilization, 1.4 to 1.7 per such jump on these shops (no proof
+     bounds it; 2 per jump is the gate).  An upper sweep that walks the
+     whole higher-priority service sum reads every span of it, O(N J_hi)
+     per processor, and overshoots at every size (6 jobs: 1,556 > 654;
+     24 jobs: 64,941 > 8,490). *)
+let sp_counts ~jobs system e =
+  let value name = Obs.counter_value (Obs.counter name) in
+  let at_most what v bound =
+    if v > bound then Alcotest.failf "%d jobs: %s = %d, above %d" jobs what v bound
+  in
+  let per_processor f =
+    List.init (System.processor_count system) Fun.id
+    |> List.fold_left (fun acc p -> acc + f (System.subjobs_on system p)) 0
+  in
+  let jumps side residents =
+    List.fold_left
+      (fun acc sid ->
+        acc + Rta_curve.Step.jump_count (side (Rta_core.Engine.entry e sid)))
+      0 residents
+  in
+  let j_lo = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_lo)
+  and j_hi = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_hi) in
+  at_most "sp.lo.events" (value "sp.lo.events")
+    (per_processor (fun rs -> List.length rs * (j_lo rs + j_hi rs)));
+  at_most "sp.hi.windows" (value "sp.hi.windows") (per_processor j_hi);
+  at_most "sp.hi.reads" (value "sp.hi.reads") (per_processor (fun rs -> 2 * j_hi rs))
+
 (* The glue is linear in the residents: the higher-priority sums grow by
    one push per rank and the FCFS utilization functions are built once per
    processor, so no kernel count may exceed a constant per subjob as the
-   shop grows.  The constant is 3 (an SPNP resident takes a push and two
-   bound terms in [pl.add]; in [step.add], its level-k workload, which the
-   next rank's push reuses as its [work_lo] sum, and the push's [work_hi]
-   sum), except [step.scale]: an input bracket scales up to two curves and
-   an FCFS resident scales its two departure bounds into service curves,
-   so 4.  Quadratic glue overshoots at 24 jobs: re-summing the
-   higher-priority set per resident costs SPNP 12.5 [step.add] per subjob
-   there, and exact SPP, which runs no curve kernel, fails its pins above
-   on the first [pl.sub] of an availability curve. *)
+   shop grows.  The constant is 2 (an SPNP resident takes a push and the
+   [`Right] transform of its own workload in [pl.add], and its bound
+   sweeps add nothing; in [step.add], its level-k workload, which the next
+   rank's push reuses as its [work_lo] sum, and the push's [work_hi] sum),
+   except [step.scale]: an input bracket scales up to two curves and an
+   FCFS resident scales its two departure bounds into service curves, so
+   4.  The composed bound chain the sweeps replaced took 3 [pl.add] per
+   SPNP resident and overshoots at 6 jobs (42 > 36).  Quadratic glue
+   overshoots at 24 jobs: re-summing the higher-priority set per resident
+   costs SPNP 12.5 [step.add] per subjob there, and exact SPP, which runs
+   no curve kernel, fails its pins above on the first [pl.sub] of an
+   availability curve. *)
 let per_subjob_counts sched () =
   List.iter
     (fun jobs ->
@@ -633,14 +693,24 @@ let per_subjob_counts sched () =
           let subjobs = System.subjob_count system in
           List.iter
             (fun name ->
-              let per = if name = "step.scale.calls" then 4 else 3 in
+              let per = if name = "step.scale.calls" then 4 else 2 in
               let v = Obs.counter_value (Obs.counter name) in
               if v > per * subjobs then
                 Alcotest.failf "%d jobs: %s = %d, above %d per subjob (%d subjobs)"
                   jobs name v per subjobs)
             kernel_counters;
+          (* A subjob has at most two dependency edges (its chain
+             predecessor, and its next-higher co-resident or FCFS join
+             point) and a join point one per resident, so 3 per subjob;
+             one edge per FCFS co-resident pair overshoots at 12 jobs
+             (146 > 108) and 24 (578 > 216). *)
+          let edges = Obs.counter_value (Obs.counter "deps.edges") in
+          if edges > 3 * subjobs then
+            Alcotest.failf "%d jobs: deps.edges = %d, above 3 per subjob (%d subjobs)"
+              jobs edges subjobs;
           if sched = Sched.Fcfs then fcfs_counts ~jobs system e;
-          if sched = Sched.Spp then spp_counts ~jobs system e))
+          if sched = Sched.Spp then spp_counts ~jobs system e;
+          if sched = Sched.Spnp then sp_counts ~jobs system e))
     [ 6; 12; 24 ]
 
 let () =

@@ -395,17 +395,20 @@ module Store = Rta_service.Store
 module Server = Rta_service.Server
 
 (* A spec whose full analysis runs far past every deadline below: the
-   SPNP job shop `rta generate --stages 4 --jobs 8 --sched spnp --seed 3`
-   at an 80 M-tick release horizon.  Its cost is the SPNP bound
-   construction: each of a processor's N residents builds curves with
-   O(I) knots from the higher-priority sums, O(N I) per processor for I
-   released instances, which the raised release horizon makes large.  The
-   full run took 28.5 s (882 MB peak RSS) on a 2-core box with OCaml
-   5.1.1, over 10x the largest deadline that leans on it (0.4 s here, 1 s
-   in the CI serve smoke); a cancelled run stops long before that size. *)
+   SPNP job shop `rta generate --stages 4 --jobs 12 --sched spnp --seed 3`
+   at an 80 M-tick release horizon.  Its cost is the SPNP bounds: each of
+   a processor's N residents walks the higher-priority workloads and adds
+   its service into the higher-priority sum, O(I) each, so O(N I) per
+   processor for I released instances, which the raised release horizon
+   makes large.  The full run took 15.4 s (1.08 GB peak RSS) on a 2-core
+   box with OCaml 5.1.1, over 10x the largest deadline that leans on it
+   (0.4 s here, 1 s in the CI serve smoke); a cancelled run stops long
+   before that size.  (With 8 jobs it took 9.6 s once the bounds became
+   two sweeps, under 10x the CI deadline, hence 12 jobs rather than a
+   longer horizon, whose memory grows with it.) *)
 let slow_spec =
   let config =
-    Rta_workload.Jobshop.default ~stages:4 ~jobs:8 ~utilization:0.5
+    Rta_workload.Jobshop.default ~stages:4 ~jobs:12 ~utilization:0.5
       ~arrival:Rta_workload.Jobshop.Periodic_eq25
       ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0)
       ~sched:Sched.Spnp
@@ -432,7 +435,7 @@ let test_midflight_degrade () =
   let elapsed = Unix.gettimeofday () -. t0 in
   (match responses.(0).Batch.status with
   | Batch.Degraded d ->
-      check_int "degraded carries a verdict per job" 8
+      check_int "degraded carries a verdict per job" 12
         (Array.length d.Batch.d_verdicts);
       Array.iter
         (fun (v : Batch.verdict) ->
