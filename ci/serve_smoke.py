@@ -3,8 +3,11 @@
 
 Default mode fires a mixed batch through an already-running daemon's
 Unix socket — one valid request, one non-JSON line, one deliberately
-deadline-busting request — and asserts each outcome, including that the
-degraded response arrives within twice its deadline.
+deadline-busting request, and two specs that differ only in the seventh
+significant digit of an execution time — and asserts each outcome,
+including that the degraded response arrives within twice its deadline
+and that the two near-identical specs are separate cache misses with
+different bounds.
 
     serve_smoke.py SOCKET FAST_SPEC SLOW_SPEC
 
@@ -29,6 +32,17 @@ DEADLINE_MS = 1000
 # 10x DEADLINE_MS.
 SLOW_HORIZON = 160_000_000
 SLOW_RELEASE_HORIZON = 80_000_000
+
+# Two single-job SPP specs whose execution times differ in the seventh
+# significant digit.  A cache key built from "%g"-printed units could not
+# tell them apart and answered the second from the first one's entry.
+COLLISION_SPEC = (
+    "processors spp\n"
+    "job T1 arrival periodic period=5000 deadline 5000\n"
+    "  step proc=0 exec={exec} prio=1\n"
+)
+COLLISION_EXECS = ("1234.567", "1234.568")
+COLLISION_HORIZONS = {"release_horizon": 20_000_000, "horizon": 40_000_000}
 
 
 def connect(path, timeout_s=60.0):
@@ -99,7 +113,13 @@ def main():
         "horizon": SLOW_HORIZON,
         "release_horizon": SLOW_RELEASE_HORIZON,
     }))
-    by_id, latency = read_responses(stream, 3)
+    for exec_units in COLLISION_EXECS:
+        send(stream, json.dumps({
+            "id": "exec-" + exec_units,
+            "spec": COLLISION_SPEC.format(exec=exec_units),
+            **COLLISION_HORIZONS,
+        }))
+    by_id, latency = read_responses(stream, 3 + len(COLLISION_EXECS))
 
     fast = by_id.get("fast", {})
     expect(fast.get("status") in ("ok", "unschedulable"),
@@ -116,6 +136,18 @@ def main():
            "degraded response should carry envelope bounds", slow)
     expect(all(j.get("bound_ticks") is not None for j in slow.get("per_job", [])),
            "degraded envelope bounds should be finite here", slow)
+
+    bounds = []
+    for exec_units in COLLISION_EXECS:
+        resp = by_id.get("exec-" + exec_units, {})
+        expect(resp.get("status") == "ok",
+               "near-identical spec was not analyzed", resp)
+        expect(resp.get("cache") == "miss",
+               "near-identical spec was answered from another's cache entry",
+               resp)
+        bounds.append(resp["per_job"][0]["bound_ticks"])
+    expect(bounds[0] != bounds[1],
+           "near-identical specs got the same bound", bounds)
 
     budget_s = 2 * DEADLINE_MS / 1000.0
     expect(latency["slow"] <= budget_s,

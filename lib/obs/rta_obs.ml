@@ -144,10 +144,28 @@ module Json = struct
         Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
       end
     in
+    (* A run of plain characters: up to the next quote, backslash or
+       control character (or the end of input). *)
+    let skip_plain () =
+      let rec go i =
+        if
+          i < n
+          &&
+          let c = String.unsafe_get s i in
+          c <> '"' && c <> '\\' && Char.code c >= 0x20
+        then go (i + 1)
+        else i
+      in
+      pos := go !pos
+    in
+    (* Runs of plain characters are copied whole, escapes decoded between
+       them. *)
     let parse_string () =
       expect '"';
       let buf = Buffer.create 16 in
-      let rec go () =
+      let rec go run =
+        skip_plain ();
+        Buffer.add_substring buf s run (!pos - run);
         if !pos >= n then fail !pos "unterminated string";
         match s.[!pos] with
         | '"' -> advance ()
@@ -192,14 +210,10 @@ module Json = struct
                  in
                  add_utf8 buf cp
              | c -> fail !pos "invalid escape \\%C" c);
-            go ()
-        | c when Char.code c < 0x20 -> fail !pos "unescaped control character"
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
+            go !pos
+        | _ -> fail !pos "unescaped control character"
       in
-      go ();
+      go !pos;
       Buffer.contents buf
     in
     let parse_number () =

@@ -286,9 +286,12 @@ let analysis_of_string s =
 (* ------------------------------------------------------------------ *)
 
 (* Sound last resort for a request whose exact analysis was cancelled
-   mid-flight: envelope bounds cost milliseconds and hold for every trace,
-   so the client still gets usable numbers inside (a small multiple of) its
-   deadline.  The bounds cover the releases the analysis would have seen
+   mid-flight: envelope bounds hold for every trace, so the client still
+   gets usable numbers.  They are not cheap and run without a budget:
+   on the 1024-job two-stage FCFS shop they take 10.5 s, 31x the full
+   analysis, so a degraded answer can arrive long after its deadline
+   (ROADMAP item 3 plans a shared per-processor sum and a budget of their
+   own).  The bounds cover the releases the analysis would have seen
    (its resolved release horizon), as the analysis does.  Cyclic systems
    have no envelope order; they report the plain timeout.  Any failure here
    must read as the timeout it is, not as an analysis error. *)

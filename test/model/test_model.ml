@@ -458,6 +458,179 @@ let prop_roundtrip_random_systems =
                (fun j -> System.job reparsed j = System.job system j)
                (List.init (System.job_count system) Fun.id))
 
+(* The printer is exact: units are the integer part plus the tick
+   fraction without trailing zeros.  The former "%g" printer kept six
+   significant digits, so 1234.567 units printed as 1234.57. *)
+
+let contains_at text i sub =
+  i + String.length sub <= String.length text
+  && String.sub text i (String.length sub) = sub
+
+let index_of sub text =
+  let rec go i =
+    if i + String.length sub > String.length text then raise Not_found
+    else if contains_at text i sub then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The units text [Parser.print] writes for [t], read back from the
+   trace of a one-job system. *)
+let printed_units t =
+  let job =
+    {
+      System.name = "T";
+      arrival = Arrival.Trace [| t |];
+      deadline = 1;
+      steps = [| { System.proc = 0; exec = 1; prio = 1 } |];
+    }
+  in
+  let text = Parser.print (System.make_exn ~schedulers:[| Sched.Fcfs |] ~jobs:[| job |]) in
+  let i = index_of "trace " text + String.length "trace " in
+  String.sub text i (String.index_from text i ' ' - i)
+
+(* The former printer's format. *)
+let g_units t =
+  let f = Time.to_units t in
+  if Float.is_integer f then Printf.sprintf "%.0f" f else Printf.sprintf "%g" f
+
+let test_print_exact () =
+  List.iter
+    (fun (t, text) -> Alcotest.(check string) (string_of_int t) text (printed_units t))
+    [
+      (0, "0"); (1, "0.001"); (10, "0.01"); (500, "0.5"); (12_500, "12.5");
+      (1_234_567, "1234.567"); (1_234_568, "1234.568"); (99_999_999, "99999.999");
+      (1_000_000_000, "1000000"); (1_000_000_001, "1000000.001");
+      (4_499_999_999, "4499999.999"); (1_000_000_000_000_000, "1000000000000");
+    ]
+
+let prop_print_matches_g_where_exact =
+  Rta_testsupport.Gen.qtest ~count:500 "printer = %g wherever %g was exact"
+    Rta_testsupport.Sysgen.ticks_gen string_of_int (fun t ->
+      let g = g_units t in
+      Time.of_units (float_of_string g) <> t || printed_units t = g)
+
+let prop_roundtrip_tick_values =
+  Rta_testsupport.Gen.qtest ~count:500 "parser roundtrip over arbitrary tick values"
+    Rta_testsupport.Sysgen.tick_system_gen Parser.print (fun system ->
+      Parser.parse (Parser.print system) = Ok system)
+
+(* Plain decimals [digits[.d{1,3}]] with an integer part below 100,000
+   are read straight to ticks; every other form goes through
+   [float_of_string].  Either way a number must land on the tick the float
+   path gives, with the float path's error messages. *)
+
+let offset_spec s =
+  "processors fcfs\njob T arrival periodic period=1 offset=" ^ s
+  ^ " deadline 1\n  step proc=0 exec=1\n"
+
+let exec_spec s =
+  "processors fcfs\njob T arrival periodic period=1 deadline 1\n  step proc=0 exec="
+  ^ s ^ "\n"
+
+let one_job ?(offset = 0) ?(exec = 1000) () =
+  System.make ~schedulers:[| Sched.Fcfs |]
+    ~jobs:
+      [|
+        {
+          System.name = "T";
+          arrival = Arrival.Periodic { period = 1000; offset };
+          deadline = 1000;
+          steps = [| { System.proc = 0; exec; prio = 1 } |];
+        };
+      |]
+
+(* What the float path makes of [s] as an offset (non-negative units) and
+   as an execution time (positive units, rounded up). *)
+let float_offset s =
+  match float_of_string_opt s with
+  | Some f when f >= 0. -> one_job ~offset:(Time.of_units f) ()
+  | Some _ | None ->
+      Error (Printf.sprintf "line 2: expected a non-negative number, got %S" s)
+
+let float_exec s =
+  match float_of_string_opt s with
+  | Some f when f > 0. -> one_job ~exec:(max 1 (Time.of_units_ceil f)) ()
+  | Some _ | None ->
+      Error (Printf.sprintf "line 3: expected a positive number, got %S" s)
+
+let show = function Ok s -> "Ok " ^ Parser.print s | Error e -> "Error " ^ e
+
+let check_number s =
+  let same what expected got =
+    if expected <> got then
+      Alcotest.failf "%s %S: expected %s, got %s" what s (show expected) (show got)
+  in
+  same "offset" (float_offset s) (Parser.parse (offset_spec s));
+  same "exec" (float_exec s) (Parser.parse (exec_spec s))
+
+let test_fast_numbers_match_float_path () =
+  let fractions =
+    List.concat_map
+      (fun digits ->
+        List.init
+          (int_of_float (10. ** float_of_int digits))
+          (fun f -> Printf.sprintf ".%0*d" digits f))
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun ip ->
+      let ip = string_of_int ip in
+      check_number ip;
+      List.iter (fun frac -> check_number (ip ^ frac)) fractions)
+    (* 16,777,217 units is past the float path's exact range (its
+       ceiling snap adds a tick to 240 of the 1,000 three-decimal
+       fractions), so it pins where the fast path must stop. *)
+    [ 0; 1; 7; 99; 1_000; 12_345; 99_998; 99_999; 100_000; 100_001; 123_456;
+      16_777_217 ]
+
+let test_fallback_numbers () =
+  List.iter check_number
+    [ "1e3"; "0x10"; "1_000"; ".5"; "5."; "0.0005"; "0.000"; "+1"; "inf"; "nan";
+      "-1"; "-0"; ""; "1.2.3"; "1.0000"; "0099.5"; "1e-3"; "12a" ];
+  (* The values these forms have always had. *)
+  let ticks what spec read =
+    match Parser.parse spec with
+    | Ok s -> read s
+    | Error e -> Alcotest.failf "%s should parse: %s" what e
+  in
+  let exec s = ticks s (exec_spec s) (fun sys -> (System.job sys 0).System.steps.(0).System.exec) in
+  let offset s =
+    ticks s (offset_spec s) (fun sys ->
+        match (System.job sys 0).System.arrival with
+        | Arrival.Periodic { offset; _ } -> offset
+        | _ -> Alcotest.fail "expected a periodic arrival")
+  in
+  List.iter
+    (fun (s, t) -> check_int ("exec=" ^ s) t (exec s))
+    [ ("1e3", 1_000_000); ("0x10", 16_000); ("1_000", 1_000_000); (".5", 500);
+      ("5.", 5000); ("0.0005", 1); ("+1", 1000); ("1234.567", 1_234_567) ];
+  List.iter
+    (fun (s, t) -> check_int ("offset=" ^ s) t (offset s))
+    [ ("0.000", 0); ("0.0005", 1); ("0.0004", 0); ("1e3", 1_000_000) ]
+
+(* Words are separated by spaces only: a tab inside a line belongs to its
+   word, while tabs (and a CR) at either end of a line are trimmed. *)
+let test_tab_separated_tokens () =
+  let job = "processors fcfs\njob T arrival periodic period=1 deadline 1\n" in
+  let expect text expected =
+    let got = Parser.parse text in
+    if got <> expected then
+      Alcotest.failf "%S: expected %s, got %s" text (show expected) (show got)
+  in
+  expect (job ^ "\tstep proc=0 exec=1\t\n") (one_job ());
+  expect
+    "processors fcfs\r\njob T arrival periodic period=1 deadline 1\r\n  step proc=0 exec=1\r\n"
+    (one_job ());
+  expect (job ^ "  step\tproc=0 exec=1\n")
+    (Error "line 3: unknown directive \"step\\tproc=0\"");
+  expect (job ^ "  step proc=0\texec=1\n") (Error "line 3: missing exec=...");
+  expect (job ^ "  step proc=0 exec=1\tprio=2\n")
+    (Error "line 3: expected a positive number, got \"1\\tprio=2\"");
+  expect "processors fcfs\njob T\tarrival periodic period=1 deadline 1\n"
+    (Error "line 2: expected: job NAME arrival KIND ... deadline D");
+  expect "processors\tfcfs\n" (Error "line 1: unknown directive \"processors\\tfcfs\"")
+
 let () =
   Alcotest.run "rta_model"
     [
@@ -502,5 +675,12 @@ let () =
           Alcotest.test_case "error messages" `Quick test_parse_error_messages;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           prop_roundtrip_random_systems;
+          Alcotest.test_case "print is exact" `Quick test_print_exact;
+          prop_print_matches_g_where_exact;
+          prop_roundtrip_tick_values;
+          Alcotest.test_case "fast numbers = float path" `Quick
+            test_fast_numbers_match_float_path;
+          Alcotest.test_case "fallback number forms" `Quick test_fallback_numbers;
+          Alcotest.test_case "tab-separated tokens" `Quick test_tab_separated_tokens;
         ] );
     ]

@@ -283,6 +283,36 @@ let test_json_surrogates () =
   err {|"\ud83d\ude0|};
   err {|"\ud83d\u|}
 
+(* Strings are copied a run of plain characters at a time; escapes and
+   the control-character check cut the runs, and keep their messages and
+   offsets. *)
+let test_json_string_runs () =
+  let module J = Obs.Json in
+  let ok s expected =
+    match Obs.Json.of_string s with
+    | Ok j -> Alcotest.check json s expected j
+    | Error e -> Alcotest.fail (Printf.sprintf "%s: unexpected error %s" s e)
+  in
+  let long = String.make 300 'x' in
+  ok ("\"" ^ long ^ "\"") (J.String long);
+  ok ("\"" ^ long ^ "\\n" ^ long ^ "\\\"\\\\\"") (J.String (long ^ "\n" ^ long ^ "\"\\"));
+  ok "\"\\n\\n\"" (J.String "\n\n");
+  ok "\"a\\u00e9b\\/c\"" (J.String "a\xc3\xa9b/c");
+  ok {|{"spec":"processors spp\njob T1"}|} (J.Obj [ ("spec", J.String "processors spp\njob T1") ]);
+  List.iter
+    (fun (s, message) ->
+      Alcotest.(check (result reject string))
+        (String.escaped s) (Error message)
+        (Result.map (fun _ -> ()) (Obs.Json.of_string s)))
+    [
+      ("\"ab\001c\"", "JSON parse error at offset 3: unescaped control character");
+      ("\"ab\\n\tc\"", "JSON parse error at offset 5: unescaped control character");
+      ("\"abc", "JSON parse error at offset 4: unterminated string");
+      ("\"abc\\", "JSON parse error at offset 5: unterminated escape");
+      ("\"ab\\q\"", "JSON parse error at offset 4: invalid escape \\'q'");
+      ("\"a\\ud800b\"", "JSON parse error at offset 8: lone high surrogate");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine instrumentation                                              *)
 (* ------------------------------------------------------------------ *)
@@ -733,6 +763,7 @@ let () =
       ( "json",
         [
           Alcotest.test_case "of_string" `Quick test_json_of_string;
+          Alcotest.test_case "string runs" `Quick test_json_string_runs;
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "surrogates" `Quick test_json_surrogates;
         ] );

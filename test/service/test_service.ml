@@ -118,6 +118,118 @@ let test_key_canonicalization () =
   check_bool "explicit default horizons hash identically" true
     (Key.equal k_default k_explicit)
 
+(* Two specs a printed key could not tell apart: one exec differs in its
+   seventh significant digit.  Keyed on "%g"-printed units, the second line
+   was a cache hit served the first line's bound (1234567 ticks, below its
+   own 1234568). *)
+let collision_spec exec =
+  Printf.sprintf
+    "processors spp\njob T1 arrival periodic period=5000 deadline 5000\n\
+    \  step proc=0 exec=%s prio=1\n"
+    exec
+
+let test_key_collision () =
+  let config =
+    Rta_core.Analysis.config ~release_horizon:20_000_000 ~horizon:40_000_000 ()
+  in
+  let requests =
+    Array.map
+      (fun exec -> Ok (Batch.request ~id:exec ~config (collision_spec exec)))
+      [| "1234.567"; "1234.568" |]
+  in
+  let responses = Batch.run requests in
+  let bounds =
+    Array.map
+      (fun (r : Batch.response) ->
+        check_bool "each line is a cache miss" true (r.Batch.cache = `Miss);
+        match r.Batch.status with
+        | Batch.Analyzed { verdicts = [| { bound = Some b; _ } |]; _ } -> b
+        | _ -> Alcotest.fail "expected one bounded job")
+      responses
+  in
+  Alcotest.(check (array int)) "exact bounds" [| 1_234_567; 1_234_568 |] bounds
+
+(* Keys are equal exactly when the systems and the resolved configs are:
+   a generated system against an equal copy of itself (half the time) or
+   against a one-field variant, under random configs. *)
+let mutate system choice =
+  let schedulers = Array.copy system.System.schedulers in
+  let jobs =
+    Array.map
+      (fun (j : System.job) -> { j with System.steps = Array.copy j.System.steps })
+      system.System.jobs
+  in
+  let j = choice mod Array.length jobs in
+  let job = jobs.(j) in
+  let bump_step f =
+    let k = choice mod Array.length job.System.steps in
+    job.System.steps.(k) <- f job.System.steps.(k)
+  in
+  (match choice mod 7 with
+  | 0 -> bump_step (fun s -> { s with System.exec = s.System.exec + 1 })
+  | 1 ->
+      bump_step (fun s ->
+          { s with System.proc = (s.System.proc + 1) mod Array.length schedulers })
+  | 2 -> jobs.(j) <- { job with System.deadline = job.System.deadline + 1 }
+  | 3 -> jobs.(j) <- { job with System.name = job.System.name ^ "x" }
+  | 4 ->
+      let p = choice mod Array.length schedulers in
+      schedulers.(p) <-
+        (match schedulers.(p) with
+        | Sched.Spp -> Sched.Spnp
+        | Sched.Spnp -> Sched.Fcfs
+        | Sched.Fcfs -> Sched.Spp)
+  | 5 ->
+      let arrival =
+        match job.System.arrival with
+        | Arrival.Periodic p -> Arrival.Periodic { p with offset = p.offset + 1 }
+        | Arrival.Bursty { period } -> Arrival.Bursty { period = period + 1 }
+        | Arrival.Burst_periodic b -> Arrival.Burst_periodic { b with burst = b.burst + 1 }
+        | Arrival.Sporadic_worst s -> Arrival.Sporadic_worst { s with count = s.count + 1 }
+        | Arrival.Trace ts ->
+            let ts = Array.copy ts in
+            ts.(Array.length ts - 1) <- ts.(Array.length ts - 1) + 1;
+            Arrival.Trace ts
+      in
+      jobs.(j) <- { job with System.arrival }
+  | _ -> bump_step (fun s -> { s with System.prio = s.System.prio + 1000 }));
+  System.make_exn ~schedulers ~jobs
+
+let prop_key_iff_equal =
+  let open QCheck2.Gen in
+  let config_gen =
+    let* estimator = oneofl [ `Direct; `Sum ] in
+    let* horizons = oneofl [ None; Some (50_000, 100_000); Some (50_000, 100_001) ] in
+    return
+      (match horizons with
+      | None -> Rta_core.Analysis.config ~estimator ()
+      | Some (release_horizon, horizon) ->
+          Rta_core.Analysis.config ~estimator ~release_horizon ~horizon ())
+  in
+  let gen =
+    let* system = Rta_testsupport.Sysgen.tick_system_gen in
+    let* copy = bool in
+    let* variant = if copy then return (-1) else int_range 0 1000 in
+    let* config_a = config_gen in
+    let* config_b = config_gen in
+    return (system, variant, config_a, config_b)
+  in
+  Rta_testsupport.Gen.qtest ~count:400 "keys are equal iff systems and configs are"
+    gen
+    (fun (s, v, _, _) -> Printf.sprintf "variant %d of\n%s" v (Parser.print s))
+    (fun (a, variant, config_a, config_b) ->
+      (* An equal but separately built copy, or a one-field variant. *)
+      let b =
+        if variant < 0 then Result.get_ok (Parser.parse (Parser.print a))
+        else mutate a variant
+      in
+      let resolved config system =
+        (config.Rta_core.Analysis.estimator, Rta_core.Analysis.resolve_horizons config system)
+      in
+      let equal = a = b && resolved config_a a = resolved config_b b in
+      Key.equal (Key.of_system ~config:config_a a) (Key.of_system ~config:config_b b)
+      = equal)
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -936,7 +1048,13 @@ let test_golden_batch_output () =
 let () =
   Alcotest.run "rta_service"
     [
-      ("key", [ Alcotest.test_case "canonicalization" `Quick test_key_canonicalization ]);
+      ( "key",
+        [
+          Alcotest.test_case "canonicalization" `Quick test_key_canonicalization;
+          Alcotest.test_case "no collision on the seventh digit" `Quick
+            test_key_collision;
+          prop_key_iff_equal;
+        ] );
       ( "cache",
         [
           Alcotest.test_case "memoizes" `Quick test_cache_memoizes;

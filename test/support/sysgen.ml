@@ -76,3 +76,76 @@ let system_gen ?(sched_gen = Gen.oneofl Sched.all) ~release_horizon () :
   return (System.make_exn ~schedulers ~jobs:jobs_arr)
 
 let print_system s = Format.asprintf "%a" System.pp s
+
+(* Tick values of every magnitude the textual format must carry exactly:
+   below 1,000 units, at least 1,000 units with three decimals, at least
+   10^6 units with three decimals (up to 4.5 x 10^9 ticks, where the parsed
+   double times 1000 stays within the 1e-6 snap of [Time.of_units_ceil]),
+   and whole units up to 10^12. *)
+let ticks_gen : int Gen.t =
+  let open Gen in
+  oneof
+    [
+      int_range 0 999_999;
+      int_range 1_000_000 99_999_999;
+      int_range 1_000_000_000 4_500_000_000;
+      map (fun u -> u * 1000) (int_range 0 1_000_000_000_000);
+    ]
+
+(* A system whose every tick field is drawn from [ticks_gen], over every
+   arrival kind and scheduler (traces are non-empty: the textual format
+   has no spelling for an empty one).  Priorities are distinct across the whole
+   system, so any scheduler assignment is valid. *)
+let tick_system_gen : System.t Gen.t =
+  let open Gen in
+  let pos = map (max 1) ticks_gen in
+  let arrival =
+    oneof
+      [
+        map2 (fun period offset -> Arrival.Periodic { period; offset }) pos ticks_gen;
+        map (fun period -> Arrival.Bursty { period }) pos;
+        (let* burst = int_range 1 5 in
+         map2
+           (fun period offset -> Arrival.Burst_periodic { burst; period; offset })
+           pos ticks_gen);
+        map2
+          (fun min_gap count -> Arrival.Sporadic_worst { min_gap; count })
+          pos (int_range 0 9);
+        map
+          (fun ts -> Arrival.Trace (Array.of_list (List.sort compare ts)))
+          (list_size (int_range 1 4) ticks_gen);
+      ]
+  in
+  let* n_procs = int_range 1 3 in
+  let* schedulers = array_repeat n_procs (oneofl Sched.all) in
+  let* n_jobs = int_range 1 3 in
+  let* jobs =
+    list_repeat n_jobs
+      (let* arrival = arrival in
+       let* deadline = pos in
+       let* steps =
+         list_size (int_range 1 3)
+           (map2 (fun proc exec -> (proc, exec)) (int_range 0 (n_procs - 1)) pos)
+       in
+       return (arrival, deadline, steps))
+  in
+  let prio = ref 0 in
+  let jobs =
+    List.mapi
+      (fun ji (arrival, deadline, steps) ->
+        let steps =
+          List.map
+            (fun (proc, exec) ->
+              incr prio;
+              { System.proc; exec; prio = !prio })
+            steps
+        in
+        {
+          System.name = Printf.sprintf "T%d" (ji + 1);
+          arrival;
+          deadline;
+          steps = Array.of_list steps;
+        })
+      jobs
+  in
+  return (System.make_exn ~schedulers ~jobs:(Array.of_list jobs))
