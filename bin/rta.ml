@@ -642,7 +642,7 @@ let fuzz_cmd =
   let kernels_arg =
     Arg.(value & flag
          & info [ "kernels" ]
-             ~doc:"Fuzz the curve kernels instead of whole systems: optimized pointwise add/sub/min2/max2, prefix_min and cursor evaluation are cross-checked against the frozen Reference baselines on random curves, the inverse handle against a dense scan, the pairwise step sum against a left fold, the exact SPP idle-interval path against Theorem 3's formula on random ranked release sets, and the static-priority bound sweeps against the composed Theorem 5-6 formula, and mismatching inputs shrunk.")
+             ~doc:"Fuzz the curve kernels instead of whole systems: optimized pointwise add/sub/max2, prefix_min and cursor evaluation are cross-checked against the frozen Reference baselines on random curves, the inverse handle against a dense scan, the pairwise step sum against a left fold, the exact SPP idle-interval path against Theorem 3's formula on random ranked release sets, the static-priority bound sweeps against the composed Theorem 5-6 formula, the utilization walk against the prefix-minimum transform, the departure read against Theorem 2's floor-division chain, and per-jump FCFS bounds against the per-instance construction, and mismatching inputs shrunk.")
   in
   let print_violations vs =
     List.iter

@@ -126,6 +126,33 @@ let gen_sp rng =
   let level_work = gen_step rng in
   (blocking, hp_work_hi, hp_svc_lo, level_work, gen_step rng)
 
+(* A service curve as the analysis builds them: non-decreasing from a
+   non-negative value, plateaus and one-tick segments included, with a
+   horizon that may cut it. *)
+let gen_departures rng =
+  let n = Rng.int_range rng 0 6 in
+  let service =
+    pl_of_segments ~y0:(Rng.int_range rng 0 10) ~tail:(Rng.int_range rng 0 4)
+      (gen_segments rng ~n ~lo_slope:0 ~hi_slope:6)
+  in
+  (service, Rng.int_range rng 1 5, gen_step rng, Rng.int_range rng 0 60)
+
+(* One FCFS processor's residents as (tau, arr_lo, arr_hi): an exact
+   release trace (ties and bursts allowed) or two arbitrary steps. *)
+let gen_fcfs rng =
+  let resident _ =
+    let tau = Rng.int_range rng 1 4 in
+    if Rng.int_range rng 0 1 = 0 then
+      let times =
+        List.init (Rng.int_range rng 0 8) (fun _ -> Rng.int_range rng 0 40)
+      in
+      let f = Step.of_arrival_times (Array.of_list (List.sort Int.compare times)) in
+      (tau, f, f)
+    else (tau, gen_step rng, gen_step rng)
+  in
+  let residents = List.init (Rng.int_range rng 1 4) resident in
+  (Rng.int_range rng 0 1 = 0, Rng.int_range rng 0 120, residents)
+
 (* --- shrinking ----------------------------------------------------------
 
    Greedy descent over structural candidates; candidates that violate a
@@ -174,6 +201,21 @@ let sp_shrinks (b, c, p, w, own) =
   @ List.map (fun own -> (b, c, p, w, own)) (step_shrinks own)
   @ if b > 0 then [ (b - 1, c, p, w, own); (0, c, p, w, own) ] else []
 
+(* Shrink the service curve or the arrivals, or lower tau. *)
+let departures_shrinks (service, tau, arr, h) =
+  List.map (fun s -> (s, tau, arr, h)) (pl_shrinks service)
+  @ List.map (fun a -> (service, tau, a, h)) (step_shrinks arr)
+  @ if tau > 1 then [ (service, tau - 1, arr, h) ] else []
+
+(* Shrink either side of a bracket (an exact one as one curve), or lower
+   tau. *)
+let fcfs_resident_shrinks (tau, lo, hi) =
+  (if lo == hi then List.map (fun f -> (tau, f, f)) (step_shrinks lo)
+   else
+     List.map (fun f -> (tau, f, hi)) (step_shrinks lo)
+     @ List.map (fun f -> (tau, lo, f)) (step_shrinks hi))
+  @ if tau > 1 then [ (tau - 1, lo, hi) ] else []
+
 (* Drop one member, or shrink one member in place. *)
 let list_shrinks shrinks l =
   let drops = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
@@ -212,7 +254,6 @@ let prefix_detail mode (avail, work) =
 
 let pointwise_ops =
   [
-    ("min2", Pl.min2, Reference.min2);
     ("max2", Pl.max2, Reference.max2);
     ("add", Pl.add, Reference.add);
     ("sub", Pl.sub, Reference.sub);
@@ -373,6 +414,73 @@ let sp_sweep_detail ((blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) as c
     blocking (show_step hp_work_hi) (show_pl hp_svc_lo) (show_step level_work)
     (show_step work_hi) (show_pl lo) (show_pl lo_ref) (show_pl hi) (show_pl hi_ref)
 
+(* The busy-period walk against the identity plus the prefix minimum, in
+   both modes. *)
+let utilization_mismatch w =
+  List.exists
+    (fun mode ->
+      not (Pl.equal (Minplus.utilization ~mode w) (Reference.utilization ~mode w)))
+    [ `Left; `Right ]
+
+let utilization_detail w =
+  Printf.sprintf "work = %s\nwalk `Left = %s\nreference `Left = %s\nwalk `Right = %s\nreference `Right = %s"
+    (show_step w)
+    (show_pl (Minplus.utilization ~mode:`Left w))
+    (show_pl (Reference.utilization ~mode:`Left w))
+    (show_pl (Minplus.utilization ~mode:`Right w))
+    (show_pl (Reference.utilization ~mode:`Right w))
+
+(* The inverse-read departures against Theorem 2's chain. *)
+let departures_pair (service, tau, arrivals, horizon) =
+  ( Minplus.departures ~horizon ~tau ~service ~arrivals,
+    Reference.departures ~horizon ~tau ~service ~arrivals )
+
+let departures_mismatch case =
+  let got, want = departures_pair case in
+  not (Step.equal got want)
+
+let departures_detail ((service, tau, arrivals, horizon) as case) =
+  let got, want = departures_pair case in
+  Printf.sprintf
+    "service = %s\ntau = %d\narrivals = %s\nhorizon = %d\ninverse read = %s\nreference chain = %s"
+    (show_pl service) tau (show_step arrivals) horizon (show_step got) (show_step want)
+
+(* One FCFS processor's per-jump bounds against the per-instance
+   construction: the first disagreeing resident, if any, with both
+   sides. *)
+let fcfs_first_mismatch (exact, horizon, residents) =
+  let inputs =
+    List.map
+      (fun (tau, arr_lo, arr_hi) -> Local.input ~tau ~arr_lo ~arr_hi ~exact:false)
+      residents
+  in
+  let ctx = Local.fcfs ~exact ~horizon inputs in
+  let rec go rank = function
+    | [] -> None
+    | (i, (dep_lo, dep_hi, exact)) :: rest ->
+        let o = Local.step ~horizon (Local.Fcfs ctx) i in
+        if Step.equal o.dep_lo dep_lo && Step.equal o.dep_hi dep_hi && o.exact = exact
+        then go (rank + 1) rest
+        else
+          Some
+            (Printf.sprintf
+               "resident %d\nper-jump dep_lo = %s (exact: %b)\nper-instance dep_lo = %s (exact: %b)\nper-jump dep_hi = %s\nper-instance dep_hi = %s"
+               rank (show_step o.dep_lo) o.exact (show_step dep_lo) exact
+               (show_step o.dep_hi) (show_step dep_hi))
+  in
+  go 1 (List.combine inputs (Reference.fcfs ~exact ~horizon residents))
+
+let fcfs_mismatch case = Option.is_some (fcfs_first_mismatch case)
+
+let fcfs_detail ((exact, horizon, residents) as case) =
+  Printf.sprintf "exact = %b\nhorizon = %d\nresidents (tau: arr_lo / arr_hi) = [%s]\n%s" exact
+    horizon
+    (String.concat "; "
+       (List.map
+          (fun (tau, lo, hi) -> Printf.sprintf "%d: %s / %s" tau (show_step lo) (show_step hi))
+          residents))
+    (Option.value ~default:"" (fcfs_first_mismatch case))
+
 (* --- the loop ----------------------------------------------------------- *)
 
 let render m =
@@ -459,6 +567,18 @@ let run ?out_dir ?budget_s ~seed ~count () =
     (let case = gen_sp rng in
      if sp_sweep_mismatch case then
        record "sp-sweep" (sp_sweep_detail (shrink1 sp_shrinks sp_sweep_mismatch case)));
+    (let w = gen_step rng in
+     if utilization_mismatch w then
+       record "utilization" (utilization_detail (shrink1 step_shrinks utilization_mismatch w)));
+    (let case = gen_departures rng in
+     if departures_mismatch case then
+       record "departures"
+         (departures_detail (shrink1 departures_shrinks departures_mismatch case)));
+    (let exact, horizon, residents = gen_fcfs rng in
+     let still_fails residents = fcfs_mismatch (exact, horizon, residents) in
+     if still_fails residents then
+       let residents = shrink1 (list_shrinks fcfs_resident_shrinks) still_fails residents in
+       record "fcfs-departures" (fcfs_detail (exact, horizon, residents)));
     if !found = [] then incr passed;
     List.iter
       (fun (check, detail) ->

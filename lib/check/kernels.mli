@@ -3,7 +3,7 @@
 
     Where {!Fuzz} compares the whole analysis against a discrete-event
     simulation, this module compares the {e kernels} pairwise on random
-    curves: the pointwise {!Rta_curve.Pl.add}, [sub], [min2] and [max2],
+    curves: the pointwise {!Rta_curve.Pl.add}, [sub] and [max2],
     {!Rta_curve.Minplus.prefix_min} (both infimum modes), cursor
     evaluation against direct evaluation, the checked inverse handle
     {!Rta_curve.Pl.Inverse} against the dense scan [Dense.inverse_geq]
@@ -15,7 +15,12 @@
     processor: every resident's departures and service curve, and the
     static-priority bound sweeps {!Rta_curve.Minplus.sp_lower} and
     [sp_upper] against Theorems 5-6 composed on the reference kernels
-    ({!Reference.sp_bounds}).  Curves are
+    ({!Reference.sp_bounds}), the utilization walk
+    {!Rta_curve.Minplus.utilization} against the identity plus the prefix
+    minimum ({!Reference.utilization}), the departure read
+    {!Rta_curve.Minplus.departures} against Theorem 2's chain
+    ({!Reference.departures}), and one FCFS processor's per-jump bounds
+    against the per-instance construction ({!Reference.fcfs}).  Curves are
     generated segment-wise so plateaus, one-tick segments and negative
     slopes are ordinary members of the distribution, not special cases.
 
@@ -31,7 +36,8 @@ type mismatch = {
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
   check : string;
       (** e.g. ["pointwise"], ["prefix-min-left"], ["inverse-geq"],
-          ["step-sum"], ["spp-idle"], ["sp-sweep"] *)
+          ["step-sum"], ["spp-idle"], ["sp-sweep"], ["utilization"],
+          ["departures"], ["fcfs-departures"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

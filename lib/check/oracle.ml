@@ -69,9 +69,9 @@ let check_subjob ~add ~horizon system t (e : Engine.entry) sim =
     System.scheduler_of system (System.step system e.Engine.id).System.proc = Sched.Fcfs
   in
   let check_upper = not (fcfs && e.Engine.exact) in
+  let svc_lo = Lazy.force e.Engine.svc_lo and svc_hi = Lazy.force e.Engine.svc_hi in
   let svc_c = Pl.Cursor.make svc in
-  let lo_c = Pl.Cursor.make e.Engine.svc_lo
-  and hi_c = Pl.Cursor.make e.Engine.svc_hi in
+  let lo_c = Pl.Cursor.make svc_lo and hi_c = Pl.Cursor.make svc_hi in
   List.iter
     (fun tt ->
       let s = Pl.Cursor.eval svc_c tt in
@@ -83,7 +83,7 @@ let check_subjob ~add ~horizon system t (e : Engine.entry) sim =
       if e.Engine.exact && (not fcfs) && s <> l then
         add id "exact"
           (Printf.sprintf "t=%d: exact service claims %d, simulation has %d" tt l s))
-    (merged_times ~horizon ~steps:[] ~pls:[ svc; e.Engine.svc_lo; e.Engine.svc_hi ])
+    (merged_times ~horizon ~steps:[] ~pls:[ svc; svc_lo; svc_hi ])
 
 let check_responses ~add ~horizon system t sim =
   for j = 0 to System.job_count system - 1 do

@@ -182,3 +182,78 @@ let sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work ~work_hi =
       (add Pl.identity (prefix_min ~mode:`Right ~avail:Pl.identity ~work:work_hi))
   in
   (Pl.prefix_max (max2 lo Pl.zero), Pl.prefix_max (max2 hi Pl.zero))
+
+(* Theorem 7's utilization as the transform the analysis ran before the
+   busy-period walk: the identity plus the prefix minimum against it. *)
+let utilization ~mode w =
+  add Pl.identity (prefix_min ~mode ~avail:Pl.identity ~work:w)
+
+(* Theorem 2 as the analysis composed it before the inverse read: the
+   service cut at the horizon, divided down and capped, then the minimum
+   with the arrivals. *)
+let departures ~horizon ~tau ~service ~arrivals =
+  Step.min2
+    (Pl.to_step_floor_div ~cap:(Step.final_value arrivals)
+       (Pl.truncate_at service horizon) tau)
+    arrivals
+
+(* The per-instance FCFS construction (Theorems 7-9): the summed
+   workloads folded, the release-tie check over a sorted list of every
+   release, and one utilization search per instance, each instance's
+   departure a sample and the arrival cap a pointwise minimum. *)
+let tie_free arrivals =
+  let releases =
+    List.concat_map
+      (fun arr ->
+        let prev = ref (Step.init_value arr) in
+        Array.to_list (Step.jumps arr)
+        |> List.map (fun (t, v) ->
+               let n = v - !prev in
+               prev := v;
+               (t, n)))
+      arrivals
+  in
+  let times = List.map fst releases in
+  List.for_all (fun (_, n) -> n <= 1) releases
+  && List.length (List.sort_uniq Int.compare times) = List.length times
+
+let fcfs ~exact ~horizon residents =
+  let sum side =
+    List.fold_left
+      (fun acc (tau, lo, hi) -> Step.add acc (Step.scale (side lo hi) tau))
+      Step.zero residents
+  in
+  let g_lo = sum (fun lo _ -> lo) and g_hi = sum (fun _ hi -> hi) in
+  let exact_inputs =
+    exact
+    && List.for_all (fun (_, lo, hi) -> Step.equal lo hi) residents
+    && tie_free (List.map (fun (_, lo, _) -> lo) residents)
+  in
+  let util mode g = Pl.Inverse.make (Pl.truncate_at (utilization ~mode g) horizon) in
+  let u_lo = util `Left g_lo in
+  let u_hi = if exact_inputs then u_lo else util `Right g_hi in
+  let per_instance arr theta_of =
+    let count = Step.final_value arr in
+    let rec jumps i acc =
+      match if i > count then None else Option.bind (Step.inverse arr i) theta_of with
+      | Some theta -> jumps (i + 1) ((theta, i) :: acc)
+      | None -> Step.min2 (Step.of_samples (List.rev acc)) arr
+    in
+    jumps 1 []
+  in
+  List.map
+    (fun (tau, arr_lo, arr_hi) ->
+      let dep_lo =
+        per_instance arr_lo (fun a ->
+            match Pl.Inverse.geq u_lo (Step.eval g_hi a) with
+            | Some theta when theta <= horizon -> Some theta
+            | Some _ | None -> None)
+      in
+      let dep_hi =
+        per_instance arr_hi (fun a ->
+            Pl.Inverse.geq u_hi (Step.eval_left g_lo a + tau)
+            |> Option.map (max (a + tau)))
+      in
+      let exact = exact_inputs && Step.equal dep_lo dep_hi in
+      (dep_lo, (if exact then dep_lo else dep_hi), exact))
+    residents

@@ -5,7 +5,10 @@
     of a hot-path kernel that {!Rta_curve.Minplus} and {!Rta_curve.Pl} have
     since replaced with faster equivalents, or, for {!spp_exact} and
     {!sp_bounds}, of the Theorem 3 and Theorems 5-6 computations that
-    {!Rta_curve.Idle} and the {!Rta_curve.Minplus} sweeps replaced.  The
+    {!Rta_curve.Idle} and the {!Rta_curve.Minplus} sweeps replaced, and,
+    for {!utilization}, {!departures} and {!fcfs}, of the chains the
+    busy-period walk, the inverse-read departures and the per-jump FCFS
+    bounds replaced.  The
     property tests (test/curve, test/core) and the [rta fuzz --kernels]
     mode check [Pl.equal] between the optimized
     and reference results on randomized and adversarial curves.  The module
@@ -29,8 +32,9 @@ val sub : Pl.t -> Pl.t -> Pl.t
 val min2 : Pl.t -> Pl.t -> Pl.t
 val max2 : Pl.t -> Pl.t -> Pl.t
 (** Merged knot times plus the straddling pair of every crossing, each
-    evaluated by binary search and sorted through a list; same semantics as
-    {!Pl.min2} and {!Pl.max2}. *)
+    evaluated by binary search and sorted through a list: the pointwise
+    minimum and maximum on the grid, the latter with the semantics of
+    {!Pl.max2}.  [min2] serves the {!sp_bounds} oracle. *)
 
 val prefix_min : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
 (** List-buffer prefix-minimum scan with per-event binary-search evaluation;
@@ -62,3 +66,34 @@ val sp_bounds :
     of [W] against the identity, and the upper bound
     [min (t - P(t), V(t))] with [V] the [`Right] transform of [work_hi];
     each is cut at 0 and monotonized ({!Rta_curve.Pl.prefix_max}). *)
+
+val utilization : mode:mode -> Step.t -> Pl.t
+(** The oracle for {!Rta_curve.Minplus.utilization}: Theorem 7's
+    [U = identity + prefix_min ~mode ~avail:identity ~work:w] on this
+    module's kernels. *)
+
+val departures :
+  horizon:int -> tau:int -> service:Pl.t -> arrivals:Step.t -> Step.t
+(** The oracle for {!Rta_curve.Minplus.departures}: the chain the
+    analysis ran before it, [Step.min2 (Pl.to_step_floor_div ~cap
+    (Pl.truncate_at service horizon) tau) arrivals] with the cap at the
+    arrivals' final value. *)
+
+val fcfs :
+  exact:bool ->
+  horizon:int ->
+  (int * Step.t * Step.t) list ->
+  (Step.t * Step.t * bool) list
+(** The oracle for one FCFS processor ({!Rta_core.Local.fcfs} and its
+    residents' steps): for residents [(tau, arr_lo, arr_hi)], each one's
+    [(dep_lo, dep_hi, exact)] by the per-instance construction of
+    Theorems 7-9 the analysis ran before it read one departure per
+    arrival jump.  The workloads are folded with [Step.add], exactness
+    ([exact] and every bracket one curve and no release tie) is checked
+    on a sorted list of every release, and each instance of [arr_lo]
+    departs by the time the [`Left] utilization of the lower workload
+    reaches the upper workload arrived with it (within the horizon), each
+    instance of [arr_hi] no earlier than the [`Right] utilization of the
+    upper workload reaches the lower workload before it plus [tau], nor
+    before its arrival plus [tau] (with exact inputs the lower
+    utilization serves both), both capped by their arrivals. *)

@@ -23,8 +23,8 @@ type entry = {
   tau : int;
   arr_lo : Step.t;
   arr_hi : Step.t;
-  svc_lo : Pl.t;
-  svc_hi : Pl.t;
+  svc_lo : Pl.t Lazy.t;
+  svc_hi : Pl.t Lazy.t;
   dep_lo : Step.t;
   dep_hi : Step.t;
   exact : bool;
@@ -77,33 +77,32 @@ let check_entry t e =
   check_inv "arr_hi" Step.invariant e.arr_hi;
   check_inv "dep_lo" Step.invariant e.dep_lo;
   check_inv "dep_hi" Step.invariant e.dep_hi;
-  check_inv "svc_lo" Pl.invariant e.svc_lo;
-  check_inv "svc_hi" Pl.invariant e.svc_hi;
-  if not (Pl.is_nondecreasing e.svc_lo) then fail "svc_lo is decreasing somewhere";
-  if not (Pl.is_nondecreasing e.svc_hi) then fail "svc_hi is decreasing somewhere";
-  if Pl.eval e.svc_lo 0 < 0 then
-    fail "svc_lo(0) = %d < 0" (Pl.eval e.svc_lo 0);
+  let svc_lo = Lazy.force e.svc_lo and svc_hi = Lazy.force e.svc_hi in
+  check_inv "svc_lo" Pl.invariant svc_lo;
+  check_inv "svc_hi" Pl.invariant svc_hi;
+  if not (Pl.is_nondecreasing svc_lo) then fail "svc_lo is decreasing somewhere";
+  if not (Pl.is_nondecreasing svc_hi) then fail "svc_hi is decreasing somewhere";
+  if Pl.eval svc_lo 0 < 0 then
+    fail "svc_lo(0) = %d < 0" (Pl.eval svc_lo 0);
   let h = t.horizon in
   let step_h f = Step.truncate_after f h and pl_h f = Pl.truncate_at f h in
   if not (Step.dominates (step_h e.arr_hi) (step_h e.arr_lo)) then
     fail "arr_hi does not dominate arr_lo within the horizon";
   if not (Step.dominates (step_h e.dep_hi) (step_h e.dep_lo)) then
     fail "dep_hi does not dominate dep_lo within the horizon";
-  if not (Pl.dominates (pl_h e.svc_hi) (pl_h e.svc_lo)) then
+  if not (Pl.dominates (pl_h svc_hi) (pl_h svc_lo)) then
     fail "svc_hi does not dominate svc_lo within the horizon";
   if e.exact then begin
     if not (Step.equal e.arr_lo e.arr_hi) then
       fail "exact entry with arr_lo <> arr_hi";
     if not (Step.equal e.dep_lo e.dep_hi) then
       fail "exact entry with dep_lo <> dep_hi";
-    if not (Pl.equal e.svc_lo e.svc_hi) then
+    if not (Pl.equal svc_lo svc_hi) then
       fail "exact entry with svc_lo <> svc_hi";
     (* Theorem 2 on the exact path: dep = floor(S / tau), capped by the
        arrivals. *)
     let derived =
-      Step.min2
-        (Pl.to_step_floor_div (Pl.truncate_at e.svc_lo h) e.tau)
-        e.arr_lo
+      Step.min2 (Pl.to_step_floor_div (Pl.truncate_at svc_lo h) e.tau) e.arr_lo
     in
     if not (Step.equal e.dep_lo derived) then
       fail "exact entry violates dep = floor(S / tau)"
@@ -226,8 +225,7 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
               ((if below = [] then Local.empty else Local.push hp i o), below)
         | _, [] -> ());
         let { Local.tau; arr_lo; arr_hi; _ } = i in
-        let { Local.dep_lo; dep_hi; exact; _ } = o in
-        let svc_lo = Lazy.force o.Local.svc_lo and svc_hi = Lazy.force o.Local.svc_hi in
+        let { Local.dep_lo; dep_hi; exact; svc_lo; svc_hi; _ } = o in
         Log.debug (fun m ->
             m "subjob %s.%d: %s, %d instances in [lo..hi] = [%d..%d]"
               (System.job system id.job).System.name (id.step + 1)
@@ -251,11 +249,16 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
           Obs.span_int sp "arr_hi.jumps" (Step.jump_count arr_hi);
           Obs.span_int sp "dep_lo.jumps" (Step.jump_count dep_lo);
           Obs.span_int sp "dep_hi.jumps" (Step.jump_count dep_hi);
-          Obs.span_int sp "svc_lo.knots" (Pl.knot_count svc_lo);
-          Obs.span_int sp "svc_hi.knots" (Pl.knot_count svc_hi);
+          (* Service curves only where the path has built them: tracing
+             forces nothing the untraced run skips. *)
+          if Lazy.is_val svc_lo then
+            Obs.span_int sp "svc_lo.knots" (Pl.knot_count (Lazy.force svc_lo));
+          if Lazy.is_val svc_hi then begin
+            Obs.span_int sp "svc_hi.knots" (Pl.knot_count (Lazy.force svc_hi));
+            Obs.observe_int h_entry_svc_knots (Pl.knot_count (Lazy.force svc_hi))
+          end;
           Obs.observe_int h_entry_arr_jumps (Step.jump_count arr_hi);
           Obs.observe_int h_entry_dep_jumps (Step.jump_count dep_hi);
-          Obs.observe_int h_entry_svc_knots (Pl.knot_count svc_hi);
           Obs.observe h_subjob_seconds (Obs.now () -. t0)
         end;
         Obs.span_end sp

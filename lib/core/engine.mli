@@ -13,8 +13,13 @@ type entry = {
   tau : int;  (** execution time of this subjob *)
   arr_lo : Rta_curve.Step.t;  (** lower bound on the arrival function *)
   arr_hi : Rta_curve.Step.t;  (** upper bound on the arrival function *)
-  svc_lo : Rta_curve.Pl.t;  (** lower service curve (Thm 3/5/8) *)
-  svc_hi : Rta_curve.Pl.t;  (** upper service curve (Thm 3/6/9) *)
+  svc_lo : Rta_curve.Pl.t Lazy.t;  (** lower service curve (Thm 3/5/8) *)
+  svc_hi : Rta_curve.Pl.t Lazy.t;
+      (** upper service curve (Thm 3/6/9).  The service curves are what
+          {!Local.output} holds: no verdict reads them, so the exact SPP
+          and FCFS paths, whose departures do not go through them, build
+          them only when forced ({!check_entry}, the fuzz oracle, tests).
+          The static-priority bounds are always built. *)
   dep_lo : Rta_curve.Step.t;  (** lower bound on the departure function *)
   dep_hi : Rta_curve.Step.t;  (** upper bound on the departure function *)
   exact : bool;

@@ -277,7 +277,9 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
               done
             in
             consume 0 (Step.init_value dep_lo);
-            Array.iter (fun (t, v) -> consume t v) (Step.jumps dep_lo);
+            for i = 0 to Step.jump_count dep_lo - 1 do
+              consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
+            done;
             if !m <= count then sentinel else !acc
           in
           let prev = x.(id.System.job).(id.System.step) in

@@ -46,24 +46,27 @@ type fcfs = {
    impossible" because of ties; absence of ties is checkable per instance,
    so we claim exactness exactly when it holds.) *)
 let tie_free residents =
-  (* Every release as (time, instances released then).  A resident's jump
-     times are distinct, so a repeated time is a tie between residents;
-     simultaneous instances of the same subjob (a jump by more than 1) are
-     ties too. *)
-  let releases =
-    List.concat_map
-      (fun r ->
-        let prev = ref (Step.init_value r.arr_lo) in
-        Array.to_list (Step.jumps r.arr_lo)
-        |> List.map (fun (t, v) ->
-               let n = v - !prev in
-               prev := v;
-               (t, n)))
-      residents
+  (* A resident's jump times are distinct, so a repeated time is a tie
+     between residents; simultaneous instances of the same subjob (a jump
+     by more than 1) are ties too. *)
+  let rises_by_one (r : input) =
+    let rec from i prev =
+      i = Step.jump_count r.arr_lo
+      || (Step.jump_value r.arr_lo i = prev + 1 && from (i + 1) (prev + 1))
+    in
+    from 0 (Step.init_value r.arr_lo)
   in
-  let times = List.map fst releases in
-  List.for_all (fun (_, n) -> n <= 1) releases
-  && List.length (List.sort_uniq Int.compare times) = List.length times
+  let release_times (r : input) =
+    Array.init (Step.jump_count r.arr_lo) (Step.jump_time r.arr_lo)
+  in
+  List.for_all rises_by_one residents
+  &&
+  let times = Array.concat (List.map release_times residents) in
+  Array.sort Int.compare times;
+  let rec distinct i =
+    i >= Array.length times || (times.(i - 1) < times.(i) && distinct (i + 1))
+  in
+  distinct 1
 
 (* The running sums of a higher-priority set, and while every member is
    exact SPP the idle time they leave.  Each lazy sum captures only the
@@ -96,25 +99,9 @@ type policy =
   | Static of { preemptive : bool; blocking : int; hp : hp }
   | Fcfs of fcfs
 
-(* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2), with the
-   arrival caps described in local.mli.  The arrival cap bounds departures
-   by the instance count, so converting service beyond
-   [tau * final_value arr] only creates jumps the min discards; capping the
-   conversion keeps the work proportional to the instance count instead of
-   the horizon. *)
-let departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi =
-  let dep_of svc arr =
-    Step.min2
-      (Pl.to_step_floor_div ~cap:(Step.final_value arr)
-         (Pl.truncate_at svc horizon) tau)
-      arr
-  in
-  let dep_lo = dep_of svc_lo arr_lo in
-  (dep_lo, if svc_hi == svc_lo && arr_hi == arr_lo then dep_lo else dep_of svc_hi arr_hi)
-
 (* FCFS departure targets are polled for cancellation every
-   [cancel_stride] instances: the per-instance loops are the only part of
-   the analysis whose cost grows with the instance count rather than the
+   [cancel_stride] instances: the per-jump loops are the only part of the
+   analysis whose cost grows with the instance count rather than the
    subjob count. *)
 let cancel_stride = 512
 
@@ -135,6 +122,16 @@ end
 module Make (K : Rta_curve.KERNELS) = struct
   let pos f = K.max2 f Pl.zero
   let transform ~mode ~avail ~work = K.add avail (K.prefix_min ~mode ~avail ~work)
+
+  (* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2), with
+     the arrival caps described in local.mli, read instance by instance
+     off the service curves: the work follows the instance count and the
+     curves' knots, not the horizon. *)
+  let departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi =
+    let dep_lo = K.departures ~horizon ~tau ~service:svc_lo ~arrivals:arr_lo in
+    ( dep_lo,
+      if svc_hi == svc_lo && arr_hi == arr_lo then dep_lo
+      else K.departures ~horizon ~tau ~service:svc_hi ~arrivals:arr_hi )
 
   let push hp (i : input) (o : output) =
     let extend add sum x =
@@ -170,11 +167,11 @@ module Make (K : Rta_curve.KERNELS) = struct
      them only through their pseudo-inverse.  With exact tie-free inputs
      the Left-limit utilization serves as the upper one too, which makes
      the two FCFS bounds coincide.  The cancellation token is polled after
-     each transform, the processor's other instance-bearing cost.
+     each utilization, the processor's other instance-bearing cost.
 
      Cost per processor with I instances: the pairwise workload sums and
-     the tie check's sort are O(I log I), the two transforms O(I), and
-     every departure bound one O(log I) query per instance, so
+     the tie check's sort are O(I log I), the two utilization walks O(I),
+     and every departure bound one O(log I) query per arrival jump, so
      O(I log I) in all. *)
   let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
     let g_lo = Step.sum (List.map (fun (r : input) -> r.work_lo) residents) in
@@ -189,9 +186,7 @@ module Make (K : Rta_curve.KERNELS) = struct
       && List.for_all (fun (r : input) -> Step.equal r.arr_lo r.arr_hi) residents
       && tie_free residents
     in
-    let utilization mode g =
-      Pl.truncate_at (transform ~mode ~avail:Pl.identity ~work:g) horizon
-    in
+    let utilization mode g = Pl.truncate_at (K.utilization ~mode g) horizon in
     let u_lo = Pl.Inverse.make (utilization `Left g_lo) in
     Cancel.check cancel;
     let u_hi =
@@ -254,7 +249,7 @@ module Make (K : Rta_curve.KERNELS) = struct
     let hi =
       Rta_curve.Minplus.sp_upper ~hp_service:(Lazy.force hp.svc_lo)
         ~own_work:work_hi
-        ~own_util:(transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
+        ~own_util:(K.utilization ~mode:`Right work_hi)
     in
     (lo, hi, w_lo)
 
@@ -277,48 +272,64 @@ module Make (K : Rta_curve.KERNELS) = struct
     in
     (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi))
 
-  (* FCFS departure bounds (Theorems 7-9), built instance by instance on
-     the processor's utilization functions; see local.mli for the
-     soundness argument.  The cancellation token is polled every
-     [cancel_stride] instances to keep the deadline-to-response latency
-     bounded on huge horizons. *)
+  (* FCFS departure bounds (Theorems 7-9) on the processor's utilization
+     functions; see local.mli for the soundness argument.  The instances
+     of one arrival jump share their arrival time a, so one search serves
+     them all: they depart together at max theta a, theta being the time
+     the bound's target is reached (the arrival cap).  Targets and
+     arrivals only rise, so the workloads are read through cursors.  The
+     walk stops at the first jump without a departure, and polls the
+     cancellation token each time it passes another [cancel_stride]
+     instances, to keep the deadline-to-response latency bounded on huge
+     horizons. *)
   let fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
     let { g_lo; g_hi; u_lo; u_hi; _ } = ctx in
-    (* One departure jump per instance i of [arr], at [theta_of a_i]
-       where a_i is the instance's arrival; stops at the first instance
-       without one.  Jump times are non-decreasing in i because both the
-       arrival inverse and the workload before it are; of_samples
-       tolerates ties. *)
-    let per_instance arr theta_of =
-      let count = Step.final_value arr in
-      let rec jumps i acc =
-        if i land (cancel_stride - 1) = 0 then Cancel.check cancel;
-        match if i > count then None else Option.bind (Step.inverse arr i) theta_of with
-        | Some theta -> jumps (i + 1) ((theta, i) :: acc)
-        | None -> Step.of_samples (List.rev acc)
+    let per_jump arr theta_of =
+      let n = Step.jump_count arr in
+      let b = Step.Builder.create (n + 1) in
+      let poll = ref cancel_stride in
+      (* The instances up to [v], arrived at [a]; false once they have no
+         departure. *)
+      let group a v =
+        if v >= !poll then begin
+          Cancel.check cancel;
+          poll := (v / cancel_stride + 1) * cancel_stride
+        end;
+        match theta_of a with
+        | Some theta ->
+            Step.Builder.push b (max theta a) v;
+            true
+        | None -> false
       in
-      jumps 1 []
+      let rec from i =
+        i < n && group (Step.jump_time arr i) (Step.jump_value arr i) && from (i + 1)
+      in
+      let init = Step.init_value arr in
+      ignore ((init = 0 || group 0 init) && from 0);
+      Step.Builder.to_step b
     in
     let dep_lo =
-      per_instance arr_lo (fun a_i ->
-          let target =
-            match fault with
-            | `None -> Step.eval g_hi a_i
-            | `Fcfs_drop_tau ->
-                (* Planted bug: the left limit misses the workload arriving
-                   exactly at a_i — the instance's own tau. *)
-                Step.eval_left g_hi a_i
-          in
-          match Pl.Inverse.geq u_lo target with
+      let g_hi_at = Step.Cursor.make g_hi in
+      let target =
+        match fault with
+        | `None -> Step.Cursor.eval g_hi_at
+        | `Fcfs_drop_tau ->
+            (* Planted bug: the left limit misses the workload arriving
+               exactly at a — the instance's own tau. *)
+            Step.Cursor.eval_left g_hi_at
+      in
+      per_jump arr_lo (fun a ->
+          match Pl.Inverse.geq u_lo (target a) with
           | Some theta when theta <= horizon -> Some theta
           | Some _ | None -> None)
     in
     let dep_hi =
-      per_instance arr_hi (fun a_i ->
-          Pl.Inverse.geq u_hi (Step.eval_left g_lo a_i + tau)
-          |> Option.map (max (a_i + tau)))
+      let g_lo_before = Step.Cursor.make g_lo in
+      per_jump arr_hi (fun a ->
+          Pl.Inverse.geq u_hi (Step.Cursor.eval_left g_lo_before a + tau)
+          |> Option.map (max (a + tau)))
     in
-    (Step.min2 dep_lo arr_lo, Step.min2 dep_hi arr_hi)
+    (dep_lo, dep_hi)
 
   let step ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
       ~horizon policy (i : input) =
@@ -386,7 +397,8 @@ end
 include Make (struct
   let add = Pl.add
   let sub = Pl.sub
-  let min2 = Pl.min2
   let max2 = Pl.max2
   let prefix_min = Rta_curve.Minplus.prefix_min
+  let utilization = Rta_curve.Minplus.utilization
+  let departures = Rta_curve.Minplus.departures
 end)

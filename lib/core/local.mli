@@ -87,20 +87,25 @@ type output = {
 }
 (** FCFS service curves are synthesized from the departure bounds, and
     exact SPP ones from the idle time taken; both are built only when
-    forced.  The static-priority bounds are always computed. *)
+    forced, which no verdict does ({!Engine.entry}).  The static-priority
+    bounds are always computed. *)
 
 type fcfs
 (** One FCFS processor's context: the summed workload brackets [G_lo] and
     [G_hi] of Theorem 7 over all residents, the utilization functions
-    [U_lo] and [U_hi] transformed from them (truncated at the horizon)
-    as checked inverse handles ({!Rta_curve.Pl.Inverse}), and whether the
-    exact FCFS construction applies.  Built once per processor
-    ({!S.fcfs}) and shared by its residents.
+    [U_lo] and [U_hi] walked from them ({!Rta_curve.Minplus.utilization},
+    truncated at the horizon) as checked inverse handles
+    ({!Rta_curve.Pl.Inverse}), and whether the exact FCFS construction
+    applies.  Built once per processor ({!S.fcfs}) and shared by its
+    residents.
 
     Cost for a processor with I released instances: the workloads are
-    summed in pairwise rounds and each resident reads one departure per
-    instance and bound off the handles with an O(log I) search, so the
-    processor costs O(I log I) in all. *)
+    summed in pairwise rounds and the release-tie check sorts the
+    releases once, O(I log I); the two utilization walks are O(I), one
+    step per workload jump; and each resident reads one departure per
+    arrival jump and bound off the handles with an O(log I) search, the
+    instances of a jump sharing their arrival time and hence their
+    departure.  So the processor costs O(I log I) in all. *)
 
 type hp
 (** The running aggregate of a static-priority resident's higher-priority
@@ -127,12 +132,16 @@ type hp
     lower one walks the jumps of the higher-priority [work_hi] sum and of
     its level-k workload once, O(1) each; the upper one reads the
     higher-priority [svc_lo] sum only in the windows where its own upper
-    workload is above the bound so far, one galloping search per window.
+    workload is above the bound so far, one galloping search per window,
+    and its own utilization is one walk over its jumps
+    ({!Rta_curve.Minplus.utilization}).  Its two departure bounds read
+    each instance's departure off the service curves with one forward
+    reader each ({!Rta_curve.Minplus.departures}), O(knots + instances).
     Its level-k workload is summed once and handed to the next rank
     ({!handoff}), and its service is added into the [svc_lo] sum when
     pushed, so a processor of bounded residents costs O(N I), with a
-    small constant: no curve of O(I) knots is built besides the running
-    sums.
+    small constant: no curve of O(I) knots is built besides the bounds
+    and the running sums.
 
     Rank-order invariant: a static-priority resident depends on every
     resident above it ({!Deps}, through the next-higher one), so any
@@ -172,7 +181,7 @@ module type S = sig
       With [exact] the FCFS analysis is exact when every resident's
       bracket is a single function and no two releases on the processor
       tie; [exact:false] never claims exactness.  [cancel] (default
-      {!Cancel.never}) is polled after each utilization transform. *)
+      {!Cancel.never}) is polled after each utilization walk. *)
 
   val step :
     ?cancel:Cancel.t ->

@@ -24,8 +24,23 @@ let locate idle t =
   Obs.incr c_queries;
   M.find_first (fun stop -> stop > t) idle
 
-(* Take [need] units from [start] on: returns the map left, the pieces
-   taken (prepended to [pieces], latest first) and the completion time. *)
+(* The pieces of idle time a resident takes, in time order, as a flat
+   [from0; until0; from1; until1; ...] buffer; a piece that starts where
+   the last one ended extends it. *)
+type pieces = { mutable buf : int array; mutable len : int }
+
+let take_piece p from until =
+  if p.len > 0 && p.buf.(p.len - 1) = from then p.buf.(p.len - 1) <- until
+  else begin
+    if p.len = Array.length p.buf then
+      p.buf <- Array.append p.buf (Array.make (Array.length p.buf) 0);
+    p.buf.(p.len) <- from;
+    p.buf.(p.len + 1) <- until;
+    p.len <- p.len + 2
+  end
+
+(* Take [need] units from [start] on, recording the pieces taken: returns
+   the map left and the completion time. *)
 let rec take idle start need pieces =
   let stop, first = locate idle start in
   let from = max first start in
@@ -36,50 +51,55 @@ let rec take idle start need pieces =
        the interval in place. *)
     let finish = from + need in
     Obs.incr c_splits;
-    (keep_before (M.add stop finish idle), (from, finish) :: pieces, finish)
+    take_piece pieces from finish;
+    (keep_before (M.add stop finish idle), finish)
   end
   else begin
     if first < from then Obs.incr c_splits else Obs.incr c_removed;
-    let idle = keep_before (M.remove stop idle) and pieces = (from, stop) :: pieces in
-    if stop - from = need then (idle, pieces, stop)
+    take_piece pieces from stop;
+    let idle = keep_before (M.remove stop idle) in
+    if stop - from = need then (idle, stop)
     else take idle stop (need - (stop - from)) pieces
   end
 
 (* Slope 1 on each piece, flat between. *)
 let service_of pieces =
-  let b = Pl.Builder.create ((2 * List.length pieces) + 1) in
+  let b = Pl.Builder.create (Array.length pieces + 1) in
   Pl.Builder.push b 0 0;
-  ignore
-    (List.fold_left
-       (fun acc (from, until) ->
-         Pl.Builder.push b from acc;
-         let acc = acc + (until - from) in
-         Pl.Builder.push b until acc;
-         acc)
-       0 pieces);
+  let acc = ref 0 in
+  for k = 0 to (Array.length pieces / 2) - 1 do
+    let from = pieces.(2 * k) and until = pieces.((2 * k) + 1) in
+    Pl.Builder.push b from !acc;
+    acc := !acc + (until - from);
+    Pl.Builder.push b until !acc
+  done;
   Pl.Builder.to_pl ~tail:0 b
 
 let consume idle ~tau ~arrivals ~horizon =
   if tau < 1 then invalid_arg "Idle.consume: tau must be >= 1";
-  let idle = ref idle and pieces = ref [] and finish = ref 0 in
-  let departed = ref [] and count = ref 0 in
+  let count = Step.final_value arrivals in
+  let idle = ref idle and finish = ref 0 and served = ref 0 in
+  let pieces = { buf = Array.make (max 4 (2 * count)) 0; len = 0 } in
+  let departures = Step.Builder.create count in
   let release upto at =
-    while !count < upto do
-      incr count;
-      let rest, ps, f = take !idle (max at !finish) tau !pieces in
+    while !served < upto do
+      incr served;
+      let rest, f = take !idle (max at !finish) tau pieces in
       idle := rest;
-      pieces := ps;
       finish := f;
-      if f <= horizon then departed := (f, !count) :: !departed
+      if f <= horizon then Step.Builder.push departures f !served
     done
   in
   release (Step.init_value arrivals) 0;
-  Array.iter (fun (t, v) -> release v t) (Step.jumps arrivals);
-  let pieces = List.rev !pieces in
+  for i = 0 to Step.jump_count arrivals - 1 do
+    release (Step.jump_value arrivals i) (Step.jump_time arrivals i)
+  done;
+  (* Only the taken pieces outlive the call, until the service is forced. *)
+  let pieces = Array.sub pieces.buf 0 pieces.len in
   {
     rest = !idle;
     service = lazy (service_of pieces);
-    departures = Step.of_samples (List.rev !departed);
+    departures = Step.Builder.to_step departures;
   }
 
 let busy idle =

@@ -151,6 +151,74 @@ let transform_blocked ~mode ~avail ~work ~blocking =
     let shifted = Pl.shift_right m blocking in
     Pl.splice ~at:blocking Pl.zero (Pl.add avail shifted)
 
+(* Theorem 7's utilization U(t) = t + min over s <= t of (G*(s) - s) as
+   one busy-period walk.  U(t + 1) = min (U(t) + 1, G*(t + 1)): a
+   unit-rate server draining the workload, so U rises one per tick up to
+   [busy_end] and is flat after it, at G*'s level.  A jump of J in G at
+   time j reaches G* at its effect time e (j + 1 for the left limit, j
+   for the value) and moves [busy_end] to max busy_end (e - 1) + J; a
+   jump at time 0 in [`Right] mode is already in U(0) = G(0). *)
+let c_utilization = Obs.counter "minplus.utilization.calls"
+
+let utilization ~mode w =
+  Obs.incr c_utilization;
+  let n = Step.jump_count w in
+  let first, level0, lag =
+    match mode with
+    | `Left -> (0, Step.init_value w, 0)
+    | `Right ->
+        if n > 0 && Step.jump_time w 0 = 0 then (1, Step.jump_value w 0, -1)
+        else (0, Step.init_value w, -1)
+  in
+  let b = Pl.Builder.create ((2 * (n - first)) + 2) in
+  Pl.Builder.push b 0 level0;
+  let busy_end = ref 0 and level = ref level0 in
+  for i = first to n - 1 do
+    (* The tick before the jump's effect time, where its rise starts. *)
+    let start = Step.jump_time w i + lag in
+    let v = Step.jump_value w i in
+    if start >= !busy_end then begin
+      (* Idle until then: the last rise ends and a new one starts. *)
+      Pl.Builder.push b !busy_end !level;
+      Pl.Builder.push b start !level;
+      busy_end := start
+    end;
+    busy_end := !busy_end + (v - !level);
+    level := v
+  done;
+  Pl.Builder.push b !busy_end !level;
+  Pl.Builder.to_pl ~tail:0 b
+
+(* Theorem 2's departures min (floor (S_h / tau)) arr, S_h being S cut at
+   the horizon, read instance by instance: the k-th departs once S_h
+   reaches k tau and the k-th has arrived, at max (S^-1 (k tau), arr^-1 k),
+   and S_h never reaches k tau past the horizon.  Targets rise with k, so
+   one forward reader walks S once. *)
+let c_departures = Obs.counter "minplus.departures.calls"
+
+let departures ~horizon ~tau ~service ~arrivals =
+  if tau < 1 then invalid_arg "Minplus.departures: tau must be >= 1";
+  Obs.incr c_departures;
+  let reader = Pl.Inverse.cursor (Pl.Inverse.make service) in
+  let count = Step.final_value arrivals and arr_init = Step.init_value arrivals in
+  let init = min (Pl.eval service 0 / tau) arr_init in
+  let b = Step.Builder.create ~init (count - init) in
+  let rec place k j =
+    if k <= count then
+      match Pl.Inverse.seek reader (k * tau) with
+      | Some s when s <= horizon ->
+          (* [j] is the arrival jump that brings instance k. *)
+          let j = if k <= arr_init then j else jump_reaching arrivals k j in
+          let a = if k <= arr_init then 0 else Step.jump_time arrivals j in
+          Step.Builder.push b (max s a) k;
+          place (k + 1) j
+      | Some _ | None -> ()
+  and jump_reaching arr k j =
+    if Step.jump_value arr j >= k then j else jump_reaching arr k (j + 1)
+  in
+  place (init + 1) 0;
+  Step.Builder.to_step b
+
 (* Theorem 5's level-k lower bound in one walk over the jumps of C and W.
    L(t) = U(t - b) - C(t), where U(u) = u + min over s <= u of
    (W(s-) - s) rises by one on every tick the level is busy and stays flat

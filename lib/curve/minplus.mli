@@ -9,8 +9,10 @@
     [m(t) = min over s <= t of (c(s) - A(s))] this is [F = A + m], and [m]
     is computable with one scan over the merged event points of [A] and [c].
     The analysis evaluates Theorem 3's exact SPP service by consuming idle
-    intervals instead ({!Idle}); the formula is kept as the oracle that
-    checks that path, on the frozen reference scan.
+    intervals instead ({!Idle}), and Theorem 7's utilization, whose
+    availability is the identity, by a busy-period walk
+    ({!utilization}); the formula is kept as the oracle that checks both,
+    on the frozen reference scan.
 
     The minimum over {e real} [s] matters at the discontinuities of [c]: the
     infimum approaches the left limit [c(s-)].  The [mode] argument selects
@@ -32,7 +34,35 @@ type mode = [ `Left | `Right ]
 val prefix_min : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
 (** [prefix_min ~mode ~avail ~work] is
     [m(t) = min over integer 0 <= s <= t of (work*(s) - avail(s))] where
-    [work*] is the left limit or the value of [work] per [mode]. *)
+    [work*] is the left limit or the value of [work] per [mode].  No
+    analysis path of the engine or the fixed point calls it: it serves the
+    [`As_printed] ablation ({!Rta_core.Local.variant}) and the reference
+    oracles, which check the kernels below against it. *)
+
+val utilization : mode:mode -> Step.t -> Pl.t
+(** [utilization ~mode w] is Theorem 7's utilization function
+    [U(t) = t + min over s <= t of (w*(s) - s)], equal to
+    [transform ~mode ~avail:Pl.identity ~work:w], as one busy-period walk
+    over the jumps of [w], O(1) each: [U] rises one per tick while the
+    unit-rate server has work and stays flat at [w*]'s level when it
+    idles, so a jump of size J at effect time e (its time, plus one in
+    [`Left] mode) extends the busy stretch to [max busy_end (e - 1) + J].
+    The result has at most two knots per busy stretch and a flat tail.
+    Counted when {!Rta_obs.enabled}: [minplus.utilization.calls]. *)
+
+val departures :
+  horizon:int -> tau:int -> service:Pl.t -> arrivals:Step.t -> Step.t
+(** Theorem 2's conversion with the arrival cap: the departure counting
+    function [fun t -> min (floor (S(min t horizon) / tau)) (arrivals t)]
+    for a non-decreasing service curve [S = service] with [S(0) >= 0] and
+    [tau >= 1].  Instance k departs at [max (S^-1 (k tau)) (arrivals^-1 k)]
+    if [S] reaches [k tau] by the horizon, and never otherwise; targets
+    rise with k, so one forward reader ({!Pl.Inverse.seek}) walks [S]
+    once: O(knots + instances).  Counted when {!Rta_obs.enabled}:
+    [minplus.departures.calls], and the reader's [pl.inverse.seeks] (one
+    per instance placed or refused) and [pl.inverse.steps].
+    @raise Invalid_argument if [service] decreases somewhere or
+    [tau < 1]. *)
 
 val transform : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
 (** [transform ~mode ~avail ~work] is [avail + prefix_min ~mode ~avail ~work]:
@@ -66,8 +96,8 @@ val sp_upper : hp_service:Pl.t -> own_work:Step.t -> own_util:Pl.t -> Pl.t
 
     {[ fun t -> max (0, max over s <= t of min (s - P(s), V(s))) ]}
 
-    [V] must be the resident's utilization
-    [transform ~mode:`Right ~avail:Pl.identity ~work:c], or any curve below
+    [V] must be the resident's utilization [utilization ~mode:`Right c],
+    or any curve below
     [c]: the bound can rise only where [c] is above it, so the walk reads
     [P] and [V] only in those windows, seeking into [P] once per window.
     Counted when {!Rta_obs.enabled}: [sp.hi.windows], the jumps of [c]

@@ -17,7 +17,6 @@ module Obs = Rta_obs
 
 let c_add = Obs.counter "pl.add.calls"
 let c_sub = Obs.counter "pl.sub.calls"
-let c_min2 = Obs.counter "pl.min2.calls"
 let c_max2 = Obs.counter "pl.max2.calls"
 let h_out_knots = Obs.histogram "pl.out.knots"
 
@@ -282,6 +281,27 @@ module Inverse = struct
       Obs.add c_probes !probes;
       solve v f.xs.(!lo) f.ys.(!lo) (segment_slope f !lo)
     end
+
+  (* A forward reader: [i] is the last knot whose value is below the
+     previous target, so a non-decreasing target only walks on from it. *)
+  type cursor = { f : pl; mutable i : int }
+
+  let c_seeks = Obs.counter "pl.inverse.seeks"
+  let c_steps = Obs.counter "pl.inverse.steps"
+  let cursor f = { f; i = 0 }
+
+  let seek c v =
+    Obs.incr c_seeks;
+    let f = c.f in
+    if f.ys.(0) >= v then Some 0
+    else begin
+      let n = Array.length f.xs and i0 = c.i in
+      while c.i + 1 < n && f.ys.(c.i + 1) < v do
+        c.i <- c.i + 1
+      done;
+      Obs.add c_steps (c.i - i0);
+      solve v f.xs.(c.i) f.ys.(c.i) (segment_slope f c.i)
+    end
 end
 
 (* Merged, deduplicated knot times of two functions: the first [k] entries
@@ -375,7 +395,6 @@ let pointwise2 op f g =
   done;
   Builder.to_pl ~tail:(op f.tail g.tail) b
 
-let min2 f g = observed c_min2 (pointwise2 min f g)
 let max2 f g = observed c_max2 (pointwise2 max f g)
 let pos f = max2 f zero
 

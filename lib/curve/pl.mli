@@ -146,6 +146,18 @@ module Inverse : sig
   (** @raise Invalid_argument if the curve is decreasing somewhere. *)
 
   val geq : inv -> int -> int option
+
+  type cursor
+
+  val cursor : inv -> cursor
+
+  val seek : cursor -> int -> int option
+  (** Same answer as {!geq}, for targets that never decrease from one
+      call to the next on the same cursor: the search walks on from the
+      knot where the previous one stopped, so a run of seeks over a curve
+      of K knots reads O(K) of them in all.  Counted when
+      {!Rta_obs.enabled}: [pl.inverse.seeks] per call and
+      [pl.inverse.steps] for the knots walked past. *)
 end
 
 (** {1 Arithmetic} *)
@@ -162,9 +174,6 @@ val sum : t list -> t
 
 val pos : t -> t
 (** [pos f] is [fun t -> max 0 (f t)] on the grid. *)
-
-val min2 : t -> t -> t
-(** Pointwise minimum on the grid. *)
 
 val max2 : t -> t -> t
 (** Pointwise maximum on the grid. *)

@@ -3,7 +3,8 @@
 
     {!Step} and {!Pl} are the two curve representations; {!Minplus} is the
     min-plus transform connecting them, with the single-pass sweeps of the
-    static-priority bounds (Theorems 5-6); {!Idle} is the idle time a
+    static-priority bounds (Theorems 5-6), the busy-period walk of the
+    utilization (Theorem 7) and the departure read of Theorem 2; {!Idle} is the idle time a
     preemptive static-priority processor leaves to its lower ranks
     (Theorem 3); {!Envelope} is the horizon-free arrival-envelope
     extension. *)
@@ -21,7 +22,10 @@ module Envelope = Envelope
 module type KERNELS = sig
   val add : Pl.t -> Pl.t -> Pl.t
   val sub : Pl.t -> Pl.t -> Pl.t
-  val min2 : Pl.t -> Pl.t -> Pl.t
   val max2 : Pl.t -> Pl.t -> Pl.t
   val prefix_min : mode:[ `Left | `Right ] -> avail:Pl.t -> work:Step.t -> Pl.t
+  val utilization : mode:[ `Left | `Right ] -> Step.t -> Pl.t
+
+  val departures :
+    horizon:int -> tau:int -> service:Pl.t -> arrivals:Step.t -> Step.t
 end

@@ -63,6 +63,46 @@ let normalize ~init pairs =
   invariant f;
   f
 
+(* An array buffer for steps built in one forward pass: the same dedup
+   rules as [normalize], without the intermediate list. *)
+module Builder = struct
+  type step = t
+
+  type t = {
+    init : int;
+    mutable bts : int array;
+    mutable bvs : int array;
+    mutable len : int;
+  }
+
+  let create ?(init = 0) capacity =
+    let capacity = max capacity 4 in
+    { init; bts = Array.make capacity 0; bvs = Array.make capacity 0; len = 0 }
+
+  let push b t v =
+    let last_v = if b.len = 0 then b.init else b.bvs.(b.len - 1) in
+    if v > last_v then
+      if b.len > 0 && b.bts.(b.len - 1) = t then b.bvs.(b.len - 1) <- v
+      else begin
+        if t < 0 then invalid_arg "Step.Builder.push: negative time";
+        if b.len > 0 && b.bts.(b.len - 1) > t then
+          invalid_arg "Step.Builder.push: time went backwards";
+        if b.len = Array.length b.bts then begin
+          let grow a = Array.append a (Array.make (Array.length a) 0) in
+          b.bts <- grow b.bts;
+          b.bvs <- grow b.bvs
+        end;
+        b.bts.(b.len) <- t;
+        b.bvs.(b.len) <- v;
+        b.len <- b.len + 1
+      end
+
+  let to_step b : step =
+    let f = { init = b.init; ts = Array.sub b.bts 0 b.len; vs = Array.sub b.bvs 0 b.len } in
+    invariant f;
+    f
+end
+
 let of_arrival_times times =
   let n = Array.length times in
   let check i =

@@ -36,6 +36,27 @@ val of_samples : ?init:int -> (int * int) list -> t
     sample.  No strictness is required: this is the lenient constructor
     used when deriving step functions from scans. *)
 
+module Builder : sig
+  (** An array buffer for building a step function in one forward pass,
+      with the rules of {!of_samples}: pushes are amortized O(1), a push
+      at the last time replaces its value, and a push that does not raise
+      the value is dropped.  {!to_step} copies the pushed jumps once. *)
+
+  type step := t
+  type t
+
+  val create : ?init:int -> int -> t
+  (** [create ~init capacity]: the value before the first jump is [init]
+      (default 0); the buffer starts at [capacity] jumps and doubles. *)
+
+  val push : t -> int -> int -> unit
+  (** [push b time value].
+      @raise Invalid_argument on a negative time or one earlier than the
+      last kept jump's. *)
+
+  val to_step : t -> step
+end
+
 (** {1 Observation} *)
 
 val eval : t -> int -> int

@@ -143,15 +143,15 @@ let lookup w from key =
 
 let digit c = Char.code c - Char.code '0'
 
-(* Exact ticks of a plain decimal [digits[.d{1,3}]] whose integer part is
-   below [fast_limit], or -1 for every other form.  On that range the
-   float path ([float_of_string] then [Time.of_units] or
-   [Time.of_units_ceil]) lands on the same tick: the parsed double times
-   1000 is within 1e-7 of the exact tick count, far inside both the
-   rounding and the 1e-6 snap of the ceiling.  So this is a shortcut with
-   the float path's results, not a second semantics.  A tick is the third
+(* Exact ticks of a plain decimal [digits[.d{1,3}]], or -1 for every other
+   form and for an integer part above [max_whole], whose ticks would not
+   fit an int.  The float path ([float_of_string] then [Time.of_units] or
+   [Time.of_units_ceil]) lands on the same tick while the tick count is
+   below about 4.5 x 10^9, where the parsed double times 1000 is within
+   the rounding and the 1e-6 snap of the ceiling; beyond it the snap can
+   add a tick, which reading the digits never does.  A tick is the third
    decimal place of a unit ([Time.ticks_per_unit] = 1000). *)
-let fast_limit = 100_000
+let max_whole = (max_int - 999) / 1000
 
 let plain_ticks text a b =
   let rec int_part i v =
@@ -160,7 +160,7 @@ let plain_ticks text a b =
       match String.unsafe_get text i with
       | '0' .. '9' as c ->
           let v = (v * 10) + digit c in
-          if v >= fast_limit then -1 else int_part (i + 1) v
+          if v > max_whole then -1 else int_part (i + 1) v
       | '.' when i > a -> frac (i + 1) v 0 0
       | _ -> -1
   and frac i v f k =
@@ -275,7 +275,8 @@ let parse_arrival w =
     | Some count when count >= 0 -> Arrival.Sporadic_worst { min_gap; count }
     | Some _ | None -> fail w.line "count must be a non-negative integer"
   end
-  else if is w 3 "trace" && w.count > 4 then parse_trace w 4
+  else if is w 3 "trace" && w.count > 4 then
+    if is w 4 "none" then Arrival.Trace [||] else parse_trace w 4
   else fail w.line "unknown arrival kind %S" (word w 3)
 
 (* Words: [job NAME arrival KIND ... deadline D ...]; the deadline is the
@@ -421,6 +422,7 @@ let print_arrival buf = function
       add_units buf min_gap;
       Buffer.add_string buf " count=";
       add_int buf count
+  | Arrival.Trace [||] -> Buffer.add_string buf "trace none"
   | Arrival.Trace times ->
       Buffer.add_string buf "trace ";
       Array.iteri

@@ -20,7 +20,8 @@
 
     Arrival forms: [periodic period=P [offset=O]], [bursty period=P],
     [burst_periodic burst=N period=P [offset=O]],
-    [sporadic min_gap=G count=N], [trace t1,t2,...].
+    [sporadic min_gap=G count=N], [trace t1,t2,...], and [trace none] for
+    a job that is never released.
     [prio] defaults to 1 (FCFS processors ignore it).
 
     Priorities may be omitted everywhere and assigned afterwards with
@@ -30,19 +31,18 @@ val parse : string -> (System.t, string) result
 (** Parse a description from a string.  Errors carry the line number.
     Words are separated by spaces (a tab inside a line belongs to its
     word); whitespace at either end of a line is ignored.  A time written
-    as a plain decimal [digits[.d{1,3}]] with an integer part below 100,000
-    is read straight to ticks; every other form ([1e3], [.5], [0x10], ...)
-    goes through [float_of_string] and {!Time.of_units} (or
-    {!Time.of_units_ceil} for execution times, periods, gaps and
-    deadlines), which gives the same tick wherever both apply. *)
+    as a plain decimal [digits[.d{1,3}]] is read straight to ticks,
+    exactly at any size whose ticks fit an int; every other form ([1e3],
+    [.5], [0x10], ...) goes through [float_of_string] and
+    {!Time.of_units} (or {!Time.of_units_ceil} for execution times,
+    periods, gaps and deadlines), which gives the same tick below about
+    4.5 x 10{^9} ticks. *)
 
 val parse_file : string -> (System.t, string) result
 
 val print : System.t -> string
 (** Render a system back into the textual format.  Times are written as
     their integer part plus the tick fraction without trailing zeros
-    (1234567 ticks print as [1234.567]), so the text is exact: [parse] of
-    the result yields an equal system whenever every tick value is below
-    4.5 x 10{^9} (beyond that, a fractional time rounded up through
-    [float_of_string] can gain a tick) and no trace is empty (the format
-    has no spelling for an empty trace). *)
+    (1234567 ticks print as [1234.567]) and an empty trace as
+    [trace none], so the text is exact: [parse] of the result yields an
+    equal system. *)

@@ -54,14 +54,14 @@ let test_theorem3_two_jobs () =
       ]
   in
   let e = engine sys in
-  let svc_l = (entry e 1 0).Rta_core.Engine.svc_lo in
+  let svc_l = Lazy.force (entry e 1 0).Rta_core.Engine.svc_lo in
   List.iter
     (fun (t, expect) ->
       check_int (Printf.sprintf "S_L(%d)" t) expect (Pl.eval svc_l t))
     [ (0, 0); (3, 0); (5, 2); (7, 4); (9, 4); (50, 4) ];
   (* And H's service is the availability identity minus idle: ramps 0-3,
      flat, ramps 10-13. *)
-  let svc_h = (entry e 0 0).Rta_core.Engine.svc_lo in
+  let svc_h = Lazy.force (entry e 0 0).Rta_core.Engine.svc_lo in
   List.iter
     (fun (t, expect) ->
       check_int (Printf.sprintf "S_H(%d)" t) expect (Pl.eval svc_h t))
@@ -411,6 +411,60 @@ let prop_sp_sweeps =
   G.qtest ~count:2000 "sweeps = Theorem 5-6 formula" sp_case_gen print_sp_case
     sweeps_match_oracle
 
+(* One FCFS processor: the per-jump bounds on the utilization walks
+   against the per-instance construction on the reference chain, with its
+   sorted-list tie check ([Reference.fcfs]).  Residents are exact (one
+   release trace, ties and bursts allowed) or bracketed by two arbitrary
+   steps, under both exactness settings and horizons that cut
+   departures off. *)
+let fcfs_case_gen =
+  let open QCheck2.Gen in
+  let resident =
+    let* tau = int_range 1 4 in
+    let* bracket =
+      oneof
+        [
+          map
+            (fun ts ->
+              let f = Step.of_arrival_times ts in
+              (f, f))
+            G.arrivals_gen;
+          pair G.step_gen G.step_gen;
+        ]
+    in
+    return (tau, fst bracket, snd bracket)
+  in
+  let* residents = list_size (int_range 1 4) resident in
+  let* exact = bool in
+  let* horizon = int_range 0 (2 * G.horizon) in
+  return (exact, horizon, residents)
+
+let print_fcfs_case (exact, horizon, residents) =
+  Printf.sprintf "exact=%b horizon=%d residents=[%s]" exact horizon
+    (String.concat "; "
+       (List.map
+          (fun (tau, lo, hi) ->
+            Printf.sprintf "tau=%d lo=%s hi=%s" tau (G.print_step lo) (G.print_step hi))
+          residents))
+
+let fcfs_matches_oracle (exact, horizon, residents) =
+  let inputs =
+    List.map
+      (fun (tau, arr_lo, arr_hi) -> Local.input ~tau ~arr_lo ~arr_hi ~exact:false)
+      residents
+  in
+  let ctx = Local.fcfs ~exact ~horizon inputs in
+  List.for_all2
+    (fun i (dep_lo, dep_hi, exact) ->
+      let o = Local.step ~horizon (Local.Fcfs ctx) i in
+      Step.equal o.dep_lo dep_lo && Step.equal o.dep_hi dep_hi && o.exact = exact)
+    inputs
+    (Rta_check.Reference.fcfs ~exact ~horizon residents)
+
+let prop_fcfs_per_jump =
+  G.qtest ~count:1000 "per-jump bounds = per-instance construction" fcfs_case_gen
+    print_fcfs_case fcfs_matches_oracle
+
 let () =
   Alcotest.run "rta_theorems"
     [
@@ -436,4 +490,5 @@ let () =
         ] );
       ("exact SPP", [ prop_idle_theorem3 ]);
       ("SP bounds", [ prop_sp_sweeps ]);
+      ("FCFS", [ prop_fcfs_per_jump ]);
     ]

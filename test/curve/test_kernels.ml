@@ -70,14 +70,13 @@ let pointwise_agrees (f, g) =
   List.for_all
     (fun (fast, slow) -> Pl.equal (fast f g) (slow f g))
     [
-      (Pl.min2, Reference.min2);
       (Pl.max2, Reference.max2);
       (Pl.add, Reference.add);
       (Pl.sub, Reference.sub);
     ]
 
 let prop_pointwise =
-  qpair "pointwise min2/max2/add/sub: fast = reference" G.pl_gen G.pl_gen
+  qpair "pointwise max2/add/sub: fast = reference" G.pl_gen G.pl_gen
     pointwise_agrees
 
 let prop_pointwise_one_tick =
@@ -123,6 +122,59 @@ let test_cursor_backwards_raises () =
     (fun () -> ignore (Pl.Cursor.eval c 3))
 
 (* ------------------------------------------------------------------ *)
+(* Utilization walk and departure read                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Steps with big jumps and jumps at 0 stress the busy-period walk's
+   effect times and the [`Right] mode's time-0 level. *)
+let prop_utilization =
+  G.qtest ~count:1000 "utilization (both modes) = identity + prefix_min"
+    G.step_gen G.print_step (fun w ->
+      List.for_all
+        (fun mode ->
+          Pl.equal (Minplus.utilization ~mode w) (Reference.utilization ~mode w))
+        [ `Left; `Right ])
+
+let departures_case_gen =
+  let open QCheck2.Gen in
+  let* service = G.pl_mono_gen in
+  let* tau = int_range 1 5 in
+  let* arrivals = G.step_gen in
+  let* horizon = int_range 0 (G.horizon + 16) in
+  return (service, tau, arrivals, horizon)
+
+let print_departures_case (service, tau, arrivals, horizon) =
+  Printf.sprintf "service=%s tau=%d arrivals=%s horizon=%d" (G.print_pl service) tau
+    (G.print_step arrivals) horizon
+
+let prop_departures =
+  G.qtest ~count:1000 "departures: inverse read = Theorem 2 chain" departures_case_gen
+    print_departures_case (fun (service, tau, arrivals, horizon) ->
+      Step.equal
+        (Minplus.departures ~horizon ~tau ~service ~arrivals)
+        (Reference.departures ~horizon ~tau ~service ~arrivals))
+
+let prop_inverse_seek =
+  G.qtest2 "Inverse.seek = geq on rising targets" G.pl_mono_gen G.print_pl times_gen
+    (fun a -> Fmt.str "%a" Fmt.(Dump.array int) a)
+    (fun (f, targets) ->
+      let inv = Pl.Inverse.make f in
+      let c = Pl.Inverse.cursor inv in
+      Array.for_all (fun v -> Pl.Inverse.seek c v = Pl.Inverse.geq inv v) targets)
+
+let test_step_builder () =
+  let b = Step.Builder.create ~init:1 1 in
+  List.iter
+    (fun (t, v) -> Step.Builder.push b t v)
+    [ (0, 1); (0, 2); (3, 4); (3, 5); (6, 5); (9, 7) ];
+  check_bool "same rules as of_samples" true
+    (Step.equal (Step.Builder.to_step b)
+       (Step.of_samples ~init:1 [ (0, 2); (3, 5); (9, 7) ]));
+  Alcotest.check_raises "backwards push rejected"
+    (Invalid_argument "Step.Builder.push: time went backwards")
+    (fun () -> Step.Builder.push b 8 9)
+
+(* ------------------------------------------------------------------ *)
 (* Builder contract                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -151,6 +203,13 @@ let () =
           prop_prefix_plateau;
         ] );
       ("pointwise", [ prop_pointwise; prop_pointwise_one_tick ]);
+      ( "walks",
+        [
+          prop_utilization;
+          prop_departures;
+          prop_inverse_seek;
+          Alcotest.test_case "step builder" `Quick test_step_builder;
+        ] );
       ( "cursors",
         [
           prop_pl_cursor;

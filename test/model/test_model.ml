@@ -515,10 +515,10 @@ let prop_roundtrip_tick_values =
     Rta_testsupport.Sysgen.tick_system_gen Parser.print (fun system ->
       Parser.parse (Parser.print system) = Ok system)
 
-(* Plain decimals [digits[.d{1,3}]] with an integer part below 100,000
-   are read straight to ticks; every other form goes through
-   [float_of_string].  Either way a number must land on the tick the float
-   path gives, with the float path's error messages. *)
+(* Plain decimals [digits[.d{1,3}]] are read straight to ticks; every
+   other form goes through [float_of_string].  Wherever the float path is
+   exact (below about 4.5 x 10^9 ticks) a number must land on the tick it
+   gives, with its error messages. *)
 
 let offset_spec s =
   "processors fcfs\njob T arrival periodic period=1 offset=" ^ s
@@ -578,11 +578,48 @@ let test_fast_numbers_match_float_path () =
       let ip = string_of_int ip in
       check_number ip;
       List.iter (fun frac -> check_number (ip ^ frac)) fractions)
-    (* 16,777,217 units is past the float path's exact range (its
-       ceiling snap adds a tick to 240 of the 1,000 three-decimal
-       fractions), so it pins where the fast path must stop. *)
-    [ 0; 1; 7; 99; 1_000; 12_345; 99_998; 99_999; 100_000; 100_001; 123_456;
-      16_777_217 ]
+    [ 0; 1; 7; 99; 1_000; 12_345; 99_998; 99_999; 100_000; 100_001; 123_456 ]
+
+(* Past the float path's exact range a plain decimal is still its digits:
+   at 16,777,217 units the float path's ceiling snap adds a tick to 240 of
+   the 1,000 three-decimal fractions, and reading the digits to none.  The
+   largest integer part whose ticks fit an int is exact too. *)
+let test_plain_decimals_exact () =
+  let exec_ticks s =
+    match Parser.parse (exec_spec s) with
+    | Ok sys -> (System.job sys 0).System.steps.(0).System.exec
+    | Error e -> Alcotest.failf "exec=%s should parse: %s" s e
+  in
+  for f = 0 to 999 do
+    let s = Printf.sprintf "16777217.%03d" f in
+    let t = exec_ticks s in
+    check_int ("exec=" ^ s) ((16_777_217 * 1000) + f) t;
+    match one_job ~exec:t () with
+    | Ok sys -> check_bool (s ^ " round-trips") true (Parser.parse (Parser.print sys) = Ok sys)
+    | Error e -> Alcotest.fail e
+  done;
+  let whole = (max_int - 999) / 1000 in
+  check_int "largest exact integer part" ((whole * 1000) + 999)
+    (exec_ticks (string_of_int whole ^ ".999"))
+
+(* A job that is never released prints as [trace none] and parses back. *)
+let test_empty_trace_roundtrip () =
+  let sys =
+    System.make_exn ~schedulers:[| Sched.Fcfs |]
+      ~jobs:
+        [|
+          {
+            System.name = "T";
+            arrival = Arrival.Trace [||];
+            deadline = 1000;
+            steps = [| { System.proc = 0; exec = 1000; prio = 1 } |];
+          };
+        |]
+  in
+  let text = Parser.print sys in
+  Alcotest.(check string) "spelled trace none"
+    "processors fcfs\n\njob T arrival trace none deadline 1\n  step proc=0 exec=1 prio=1\n" text;
+  check_bool "parses back" true (Parser.parse text = Ok sys)
 
 let test_fallback_numbers () =
   List.iter check_number
@@ -680,6 +717,9 @@ let () =
           prop_roundtrip_tick_values;
           Alcotest.test_case "fast numbers = float path" `Quick
             test_fast_numbers_match_float_path;
+          Alcotest.test_case "plain decimals exact at any size" `Quick
+            test_plain_decimals_exact;
+          Alcotest.test_case "empty trace roundtrip" `Quick test_empty_trace_roundtrip;
           Alcotest.test_case "fallback number forms" `Quick test_fallback_numbers;
           Alcotest.test_case "tab-separated tokens" `Quick test_tab_separated_tokens;
         ] );

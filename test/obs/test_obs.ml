@@ -332,9 +332,11 @@ let test_engine_spans () =
         |]
   in
   with_obs (fun () ->
-      (match Rta_core.Engine.run ~horizon:100 system with
-      | Ok _ -> ()
-      | Error (`Cyclic _) -> Alcotest.fail "unexpected cyclic");
+      let e =
+        match Rta_core.Engine.run ~horizon:100 system with
+        | Ok e -> e
+        | Error (`Cyclic _) -> Alcotest.fail "unexpected cyclic"
+      in
       let s = Obs.spans () in
       let find name =
         match
@@ -359,7 +361,13 @@ let test_engine_spans () =
       (* 10 releases of a period-10 job in [0, 100]. *)
       check_int "arrival curve size recorded" 11 (attr "arr_lo.jumps");
       check_bool "departure curve size recorded" true (attr "dep_lo.jumps" > 0);
-      check_bool "service curve size recorded" true (attr "svc_lo.knots" > 0))
+      (* The exact SPP service is built only when forced, and tracing
+         forces nothing: no size is reported for a curve never built. *)
+      let svc = (Rta_core.Engine.entry e { System.job = 0; step = 0 }).svc_lo in
+      check_bool "tracing leaves the service curve unbuilt" false (Lazy.is_val svc);
+      check_bool "no size for an unbuilt service curve" true
+        (List.assoc_opt "svc_lo.knots" subjob.Obs.si_attrs = None);
+      check_bool "built on demand" true (Rta_curve.Pl.knot_count (Lazy.force svc) > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint instrumentation on a hand-checked cyclic example           *)
@@ -482,21 +490,29 @@ let kernel_counters =
     "step.scale.calls";
     "pl.add.calls";
     "pl.sub.calls";
-    "pl.min2.calls";
     "pl.max2.calls";
     "minplus.prefix_min.calls";
+    "minplus.utilization.calls";
   ]
 
-let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_min2 ~pl_max2
-    ~prefix_min =
+(* No engine or fixed-point path runs the generic prefix minimum: its pin
+   is 0 everywhere. *)
+let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_max2 ~utilization =
   List.combine kernel_counters
-    [ step_add; step_scale; pl_add; pl_sub; pl_min2; pl_max2; prefix_min ]
+    [ step_add; step_scale; pl_add; pl_sub; pl_max2; 0; utilization ]
 
 let sweep_pins ~lo_events ~hi_windows ~hi_reads =
   [
     ("sp.lo.events", lo_events);
     ("sp.hi.windows", hi_windows);
     ("sp.hi.reads", hi_reads);
+  ]
+
+let departure_pins ~calls ~seeks ~steps =
+  [
+    ("minplus.departures.calls", calls);
+    ("pl.inverse.seeks", seeks);
+    ("pl.inverse.steps", steps);
   ]
 
 let run_engine system =
@@ -528,7 +544,7 @@ let count_cases =
       engine_counts Sched.Spp
         ~pins:
           (kernel_pins ~step_add:0 ~step_scale:18 ~pl_add:0 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:0
+             ~pl_max2:0 ~utilization:0
           @ [
               (* Every resident is exact: it consumes idle intervals and
                  runs no curve kernel, one map search per instance plus
@@ -540,24 +556,28 @@ let count_cases =
     ( "engine SPNP 6x3",
       engine_counts Sched.Spnp
         ~pins:
-          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:24 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:18
-          (* Each resident's bounds are two sweeps and one [`Right]
-             transform of its own workload: the lower sweep walks the
+          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:6 ~pl_sub:0
+             ~pl_max2:0 ~utilization:18
+          (* Each resident's bounds are two sweeps and the [`Right]
+             utilization of its own workload: the lower sweep walks the
              jumps of its higher-priority upper workload and its level-k
              lower workload once, and the upper reads spans of the
              higher-priority service sum only in the windows where its
-             own upper workload is above the bound so far. *)
-          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:466) );
+             own upper workload is above the bound so far.  Its two
+             departure bounds read their service curves forward, one
+             search per instance. *)
+          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:466
+          @ departure_pins ~calls:36 ~seeks:654 ~steps:1518) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
         ~pins:
-          (kernel_pins ~step_add:20 ~step_scale:66 ~pl_add:30 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:12
+          (kernel_pins ~step_add:20 ~step_scale:30 ~pl_add:0 ~pl_sub:0
+             ~pl_max2:0 ~utilization:12
           @ [
               (* Two inverse handles per processor, one O(log knots)
-                 search per instance bound, and workload sums added in
-                 pairwise rounds. *)
+                 search per arrival jump and bound, and workload sums
+                 added in pairwise rounds.  The inspection-only service
+                 curves are never built. *)
               ("pl.inverse.handles", 12);
               ("pl.inverse.queries", 654);
               ("pl.inverse.probes", 4706);
@@ -570,31 +590,46 @@ let count_cases =
     ( "fixpoint 3x2",
       fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
         ~pins:
-          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:8 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:8
-          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195) );
+          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:0 ~pl_sub:0
+             ~pl_max2:0 ~utilization:8
+          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195
+          @ departure_pins ~calls:16 ~seeks:286 ~steps:612) );
     ( "fixpoint 6x3",
       fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
         ~pins:
-          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:47 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:35
-          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:952) );
+          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:12 ~pl_sub:0
+             ~pl_max2:0 ~utilization:35
+          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:952
+          @ departure_pins ~calls:70 ~seeks:1256 ~steps:2886) );
     ( "fixpoint 9x4",
       fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
         ~pins:
-          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:140 ~pl_sub:0
-             ~pl_min2:0 ~pl_max2:0 ~prefix_min:90
-          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2599) );
+          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:50 ~pl_sub:0
+             ~pl_max2:0 ~utilization:90
+          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2599
+          @ departure_pins ~calls:180 ~seeks:3260 ~steps:7750) );
   ]
 
 let ceil_log2 n =
   let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
   go 0 1
 
+(* The jumps of a set of entries' arrival brackets, both sides. *)
+let bracket_jumps e residents =
+  List.fold_left
+    (fun acc sid ->
+      let en = Rta_core.Engine.entry e sid in
+      acc + Rta_curve.Step.jump_count en.arr_lo + Rta_curve.Step.jump_count en.arr_hi)
+    0 residents
+
 (* An FCFS processor with N residents and I instances costs O(I log I):
-   - Theorem 7's two utilization transforms, once per processor;
+   - Theorem 7's two utilization walks, once per processor, and no
+     generic prefix minimum;
    - at most two inverse handles per processor (one when exact inputs
      share the utilization function);
+   - one inverse query per arrival jump and bound, the instances of a
+     jump sharing their arrival time, so at most the brackets' jumps in
+     all (a query per instance overshoots on bursts, below);
    - at most [ceil (log2 knots) + 1] knot reads per inverse query, a
      binary search where a linear scan reads up to every knot;
    - workload sums in pairwise rounds: a sum over residents whose
@@ -612,11 +647,17 @@ let fcfs_counts ~jobs system e =
       (List.init (System.processor_count system) Fun.id)
   in
   let n_procs = List.length processors in
-  check_int
-    (Printf.sprintf "%d jobs: prefix_min per processor" jobs)
-    (2 * n_procs)
+  check_int (Printf.sprintf "%d jobs: no prefix_min" jobs) 0
     (value "minplus.prefix_min.calls");
+  check_int
+    (Printf.sprintf "%d jobs: utilization per processor" jobs)
+    (2 * n_procs)
+    (value "minplus.utilization.calls");
   at_most "pl.inverse.handles" (value "pl.inverse.handles") (2 * n_procs);
+  at_most "pl.inverse.queries" (value "pl.inverse.queries")
+    (List.fold_left
+       (fun acc p -> acc + bracket_jumps e (System.subjobs_on system p))
+       0 processors);
   let max_knots =
     Option.value ~default:0 (Obs.gauge_value (Obs.gauge "pl.inverse.knots.max"))
   in
@@ -624,19 +665,35 @@ let fcfs_counts ~jobs system e =
     (value "pl.inverse.queries" * (ceil_log2 max_knots + 1));
   let sum_bound p =
     let residents = System.subjobs_on system p in
-    let jumps side =
-      List.fold_left
-        (fun acc sid ->
-          let en = Rta_core.Engine.entry e sid in
-          acc + Rta_curve.Step.jump_count (side en))
-        0 residents
-    in
-    let j_lo = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_lo)
-    and j_hi = jumps (fun (en : Rta_core.Engine.entry) -> en.arr_hi) in
-    (j_lo + j_hi) * ceil_log2 (List.length residents)
+    bracket_jumps e residents * ceil_log2 (List.length residents)
   in
   at_most "step.add.jumps" (value "step.add.jumps")
     (List.fold_left (fun acc p -> acc + sum_bound p) 0 processors)
+
+(* Bursts of three simultaneous releases on one FCFS processor: one
+   inverse query per arrival jump and bound makes 2 per jump of a
+   first-stage bracket (both sides are the release trace), where one per
+   instance makes 6. *)
+let test_fcfs_bursts () =
+  let burst t = [| t; t; t |] in
+  let job name offset exec =
+    {
+      System.name;
+      arrival =
+        Arrival.Trace (Array.concat (List.init 8 (fun k -> burst (offset + (40 * k)))));
+      deadline = 400;
+      steps = [| { System.proc = 0; exec; prio = 1 } |];
+    }
+  in
+  let system =
+    System.make_exn ~schedulers:[| Sched.Fcfs |] ~jobs:[| job "A" 0 3; job "B" 5 4 |]
+  in
+  with_obs (fun () ->
+      let e = run_engine system in
+      let jumps = bracket_jumps e (System.subjobs_on system 0) in
+      check_int "release jumps" 32 jumps;
+      check_int "one query per jump and bound" jumps
+        (Obs.counter_value (Obs.counter "pl.inverse.queries")))
 
 (* An exact SPP processor with I instances costs O(I log I): each
    instance takes one map search, cuts at most one interval at its start
@@ -697,23 +754,35 @@ let sp_counts ~jobs system e =
   at_most "sp.lo.events" (value "sp.lo.events")
     (per_processor (fun rs -> List.length rs * (j_lo rs + j_hi rs)));
   at_most "sp.hi.windows" (value "sp.hi.windows") (per_processor j_hi);
-  at_most "sp.hi.reads" (value "sp.hi.reads") (per_processor (fun rs -> 2 * j_hi rs))
+  at_most "sp.hi.reads" (value "sp.hi.reads") (per_processor (fun rs -> 2 * j_hi rs));
+  (* Each departure bound reads its service curve forward: one search per
+     instance placed, plus the one that finds none, and each knot walked
+     past once.  A search restarting from the curve's first knot walks
+     past up to every knot per instance. *)
+  let resident_sum f = per_processor (List.fold_left (fun acc sid -> acc + f (Rta_core.Engine.entry e sid)) 0) in
+  at_most "pl.inverse.seeks" (value "pl.inverse.seeks")
+    (resident_sum (fun en ->
+         Rta_curve.Step.final_value en.arr_lo + Rta_curve.Step.final_value en.arr_hi + 2));
+  at_most "pl.inverse.steps" (value "pl.inverse.steps")
+    (resident_sum (fun en ->
+         Rta_curve.Pl.knot_count (Lazy.force en.svc_lo)
+         + Rta_curve.Pl.knot_count (Lazy.force en.svc_hi)))
 
 (* The glue is linear in the residents: the higher-priority sums grow by
    one push per rank and the FCFS utilization functions are built once per
-   processor, so no kernel count may exceed a constant per subjob as the
-   shop grows.  The constant is 2 (an SPNP resident takes a push and the
-   [`Right] transform of its own workload in [pl.add], and its bound
-   sweeps add nothing; in [step.add], its level-k workload, which the next
-   rank's push reuses as its [work_lo] sum, and the push's [work_hi] sum),
-   except [step.scale]: an input bracket scales up to two curves and an
-   FCFS resident scales its two departure bounds into service curves, so
-   4.  The composed bound chain the sweeps replaced took 3 [pl.add] per
-   SPNP resident and overshoots at 6 jobs (42 > 36).  Quadratic glue
-   overshoots at 24 jobs: re-summing the higher-priority set per resident
-   costs SPNP 12.5 [step.add] per subjob there, and exact SPP, which runs
-   no curve kernel, fails its pins above on the first [pl.sub] of an
-   availability curve. *)
+   processor, so no kernel count may exceed 2 per subjob as the shop
+   grows: an input bracket scales up to two curves; an SPNP resident
+   takes a push and the utilization of its own workload (the generic
+   prefix minimum runs nowhere), and in [step.add] its level-k workload,
+   which the next rank's push reuses as its [work_lo] sum, and the push's
+   [work_hi] sum; its bound sweeps add nothing.  The composed bound chain
+   the sweeps replaced took 3 [pl.add] per SPNP resident and overshoots
+   at 6 jobs (42 > 36), and building the FCFS inspection-only service
+   curves took 4 [step.scale] per subjob.  Quadratic glue overshoots at
+   24 jobs: re-summing the higher-priority set per resident costs SPNP
+   12.5 [step.add] per subjob there, and exact SPP, which runs no curve
+   kernel, fails its pins above on the first [pl.sub] of an availability
+   curve. *)
 let per_subjob_counts sched () =
   List.iter
     (fun jobs ->
@@ -723,7 +792,7 @@ let per_subjob_counts sched () =
           let subjobs = System.subjob_count system in
           List.iter
             (fun name ->
-              let per = if name = "step.scale.calls" then 4 else 2 in
+              let per = 2 in
               let v = Obs.counter_value (Obs.counter name) in
               if v > per * subjobs then
                 Alcotest.failf "%d jobs: %s = %d, above %d per subjob (%d subjobs)"
@@ -782,5 +851,6 @@ let () =
               ("engine SPP per subjob", per_subjob_counts Sched.Spp);
               ("engine SPNP per subjob", per_subjob_counts Sched.Spnp);
               ("engine FCFS per subjob", per_subjob_counts Sched.Fcfs);
+              ("engine FCFS bursts", test_fcfs_bursts);
             ]) );
     ]

@@ -79,9 +79,9 @@ let print_system s = Format.asprintf "%a" System.pp s
 
 (* Tick values of every magnitude the textual format must carry exactly:
    below 1,000 units, at least 1,000 units with three decimals, at least
-   10^6 units with three decimals (up to 4.5 x 10^9 ticks, where the parsed
-   double times 1000 stays within the 1e-6 snap of [Time.of_units_ceil]),
-   and whole units up to 10^12. *)
+   10^6 units with three decimals, fractional times past 4.5 x 10^9 ticks
+   (where the float path's ceiling snap would add a tick) up to 10^15
+   ticks, and whole units up to 10^12. *)
 let ticks_gen : int Gen.t =
   let open Gen in
   oneof
@@ -89,13 +89,14 @@ let ticks_gen : int Gen.t =
       int_range 0 999_999;
       int_range 1_000_000 99_999_999;
       int_range 1_000_000_000 4_500_000_000;
+      int_range 4_500_000_000 1_000_000_000_000_000;
       map (fun u -> u * 1000) (int_range 0 1_000_000_000_000);
     ]
 
 (* A system whose every tick field is drawn from [ticks_gen], over every
-   arrival kind and scheduler (traces are non-empty: the textual format
-   has no spelling for an empty one).  Priorities are distinct across the whole
-   system, so any scheduler assignment is valid. *)
+   arrival kind and scheduler, empty traces included.  Priorities are
+   distinct across the whole system, so any scheduler assignment is
+   valid. *)
 let tick_system_gen : System.t Gen.t =
   let open Gen in
   let pos = map (max 1) ticks_gen in
@@ -113,7 +114,7 @@ let tick_system_gen : System.t Gen.t =
           pos (int_range 0 9);
         map
           (fun ts -> Arrival.Trace (Array.of_list (List.sort compare ts)))
-          (list_size (int_range 1 4) ticks_gen);
+          (list_size (int_range 0 4) ticks_gen);
       ]
   in
   let* n_procs = int_range 1 3 in
