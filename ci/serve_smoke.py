@@ -24,11 +24,11 @@ import sys
 import time
 
 DEADLINE_MS = 1000
-# The slow spec (`rta generate --stages 4 --jobs 20 --sched spnp --seed 3`)
+# The slow spec (`rta generate --stages 4 --jobs 24 --sched spnp --seed 3`)
 # only busts its deadline at horizons large enough that the engine runs for
 # seconds.  SPNP bounds cost O(N I) per processor for N residents and I
 # released instances, hence the raised release_horizon: the full analysis
-# took 16.4 s (1.31 GB peak RSS) on a 2-core box with OCaml 5.1.1, over
+# took 12.4-14.1 s (1.43 GB peak RSS) on a 2-core box with OCaml 5.1.1, over
 # 10x DEADLINE_MS.
 SLOW_HORIZON = 160_000_000
 SLOW_RELEASE_HORIZON = 80_000_000

@@ -117,12 +117,16 @@ let gen_spp rng =
   (Rng.int_range rng 0 120, residents)
 
 (* One static-priority resident's bound inputs: blocking, the
-   higher-priority upper workload and lower service sum (falling ones
-   too), the level-k lower workload and the own upper workload. *)
+   higher-priority upper workload, the higher-priority lower service
+   curves as 0 to 6 members (falling ones too), the level-k lower workload
+   and the own upper workload. *)
 let gen_sp rng =
   let blocking = if Rng.int_range rng 0 2 = 0 then 0 else Rng.int_range rng 1 12 in
   let hp_work_hi = gen_step rng in
-  let hp_svc_lo = if Rng.int_range rng 0 1 = 0 then gen_pl_mono rng else gen_pl rng in
+  let hp_svc_lo =
+    List.init (Rng.int_range rng 0 6) (fun _ ->
+        if Rng.int_range rng 0 1 = 0 then gen_pl_mono rng else gen_pl rng)
+  in
   let level_work = gen_step rng in
   (blocking, hp_work_hi, hp_svc_lo, level_work, gen_step rng)
 
@@ -193,10 +197,19 @@ let resident_shrinks (tau, times) =
   List.mapi (fun i _ -> (tau, List.filteri (fun j _ -> j <> i) times)) times
   @ if tau > 1 then [ (tau - 1, times) ] else []
 
+(* Drop one member, or shrink one member in place. *)
+let list_shrinks shrinks l =
+  let drops = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
+  let replace i x' = List.mapi (fun j y -> if j = i then x' else y) l in
+  let inner =
+    List.concat (List.mapi (fun i x -> List.map (replace i) (shrinks x)) l)
+  in
+  drops @ inner
+
 (* Shrink one input in place, or lower the blocking. *)
 let sp_shrinks (b, c, p, w, own) =
   List.map (fun c -> (b, c, p, w, own)) (step_shrinks c)
-  @ List.map (fun p -> (b, c, p, w, own)) (pl_shrinks p)
+  @ List.map (fun p -> (b, c, p, w, own)) (list_shrinks pl_shrinks p)
   @ List.map (fun w -> (b, c, p, w, own)) (step_shrinks w)
   @ List.map (fun own -> (b, c, p, w, own)) (step_shrinks own)
   @ if b > 0 then [ (b - 1, c, p, w, own); (0, c, p, w, own) ] else []
@@ -215,15 +228,6 @@ let fcfs_resident_shrinks (tau, lo, hi) =
      List.map (fun f -> (tau, f, hi)) (step_shrinks lo)
      @ List.map (fun f -> (tau, lo, f)) (step_shrinks hi))
   @ if tau > 1 then [ (tau - 1, lo, hi) ] else []
-
-(* Drop one member, or shrink one member in place. *)
-let list_shrinks shrinks l =
-  let drops = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
-  let replace i x' = List.mapi (fun j y -> if j = i then x' else y) l in
-  let inner =
-    List.concat (List.mapi (fun i x -> List.map (replace i) (shrinks x)) l)
-  in
-  drops @ inner
 
 let rec shrink2 shrinks_a shrinks_b still_fails (a, b) =
   let cands =
@@ -393,7 +397,7 @@ let spp_idle_detail ((horizon, residents) as case) =
     (Option.value ~default:"" (spp_idle_first_mismatch case))
 
 (* The bound sweeps against Theorems 5-6 composed on the reference
-   kernels. *)
+   kernels, which take the members' sum. *)
 let sp_sweeps (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
   let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
   let hi =
@@ -401,7 +405,8 @@ let sp_sweeps (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
       ~own_util:(Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
   in
   ( (lo, hi),
-    Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work ~work_hi )
+    Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo:(Pl.sum hp_svc_lo) ~level_work
+      ~work_hi )
 
 let sp_sweep_mismatch case =
   let (lo, hi), (lo_ref, hi_ref) = sp_sweeps case in
@@ -411,7 +416,9 @@ let sp_sweep_detail ((blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) as c
   let (lo, hi), (lo_ref, hi_ref) = sp_sweeps case in
   Printf.sprintf
     "blocking = %d\nhp_work_hi = %s\nhp_svc_lo = %s\nlevel_work = %s\nwork_hi = %s\nlower sweep = %s\nlower formula = %s\nupper sweep = %s\nupper formula = %s"
-    blocking (show_step hp_work_hi) (show_pl hp_svc_lo) (show_step level_work)
+    blocking (show_step hp_work_hi)
+    ("[" ^ String.concat "; " (List.map show_pl hp_svc_lo) ^ "]")
+    (show_step level_work)
     (show_step work_hi) (show_pl lo) (show_pl lo_ref) (show_pl hi) (show_pl hi_ref)
 
 (* The busy-period walk against the identity plus the prefix minimum, in

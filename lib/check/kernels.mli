@@ -15,7 +15,9 @@
     processor: every resident's departures and service curve, and the
     static-priority bound sweeps {!Rta_curve.Minplus.sp_lower} and
     [sp_upper] against Theorems 5-6 composed on the reference kernels
-    ({!Reference.sp_bounds}), the utilization walk
+    ({!Reference.sp_bounds}), with the higher-priority service drawn as 0
+    to 6 member curves that [sp_upper] reads merged and the formula
+    takes summed, the utilization walk
     {!Rta_curve.Minplus.utilization} against the identity plus the prefix
     minimum ({!Reference.utilization}), the departure read
     {!Rta_curve.Minplus.departures} against Theorem 2's chain

@@ -1,3 +1,6 @@
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 open Rta_model
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl

@@ -1,3 +1,6 @@
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
 
@@ -68,17 +71,21 @@ let tie_free residents =
   in
   distinct 1
 
-(* The running sums of a higher-priority set, and while every member is
-   exact SPP the idle time they leave.  Each lazy sum captures only the
-   previous lazy sum and the pushed curve, never the previous record: on
-   an SPP-exact processor the work sums are never forced, and a closure
-   over the record would keep every earlier service sum and idle map
-   alive through that unforced chain. *)
+(* The running workload sums of a higher-priority set, its members' lower
+   service curves, and while every member is exact SPP the idle time they
+   leave.  The service curves are kept, not summed: a persistent list
+   whose tail is the next-higher rank's, read as one sum by
+   Minplus.sp_upper's merged reader; while the idle map is valid the list
+   is the one lazy curve of the busy time the map records.  Each lazy sum
+   captures only the previous lazy sum and the pushed curve, never the
+   previous record: on an SPP-exact processor the work sums are never
+   forced, and a closure over the record would keep every earlier idle
+   map alive through that unforced chain. *)
 type hp = {
   count : int;
   work_lo : Step.t Lazy.t;
   work_hi : Step.t Lazy.t;
-  svc_lo : Pl.t Lazy.t;
+  svc_lo : Pl.t Lazy.t list;
   idle : Rta_curve.Idle.t option;
 }
 
@@ -87,13 +94,13 @@ let empty =
     count = 0;
     work_lo = Lazy.from_val Step.zero;
     work_hi = Lazy.from_val Step.zero;
-    svc_lo = Lazy.from_val Pl.zero;
+    svc_lo = [];
     idle = Some Rta_curve.Idle.full;
   }
 
 let hp_work_lo hp = Lazy.force hp.work_lo
 let hp_work_hi hp = Lazy.force hp.work_hi
-let hp_svc_lo hp = Lazy.force hp.svc_lo
+let hp_svc_lo hp = Pl.sum (List.map Lazy.force hp.svc_lo)
 
 type policy =
   | Static of { preemptive : bool; blocking : int; hp : hp }
@@ -154,11 +161,8 @@ module Make (K : Rta_curve.KERNELS) = struct
     in
     let svc_lo =
       match idle with
-      | Some rest -> lazy (Rta_curve.Idle.busy rest)
-      | None when hp.count = 0 -> o.svc_lo
-      | None ->
-          let sum = hp.svc_lo and svc = o.svc_lo in
-          lazy (K.add (Lazy.force sum) (Lazy.force svc))
+      | Some rest -> [ lazy (Rta_curve.Idle.busy rest) ]
+      | None -> o.svc_lo :: hp.svc_lo
     in
     { count = hp.count + 1; work_lo; work_hi; svc_lo; idle }
 
@@ -231,13 +235,15 @@ module Make (K : Rta_curve.KERNELS) = struct
          applied to the upper-bounded own workload (Theorem 6's shape with
          B = t).
 
-     The three higher-priority sums come from the running aggregate [hp];
-     the level-k workload [W_lo] is returned too, for the next rank's
-     aggregate to reuse.  Both bounds, cut at 0 and monotonized, are one
-     sweep each (Minplus.sp_lower, sp_upper): the lower walks the jumps of
+     The two higher-priority workload sums and the members' lower service
+     curves come from the running aggregate [hp]; the level-k workload
+     [W_lo] is returned too, for the next rank's aggregate to reuse.  Both
+     bounds, cut at 0 and monotonized, are one sweep each
+     (Minplus.sp_lower, sp_upper): the lower walks the jumps of
      sum_hp c_hi_hp and W_lo once, and the upper reads the higher-priority
-     service sum only where the resident's own upper workload is above the
-     bound so far.  (b) is the resident's own [`Right] utilization. *)
+     service sum, through a merged reader over the members' curves, only
+     where the resident's own upper workload is above the bound so far.
+     (b) is the resident's own [`Right] utilization. *)
   let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
     let w_lo =
       if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
@@ -247,7 +253,7 @@ module Make (K : Rta_curve.KERNELS) = struct
         ~level_work:w_lo
     in
     let hi =
-      Rta_curve.Minplus.sp_upper ~hp_service:(Lazy.force hp.svc_lo)
+      Rta_curve.Minplus.sp_upper ~hp_service:(List.map Lazy.force hp.svc_lo)
         ~own_work:work_hi
         ~own_util:(K.utilization ~mode:`Right work_hi)
     in
@@ -361,7 +367,7 @@ module Make (K : Rta_curve.KERNELS) = struct
               (lo, hi, Level w_lo)
           | `As_printed ->
               let lo, hi =
-                sp_bounds_as_printed ~blocking ~hp_svc:(Lazy.force hp.svc_lo)
+                sp_bounds_as_printed ~blocking ~hp_svc:(hp_svc_lo hp)
                   ~work_lo:i.work_lo ~work_hi:i.work_hi
               in
               (lo, hi, Sums)

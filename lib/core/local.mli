@@ -109,16 +109,19 @@ type fcfs
 
 type hp
 (** The running aggregate of a static-priority resident's higher-priority
-    set: the sums of its members' [work_lo], [work_hi] and [svc_lo], and,
-    while every member is an exact SPP resident, the idle time they leave
-    ({!Rta_curve.Idle}).  Theorems 3 and 5-6 read the set only through
-    these, so a processor's residents taken in rank order
-    ({!Rta_model.System.by_priority}) extend one aggregate by one member
-    each ({!S.push}) instead of re-summing the set per resident.  The sums
-    are built lazily, when a bound first needs them, on exact canonical
-    integer curves: the order of the pushes cannot change a bound.  While
-    the idle map is valid, the [svc_lo] sum is read off it
-    ([t - idle time in [0, t]]) and no service curve is added.
+    set: the sums of its members' [work_lo] and [work_hi], the members'
+    [svc_lo] curves themselves, and, while every member is an exact SPP
+    resident, the idle time they leave ({!Rta_curve.Idle}).  Theorems 3
+    and 5-6 read the set only through these, so a processor's residents
+    taken in rank order ({!Rta_model.System.by_priority}) extend one
+    aggregate by one member each ({!S.push}) instead of re-summing the set
+    per resident.  The workload sums are built lazily, when a bound first
+    needs them, on exact canonical integer curves: the order of the pushes
+    cannot change a bound.  The service curves are never summed: they are
+    a persistent list, each rank's sharing the next-higher rank's as its
+    tail, which the upper bound reads as one sum through a merged forward
+    reader ({!Rta_curve.Pl.Merged}).  While the idle map is valid, the
+    list is the one curve [t - idle time in [0, t]] read off it.
 
     Cost on an SPP processor with N residents and I instances: an exact
     resident consumes its instances' idle time from the map, one
@@ -130,18 +133,19 @@ type hp
     takes its Theorem 5-6 bounds from two single-pass sweeps
     ({!Rta_curve.Minplus.sp_lower}, {!Rta_curve.Minplus.sp_upper}): the
     lower one walks the jumps of the higher-priority [work_hi] sum and of
-    its level-k workload once, O(1) each; the upper one reads the
-    higher-priority [svc_lo] sum only in the windows where its own upper
-    workload is above the bound so far, one galloping search per window,
-    and its own utilization is one walk over its jumps
+    its level-k workload once, O(1) each; the upper one reads the sum of
+    the higher-priority [svc_lo] curves only in the windows where its own
+    upper workload is above the bound so far, through one merged reader
+    that moves a member's cursor only past that member's knots, and its
+    own utilization is one walk over its jumps
     ({!Rta_curve.Minplus.utilization}).  Its two departure bounds read
     each instance's departure off the service curves with one forward
     reader each ({!Rta_curve.Minplus.departures}), O(knots + instances).
     Its level-k workload is summed once and handed to the next rank
-    ({!handoff}), and its service is added into the [svc_lo] sum when
-    pushed, so a processor of bounded residents costs O(N I), with a
+    ({!handoff}), and its service curve is consed onto the members' list
+    when pushed, so a processor of bounded residents costs O(N I), with a
     small constant: no curve of O(I) knots is built besides the bounds
-    and the running sums.
+    and the two workload sums.
 
     Rank-order invariant: a static-priority resident depends on every
     resident above it ({!Deps}, through the next-higher one), so any
@@ -157,7 +161,8 @@ val empty : hp
 val hp_work_lo : hp -> Rta_curve.Step.t
 val hp_work_hi : hp -> Rta_curve.Step.t
 val hp_svc_lo : hp -> Rta_curve.Pl.t
-(** The aggregate's sums (forcing them), for tests and inspection. *)
+(** The aggregate's sums (forcing them; the [svc_lo] sum is built here,
+    with {!Rta_curve.Pl.sum}), for tests and inspection. *)
 
 type policy =
   | Static of {
@@ -173,8 +178,8 @@ module type S = sig
   val push : hp -> input -> output -> hp
   (** [push hp i o] is the aggregate of [hp]'s set plus one resident with
       bracket [i] and bounds [o]: pushing a resident after computing it
-      yields the aggregate of the next lower rank.  Nothing is summed
-      until a bound forces it. *)
+      yields the aggregate of the next lower rank.  No workload is summed
+      until a bound forces it, and no service curve is added at all. *)
 
   val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
   (** The context of a processor with these residents, over [0, horizon].

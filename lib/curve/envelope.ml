@@ -1,5 +1,8 @@
 (* Arrival envelopes; see envelope.mli. *)
 
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 type t =
   | Explicit of Step.t
       (* finite jump list; constant beyond the last jump *)

@@ -6,6 +6,9 @@
    is unbounded ([stop = max_int]) and is never removed whole, since no
    instance needs infinite time. *)
 
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 module M = Map.Make (Int)
 
 type t = int M.t

@@ -1,6 +1,9 @@
 (* Prefix-minimum scan over the merged event grid of an availability
    function and a workload step function.  See minplus.mli for semantics. *)
 
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 type mode = [ `Left | `Right ]
 
 module Obs = Rta_obs
@@ -297,19 +300,22 @@ let sp_lower ~blocking ~hp_work:c ~level_work:w =
    f = min (t - P, V).  Since f <= V <= c, R can rise at t only while
    c(t) > R(t - 1): once R reaches the current level of c it stays put
    until c next jumps above it, so the walk jumps from one such window to
-   the next with one galloping search into P, and reads nothing between.
-   Inside a window it walks the merged knots of P and V; on each span both
-   are lines, whose minimum on the grid is one line up to the floor of
-   their crossing, a one-tick straddle, and the other line after it.  The
-   running maximum follows every piece that rises past it. *)
+   the next, and reads nothing between.  P is a sum that is never built:
+   one merged forward reader (Pl.Merged) crosses its members' knots, so a
+   window start moves only the members with a knot since the last read.
+   Inside a window it walks the merged knots of P's members and V; on
+   each span both are lines, whose minimum on the grid is one line up to
+   the floor of their crossing, a one-tick straddle, and the other line
+   after it.  The running maximum follows every piece that rises past
+   it. *)
 let c_hi_windows = Obs.counter "sp.hi.windows"
 let c_hi_reads = Obs.counter "sp.hi.reads"
 
-let sp_upper ~hp_service:p ~own_work:c ~own_util:v =
-  let cp = Pl.Cursor.make p and cv = Pl.Cursor.make v in
+let sp_upper ~hp_service ~own_work:c ~own_util:v =
+  let cp = Pl.Merged.make hp_service and cv = Pl.Cursor.make v in
   let b = Pl.Builder.create 16 in
   let push = Pl.Builder.push b in
-  let f x = min (x - Pl.Cursor.eval cp x) (Pl.Cursor.eval cv x) in
+  let f x = min (x - Pl.Merged.eval cp x) (Pl.Cursor.eval cv x) in
   let r = ref (max 0 (f 0)) in
   push 0 !r;
   let tail = ref 0 in
@@ -333,12 +339,12 @@ let sp_upper ~hp_service:p ~own_work:c ~own_util:v =
       tail := s
     end
   in
-  (* The span from [x] to the next knot of P or V. *)
+  (* The span from [x] to the next knot of V or of a member of P. *)
   let span x =
     Obs.incr c_hi_reads;
-    let a0 = x - Pl.Cursor.eval cp x and sa = 1 - Pl.Cursor.slope cp x in
+    let a0 = x - Pl.Merged.eval cp x and sa = 1 - Pl.Merged.slope cp x in
     let v0 = Pl.Cursor.eval cv x and sv = Pl.Cursor.slope cv x in
-    let x' = min (Pl.Cursor.next_knot cp x) (Pl.Cursor.next_knot cv x) in
+    let x' = min (Pl.Merged.next_knot cp x) (Pl.Cursor.next_knot cv x) in
     let at y = min (a0 + (sa * (y - x))) (v0 + (sv * (y - x))) in
     let d0 = a0 - v0 and ds = sa - sv in
     let cuts =

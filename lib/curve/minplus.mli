@@ -89,20 +89,25 @@ val sp_lower : blocking:int -> hp_work:Step.t -> level_work:Step.t -> Pl.t
     any intermediate curve.  [blocking >= 0].  Counted when
     {!Rta_obs.enabled}: [sp.lo.events], the jumps walked. *)
 
-val sp_upper : hp_service:Pl.t -> own_work:Step.t -> own_util:Pl.t -> Pl.t
+val sp_upper : hp_service:Pl.t list -> own_work:Step.t -> own_util:Pl.t -> Pl.t
 (** Theorem 6's static-priority service upper bound, monotonized: with
-    [P = hp_service] (the higher-priority lower service sum), [c = own_work]
-    and [V = own_util], it is
+    [P] the sum of the curves [hp_service] (the higher-priority residents'
+    lower service curves; [P = 0] for none), [c = own_work] and
+    [V = own_util], it is
 
     {[ fun t -> max (0, max over s <= t of min (s - P(s), V(s))) ]}
 
     [V] must be the resident's utilization [utilization ~mode:`Right c],
     or any curve below
     [c]: the bound can rise only where [c] is above it, so the walk reads
-    [P] and [V] only in those windows, seeking into [P] once per window.
+    [P] and [V] only in those windows.  [P] is never built: one
+    {!Pl.Merged} reader crosses its members' knots, moving at each read
+    only the members with a knot since the previous one, by one galloping
+    search each.
     Counted when {!Rta_obs.enabled}: [sp.hi.windows], the jumps of [c]
-    sought once the bound had caught up with [c], and [sp.hi.reads], the
-    spans between knots of [P] and [V] read inside windows. *)
+    sought once the bound had caught up with [c]; [sp.hi.reads], the
+    spans between knots of [P]'s members and [V] read inside windows;
+    and the reader's [pl.merged.crossings]. *)
 
 val horizontal_deviation : upper:Pl.t -> lower:Pl.t -> int option
 (** [sup over t of min { d >= 0 | lower(t + d) >= upper(t) }]: the delay

@@ -11,6 +11,9 @@
    last knot is not redundant with the tail, so extensional equality on the
    grid coincides with structural equality. *)
 
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 type t = { xs : int array; ys : int array; tail : int }
 
 module Obs = Rta_obs
@@ -174,12 +177,30 @@ let eval f t =
   let i = index_at f t in
   f.ys.(i) + (segment_slope f i * (t - f.xs.(i)))
 
+(* The largest index j >= i with xs.(j) <= t, given xs.(i) <= t: steps 1,
+   2, 4, ... then a binary search, so skipping k knots reads O(log k) of
+   them. *)
+let gallop xs i t =
+  let n = Array.length xs in
+  (* Invariant: xs.(lo) <= t, and xs.(hi) > t unless hi = n. *)
+  let lo = ref i and step = ref 1 in
+  while !lo + !step < n && xs.(!lo + !step) <= t do
+    lo := !lo + !step;
+    step := 2 * !step
+  done;
+  let hi = ref (min n (!lo + !step)) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if xs.(mid) <= t then lo := mid else hi := mid
+  done;
+  !lo
+
 (* Sequential evaluation: when query times are non-decreasing (event sweeps,
    merged-grid walks) the segment index only ever moves forward, so each
    query is amortized O(1) instead of a fresh O(log n) binary search.  The
-   index gallops (steps 1, 2, 4, ... then a binary search), so a query that
-   skips k knots reads O(log k) of them: a step to the next knot costs the
-   two reads a linear walk makes, and a long skip is one search. *)
+   index gallops, so a query that skips k knots reads O(log k) of them: a
+   step to the next knot costs the two reads a linear walk makes, and a
+   long skip is one search. *)
 module Cursor = struct
   type pl = t
   type t = { f : pl; mutable i : int; mutable last : int }
@@ -191,21 +212,8 @@ module Cursor = struct
       invalid_arg "Pl.Cursor: query times must be non-decreasing";
     c.last <- t;
     let xs = c.f.xs in
-    let n = Array.length xs in
-    if c.i + 1 < n && xs.(c.i + 1) <= t then begin
-      (* Invariant: xs.(lo) <= t, and xs.(hi) > t unless hi = n. *)
-      let lo = ref (c.i + 1) and step = ref 1 in
-      while !lo + !step < n && xs.(!lo + !step) <= t do
-        lo := !lo + !step;
-        step := 2 * !step
-      done;
-      let hi = ref (min n (!lo + !step)) in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if xs.(mid) <= t then lo := mid else hi := mid
-      done;
-      c.i <- !lo
-    end
+    if c.i + 1 < Array.length xs && xs.(c.i + 1) <= t then
+      c.i <- gallop xs (c.i + 1) t
 
   let eval c t =
     if t < 0 then invalid_arg "Pl.Cursor.eval: negative time";
@@ -221,6 +229,106 @@ module Cursor = struct
     if t < 0 then invalid_arg "Pl.Cursor.next_knot: negative time";
     advance c t;
     if c.i + 1 < Array.length c.f.xs then c.f.xs.(c.i + 1) else max_int
+end
+
+(* A forward reader of a sum of curves that never builds the sum.  Each
+   member keeps its segment index, the line [icpt + slope * t] it follows
+   there and the time of its next knot ([max_int] past its last); the
+   reader keeps the sums of those lines, so the sum on the current span
+   is one line, and the soonest next knot of all.  A query at [t] reads
+   nothing more while [t] is before that knot; otherwise one pass over the
+   members moves each one whose next knot is at or before [t], by one
+   galloping search, and finds the new soonest knot. *)
+module Merged = struct
+  type t = {
+    xss : int array array;  (* the members' knots *)
+    yss : int array array;
+    tails : int array;
+    seg : int array;  (* each member's segment *)
+    slopes : int array;  (* each member's line on it *)
+    icpts : int array;
+    next : int array;  (* each member's next knot time *)
+    mutable due : int;  (* the soonest of them *)
+    mutable slope : int;  (* the sums of the members' lines *)
+    mutable icpt : int;
+    mutable last : int;
+  }
+
+  let c_crossings = Obs.counter "pl.merged.crossings"
+
+  (* Put member [m] on segment [i].  Service curves rise at slope 0 or 1,
+     which need no division. *)
+  let enter r m i =
+    let xs = r.xss.(m) and ys = r.yss.(m) in
+    let x = xs.(i) and y = ys.(i) in
+    let last = i + 1 = Array.length xs in
+    let next = if last then max_int else xs.(i + 1) in
+    let s =
+      if last then r.tails.(m)
+      else
+        let dx = next - x and dy = ys.(i + 1) - y in
+        if dy = 0 then 0 else if dy = dx then 1 else dy / dx
+    in
+    let c = y - (s * x) in
+    r.slope <- r.slope + s - r.slopes.(m);
+    r.icpt <- r.icpt + c - r.icpts.(m);
+    r.seg.(m) <- i;
+    r.slopes.(m) <- s;
+    r.icpts.(m) <- c;
+    r.next.(m) <- next
+
+  let make members =
+    let fs = Array.of_list members in
+    let n = Array.length fs in
+    let r =
+      {
+        xss = Array.map (fun f -> f.xs) fs;
+        yss = Array.map (fun f -> f.ys) fs;
+        tails = Array.map (fun f -> f.tail) fs;
+        seg = Array.make n 0;
+        slopes = Array.make n 0;
+        icpts = Array.make n 0;
+        next = Array.make n 0;
+        due = max_int;
+        slope = 0;
+        icpt = 0;
+        last = 0;
+      }
+    in
+    for m = 0 to n - 1 do
+      enter r m 0;
+      r.due <- min r.due r.next.(m)
+    done;
+    r
+
+  let advance r t =
+    if t < 0 then invalid_arg "Pl.Merged: negative time";
+    if t < r.last then invalid_arg "Pl.Merged: query times must be non-decreasing";
+    r.last <- t;
+    if r.due <= t then begin
+      let moved = ref 0 and due = ref max_int in
+      for m = 0 to Array.length r.next - 1 do
+        if r.next.(m) <= t then begin
+          enter r m (gallop r.xss.(m) (r.seg.(m) + 1) t);
+          incr moved
+        end;
+        due := min !due r.next.(m)
+      done;
+      r.due <- !due;
+      Obs.add c_crossings !moved
+    end
+
+  let eval r t =
+    advance r t;
+    r.icpt + (r.slope * t)
+
+  let slope r t =
+    advance r t;
+    r.slope
+
+  let next_knot r t =
+    advance r t;
+    r.due
 end
 
 let knots f = Array.init (Array.length f.xs) (fun i -> (f.xs.(i), f.ys.(i)))

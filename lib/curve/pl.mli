@@ -100,6 +100,40 @@ module Cursor : sig
       contract as {!eval}. *)
 end
 
+module Merged : sig
+  (** A forward reader of the pointwise sum of several curves (its
+      members) that never builds the sum: the same {!eval}, {!slope} and
+      {!next_knot} answers as a {!Cursor} over [sum members], except that
+      the spans end at every member knot, where the sum's normal form may
+      merge two spans of equal slope.
+
+      It keeps a galloping cursor per member, the sum's line on the
+      current span as the running sums of the members' slopes and
+      intercepts, and the members' soonest next knot.  A query before that
+      knot reads nothing else; one at or past it makes one pass over the
+      members and moves those whose next knot it passes, one galloping
+      search each.  So a query that crosses a member knot costs O(members)
+      where building the sum costs O(knots) per member added.  Same
+      monotonicity contract as {!Cursor}.
+
+      Counted when {!Rta_obs.enabled}: [pl.merged.crossings], the member
+      moves: one per member and query that passes one or more of that
+      member's knots. *)
+
+  type pl := t
+  type t
+
+  val make : pl list -> t
+  (** A reader at time 0 of the sum of the members ({!zero} for none). *)
+
+  val eval : t -> int -> int
+  val slope : t -> int -> int
+
+  val next_knot : t -> int -> int
+  (** The first member knot after [t]; [max_int] when no member has a knot
+      after [t]. *)
+end
+
 val knots : t -> (int * int) array
 (** The knots in increasing time order (fresh array). *)
 

@@ -9,6 +9,9 @@
     (Theorem 3); {!Envelope} is the horizon-free arrival-envelope
     extension. *)
 
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+
 module Step = Step
 module Pl = Pl
 module Minplus = Minplus

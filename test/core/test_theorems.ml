@@ -377,28 +377,32 @@ let prop_idle_theorem3 =
     idle_matches_theorem3
 
 (* The static-priority bounds are two single-pass sweeps; the composed
-   Theorem 5-6 formula on the reference kernels is their oracle.  Inputs
-   range over blocking (0 included), higher-priority upper workloads and
-   lower service sums (falling ones too), level-k lower workloads and own
-   upper workloads, all with arbitrary step initial values. *)
+   Theorem 5-6 formula on the reference kernels, on the members' sum, is
+   their oracle.  Inputs range over blocking (0 included), higher-priority
+   upper workloads and 0 to 4 lower service members (falling ones too),
+   level-k lower workloads and own upper workloads, all with arbitrary step
+   initial values. *)
 let sp_case_gen =
   let open QCheck2.Gen in
   let* blocking = oneof [ return 0; int_range 0 12 ] in
   let* hp_work_hi = G.step_gen in
-  let* hp_svc_lo = oneof [ G.pl_mono_gen; G.pl_gen; G.avail_gen ] in
+  let* hp_svc_lo =
+    list_size (int_range 0 4) (oneof [ G.pl_mono_gen; G.pl_gen; G.avail_gen ])
+  in
   let* level_work = G.step_gen in
   let* work_hi = G.step_gen in
   return (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi)
 
 let print_sp_case (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
   Printf.sprintf "blocking=%d hp_work_hi=%s hp_svc_lo=%s level_work=%s work_hi=%s"
-    blocking (G.print_step hp_work_hi) (G.print_pl hp_svc_lo)
+    blocking (G.print_step hp_work_hi)
+    ("[" ^ String.concat "; " (List.map G.print_pl hp_svc_lo) ^ "]")
     (G.print_step level_work) (G.print_step work_hi)
 
 let sweeps_match_oracle (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
   let lo_ref, hi_ref =
-    Rta_check.Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work
-      ~work_hi
+    Rta_check.Reference.sp_bounds ~blocking ~hp_work_hi
+      ~hp_svc_lo:(Pl.sum hp_svc_lo) ~level_work ~work_hi
   in
   let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
   let hi =

@@ -90,7 +90,10 @@ let test_step_eval_left_jumps () =
 
 let dense_eq_step name op dense_op =
   G.qtest2 name G.step_gen G.print_step G.step_gen G.print_step (fun (f, g) ->
-      let sparse = Dense.of_step ~horizon:h (op f g) in
+      let r = op f g in
+      (* The result is in normal form (raises otherwise). *)
+      Step.invariant r;
+      let sparse = Dense.of_step ~horizon:h r in
       let dense =
         dense_op (Dense.of_step ~horizon:h f) (Dense.of_step ~horizon:h g)
       in

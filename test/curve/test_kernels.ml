@@ -113,6 +113,55 @@ let prop_step_cursor =
           && Step.Cursor.eval_left cl t = Step.eval_left s t)
         ts)
 
+(* The merged reader against the built sum: value, slope and next knot at
+   every member knot and the ticks either side of it, on one reader; and
+   the value at ascending random times on another, which skips knots.
+   Members include the zero curve, one-knot curves with rising tails and
+   one-tick segments. *)
+let members_gen =
+  let open QCheck2.Gen in
+  let one_knot =
+    let* y0 = int_range 0 10 and* tail = int_range 0 3 in
+    return (Pl.linear ~slope:tail ~offset:y0)
+  in
+  list_size (int_range 0 8)
+    (oneof [ return Pl.zero; one_knot; G.pl_gen; G.pl_mono_gen; pl_one_tick_gen ])
+
+let merged_matches_sum (members, ts) =
+  let sum = Pl.sum members in
+  let next_after t =
+    List.fold_left
+      (fun acc f ->
+        Array.fold_left
+          (fun acc (x, _) -> if x > t && x < acc then x else acc)
+          acc (Pl.knots f))
+      max_int members
+  in
+  let points =
+    List.concat_map (fun f -> Array.to_list (Pl.knots f)) members
+    |> List.concat_map (fun (x, _) -> [ x - 1; x; x + 1 ])
+    |> List.filter (fun t -> t >= 0)
+    |> List.sort_uniq Int.compare
+  in
+  let r = Pl.Merged.make members and c = Pl.Cursor.make sum in
+  let skipping = Pl.Merged.make members in
+  List.for_all
+    (fun t ->
+      Pl.Merged.eval r t = Pl.eval sum t
+      && Pl.Merged.slope r t = Pl.Cursor.slope c t
+      && Pl.Merged.next_knot r t = next_after t)
+    points
+  && Array.for_all (fun t -> Pl.Merged.eval skipping t = Pl.eval sum t) ts
+
+let prop_merged =
+  G.qtest ~count:1000 "Pl.Merged = Pl.sum at member knots and +-1"
+    (QCheck2.Gen.pair members_gen times_gen)
+    (fun (members, ts) ->
+      Fmt.str "[%s] at %a"
+        (String.concat "; " (List.map G.print_pl members))
+        Fmt.(Dump.array int) ts)
+    merged_matches_sum
+
 let test_cursor_backwards_raises () =
   let f = Pl.of_knots ~tail:1 [ (0, 0); (4, 8) ] in
   let c = Pl.Cursor.make f in
@@ -214,6 +263,7 @@ let () =
         [
           prop_pl_cursor;
           prop_step_cursor;
+          prop_merged;
           Alcotest.test_case "backwards query raises" `Quick
             test_cursor_backwards_raises;
           Alcotest.test_case "builder dedup + raise" `Quick

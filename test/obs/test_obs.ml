@@ -501,11 +501,12 @@ let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_max2 ~utilization =
   List.combine kernel_counters
     [ step_add; step_scale; pl_add; pl_sub; pl_max2; 0; utilization ]
 
-let sweep_pins ~lo_events ~hi_windows ~hi_reads =
+let sweep_pins ~lo_events ~hi_windows ~hi_reads ~crossings =
   [
     ("sp.lo.events", lo_events);
     ("sp.hi.windows", hi_windows);
     ("sp.hi.reads", hi_reads);
+    ("pl.merged.crossings", crossings);
   ]
 
 let departure_pins ~calls ~seeks ~steps =
@@ -556,17 +557,19 @@ let count_cases =
     ( "engine SPNP 6x3",
       engine_counts Sched.Spnp
         ~pins:
-          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:6 ~pl_sub:0
+          (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:0 ~pl_sub:0
              ~pl_max2:0 ~utilization:18
           (* Each resident's bounds are two sweeps and the [`Right]
              utilization of its own workload: the lower sweep walks the
              jumps of its higher-priority upper workload and its level-k
              lower workload once, and the upper reads spans of the
              higher-priority service sum only in the windows where its
-             own upper workload is above the bound so far.  Its two
-             departure bounds read their service curves forward, one
-             search per instance. *)
-          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:466
+             own upper workload is above the bound so far, through a
+             merged reader over the members' curves that moves only the
+             members whose knots it passes: no service curve is added.
+             Its two departure bounds read their service curves
+             forward, one search per instance. *)
+          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:469 ~crossings:443
           @ departure_pins ~calls:36 ~seeks:654 ~steps:1518) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
@@ -592,21 +595,21 @@ let count_cases =
         ~pins:
           (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:0 ~pl_sub:0
              ~pl_max2:0 ~utilization:8
-          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195
+          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195 ~crossings:80
           @ departure_pins ~calls:16 ~seeks:286 ~steps:612) );
     ( "fixpoint 6x3",
       fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
         ~pins:
-          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:12 ~pl_sub:0
+          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:0 ~pl_sub:0
              ~pl_max2:0 ~utilization:35
-          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:952
+          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:960 ~crossings:937
           @ departure_pins ~calls:70 ~seeks:1256 ~steps:2886) );
     ( "fixpoint 9x4",
       fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
         ~pins:
-          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:50 ~pl_sub:0
+          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:0 ~pl_sub:0
              ~pl_max2:0 ~utilization:90
-          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2599
+          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2632 ~crossings:3494
           @ departure_pins ~calls:180 ~seeks:3260 ~steps:7750) );
   ]
 
@@ -725,15 +728,26 @@ let spp_counts ~jobs system e =
    - the lower one visits every jump of the resident's higher-priority
      upper workload and level-k lower workload once, so at most
      N (J_lo + J_hi) events;
-   - the upper one seeks into the higher-priority service sum once per
+   - the upper one reads the higher-priority service sum once per
      window, and every window starts at a jump of the resident's own
      upper workload, so at most J_hi windows;
    - inside the windows it reads spans of the sum and of its own
-     utilization, 1.4 to 1.7 per such jump on these shops (no proof
-     bounds it; 2 per jump is the gate).  An upper sweep that walks the
-     whole higher-priority service sum reads every span of it, O(N J_hi)
-     per processor, and overshoots at every size (6 jobs: 1,556 > 654;
-     24 jobs: 64,941 > 8,490). *)
+     utilization, which end at every knot of the sum's members, 1.4 to
+     1.7 per such jump on these shops (no proof bounds it; 2 per jump is
+     the gate).  An upper sweep that walks the whole higher-priority
+     service sum reads every span of it, O(N J_hi) per processor, and
+     overshoots at every size (6 jobs: 1,556 > 654; 24 jobs:
+     64,941 > 8,490);
+   - the sum is read through a merged reader over the members' curves,
+     which moves a member only when a read passes one of its knots: a
+     window start moves each of the resident's r higher-ranked members
+     at most once, and a span read the members with a knot at its start,
+     one for each span on these shops save where members' knots
+     coincide (no proof bounds that either).  So a resident of rank r
+     (r members) with j own upper jumps stays within (r + 2) j member
+     moves.  A reader that re-seeks every member at every new read time
+     moves r members per read, 2.2 to 2.3 r j on these shops, and
+     overshoots at 12 and 24 jobs (5,647 > 5,057; 47,470 > 29,139). *)
 let sp_counts ~jobs system e =
   let value name = Obs.counter_value (Obs.counter name) in
   let at_most what v bound =
@@ -755,6 +769,12 @@ let sp_counts ~jobs system e =
     (per_processor (fun rs -> List.length rs * (j_lo rs + j_hi rs)));
   at_most "sp.hi.windows" (value "sp.hi.windows") (per_processor j_hi);
   at_most "sp.hi.reads" (value "sp.hi.reads") (per_processor (fun rs -> 2 * j_hi rs));
+  let by_rank p =
+    List.mapi (fun rank sid -> (rank + 2) * j_hi [ sid ]) (System.by_priority system p)
+  in
+  at_most "pl.merged.crossings" (value "pl.merged.crossings")
+    (List.init (System.processor_count system) by_rank
+    |> List.concat |> List.fold_left ( + ) 0);
   (* Each departure bound reads its service curve forward: one search per
      instance placed, plus the one that finds none, and each knot walked
      past once.  A search restarting from the curve's first knot walks

@@ -508,20 +508,21 @@ module Store = Rta_service.Store
 module Server = Rta_service.Server
 
 (* A spec whose full analysis runs far past every deadline below: the
-   SPNP job shop `rta generate --stages 4 --jobs 20 --sched spnp --seed 3`
+   SPNP job shop `rta generate --stages 4 --jobs 24 --sched spnp --seed 3`
    at an 80 M-tick release horizon.  Its cost is the SPNP bounds: each of
-   a processor's N residents walks the higher-priority workloads and adds
-   its service into the higher-priority sum, O(I) each, so O(N I) per
-   processor for I released instances, which the raised release horizon
-   makes large.  The full run took 16.4 s (1.31 GB peak RSS) on a 2-core
-   box with OCaml 5.1.1, over 10x the largest deadline that leans on it
+   a processor's N residents walks the higher-priority workloads and
+   reads the higher-priority services, O(I) each, so O(N I) per processor
+   for I released instances, which the raised release horizon makes
+   large.  The full run took 12.4-14.1 s (1.43 GB peak RSS) on a 2-core box
+   with OCaml 5.1.1, over 10x the largest deadline that leans on it
    (0.4 s here, 1 s in the CI serve smoke); a cancelled run stops long
-   before that size.  (With 12 jobs it took 5.9 s once departures were
-   read off the service curves, under 10x the CI deadline, hence 20 jobs
-   rather than a longer horizon, whose memory grows with it.) *)
+   before that size.  (With 20 jobs it took 9.6-10.8 s once the
+   higher-priority services were read without summing them, at 10x the
+   CI deadline, hence 24 jobs rather than a longer horizon, whose memory
+   grows with it.) *)
 let slow_spec =
   let config =
-    Rta_workload.Jobshop.default ~stages:4 ~jobs:20 ~utilization:0.5
+    Rta_workload.Jobshop.default ~stages:4 ~jobs:24 ~utilization:0.5
       ~arrival:Rta_workload.Jobshop.Periodic_eq25
       ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0)
       ~sched:Sched.Spnp
@@ -548,7 +549,7 @@ let test_midflight_degrade () =
   let elapsed = Unix.gettimeofday () -. t0 in
   (match responses.(0).Batch.status with
   | Batch.Degraded d ->
-      check_int "degraded carries a verdict per job" 20
+      check_int "degraded carries a verdict per job" 24
         (Array.length d.Batch.d_verdicts);
       Array.iter
         (fun (v : Batch.verdict) ->
