@@ -39,31 +39,34 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_counterexample dir cex =
+let write_report dir name text =
   mkdir_p dir;
-  let path =
-    Filename.concat dir (Printf.sprintf "counterexample-%d-%d.rta" cex.seed cex.index)
-  in
+  let path = Filename.concat dir name in
   let oc = open_out path in
-  output_string oc (render cex);
+  output_string oc text;
   close_out oc;
   path
 
-let run ?fault ?out_dir ?budget_s ~seed ~count () =
-  let sp = if Obs.enabled () then Obs.span_begin "fuzz.run" else Obs.no_span in
+let trials ~budget_s ~count trial =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun s -> started +. s) budget_s in
-  let tested = ref 0 and passed = ref 0 and skipped = ref 0 in
-  let cexs = ref [] in
-  let index = ref 0 in
   let in_budget () =
     match deadline with None -> true | Some d -> Unix.gettimeofday () < d
   in
+  let index = ref 0 in
   while !index < count && in_budget () do
-    let i = !index in
-    incr index;
+    trial !index;
+    incr index
+  done;
+  (!index, Unix.gettimeofday () -. started)
+
+let run ?fault ?out_dir ?budget_s ~seed ~count () =
+  let sp = if Obs.enabled () then Obs.span_begin "fuzz.run" else Obs.no_span in
+  let passed = ref 0 and skipped = ref 0 in
+  let cexs = ref [] in
+  let tested, elapsed_s =
+    trials ~budget_s ~count @@ fun i ->
     let case = Gen.generate (Rng.make (seed + i)) in
-    incr tested;
     Obs.incr c_cases;
     let check (s : Rta_model.System.t) =
       Oracle.check ?fault ~release_horizon:case.Gen.release_horizon
@@ -98,19 +101,21 @@ let run ?fault ?out_dir ?budget_s ~seed ~count () =
         let cex =
           match out_dir with
           | None -> cex
-          | Some dir -> { cex with file = Some (write_counterexample dir cex) }
+          | Some dir ->
+              let name = Printf.sprintf "counterexample-%d-%d.rta" seed i in
+              { cex with file = Some (write_report dir name (render cex)) }
         in
         cexs := cex :: !cexs
-  done;
-  Obs.span_int sp "tested" !tested;
+  in
+  Obs.span_int sp "tested" tested;
   Obs.span_int sp "violations" (List.length !cexs);
   Obs.span_end sp;
   {
-    tested = !tested;
+    tested;
     passed = !passed;
     skipped = !skipped;
     counterexamples = List.rev !cexs;
-    elapsed_s = Unix.gettimeofday () -. started;
+    elapsed_s;
   }
 
 let read_file path =

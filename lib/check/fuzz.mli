@@ -54,6 +54,16 @@ val run :
 val render : counterexample -> string
 (** The replayable [.rta] text of the shrunk counterexample. *)
 
+val trials : budget_s:float option -> count:int -> (int -> unit) -> int * float
+(** [trials ~budget_s ~count trial] runs [trial 0], [trial 1], ... up to
+    [count] trials, stopping early once [budget_s] wall-clock seconds (if
+    any) have elapsed, and returns how many ran and the seconds they took:
+    the loop of {!run} and of {!Kernels.run}. *)
+
+val write_report : string -> string -> string -> string
+(** [write_report dir name text] writes [text] to [dir/name], creating
+    [dir] and its parents if missing, and returns the path. *)
+
 val replay : ?fault:Rta_core.Local.fault -> string -> (Oracle.verdict, string) result
 (** Re-check a counterexample file: parse the system, read the horizons
     from the [#!] directive (falling back to

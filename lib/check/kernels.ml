@@ -494,36 +494,11 @@ let render m =
   Printf.sprintf "#! rta-kernels seed=%d index=%d check=%s\n%s\n" m.seed
     m.index m.check m.detail
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_mismatch dir m =
-  mkdir_p dir;
-  let path =
-    Filename.concat dir
-      (Printf.sprintf "kernel-mismatch-%d-%d-%s.txt" m.seed m.index m.check)
-  in
-  let oc = open_out path in
-  output_string oc (render m);
-  close_out oc;
-  path
-
 let run ?out_dir ?budget_s ~seed ~count () =
   let sp = if Obs.enabled () then Obs.span_begin "kernels.run" else Obs.no_span in
-  let started = Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> started +. s) budget_s in
-  let in_budget () =
-    match deadline with None -> true | Some d -> Unix.gettimeofday () < d
-  in
-  let tested = ref 0 and passed = ref 0 and mismatches = ref [] in
-  let index = ref 0 in
-  while !index < count && in_budget () do
-    let i = !index in
-    incr index;
-    incr tested;
+  let passed = ref 0 and mismatches = ref [] in
+  let tested, elapsed_s =
+    Fuzz.trials ~budget_s ~count @@ fun i ->
     Obs.incr c_trials;
     let rng = Rng.make (seed + i) in
     let found = ref [] in
@@ -594,17 +569,14 @@ let run ?out_dir ?budget_s ~seed ~count () =
         let m =
           match out_dir with
           | None -> m
-          | Some dir -> { m with file = Some (write_mismatch dir m) }
+          | Some dir ->
+              let name = Printf.sprintf "kernel-mismatch-%d-%d-%s.txt" seed i check in
+              { m with file = Some (Fuzz.write_report dir name (render m)) }
         in
         mismatches := m :: !mismatches)
       (List.rev !found)
-  done;
-  Obs.span_int sp "tested" !tested;
+  in
+  Obs.span_int sp "tested" tested;
   Obs.span_int sp "mismatches" (List.length !mismatches);
   Obs.span_end sp;
-  {
-    tested = !tested;
-    passed = !passed;
-    mismatches = List.rev !mismatches;
-    elapsed_s = Unix.gettimeofday () -. started;
-  }
+  { tested; passed = !passed; mismatches = List.rev !mismatches; elapsed_s }

@@ -11,9 +11,7 @@
     bounds replaced.  The
     property tests (test/curve, test/core) and the [rta fuzz --kernels]
     mode check [Pl.equal] between the optimized
-    and reference results on randomized and adversarial curves.  The module
-    satisfies {!Rta_curve.KERNELS}, so a whole analysis can run on it
-    ({!Rta_core.Local.Make}).
+    and reference results on randomized and adversarial curves.
 
     This module must stay semantically identical to the seed
     implementations.  Performance work belongs in {!Rta_curve.Minplus} and

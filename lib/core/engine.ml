@@ -113,7 +113,7 @@ let check_entry t e =
   List.rev !failures
 
 let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
-    ?(extra_blocking = fun _ -> 0) ?release_horizon ~horizon system =
+    ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
   if release_horizon > horizon then
     invalid_arg "Engine.run: release_horizon exceeds horizon";
@@ -205,17 +205,10 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         in
         let t0 = if Obs.enabled () then Obs.now () else 0. in
         let proc = (System.step system id).System.proc in
-        let sched = System.scheduler_of system proc in
-        let static ~preemptive ~blocking =
-          Local.Static { preemptive; blocking; hp = fst running.(proc) }
-        in
         let policy =
-          match sched with
-          | Sched.Spp -> static ~preemptive:true ~blocking:(extra_blocking id)
-          | Sched.Spnp ->
-              static ~preemptive:false
-                ~blocking:(System.max_blocking system id + extra_blocking id)
-          | Sched.Fcfs -> Local.Fcfs (fcfs_of proc)
+          Local.policy system id
+            ~hp:(fun () -> fst running.(proc))
+            ~fcfs:(fun () -> fcfs_of proc)
         in
         let i = input_of id in
         let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
@@ -239,7 +232,7 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
           Some { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact };
         if Obs.enabled () then begin
           let counter, path =
-            match (sched, exact) with
+            match (System.scheduler_of system proc, exact) with
             | Sched.Spp, true -> (c_path_spp_exact, "spp-exact")
             | Sched.Spp, false -> (c_path_spp_bounds, "spp-bounds")
             | Sched.Spnp, _ -> (c_path_spnp, "spnp")

@@ -38,7 +38,6 @@ val run :
   ?cancel:Cancel.t ->
   ?fault:Local.fault ->
   ?variant:Local.variant ->
-  ?extra_blocking:(Rta_model.System.subjob_id -> int) ->
   ?release_horizon:int ->
   horizon:int ->
   Rta_model.System.t ->
@@ -58,16 +57,7 @@ val run :
 
     [variant] (default [`Sound]) selects the SPP/SPNP approximate bound
     construction ({!Local.variant}).  The SPP exact path and FCFS are
-    unaffected by it.
-
-    [extra_blocking] models contention for shared resources other than the
-    processors — the second open problem of the paper's Section 6 — as a
-    per-subjob bound on the time lower-priority work can hold a resource
-    the subjob needs (e.g. the longest outside critical section under a
-    priority-ceiling protocol).  A non-zero value forces the bound path
-    even on SPP processors (blocking makes the Theorem 3 service function
-    inexact) and adds to Eq. 15's blocking under SPNP.  Default: no
-    resource blocking. *)
+    unaffected by it. *)
 
 val entry : t -> Rta_model.System.subjob_id -> entry
 

@@ -54,9 +54,10 @@ let unbounded_sentinel horizon = (2 * horizon) + 1
    - on FCFS: X of the chain predecessor of every resident (the summed
      workload G of Theorem 7).
 
-   Inverting that read relation gives, per X component, the set of subjobs
-   whose recompute could change when it moves.  Each iteration then re-runs
-   only the subjobs marked dirty by the previous iteration's changes.  A
+   Every X component carries a version stamp, the tick at which it last
+   changed, and a subjob's cached bounds carry the newest stamp of its read
+   list when they were computed.  A subjob is dirty, and re-run, exactly
+   when that stamp is stale: some component it reads moved since.  A
    recompute with unchanged inputs is deterministic and reproduces its
    previous value, so the iterates, the convergence test and the iteration
    count coincide exactly with the textbook full sweep — asserted by the
@@ -88,7 +89,7 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
           ~horizon:release_horizon)
   in
   let sentinel = unbounded_sentinel horizon in
-  (* Flat indexing of subjobs, for the dirty bitmaps and caches. *)
+  (* Flat indexing of subjobs, for the version stamps and caches. *)
   let offsets = Array.make (n_jobs + 1) 0 in
   for j = 0 to n_jobs - 1 do
     offsets.(j + 1) <- offsets.(j) + Array.length (chain j)
@@ -148,15 +149,6 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
             pred_reads id
             @ List.concat_map pred_reads (System.higher_priority_on system id)))
     all_subjobs;
-  (* Inverted: dependents.(k) lists the subjobs whose recompute reads X_k. *)
-  let dependents = Array.make n_subjobs [] in
-  List.iter
-    (fun id ->
-      List.iter (fun k -> dependents.(k) <- id :: dependents.(k)) reads.(flat id))
-    all_subjobs;
-  let dirty = Array.make n_subjobs true in
-  let next_dirty = Array.make n_subjobs false in
-  let is_dirty id = dirty.(flat id) in
   (* Version stamps for the cross-iteration caches below:
      [version.(k)] is the global tick at which X component [k] last changed.
      A cached value is valid as long as the maximum version over its read
@@ -175,6 +167,13 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
   in
   let input_cache = Array.make n_subjobs None in
   let output_cache = Array.make n_subjobs None in
+  (* Dirty: its bounds are stale, because some component it reads moved
+     since they were computed (or they never were). *)
+  let is_dirty id =
+    match output_cache.(flat id) with
+    | Some (v, _) -> v <> max_version reads.(flat id)
+    | None -> true
+  in
   let hp_cache = Array.make n_subjobs None in
   let fcfs_cache = Array.make (System.processor_count system) None in
   let input_of (id : System.subjob_id) =
@@ -201,28 +200,23 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
            None (System.by_priority system p))
   done;
   (* A subjob's bounds, and its higher-priority aggregate, are cached under
-     its read list: whenever the cache is stale the subjob is dirty this
-     round, so each dirty recompute runs the local step exactly once,
-     whether its own turn or a lower-priority co-resident asks first.  The
-     next-higher resident's read list is contained in this one's, so its
-     aggregate is fresh too. *)
+     its read list: stale bounds are what makes the subjob dirty, and a
+     processor's dirty residents are listed before any is recomputed, so
+     each dirty recompute runs the local step exactly once, whether its own
+     turn or a lower-priority co-resident asks first.  The next-higher
+     resident's read list is contained in this one's, so its aggregate is
+     fresh too. *)
   let rec output_of (id : System.subjob_id) =
     let p = (System.step system id).System.proc in
     cached output_cache (flat id) reads.(flat id) @@ fun () ->
-    match System.scheduler_of system p with
-    | Sched.Fcfs ->
-        let ctx =
-          cached fcfs_cache p fcfs_reads.(p) (fun () ->
-              Local.fcfs ~cancel ~exact:false ~horizon
-                (List.map input_of (System.subjobs_on system p)))
-        in
-        Local.step ~cancel ~horizon (Local.Fcfs ctx) (input_of id)
-    | Sched.Spp | Sched.Spnp ->
-        let preemptive = System.scheduler_of system p = Sched.Spp in
-        let blocking = if preemptive then 0 else System.max_blocking system id in
-        Local.step ~cancel ~horizon
-          (Local.Static { preemptive; blocking; hp = hp_of id })
-          (input_of id)
+    let fcfs () =
+      cached fcfs_cache p fcfs_reads.(p) (fun () ->
+          Local.fcfs ~cancel ~exact:false ~horizon
+            (List.map input_of (System.subjobs_on system p)))
+    in
+    Local.step ~cancel ~horizon
+      (Local.policy system id ~hp:(fun () -> hp_of id) ~fcfs)
+      (input_of id)
   and hp_of (id : System.subjob_id) =
     match above.(flat id) with
     | None -> Local.empty
@@ -248,7 +242,6 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
     incr iterations;
     changed := false;
     residual := 0;
-    Array.fill next_dirty 0 n_subjobs false;
     let dirty_count = ref 0 in
     let sp_iter =
       if Obs.enabled () then
@@ -290,10 +283,7 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
           if r > prev then begin
             x'.(id.System.job).(id.System.step) <- r;
             residual := max !residual (r - prev);
-            changed := true;
-            List.iter
-              (fun d -> next_dirty.(flat d) <- true)
-              dependents.(flat id)
+            changed := true
           end
         in
         List.iter process_subjob dirty_residents
@@ -311,7 +301,6 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
           row;
         Array.blit row 0 x.(j) 0 (Array.length row))
       x';
-    Array.blit next_dirty 0 dirty 0 n_subjobs;
     if Obs.enabled () then begin
       (* Residual in the sup norm: max over subjobs of X' - X this round. *)
       Obs.span_int sp_iter "residual" !residual;

@@ -29,10 +29,13 @@
     previous round: a subjob reads the [X] components of its chain
     predecessor, of the chain predecessors of its higher-priority
     co-residents (SPP/SPNP), and of the chain predecessors of all
-    co-residents (FCFS — the summed workload of Theorem 7).  Recomputing a
-    subjob with unchanged inputs reproduces its value, so the iterates, the
-    verdicts and the iteration count are those of the textbook full Jacobi
-    sweep; the differential tests in [test/core] assert it.
+    co-residents (FCFS — the summed workload of Theorem 7).  Every [X]
+    component carries a version stamp, and a subjob is re-evaluated
+    exactly when its cached bounds are stale under those stamps.
+    Recomputing a subjob with unchanged inputs reproduces its value, so the
+    iterates, the verdicts and the iteration count are those of the
+    textbook full Jacobi sweep; the differential tests in [test/core]
+    assert it.
 
     The module accepts acyclic systems too, which makes it directly
     comparable to {!Engine} (the ablation benchmark measures the price of

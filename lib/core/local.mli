@@ -13,7 +13,7 @@
     {!Engine} composes this step along the chains in dependency order
     (Theorems 1 and 4); {!Fixpoint} iterates it over arrival brackets
     derived from response variables (Section 6).  Neither re-derives any of
-    it.
+    it: both take a subjob's scheduling policy from {!policy}.
 
     Conventions beyond the paper's text (all documented choices err on the
     sound side; see DESIGN.md section 4):
@@ -63,7 +63,7 @@ val input :
 (** A resident's arrival bracket, with its workload bracket scaled once. *)
 
 type handoff =
-  | Sums  (** nothing to reuse: {!S.push} sums the resident in lazily *)
+  | Sums  (** nothing to reuse: {!push} sums the resident in lazily *)
   | Idle of Rta_curve.Idle.t
       (** an exact SPP resident: the idle time it leaves to lower ranks *)
   | Level of Rta_curve.Step.t
@@ -71,7 +71,7 @@ type handoff =
           the higher-priority [work_lo] sum plus its own, which is the
           next rank's higher-priority [work_lo] sum *)
 (** What a static-priority resident's step has already computed of the
-    next rank's aggregate, for {!S.push} to take instead of recomputing. *)
+    next rank's aggregate, for {!push} to take instead of recomputing. *)
 
 type output = {
   svc_lo : Rta_curve.Pl.t Lazy.t;  (** lower service curve (Thm 3/5/8) *)
@@ -96,7 +96,7 @@ type fcfs
     [U_lo] and [U_hi] walked from them ({!Rta_curve.Minplus.utilization},
     truncated at the horizon) as checked inverse handles
     ({!Rta_curve.Pl.Inverse}), and whether the exact FCFS construction
-    applies.  Built once per processor ({!S.fcfs}) and shared by its
+    applies.  Built once per processor ({!val:fcfs}) and shared by its
     residents.
 
     Cost for a processor with I released instances: the workloads are
@@ -114,7 +114,7 @@ type hp
     resident, the idle time they leave ({!Rta_curve.Idle}).  Theorems 3
     and 5-6 read the set only through these, so a processor's residents
     taken in rank order ({!Rta_model.System.by_priority}) extend one
-    aggregate by one member each ({!S.push}) instead of re-summing the set
+    aggregate by one member each ({!push}) instead of re-summing the set
     per resident.  The workload sums are built lazily, when a bound first
     needs them, on exact canonical integer curves: the order of the pushes
     cannot change a bound.  The service curves are never summed: they are
@@ -129,7 +129,7 @@ type hp
     SPP costs O(I log I) per processor where summing the services above
     each resident cost O(N I).
 
-    A bounded resident (SPNP, SPP with blocking, or bracketed inputs)
+    A bounded resident (SPNP, or SPP with bracketed inputs)
     takes its Theorem 5-6 bounds from two single-pass sweeps
     ({!Rta_curve.Minplus.sp_lower}, {!Rta_curve.Minplus.sp_upper}): the
     lower one walks the jumps of the higher-priority [work_hi] sum and of
@@ -168,51 +168,54 @@ type policy =
   | Static of {
       preemptive : bool;  (** SPP; [false] for SPNP *)
       blocking : int;
-          (** Eq. 15 blocking plus any resource blocking; a non-zero value
-              forces the bound path even under SPP *)
+          (** Eq. 15 blocking; a non-zero value forces the bound path
+              even when preemptive *)
       hp : hp;  (** the higher-priority co-residents, aggregated *)
     }
   | Fcfs of fcfs
 
-module type S = sig
-  val push : hp -> input -> output -> hp
-  (** [push hp i o] is the aggregate of [hp]'s set plus one resident with
-      bracket [i] and bounds [o]: pushing a resident after computing it
-      yields the aggregate of the next lower rank.  No workload is summed
-      until a bound forces it, and no service curve is added at all. *)
+val policy :
+  Rta_model.System.t ->
+  Rta_model.System.subjob_id ->
+  hp:(unit -> hp) ->
+  fcfs:(unit -> fcfs) ->
+  policy
+(** The policy of a subjob's processor: SPP is preemptive with blocking 0,
+    SPNP non-preemptive with Eq. 15's blocking
+    ({!Rta_model.System.max_blocking}), both over the higher-priority
+    aggregate [hp ()]; FCFS is the processor's context [fcfs ()].  Each
+    argument is called only under its own scheduler. *)
 
-  val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
-  (** The context of a processor with these residents, over [0, horizon].
-      With [exact] the FCFS analysis is exact when every resident's
-      bracket is a single function and no two releases on the processor
-      tie; [exact:false] never claims exactness.  [cancel] (default
-      {!Cancel.never}) is polled after each utilization walk. *)
+val push : hp -> input -> output -> hp
+(** [push hp i o] is the aggregate of [hp]'s set plus one resident with
+    bracket [i] and bounds [o]: pushing a resident after computing it
+    yields the aggregate of the next lower rank.  No workload is summed
+    until a bound forces it, and no service curve is added at all. *)
 
-  val step :
-    ?cancel:Cancel.t ->
-    ?fault:fault ->
-    ?variant:variant ->
-    horizon:int ->
-    policy ->
-    input ->
-    output
-  (** One resident's bounds over [0, horizon].  The SPP exact path
-      (Theorem 3) is taken when the policy is preemptive without blocking,
-      the input is exact and the aggregate still holds an idle map (every
-      higher-priority output came from this path).  Its service equals
-      Theorem 3's formula at every integer time, provided the bracket
-      counts no instance at time 0 before it ([Step.init_value] is 0, as
-      for every bracket the analysis builds); instances counted there are
-      served from time 0.  [cancel]
-      (default {!Cancel.never}) is polled every few hundred FCFS instances;
-      [fault] (default [`None]) and [variant] (default [`Sound]) as
-      above.  An FCFS policy's context must have been built with the same
-      [horizon]. *)
-end
+val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
+(** The context of a processor with these residents, over [0, horizon].
+    With [exact] the FCFS analysis is exact when every resident's
+    bracket is a single function and no two releases on the processor
+    tie; [exact:false] never claims exactness.  [cancel] (default
+    {!Cancel.never}) is polled after each utilization walk. *)
 
-module Make (K : Rta_curve.KERNELS) : S
-(** The step on the given curve kernels.  The analysis runs on the
-    optimized ones (below); the test support runs a textbook fixed point
-    on [Rta_check.Reference] to check the two end to end. *)
-
-include S
+val step :
+  ?cancel:Cancel.t ->
+  ?fault:fault ->
+  ?variant:variant ->
+  horizon:int ->
+  policy ->
+  input ->
+  output
+(** One resident's bounds over [0, horizon].  The SPP exact path
+    (Theorem 3) is taken when the policy is preemptive without blocking,
+    the input is exact and the aggregate still holds an idle map (every
+    higher-priority output came from this path).  Its service equals
+    Theorem 3's formula at every integer time, provided the bracket
+    counts no instance at time 0 before it ([Step.init_value] is 0, as
+    for every bracket the analysis builds); instances counted there are
+    served from time 0.  [cancel]
+    (default {!Cancel.never}) is polled every few hundred FCFS instances;
+    [fault] (default [`None]) and [variant] (default [`Sound]) as
+    above.  An FCFS policy's context must have been built with the same
+    [horizon]. *)

@@ -708,40 +708,6 @@ let prop_time_scaling_invariance =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Shared-resource blocking extension                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_extra_blocking () =
-  (* A single SPP job alone on its processor with a 4-tick resource
-     blocking term: the analysis must leave the exact path and report at
-     least exec + blocking. *)
-  let s =
-    one_proc_system
-      [ job "A" (Arrival.Periodic { period = 20; offset = 0 })
-          [ { System.proc = 0; exec = 3; prio = 1 } ] ]
-  in
-  let run extra =
-    match
-      Rta_core.Engine.run ~extra_blocking:(fun _ -> extra) ~release_horizon
-        ~horizon s
-    with
-    | Ok e -> e
-    | Error (`Cyclic _) -> Alcotest.fail "cyclic"
-  in
-  let without = run 0 and with_blocking = run 4 in
-  Alcotest.(check bool) "no blocking stays exact" true
-    (Rta_core.Engine.is_exact without);
-  Alcotest.(check bool) "blocking forces bounds" false
-    (Rta_core.Engine.is_exact with_blocking);
-  (match Rta_core.Response.end_to_end with_blocking ~estimator:`Direct ~job:0 with
-  | Rta_core.Response.Bounded r ->
-      Alcotest.(check bool) (Printf.sprintf "bound %d >= 7" r) true (r >= 7)
-  | Rta_core.Response.Unbounded -> Alcotest.fail "unbounded");
-  match Rta_core.Response.end_to_end without ~estimator:`Exact ~job:0 with
-  | Rta_core.Response.Bounded r -> check_int "exact without" 3 r
-  | Rta_core.Response.Unbounded -> Alcotest.fail "unbounded"
-
-(* ------------------------------------------------------------------ *)
 (* Envelope analysis (horizon-free extension)                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1300,8 +1266,6 @@ let () =
         ] );
       ( "invariants",
         [ prop_per_instance_matches_sim; prop_time_scaling_invariance ] );
-      ( "resources",
-        [ Alcotest.test_case "extra blocking" `Quick test_extra_blocking ] );
       ( "envelope-analysis",
         [
           Alcotest.test_case "single source" `Quick test_envelope_single_source;

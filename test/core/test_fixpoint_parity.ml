@@ -4,11 +4,12 @@
    self and of scheduling-relevant co-residents) did not change in the
    previous round.  Recomputing a subjob from unchanged inputs reproduces
    its value, so it must walk the SAME iterate sequence as the textbook
-   full sweep on the reference kernels ([Rta_testsupport.Jacobi]):
+   full sweep on the same per-processor step ([Rta_testsupport.Jacobi]):
    identical per-job verdicts, identical per-stage verdicts, and the same
-   iteration count — not just the same fixed point.  Any divergence means
-   the dirty propagation missed a dependency edge or an optimized kernel
-   disagrees with its baseline. *)
+   iteration count — not just the same fixed point.  Both run the
+   production kernels, so any divergence means the dirty set missed a
+   dependency edge (or a cache served a stale value); kernel parity is
+   checked elsewhere (test_theorems, test/curve, [rta fuzz --kernels]). *)
 
 open Rta_model
 module Fixpoint = Rta_core.Fixpoint

@@ -295,7 +295,7 @@ let print_members members =
    sums a bound would otherwise take over the whole list.  The members'
    outputs hand nothing over, as bounded ones that reused nothing; the
    exact SPP hand-over is checked against Theorem 3 below. *)
-let aggregate_matches_sums push members =
+let aggregate_matches_sums members =
   let items =
     List.map
       (fun (tau, arr_lo, arr_hi, svc) ->
@@ -318,18 +318,16 @@ let aggregate_matches_sums push members =
   in
   List.for_all
     (fun items ->
-      let hp = List.fold_left (fun hp (i, o) -> push hp i o) Local.empty items in
+      let hp = List.fold_left (fun hp (i, o) -> Local.push hp i o) Local.empty items in
       Step.equal (Local.hp_work_lo hp) work_lo
       && Step.equal (Local.hp_work_hi hp) work_hi
       && Pl.equal (Local.hp_svc_lo hp) svc_lo)
     [ items; List.rev items ]
 
-module Reference_local = Local.Make (Rta_check.Reference)
-
-let prop_aggregate name push =
-  G.qtest name
+let prop_aggregate =
+  G.qtest "push sums, optimized kernels"
     QCheck2.Gen.(list_size (int_range 0 6) member_gen)
-    print_members (aggregate_matches_sums push)
+    print_members aggregate_matches_sums
 
 (* The exact SPP path consumes idle intervals; Theorem 3's formula on the
    reference kernels is its oracle.  Residents in rank order, each checked
@@ -469,6 +467,57 @@ let prop_fcfs_per_jump =
   G.qtest ~count:1000 "per-jump bounds = per-instance construction" fcfs_case_gen
     print_fcfs_case fcfs_matches_oracle
 
+(* Kernel parity end to end: on random acyclic systems under every
+   scheduler, each bounded static-priority entry's departures are
+   Theorem 2's chain ([Reference.departures]) on its own service bounds
+   and arrivals, and each FCFS processor's entries are the per-instance
+   construction ([Reference.fcfs]) on its residents' brackets.  So every
+   stage reads, and hands down the chain, what the reference kernels would
+   have produced from the same inputs. *)
+module Sg = Rta_testsupport.Sysgen
+
+let entries_match_reference system =
+  match Rta_core.Engine.run ~release_horizon ~horizon system with
+  | Error (`Cyclic _) -> QCheck2.assume_fail ()
+  | Ok e ->
+      let static_ok (entry : Rta_core.Engine.entry) =
+        let departures service arrivals =
+          Rta_check.Reference.departures ~horizon ~tau:entry.tau
+            ~service:(Lazy.force service) ~arrivals
+        in
+        entry.exact
+        || Step.equal entry.dep_lo (departures entry.svc_lo entry.arr_lo)
+           && Step.equal entry.dep_hi (departures entry.svc_hi entry.arr_hi)
+      in
+      let fcfs_ok p =
+        let residents = List.map (Rta_core.Engine.entry e) (System.subjobs_on system p) in
+        List.for_all2
+          (fun (entry : Rta_core.Engine.entry) (dep_lo, dep_hi, exact) ->
+            Step.equal entry.dep_lo dep_lo && Step.equal entry.dep_hi dep_hi
+            && entry.exact = exact)
+          residents
+          (Rta_check.Reference.fcfs ~exact:true ~horizon
+             (List.map
+                (fun (entry : Rta_core.Engine.entry) ->
+                  (entry.tau, entry.arr_lo, entry.arr_hi))
+                residents))
+      in
+      List.for_all
+        (fun p ->
+          if System.scheduler_of system p = Sched.Fcfs then fcfs_ok p
+          else
+            List.for_all
+              (fun id -> static_ok (Rta_core.Engine.entry e id))
+              (System.subjobs_on system p))
+        (List.init (System.processor_count system) Fun.id)
+
+let prop_engine_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"engine = reference kernels"
+       ~print:Sg.print_system
+       (Sg.system_gen ~release_horizon ())
+       entries_match_reference)
+
 let () =
   Alcotest.run "rta_theorems"
     [
@@ -487,11 +536,8 @@ let () =
           Alcotest.test_case "completion jitter" `Quick test_completion_jitter;
           Alcotest.test_case "curve CSV" `Quick test_entry_csv;
         ] );
-      ( "aggregate",
-        [
-          prop_aggregate "push sums, optimized kernels" Local.push;
-          prop_aggregate "push sums, reference kernels" Reference_local.push;
-        ] );
+      ("aggregate", [ prop_aggregate ]);
+      ("kernels", [ prop_engine_reference ]);
       ("exact SPP", [ prop_idle_theorem3 ]);
       ("SP bounds", [ prop_sp_sweeps ]);
       ("FCFS", [ prop_fcfs_per_jump ]);

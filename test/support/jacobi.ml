@@ -1,15 +1,15 @@
 (* The textbook Section 6 fixed point: a full Jacobi sweep that recomputes
-   every subjob from the previous iterate each round, on the frozen
-   {!Rta_check.Reference} kernels.  No dirty set, no caches across rounds,
-   and Eq. 12 extracted by one binary search per instance.
-   [Rta_core.Fixpoint.analyze] must walk the same iterates (the parity
-   tests). *)
+   every subjob from the previous iterate each round, on the same
+   per-processor step ({!Rta_core.Local}) as the analysis.  No dirty set,
+   no caches across rounds, and Eq. 12 extracted by one binary search per
+   instance.  [Rta_core.Fixpoint.analyze] must walk the same iterates (the
+   parity tests): what they compare is its dirty set against this full
+   sweep. *)
 
 open Rta_model
 module Step = Rta_curve.Step
 module Local = Rta_core.Local
 module Fixpoint = Rta_core.Fixpoint
-module Reference_local = Local.Make (Rta_check.Reference)
 
 let analyze ?(max_iterations = 64) ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
@@ -54,25 +54,26 @@ let analyze ?(max_iterations = 64) ?release_horizon ~horizon system =
             (id, Local.input ~tau ~arr_lo ~arr_hi ~exact:false))
           residents
       in
-      let sched = System.scheduler_of system p in
-      let step policy id = Reference_local.step ~horizon policy (List.assoc id inputs) in
       (* Every resident's bounds this round: FCFS residents share one
          context; static-priority ones are computed highest rank first,
-         each extending the aggregate of those above it. *)
+         each extending the aggregate of those above it (which FCFS never
+         reads). *)
+      let fcfs = lazy (Local.fcfs ~exact:false ~horizon (List.map snd inputs)) in
       let outputs =
-        if sched = Sched.Fcfs then
-          let ctx = Reference_local.fcfs ~exact:false ~horizon (List.map snd inputs) in
-          List.map (fun id -> (id, step (Local.Fcfs ctx) id)) residents
-        else
-          let preemptive = sched = Sched.Spp in
-          List.fold_left
-            (fun (hp, acc) id ->
-              let blocking = if preemptive then 0 else System.max_blocking system id in
-              let o = step (Local.Static { preemptive; blocking; hp }) id in
-              (Reference_local.push hp (List.assoc id inputs) o, (id, o) :: acc))
-            (Local.empty, [])
-            (System.by_priority system p)
-          |> snd
+        let rank_order =
+          if System.scheduler_of system p = Sched.Fcfs then residents
+          else System.by_priority system p
+        in
+        List.fold_left
+          (fun (hp, acc) id ->
+            let i = List.assoc id inputs in
+            let policy =
+              Local.policy system id ~hp:(fun () -> hp) ~fcfs:(fun () -> Lazy.force fcfs)
+            in
+            let o = Local.step ~horizon policy i in
+            (Local.push hp i o, (id, o) :: acc))
+          (Local.empty, []) rank_order
+        |> snd
       in
       let output id = List.assoc id outputs in
       List.iter
