@@ -131,46 +131,57 @@ let analyze_cmd =
     (* One engine run serves both --explain and --dump-curves, and only
        when one of them is asked for. *)
     if explain || dump <> None then begin
-      match Rta_core.Engine.run ~release_horizon ~horizon system with
-      | Error (`Cyclic _) ->
-          if explain then
-            Format.printf "(cyclic system: no per-stage breakdown)@.";
-          if dump <> None then Format.eprintf "cyclic system: no curves@."
-      | Ok engine ->
-          if explain then begin
-            Format.printf "@.per-stage local response bounds (Eq. 12):@.";
-            for j = 0 to System.job_count system - 1 do
-              Format.printf "  %-8s" (System.job system j).System.name;
-              List.iteri
-                (fun st v ->
-                  match v with
-                  | Rta_core.Response.Bounded r ->
-                      Format.printf " stage%d=%a" (st + 1) Time.pp r
-                  | Rta_core.Response.Unbounded ->
-                      Format.printf " stage%d=inf" (st + 1))
-                (Rta_core.Response.stage_bounds engine ~job:j);
-              Format.printf "@."
-            done
-          end;
-          Option.iter
-            (fun dir ->
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              for j = 0 to System.job_count system - 1 do
-                let job = System.job system j in
-                Array.iteri
-                  (fun st _ ->
-                    let path =
-                      Filename.concat dir
-                        (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
-                    in
-                    Out_channel.with_open_text path (fun oc ->
-                        Out_channel.output_string oc
-                          (Rta_core.Engine.entry_csv engine
-                             { System.job = j; step = st })))
-                  job.System.steps
-              done;
-              Format.printf "curves written to %s/@." dir)
-            dump
+      let engine =
+        Result.get_ok (Rta_core.Engine.run ~release_horizon ~horizon system)
+      in
+      if explain then begin
+        Format.printf "@.per-stage local response bounds (Eq. 12):@.";
+        for j = 0 to System.job_count system - 1 do
+          Format.printf "  %-8s" (System.job system j).System.name;
+          List.iteri
+            (fun st v ->
+              match v with
+              | Rta_core.Response.Bounded r ->
+                  Format.printf " stage%d=%a" (st + 1) Time.pp r
+              | Rta_core.Response.Unbounded ->
+                  Format.printf " stage%d=inf" (st + 1))
+            (Rta_core.Response.stage_bounds engine ~job:j);
+          Format.printf "@."
+        done;
+        (* Which stages came from the Section 6 iteration, and how it
+           ended. *)
+        List.iter
+          (fun (l : Rta_core.Engine.loop) ->
+            Format.printf "  cyclic component %s: %s@."
+              (String.concat " "
+                 (List.map
+                    (fun (id : System.subjob_id) ->
+                      Printf.sprintf "%s.%d" (System.job system id.job).System.name
+                        (id.step + 1))
+                    l.members))
+              (if l.settled then Printf.sprintf "settled after %d rounds" l.rounds
+               else Printf.sprintf "still moving after %d rounds, no bound" l.rounds))
+          engine.Rta_core.Engine.loops
+      end;
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          for j = 0 to System.job_count system - 1 do
+            let job = System.job system j in
+            Array.iteri
+              (fun st _ ->
+                let path =
+                  Filename.concat dir
+                    (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
+                in
+                Out_channel.with_open_text path (fun oc ->
+                    Out_channel.output_string oc
+                      (Rta_core.Engine.entry_csv engine
+                         { System.job = j; step = st })))
+              job.System.steps
+          done;
+          Format.printf "curves written to %s/@." dir)
+        dump
     end;
     if not report.Rta_core.Analysis.schedulable then exit 1
   in
@@ -685,9 +696,6 @@ let fuzz_cmd =
             Format.eprintf "error: %s@." msg;
             exit 2
         | Ok Rta_check.Oracle.Passed -> Format.printf "replay: passed@."
-        | Ok (Rta_check.Oracle.Skipped why) ->
-            Format.eprintf "replay: skipped (%s)@." why;
-            exit 2
         | Ok (Rta_check.Oracle.Failed vs) ->
             Format.printf "replay: %d violation(s)@." (List.length vs);
             print_violations vs;
@@ -701,10 +709,9 @@ let fuzz_cmd =
           Rta_check.Fuzz.run ~fault ?out_dir:out ?budget_s ~seed ~count ()
         in
         Format.printf
-          "fuzz: %d tested (%d passed, %d skipped), %d counterexample(s) in \
-           %.1fs (seed %d)@."
+          "fuzz: %d tested (%d passed), %d counterexample(s) in %.1fs (seed \
+           %d)@."
           outcome.Rta_check.Fuzz.tested outcome.Rta_check.Fuzz.passed
-          outcome.Rta_check.Fuzz.skipped
           (List.length outcome.Rta_check.Fuzz.counterexamples)
           outcome.Rta_check.Fuzz.elapsed_s seed;
         List.iter

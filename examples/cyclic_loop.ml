@@ -3,8 +3,10 @@
 
    Two jobs traverse two processors in opposite orders, each outranked by
    the other's second stage, so each job's arrival function transitively
-   depends on its own departures.  The chain-propagation engine refuses
-   (reports the cycle), and the Section 6 fixed point takes over.  The
+   depends on its own departures: the four subjobs form one cyclic
+   component of the dependency graph, and no order computes them.  The
+   engine runs the Section 6 fixed point over that component (any subjob
+   outside a loop would still get its one chain-propagated step).  The
    window-based iteration may fail to converge (the paper left convergence
    open; we document the unit-gain creep in EXPERIMENTS.md), in which case
    the jitter-based Sun&Liu iteration still applies for SPP systems.
@@ -49,17 +51,24 @@ let () =
   let s = system ~load:1.0 in
   (match Rta_core.Deps.compute s with
   | Rta_core.Deps.Acyclic _ -> Format.printf "dependencies: acyclic (unexpected)@."
-  | Rta_core.Deps.Cyclic stuck ->
-      Format.printf "dependencies: cyclic through %d subjobs — chain propagation refuses@."
-        (List.length stuck));
+  | Rta_core.Deps.Cyclic on_cycle ->
+      Format.printf "dependencies: %d subjobs on a cycle — no order computes them@."
+        (List.length on_cycle));
   let release_horizon = Time.of_units 200.0 and horizon = Time.of_units 400.0 in
+  let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
   List.iter
     (fun load ->
       let s = system ~load in
-      let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon s in
+      let report = Rta_core.Analysis.run ~config s in
+      let rounds =
+        match Rta_core.Engine.run ~release_horizon ~horizon s with
+        | Ok e ->
+            List.map (fun (l : Rta_core.Engine.loop) -> l.rounds) e.Rta_core.Engine.loops
+        | Error _ -> []
+      in
       let sim = Rta_sim.Sim.run ~release_horizon s ~horizon in
-      Format.printf "@.load x%.1f (fixpoint: %d iterations)@." load
-        fp.Rta_core.Fixpoint.iterations;
+      Format.printf "@.load x%.1f (fixed point: %s rounds)@." load
+        (String.concat ", " (List.map string_of_int rounds));
       Array.iteri
         (fun j v ->
           let name = (System.job s j).System.name in
@@ -69,12 +78,12 @@ let () =
             | None -> "-"
           in
           match v with
-          | Rta_core.Fixpoint.Bounded b ->
-              Format.printf "  %-5s fixpoint %a  sim %s@." name Time.pp b sim_worst
-          | Rta_core.Fixpoint.Unbounded ->
-              Format.printf "  %-5s fixpoint did not converge (reject)  sim %s@."
+          | Rta_core.Analysis.Bounded b ->
+              Format.printf "  %-5s fixed point %a  sim %s@." name Time.pp b sim_worst
+          | Rta_core.Analysis.Unbounded ->
+              Format.printf "  %-5s fixed point: no bound within the horizon (reject)  sim %s@."
                 name sim_worst)
-        fp.Rta_core.Fixpoint.per_job;
+        report.Rta_core.Analysis.per_job;
       (* The jitter-based route always has an answer for periodic SPP. *)
       match Rta_baselines.Sunliu.analyze s with
       | Error e -> Format.printf "  S&L: %s@." e

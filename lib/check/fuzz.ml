@@ -3,7 +3,6 @@ module Obs = Rta_obs
 
 let c_cases = Obs.counter "fuzz.cases"
 let c_passed = Obs.counter "fuzz.passed"
-let c_skipped = Obs.counter "fuzz.skipped"
 let c_violations = Obs.counter "fuzz.violations"
 
 type counterexample = {
@@ -18,7 +17,6 @@ type counterexample = {
 type outcome = {
   tested : int;
   passed : int;
-  skipped : int;
   counterexamples : counterexample list;
   elapsed_s : float;
 }
@@ -62,7 +60,7 @@ let trials ~budget_s ~count trial =
 
 let run ?fault ?out_dir ?budget_s ~seed ~count () =
   let sp = if Obs.enabled () then Obs.span_begin "fuzz.run" else Obs.no_span in
-  let passed = ref 0 and skipped = ref 0 in
+  let passed = ref 0 in
   let cexs = ref [] in
   let tested, elapsed_s =
     trials ~budget_s ~count @@ fun i ->
@@ -76,9 +74,6 @@ let run ?fault ?out_dir ?budget_s ~seed ~count () =
     | Oracle.Passed ->
         incr passed;
         Obs.incr c_passed
-    | Oracle.Skipped _ ->
-        incr skipped;
-        Obs.incr c_skipped
     | Oracle.Failed _ ->
         Obs.incr c_violations;
         let still_fails s =
@@ -113,7 +108,6 @@ let run ?fault ?out_dir ?budget_s ~seed ~count () =
   {
     tested;
     passed = !passed;
-    skipped = !skipped;
     counterexamples = List.rev !cexs;
     elapsed_s;
   }

@@ -30,7 +30,6 @@ type counterexample = {
 type outcome = {
   tested : int;
   passed : int;
-  skipped : int;  (** cyclic systems the engine cannot analyze *)
   counterexamples : counterexample list;
   elapsed_s : float;
 }
@@ -48,7 +47,7 @@ val run :
     ({!Oracle.check}); the run is then expected to find counterexamples.  With [out_dir] (created if missing), every
     counterexample is written as
     [out_dir/counterexample-<seed>-<index>.rta].  Instrumented with
-    {!Rta_obs} counters [fuzz.cases], [fuzz.passed], [fuzz.skipped] and
+    {!Rta_obs} counters [fuzz.cases], [fuzz.passed] and
     [fuzz.violations]. *)
 
 val render : counterexample -> string

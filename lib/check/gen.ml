@@ -58,8 +58,8 @@ let micro rng =
           Array.init n_steps (fun s ->
               (* Mostly stage-ordered (stage s draws from its own processor
                  pool); one step in ten lands anywhere, producing shared
-                 processors across stages and, sometimes, dependency cycles
-                 the oracle reports as skipped. *)
+                 processors across stages and, sometimes, dependency
+                 cycles, whose loops the engine iterates. *)
               let proc =
                 if Rng.int_range rng 0 9 = 0 then
                   Rng.int_range rng 0 (n_procs - 1)

@@ -11,7 +11,7 @@ type violation = {
   detail : string;
 }
 
-type verdict = Passed | Skipped of string | Failed of violation list
+type verdict = Passed | Failed of violation list
 
 let pp_violation ppf v =
   (match v.id with
@@ -115,16 +115,12 @@ let check_responses ~add ~horizon system t sim =
   done
 
 let check ?fault ?release_horizon ~horizon system =
-  match Engine.run ?fault ?release_horizon ~horizon system with
-  | Error (`Cyclic ids) ->
-      Skipped
-        (Printf.sprintf "cyclic dependencies through %d subjobs" (List.length ids))
-  | Ok t ->
-      let sim = Rta_sim.Sim.run ?release_horizon system ~horizon in
-      let violations = ref [] in
-      let add id kind detail = violations := { id; kind; detail } :: !violations in
-      Array.iter
-        (Array.iter (fun e -> check_subjob ~add ~horizon system t e sim))
-        t.Engine.entries;
-      check_responses ~add ~horizon system t sim;
-      (match List.rev !violations with [] -> Passed | vs -> Failed vs)
+  let t = Result.get_ok (Engine.run ?fault ?release_horizon ~horizon system) in
+  let sim = Rta_sim.Sim.run ?release_horizon system ~horizon in
+  let violations = ref [] in
+  let add id kind detail = violations := { id; kind; detail } :: !violations in
+  Array.iter
+    (Array.iter (fun e -> check_subjob ~add ~horizon system t e sim))
+    t.Engine.entries;
+  check_responses ~add ~horizon system t sim;
+  match List.rev !violations with [] -> Passed | vs -> Failed vs

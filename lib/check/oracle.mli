@@ -1,7 +1,8 @@
 (** The differential oracle: analysis bounds versus simulated ground truth.
 
     Runs {!Rta_core.Engine.run} and {!Rta_sim.Sim.run} on the same system
-    with the same horizons and checks, for every subjob:
+    with the same horizons and checks, for every subjob, cyclic components'
+    members included:
 
     - structural invariants of the computed entry
       ({!Rta_core.Engine.check_entry}: curve representation invariants,
@@ -34,9 +35,6 @@ type violation = {
 
 type verdict =
   | Passed
-  | Skipped of string
-      (** the engine could not analyze the system (cyclic dependencies);
-          nothing to compare *)
   | Failed of violation list
 
 val check :

@@ -55,20 +55,18 @@ let run ?(cancel = Cancel.never) ?(config = default) system =
   let sp = Rta_obs.span_begin "analysis.run" in
   Fun.protect ~finally:(fun () -> Rta_obs.span_end sp) @@ fun () ->
   let report =
-    match Engine.run ~cancel ~release_horizon ~horizon system with
-    | Error (`Cyclic _) ->
-        let fp = Fixpoint.analyze ~cancel ~release_horizon ~horizon system in
-        finish `Fixpoint fp.Fixpoint.per_job
-    | Ok engine ->
-        let exact = Engine.is_exact engine in
-        let estimator =
-          if exact then `Exact else (config.estimator :> Response.estimator)
-        in
-        let per_job =
-          Array.init (System.job_count system) (fun j ->
-              Response.end_to_end engine ~estimator ~job:j)
-        in
-        finish (if exact then `Exact else `Approximate) per_job
+    let engine = Result.get_ok (Engine.run ~cancel ~release_horizon ~horizon system) in
+    (* A cyclic system is read the Direct way whatever the estimator:
+       Theorem 1's shape on the final departure bounds, at most X at the
+       last stage for a job ending in a loop. *)
+    let method_used, estimator =
+      if Engine.is_exact engine then (`Exact, `Exact)
+      else if engine.Engine.loops <> [] then (`Fixpoint, `Direct)
+      else (`Approximate, (config.estimator :> Response.estimator))
+    in
+    finish method_used
+      (Array.init (System.job_count system) (fun j ->
+           Response.end_to_end engine ~estimator ~job:j))
   in
   if Rta_obs.enabled () then
     Rta_obs.span_str sp "method"

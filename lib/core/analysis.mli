@@ -1,13 +1,17 @@
 (** One-call front end over the analysis machinery.
 
-    Chooses the right method for the system at hand:
+    Runs {!Engine.run} once, on every system, and labels and reads its
+    answer by what the system is:
 
     - all processors SPP with acyclic dependencies: the exact analysis
       (Theorem 1-3) — [method_used = `Exact];
     - acyclic with approximations somewhere (SPNP/FCFS processors, or mixed):
       bound propagation (Theorems 4-9) — [`Approximate], with the chosen
       end-to-end estimator;
-    - cyclic dependencies: the Section 6 fixed point — [`Fixpoint]. *)
+    - cyclic dependencies: the Section 6 fixed point over each cycle, and
+      bound propagation elsewhere — [`Fixpoint], read with [`Direct]
+      whatever the estimator (Theorem 1's shape on the final departure
+      bounds, at most [X] at the last stage). *)
 
 type config = {
   estimator : [ `Direct | `Sum ];
@@ -54,8 +58,8 @@ type report = {
 
 val run : ?cancel:Cancel.t -> ?config:config -> Rta_model.System.t -> report
 (** Analyze with the given configuration (default {!default}).  [cancel]
-    (default {!Cancel.never}) is threaded into {!Engine.run} and
-    {!Fixpoint.analyze}; when it fires mid-flight the call raises
+    (default {!Cancel.never}) is threaded into {!Engine.run}; when it fires
+    mid-flight the call raises
     {!Cancel.Cancelled} and service front ends degrade to
     {!Envelope_analysis} bounds. *)
 

@@ -1,5 +1,6 @@
 open Rta_model
 
+type component = Single of System.subjob_id | Loop of System.subjob_id list
 type order = Acyclic of System.subjob_id list | Cyclic of System.subjob_id list
 
 let predecessor (id : System.subjob_id) =
@@ -19,11 +20,9 @@ let c_edges = Rta_obs.counter "deps.edges"
    pair.  Every FCFS resident depends on all its co-residents' chain
    predecessors (its own included); those edges go through the
    processor's join point, which depends on the predecessors, so a
-   processor with N residents has O(N) edges instead of N^2.  Kahn's walk
-   below always takes the smallest ready subjob, and a subjob is ready
-   exactly when all its ancestors are done, so the order is the same
-   either way, provided the walk settles a join point as soon as it is
-   ready. *)
+   processor with N residents has O(N) edges instead of N^2.  Either way
+   two subjobs reach each other exactly when they did through the
+   pairwise relation, so the components are the same. *)
 let dependencies system =
   let procs = List.init (System.processor_count system) Fun.id in
   let above = Hashtbl.create 64 in
@@ -54,66 +53,76 @@ let dependencies system =
           @ List.map (fun h -> Subjob h) (Option.to_list (Hashtbl.find_opt above id))
       | Sched.Fcfs -> Join s.proc :: chain)
 
-let compute system =
-  let all =
-    List.concat
-      (List.init (System.job_count system) (fun j ->
-           List.init
-             (Array.length (System.job system j).steps)
-             (fun s -> { System.job = j; step = s })))
+(* Tarjan's algorithm over the nodes numbered flat: subjobs first, job by
+   job, then one join point per processor.  Edges point from a node to
+   what it depends on, so a component is closed only after every
+   component it depends on: the output is in dependency order. *)
+let components system =
+  let n_jobs = System.job_count system in
+  let offsets = Array.make (n_jobs + 1) 0 in
+  for j = 0 to n_jobs - 1 do
+    offsets.(j + 1) <- offsets.(j) + Array.length (System.job system j).System.steps
+  done;
+  let n = offsets.(n_jobs) in
+  let ids = Array.make n { System.job = 0; step = 0 } in
+  for j = 0 to n_jobs - 1 do
+    for s = 0 to offsets.(j + 1) - offsets.(j) - 1 do
+      ids.(offsets.(j) + s) <- { System.job = j; step = s }
+    done
+  done;
+  let index = function
+    | Subjob (id : System.subjob_id) -> offsets.(id.job) + id.step
+    | Join p -> n + p
   in
-  let joins =
-    List.init (System.processor_count system) Fun.id
-    |> List.filter (fun p ->
-           System.scheduler_of system p = Sched.Fcfs
-           && System.subjobs_on system p <> [])
-    |> List.map (fun p -> Join p)
-  in
-  let nodes = List.map (fun id -> Subjob id) all @ joins in
-  (* Kahn's algorithm over the dependency relation. *)
+  let node k = if k < n then Subjob ids.(k) else Join (k - n) in
   let dependencies = dependencies system in
-  let in_degree = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace in_degree n 0) nodes;
-  let dependents = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun d ->
-          Rta_obs.incr c_edges;
-          Hashtbl.replace in_degree n (Hashtbl.find in_degree n + 1);
-          Hashtbl.replace dependents d (n :: Option.value ~default:[] (Hashtbl.find_opt dependents d)))
-        (List.sort_uniq compare (dependencies n)))
-    nodes;
-  (* Done with [n]: the subjobs it makes ready, with every join point it
-     makes ready settled on the spot. *)
-  let rec release n =
-    Option.value ~default:[] (Hashtbl.find_opt dependents n)
-    |> List.concat_map (fun d ->
-           let deg = Hashtbl.find in_degree d - 1 in
-           Hashtbl.replace in_degree d deg;
-           match d with
-           | _ when deg > 0 -> []
-           | Subjob id -> [ id ]
-           | Join _ -> release d)
+  let size = n + System.processor_count system in
+  let visited = Array.make size (-1) and low = Array.make size 0 in
+  let on_stack = Array.make size false in
+  let stack = ref [] and clock = ref 0 and out = ref [] in
+  let rec visit v =
+    visited.(v) <- !clock;
+    low.(v) <- !clock;
+    incr clock;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    let succ = List.sort_uniq compare (List.map index (dependencies (node v))) in
+    Rta_obs.add c_edges (List.length succ);
+    List.iter
+      (fun w ->
+        if visited.(w) < 0 then begin
+          visit w;
+          low.(v) <- min low.(v) low.(w)
+        end
+        else if on_stack.(w) then low.(v) <- min low.(v) visited.(w))
+      succ;
+    if low.(v) = visited.(v) then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+            stack := rest;
+            on_stack.(w) <- false;
+            if w = v then w :: acc else pop (w :: acc)
+        | [] -> assert false
+      in
+      let members = pop [] in
+      let subjobs =
+        List.filter (fun k -> k < n) members |> List.sort compare |> List.map node
+        |> List.map (function Subjob id -> id | Join _ -> assert false)
+      in
+      match (members, subjobs) with
+      | _, [] -> () (* a join point on no cycle: nothing to compute *)
+      | [ _ ], [ id ] when not (List.mem v succ) -> out := Single id :: !out
+      | _ -> out := Loop subjobs :: !out
+    end
   in
-  let ready =
-    let sources = List.filter (fun id -> Hashtbl.find in_degree (Subjob id) = 0) all in
-    let from_joins =
-      List.concat_map
-        (fun j -> if Hashtbl.find in_degree j = 0 then release j else [])
-        joins
-    in
-    List.sort compare (sources @ from_joins)
-  in
-  let rec walk ready acc =
-    match ready with
-    | [] -> List.rev acc
-    | id :: rest ->
-        let next = release (Subjob id) in
-        walk (List.merge compare rest (List.sort compare next)) (id :: acc)
-  in
-  let sorted = walk ready [] in
-  if List.length sorted = List.length all then Acyclic sorted
-  else
-    let stuck = List.filter (fun id -> Hashtbl.find in_degree (Subjob id) > 0) all in
-    Cyclic stuck
+  for k = 0 to n - 1 do
+    if visited.(k) < 0 then visit k
+  done;
+  List.rev !out
+
+let compute system =
+  let components = components system in
+  match List.concat_map (function Loop ids -> ids | Single _ -> []) components with
+  | [] -> Acyclic (List.map (function Single id -> id | Loop _ -> assert false) components)
+  | on_cycle -> Cyclic (List.sort compare on_cycle)

@@ -33,11 +33,18 @@ type entry = {
   exact : bool;
 }
 
+type loop = {
+  members : System.subjob_id list;
+  rounds : int;
+  settled : bool;
+}
+
 type t = {
   system : System.t;
   horizon : int;
   release_horizon : int;
   entries : entry array array;
+  loops : loop list;
 }
 
 let entry t (id : System.subjob_id) = t.entries.(id.job).(id.step)
@@ -131,134 +138,197 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
   (* Balanced even when a checkpoint raises [Cancel.Cancelled] mid-walk:
      the span (and any trace sink) must see the run closed. *)
   Fun.protect ~finally:(fun () -> Obs.span_end sp_run) @@ fun () ->
-  match Deps.compute system with
-  | Deps.Cyclic stuck -> Error (`Cyclic stuck)
-  | Deps.Acyclic order ->
-      let per_subjob init =
-        Array.init (System.job_count system) (fun j ->
-            Array.make (Array.length (System.job system j).System.steps) init)
-      in
-      (* Outputs are not kept: an entry holds what later stages read, and
-         an exact SPP output's idle map lives on only in its processor's
-         running aggregate. *)
-      let inputs = per_subjob None and entries = per_subjob None in
-      let entry_of (id : System.subjob_id) = Option.get entries.(id.job).(id.step) in
-      (* Arrival brackets: the first stage is the exact release trace; later
-         stages inherit the predecessor's departure bounds.  Built once per
-         subjob, when it or an FCFS co-resident first needs it. *)
-      let input_of (id : System.subjob_id) =
-        match inputs.(id.job).(id.step) with
-        | Some i -> i
-        | None ->
-            let tau = (System.step system id).System.exec in
-            let i =
-              if id.step = 0 then
-                let f =
-                  Arrival.arrival_function (System.job system id.job).System.arrival
-                    ~horizon:release_horizon
-                in
-                Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
+  let components = Deps.components system in
+  let cyclic =
+    List.exists (function Deps.Loop _ -> true | Deps.Single _ -> false) components
+  in
+  let per_subjob init =
+    Array.init (System.job_count system) (fun j ->
+        Array.make (Array.length (System.job system j).System.steps) init)
+  in
+  (* Outputs are not kept: an entry holds what later stages read, and
+     an exact SPP output's idle map lives on only in its processor's
+     running aggregate. *)
+  let inputs = per_subjob None and entries = per_subjob None in
+  let entry_of (id : System.subjob_id) = Option.get entries.(id.job).(id.step) in
+  (* Arrival brackets: the first stage is the exact release trace; later
+     stages inherit the predecessor's departure bounds.  Built once per
+     subjob, when it, an FCFS co-resident or a loop past it first needs
+     it; a loop's members get their final brackets from the loop.  In a
+     system with a loop, a later stage's upper bracket is also capped by
+     its earliest possible arrivals (engine.mli); a cap that changes
+     nothing keeps the chain's curve, so exact brackets stay one curve. *)
+  let rec input_of (id : System.subjob_id) =
+    match inputs.(id.job).(id.step) with
+    | Some i -> i
+    | None ->
+        let tau = (System.step system id).System.exec in
+        let i =
+          if id.step = 0 then
+            let f =
+              Arrival.arrival_function (System.job system id.job).System.arrival
+                ~horizon:release_horizon
+            in
+            Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
+          else
+            let pred = entry_of { id with System.step = id.step - 1 } in
+            let arr_hi =
+              if not cyclic then pred.dep_hi
               else
-                let pred = entry_of { id with System.step = id.step - 1 } in
-                Local.input ~tau ~arr_lo:pred.dep_lo ~arr_hi:pred.dep_hi
-                  ~exact:pred.exact
+                let steps = (System.job system id.job).System.steps in
+                let prefix = ref 0 in
+                for st = 0 to id.step - 1 do
+                  prefix := !prefix + steps.(st).System.exec
+                done;
+                let release = (input_of { id with System.step = 0 }).Local.arr_lo in
+                let capped = Step.min2 pred.dep_hi (Step.shift_right release !prefix) in
+                if Step.equal capped pred.dep_hi then pred.dep_hi else capped
             in
-            inputs.(id.job).(id.step) <- Some i;
-            i
-      in
-      (* An FCFS processor's context needs every resident's arrivals, which
-         the dependency order guarantees before its first resident. *)
-      let fcfs = Array.make (System.processor_count system) None in
-      let fcfs_of p =
-        match fcfs.(p) with
-        | Some c -> c
-        | None ->
-            let residents = System.subjobs_on system p in
-            let c =
-              Local.fcfs ~cancel ~exact:true ~horizon (List.map input_of residents)
-            in
-            fcfs.(p) <- Some c;
-            c
-      in
-      (* A static-priority resident depends on every resident above it, so
-         the dependency order computes a processor's residents in rank
-         order: one running aggregate per processor is always the
-         higher-priority set of the next resident computed there, paired
-         with the residents still to come (none listed for FCFS). *)
-      let running =
-        Array.init (System.processor_count system) (fun p ->
-            ( Local.empty,
-              if System.scheduler_of system p = Sched.Fcfs then []
-              else System.by_priority system p ))
-      in
-      (* Per subjob, not per processor: processor-level order can be cyclic
-         when the subjob order is not (A.1 over B.2 on P while B.1 over A.2
-         on Q). *)
-      let compute (id : System.subjob_id) =
-        Cancel.check cancel;
-        let sp =
-          if Obs.enabled () then
-            Obs.span_begin
-              (Printf.sprintf "engine.subjob %s.%d"
-                 (System.job system id.job).System.name (id.step + 1))
-          else Obs.no_span
+            Local.input ~tau ~arr_lo:pred.dep_lo ~arr_hi ~exact:pred.exact
         in
-        let t0 = if Obs.enabled () then Obs.now () else 0. in
-        let proc = (System.step system id).System.proc in
-        let policy =
-          Local.policy system id
-            ~hp:(fun () -> fst running.(proc))
-            ~fcfs:(fun () -> fcfs_of proc)
+        inputs.(id.job).(id.step) <- Some i;
+        i
+  in
+  (* An FCFS processor's context needs every resident's arrivals, which
+     the dependency order guarantees before its first resident outside a
+     loop.  A loop holding some of its residents holds its join point
+     ({!Deps}), so this context is built after the loop, from its final
+     brackets. *)
+  let fcfs = Array.make (System.processor_count system) None in
+  let fcfs_of p =
+    match fcfs.(p) with
+    | Some c -> c
+    | None ->
+        let residents = System.subjobs_on system p in
+        let c =
+          Local.fcfs ~cancel ~exact:true ~horizon (List.map input_of residents)
         in
-        let i = input_of id in
-        let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
-        (* The lowest resident's aggregate would never be read: its
-           processor is done, and its sums are dropped. *)
-        (match running.(proc) with
-        | hp, next :: below ->
-            assert (next = id);
-            running.(proc) <-
-              ((if below = [] then Local.empty else Local.push hp i o), below)
-        | _, [] -> ());
-        let { Local.tau; arr_lo; arr_hi; _ } = i in
-        let { Local.dep_lo; dep_hi; exact; svc_lo; svc_hi; _ } = o in
-        Log.debug (fun m ->
-            m "subjob %s.%d: %s, %d instances in [lo..hi] = [%d..%d]"
-              (System.job system id.job).System.name (id.step + 1)
-              (if exact then "exact" else "bounded")
-              (Step.final_value arr_lo) (Step.final_value dep_lo)
-              (Step.final_value dep_hi));
-        entries.(id.job).(id.step) <-
-          Some { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact };
-        if Obs.enabled () then begin
-          let counter, path =
-            match (System.scheduler_of system proc, exact) with
-            | Sched.Spp, true -> (c_path_spp_exact, "spp-exact")
-            | Sched.Spp, false -> (c_path_spp_bounds, "spp-bounds")
-            | Sched.Spnp, _ -> (c_path_spnp, "spnp")
-            | Sched.Fcfs, true -> (c_path_fcfs_exact, "fcfs-exact")
-            | Sched.Fcfs, false -> (c_path_fcfs, "fcfs")
-          in
-          Obs.incr counter;
-          Obs.span_str sp "path" path;
-          Obs.span_int sp "arr_lo.jumps" (Step.jump_count arr_lo);
-          Obs.span_int sp "arr_hi.jumps" (Step.jump_count arr_hi);
-          Obs.span_int sp "dep_lo.jumps" (Step.jump_count dep_lo);
-          Obs.span_int sp "dep_hi.jumps" (Step.jump_count dep_hi);
-          (* Service curves only where the path has built them: tracing
-             forces nothing the untraced run skips. *)
-          if Lazy.is_val svc_lo then
-            Obs.span_int sp "svc_lo.knots" (Pl.knot_count (Lazy.force svc_lo));
-          if Lazy.is_val svc_hi then begin
-            Obs.span_int sp "svc_hi.knots" (Pl.knot_count (Lazy.force svc_hi));
-            Obs.observe_int h_entry_svc_knots (Pl.knot_count (Lazy.force svc_hi))
-          end;
-          Obs.observe_int h_entry_arr_jumps (Step.jump_count arr_hi);
-          Obs.observe_int h_entry_dep_jumps (Step.jump_count dep_hi);
-          Obs.observe h_subjob_seconds (Obs.now () -. t0)
-        end;
-        Obs.span_end sp
+        fcfs.(p) <- Some c;
+        c
+  in
+  (* A static-priority resident depends on every resident above it, so
+     the dependency order computes a processor's residents in rank
+     order: one running aggregate per processor is always the
+     higher-priority set of the next resident computed there, paired
+     with the residents still to come (none listed for FCFS).  A loop's
+     members on a processor are consecutive in rank, so the aggregate
+     when the loop starts is what its topmost member reads, and pushing
+     the members in rank order when it settles restores the invariant. *)
+  let running =
+    Array.init (System.processor_count system) (fun p ->
+        ( Local.empty,
+          if System.scheduler_of system p = Sched.Fcfs then []
+          else System.by_priority system p ))
+  in
+  (* A computed subjob's entry, and its processor's aggregate advanced
+     past it. *)
+  let record (id : System.subjob_id) (i : Local.input) (o : Local.output) =
+    let proc = (System.step system id).System.proc in
+    (* The lowest resident's aggregate would never be read: its
+       processor is done, and its sums are dropped. *)
+    (match running.(proc) with
+    | hp, next :: below ->
+        assert (next = id);
+        running.(proc) <-
+          ((if below = [] then Local.empty else Local.push hp i o), below)
+    | _, [] -> ());
+    let { Local.tau; arr_lo; arr_hi; _ } = i in
+    let { Local.dep_lo; dep_hi; exact; svc_lo; svc_hi; _ } = o in
+    Log.debug (fun m ->
+        m "subjob %s.%d: %s, %d instances in [lo..hi] = [%d..%d]"
+          (System.job system id.job).System.name (id.step + 1)
+          (if exact then "exact" else "bounded")
+          (Step.final_value arr_lo) (Step.final_value dep_lo)
+          (Step.final_value dep_hi));
+    entries.(id.job).(id.step) <-
+      Some { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact }
+  in
+  (* Per subjob, not per processor: processor-level order can be cyclic
+     when the subjob order is not (A.1 over B.2 on P while B.1 over A.2
+     on Q). *)
+  let compute (id : System.subjob_id) =
+    Cancel.check cancel;
+    let sp =
+      if Obs.enabled () then
+        Obs.span_begin
+          (Printf.sprintf "engine.subjob %s.%d"
+             (System.job system id.job).System.name (id.step + 1))
+      else Obs.no_span
+    in
+    let t0 = if Obs.enabled () then Obs.now () else 0. in
+    let proc = (System.step system id).System.proc in
+    let policy =
+      Local.policy system id
+        ~hp:(fun () -> fst running.(proc))
+        ~fcfs:(fun () -> fcfs_of proc)
+    in
+    let i = input_of id in
+    let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
+    record id i o;
+    if Obs.enabled () then begin
+      let { Local.arr_lo; arr_hi; _ } = i in
+      let { Local.dep_lo; dep_hi; exact; svc_lo; svc_hi; _ } = o in
+      let counter, path =
+        match (System.scheduler_of system proc, exact) with
+        | Sched.Spp, true -> (c_path_spp_exact, "spp-exact")
+        | Sched.Spp, false -> (c_path_spp_bounds, "spp-bounds")
+        | Sched.Spnp, _ -> (c_path_spnp, "spnp")
+        | Sched.Fcfs, true -> (c_path_fcfs_exact, "fcfs-exact")
+        | Sched.Fcfs, false -> (c_path_fcfs, "fcfs")
       in
-      List.iter compute order;
-      let entries = Array.map (Array.map Option.get) entries in
-      Ok { system; horizon; release_horizon; entries }
+      Obs.incr counter;
+      Obs.span_str sp "path" path;
+      Obs.span_int sp "arr_lo.jumps" (Step.jump_count arr_lo);
+      Obs.span_int sp "arr_hi.jumps" (Step.jump_count arr_hi);
+      Obs.span_int sp "dep_lo.jumps" (Step.jump_count dep_lo);
+      Obs.span_int sp "dep_hi.jumps" (Step.jump_count dep_hi);
+      (* Service curves only where the path has built them: tracing
+         forces nothing the untraced run skips. *)
+      if Lazy.is_val svc_lo then
+        Obs.span_int sp "svc_lo.knots" (Pl.knot_count (Lazy.force svc_lo));
+      if Lazy.is_val svc_hi then begin
+        Obs.span_int sp "svc_hi.knots" (Pl.knot_count (Lazy.force svc_hi));
+        Obs.observe_int h_entry_svc_knots (Pl.knot_count (Lazy.force svc_hi))
+      end;
+      Obs.observe_int h_entry_arr_jumps (Step.jump_count arr_hi);
+      Obs.observe_int h_entry_dep_jumps (Step.jump_count dep_hi);
+      Obs.observe h_subjob_seconds (Obs.now () -. t0)
+    end;
+    Obs.span_end sp
+  in
+  (* A loop's members iterate together ({!Fixpoint.loop}) on the final
+     bounds of everything before them, and are recorded when it stops:
+     per processor, static-priority members in rank order. *)
+  let settle members =
+    let loop =
+      Fixpoint.loop ~cancel ~fault ~variant ~release_horizon ~horizon
+        ~input:input_of
+        ~above:(fun p -> fst running.(p))
+        system members
+    in
+    let in_loop = Hashtbl.create 16 in
+    List.iter (fun id -> Hashtbl.replace in_loop id ()) members;
+    List.map (fun (id : System.subjob_id) -> (System.step system id).System.proc) members
+    |> List.sort_uniq compare
+    |> List.iter (fun p ->
+           List.iter
+             (fun id ->
+               if Hashtbl.mem in_loop id then begin
+                 let i, o = loop.Fixpoint.final id in
+                 inputs.(id.System.job).(id.System.step) <- Some i;
+                 record id i o
+               end)
+             (System.by_priority system p));
+    { members; rounds = loop.Fixpoint.rounds; settled = loop.Fixpoint.settled }
+  in
+  let loops =
+    List.filter_map
+      (function
+        | Deps.Single id ->
+            compute id;
+            None
+        | Deps.Loop members -> Some (settle members))
+      components
+  in
+  let entries = Array.map (Array.map Option.get) entries in
+  Ok { system; horizon; release_horizon; entries; loops }

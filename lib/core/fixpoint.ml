@@ -29,30 +29,44 @@ type result = {
    completion offset, so joins keep it absorbing. *)
 let unbounded_sentinel horizon = (2 * horizon) + 1
 
-(* The unknown vector X assigns every subjob a bound on its COMPLETION time
-   relative to the job's release (not a per-stage latency: summing per-stage
-   latencies measured from optimistic arrivals would double-count the
-   arrival uncertainty window and the iteration would diverge).  Given X:
 
-   - stage st's arrival is bracketed by release + best-case prefix (earliest)
-     and release + X_{st-1} (latest);
-   - local departure bounds follow from the per-processor step ({!Local});
-   - X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)).
+type loop = {
+  rounds : int;
+  settled : bool;
+  final : System.subjob_id -> Local.input * Local.output;
+}
+
+(* The unknown vector X assigns every member of a loop a bound on its
+   COMPLETION time relative to the job's release (not a per-stage latency:
+   summing per-stage latencies measured from optimistic arrivals would
+   double-count the arrival uncertainty window and the iteration would
+   diverge).  Given X, a subjob's arrival bracket is
+
+   - at stage 0: the release trace;
+   - after a member: release + best-case prefix (earliest) and
+     release + X of that member (latest);
+   - after a subjob outside the loop: that subjob's final bounds, as the
+     caller hands them in ([input]);
+
+   local departure bounds follow from the per-processor step ({!Local}),
+   and X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)).
 
    X grows monotonically (joined with the previous iterate); convergence
-   yields sound completion bounds, and the end-to-end response is X at the
-   last stage (the Theorem 1 shape applied to departure lower bounds).
+   yields sound completion bounds.  A whole system iterated as one loop
+   ({!analyze}) reads its end-to-end responses off X at the last stage
+   (the Theorem 1 shape applied to departure lower bounds).
 
-   Incremental evaluation: recomputing subjob [id] reads exactly these X
+   Incremental evaluation: recomputing member [id] reads exactly these X
    components —
 
-   - X of its chain predecessor (its own latest-arrival shift);
-   - on SPP/SPNP: X of the chain predecessor of every higher-priority
-     resident (their arrival brackets feed the interference terms; the
-     priority order is total per processor, so the transitive
-     higher-priority closure is the direct set);
-   - on FCFS: X of the chain predecessor of every resident (the summed
-     workload G of Theorem 7).
+   - X of its chain predecessor, when that is a member (its own
+     latest-arrival shift);
+   - on SPP/SPNP: X of the member chain predecessors of every
+     higher-priority resident (their arrival brackets feed the
+     interference terms; the priority order is total per processor, so the
+     transitive higher-priority closure is the direct set);
+   - on FCFS: X of the member chain predecessors of every resident (the
+     summed workload G of Theorem 7), members or not.
 
    Every X component carries a version stamp, the tick at which it last
    changed, and a subjob's cached bounds carry the newest stamp of its read
@@ -62,18 +76,18 @@ let unbounded_sentinel horizon = (2 * horizon) + 1
    previous value, so the iterates, the convergence test and the iteration
    count coincide exactly with the textbook full sweep — asserted by the
    differential tests in test/core. *)
-(* Iteration cap: a system whose X vector still moves after this many
-   rounds is reported [Unbounded] (stated in the .mli). *)
+(* Iteration cap: a loop whose X vector still moves after this many
+   rounds is unsettled (stated in the .mli). *)
 let max_iterations = 64
 
-let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
-  let release_horizon = Option.value ~default:horizon release_horizon in
+let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
+    ~release_horizon ~horizon ~input ~above system members =
   Obs.incr c_analyses;
   let sp_run =
     if Obs.enabled () then begin
-      let sp = Obs.span_begin "fixpoint.analyze" in
+      let sp = Obs.span_begin span in
       Obs.span_int sp "horizon" horizon;
-      Obs.span_int sp "subjobs" (System.subjob_count system);
+      Obs.span_int sp "subjobs" (List.length members);
       sp
     end
     else Obs.no_span
@@ -81,80 +95,105 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
   (* Balanced even when a cancellation checkpoint raises mid-iteration:
      closing the run span also restores the observer's span cursor. *)
   Fun.protect ~finally:(fun () -> Obs.span_end sp_run) @@ fun () ->
-  let n_jobs = System.job_count system in
-  let chain j = (System.job system j).System.steps in
-  let release_trace =
-    Array.init n_jobs (fun j ->
-        Arrival.arrival_function (System.job system j).System.arrival
-          ~horizon:release_horizon)
-  in
   let sentinel = unbounded_sentinel horizon in
-  (* Flat indexing of subjobs, for the version stamps and caches. *)
-  let offsets = Array.make (n_jobs + 1) 0 in
-  for j = 0 to n_jobs - 1 do
-    offsets.(j + 1) <- offsets.(j) + Array.length (chain j)
-  done;
-  let n_subjobs = offsets.(n_jobs) in
-  let flat (id : System.subjob_id) = offsets.(id.System.job) + id.System.step in
-  (* ends.(j).(st): sum of the execution times of stages 0..st, the
-     earliest completion of stage st after release. *)
-  let ends =
-    Array.init n_jobs (fun j ->
-        let acc = ref 0 in
-        Array.map
-          (fun (s : System.step) ->
-            acc := !acc + s.System.exec;
-            !acc)
-          (chain j))
+  let proc_of id = (System.step system id).System.proc in
+  let fcfs_on p = System.scheduler_of system p = Sched.Fcfs in
+  (* Local numbering: the members first, then the other residents of
+     their FCFS processors, whose arrivals are in the summed workloads. *)
+  let index = Hashtbl.create 64 in
+  let numbered = ref [] in
+  let number id =
+    if not (Hashtbl.mem index id) then begin
+      Hashtbl.replace index id (Hashtbl.length index);
+      numbered := id :: !numbered
+    end
   in
-  (* X.(j).(st): completion bound of stage st relative to release. *)
-  let x = Array.map Array.copy ends in
+  List.iter number members;
+  let m = Hashtbl.length index in
+  let procs = List.sort_uniq compare (List.map proc_of members) in
+  List.iter
+    (fun p -> if fcfs_on p then List.iter number (System.subjobs_on system p))
+    procs;
+  let ids = Array.of_list (List.rev !numbered) in
+  let local id = Hashtbl.find index id in
+  let member id =
+    match Hashtbl.find_opt index id with Some k -> k < m | None -> false
+  in
+  let releases = Hashtbl.create 16 in
+  let release j =
+    match Hashtbl.find_opt releases j with
+    | Some f -> f
+    | None ->
+        let f =
+          Arrival.arrival_function (System.job system j).System.arrival
+            ~horizon:release_horizon
+        in
+        Hashtbl.replace releases j f;
+        f
+  in
+  (* ends id: sum of the execution times of stages 0..id.step, the
+     earliest completion of that stage after release. *)
+  let ends (id : System.subjob_id) =
+    let steps = (System.job system id.job).System.steps in
+    let acc = ref 0 in
+    for st = 0 to id.step do
+      acc := !acc + steps.(st).System.exec
+    done;
+    !acc
+  in
+  (* X.(k): completion bound of member k relative to release. *)
+  let x = Array.init m (fun k -> ends ids.(k)) in
+  (* The member chain predecessor of every numbered subjob. *)
+  let pred =
+    Array.map
+      (fun (id : System.subjob_id) ->
+        let p = { id with System.step = id.step - 1 } in
+        if id.step > 0 && member p then Some (local p) else None)
+      ids
+  in
   (* The earliest-start shift delays releases the least, so it is the upper
      arrival counting function of the bracket; it never changes. *)
   let arr_hi =
-    Array.init n_jobs (fun j ->
-        Array.mapi
-          (fun st _ ->
-            let f = release_trace.(j) in
-            if st = 0 then f else Step.shift_right f ends.(j).(st - 1))
-          (chain j))
+    Array.mapi
+      (fun k (id : System.subjob_id) ->
+        match pred.(k) with
+        | Some q -> Step.shift_right (release id.job) (ends ids.(q))
+        | None -> Step.zero)
+      ids
   in
-  let all_subjobs =
-    List.concat
-      (List.init n_jobs (fun j ->
-           List.init (Array.length (chain j)) (fun st ->
-               { System.job = j; step = st })))
-  in
-  (* Read lists, as flat indices of X components (see the read-set
-     derivation above): a subjob's arrival bracket reads its chain
-     predecessor; its static-priority bounds also read the predecessors of
-     its higher-priority co-residents; an FCFS processor's context, and so
-     every FCFS resident's bounds, read the predecessors of all
-     residents. *)
-  let pred_reads (id : System.subjob_id) =
-    if id.System.step = 0 then [] else [ flat id - 1 ]
-  in
-  let fcfs_reads =
-    Array.init (System.processor_count system) (fun p ->
-        List.concat_map pred_reads (System.subjobs_on system p))
-  in
-  let reads = Array.make n_subjobs [] in
+  (* Read lists, as local indices of X components (see the read-set
+     derivation above): a subjob's arrival bracket reads its member chain
+     predecessor; its static-priority bounds also read those of its
+     higher-priority co-residents; an FCFS processor's context, and so
+     every FCFS member's bounds, read those of all residents.  Residents
+     ranked above a loop's members come before the loop, so only members
+     have member predecessors among them. *)
+  let pred_reads k = Option.to_list pred.(k) in
+  let n_procs = System.processor_count system in
+  let fcfs_reads = Array.make n_procs [] in
   List.iter
-    (fun (id : System.subjob_id) ->
-      let p = (System.step system id).System.proc in
-      reads.(flat id) <-
-        (match System.scheduler_of system p with
-        | Sched.Fcfs -> fcfs_reads.(p)
-        | Sched.Spp | Sched.Spnp ->
-            pred_reads id
-            @ List.concat_map pred_reads (System.higher_priority_on system id)))
-    all_subjobs;
+    (fun p ->
+      if fcfs_on p then
+        fcfs_reads.(p) <-
+          List.concat_map (fun id -> pred_reads (local id)) (System.subjobs_on system p))
+    procs;
+  let reads =
+    Array.init m (fun k ->
+        let id = ids.(k) in
+        let p = proc_of id in
+        if fcfs_on p then fcfs_reads.(p)
+        else
+          pred_reads k
+          @ List.concat_map
+              (fun h -> if member h then pred_reads (local h) else [])
+              (System.higher_priority_on system id))
+  in
   (* Version stamps for the cross-iteration caches below:
      [version.(k)] is the global tick at which X component [k] last changed.
      A cached value is valid as long as the maximum version over its read
      list is unchanged, because ticks only grow. *)
   let tick = ref 0 in
-  let version = Array.make n_subjobs 0 in
+  let version = Array.make m 0 in
   let max_version = List.fold_left (fun acc k -> max acc version.(k)) 0 in
   let cached cache k reads compute =
     let cur = max_version reads in
@@ -165,74 +204,98 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
         cache.(k) <- Some (cur, value);
         value
   in
-  let input_cache = Array.make n_subjobs None in
-  let output_cache = Array.make n_subjobs None in
+  let input_cache = Array.make (Array.length ids) None in
+  let output_cache = Array.make m None in
   (* Dirty: its bounds are stale, because some component it reads moved
      since they were computed (or they never were). *)
-  let is_dirty id =
-    match output_cache.(flat id) with
-    | Some (v, _) -> v <> max_version reads.(flat id)
+  let is_dirty k =
+    match output_cache.(k) with
+    | Some (v, _) -> v <> max_version reads.(k)
     | None -> true
   in
-  let hp_cache = Array.make n_subjobs None in
-  let fcfs_cache = Array.make (System.processor_count system) None in
-  let input_of (id : System.subjob_id) =
-    cached input_cache (flat id) (pred_reads id) (fun () ->
-        let j = id.System.job and st = id.System.step in
-        let arr_lo =
-          if st = 0 then release_trace.(j)
-          else Step.shift_right release_trace.(j) (min x.(j).(st - 1) sentinel)
-        in
-        Local.input ~tau:(System.step system id).System.exec ~arr_lo
-          ~arr_hi:arr_hi.(j).(st) ~exact:false)
+  let hp_cache = Array.make m None in
+  let fcfs_cache = Array.make n_procs None in
+  let input_of k =
+    cached input_cache k (pred_reads k) (fun () ->
+        let id = ids.(k) in
+        let tau = (System.step system id).System.exec in
+        match pred.(k) with
+        | Some q ->
+            let arr_lo = Step.shift_right (release id.job) (min x.(q) sentinel) in
+            Local.input ~tau ~arr_lo ~arr_hi:arr_hi.(k) ~exact:false
+        | None when id.step = 0 ->
+            let f = release id.job in
+            Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:false
+        | None -> input id)
   in
-  (* The next-higher resident on each static-priority processor: a
-     resident's higher-priority aggregate is its next-higher resident's
-     extended by that resident. *)
-  let above = Array.make n_subjobs None in
-  for p = 0 to System.processor_count system - 1 do
-    if System.scheduler_of system p <> Sched.Fcfs then
-      ignore
-        (List.fold_left
-           (fun prev id ->
-             above.(flat id) <- prev;
-             Some id)
-           None (System.by_priority system p))
-  done;
-  (* A subjob's bounds, and its higher-priority aggregate, are cached under
-     its read list: stale bounds are what makes the subjob dirty, and a
-     processor's dirty residents are listed before any is recomputed, so
+  (* The resident ranked next above each static-priority member, and the
+     aggregate of everything ranked above a loop's members on their
+     processor. *)
+  let next_higher = Array.make m None in
+  let boundary = Array.make n_procs Local.empty in
+  List.iter
+    (fun p ->
+      if not (fcfs_on p) then begin
+        boundary.(p) <- above p;
+        ignore
+          (List.fold_left
+             (fun prev id ->
+               if member id then next_higher.(local id) <- prev;
+               Some id)
+             None (System.by_priority system p))
+      end)
+    procs;
+  (* A member's bounds, and its higher-priority aggregate, are cached under
+     its read list: stale bounds are what makes the member dirty, and a
+     processor's dirty members are listed before any is recomputed, so
      each dirty recompute runs the local step exactly once, whether its own
      turn or a lower-priority co-resident asks first.  The next-higher
-     resident's read list is contained in this one's, so its aggregate is
-     fresh too. *)
-  let rec output_of (id : System.subjob_id) =
-    let p = (System.step system id).System.proc in
-    cached output_cache (flat id) reads.(flat id) @@ fun () ->
+     member's read list is contained in this one's, so its aggregate is
+     fresh too; the topmost member's is the boundary. *)
+  let rec output_of k =
+    let id = ids.(k) in
+    let p = proc_of id in
+    cached output_cache k reads.(k) @@ fun () ->
     let fcfs () =
       cached fcfs_cache p fcfs_reads.(p) (fun () ->
           Local.fcfs ~cancel ~exact:false ~horizon
-            (List.map input_of (System.subjobs_on system p)))
+            (List.map (fun id -> input_of (local id)) (System.subjobs_on system p)))
     in
-    Local.step ~cancel ~horizon
-      (Local.policy system id ~hp:(fun () -> hp_of id) ~fcfs)
-      (input_of id)
-  and hp_of (id : System.subjob_id) =
-    match above.(flat id) with
-    | None -> Local.empty
-    | Some h ->
-        cached hp_cache (flat id) reads.(flat id) (fun () ->
+    Local.step ~cancel ?fault ?variant ~horizon
+      (Local.policy system id ~hp:(fun () -> hp_of k) ~fcfs)
+      (input_of k)
+  and hp_of k =
+    match next_higher.(k) with
+    | Some h when member h ->
+        cached hp_cache k reads.(k) (fun () ->
+            let h = local h in
             Local.push (hp_of h) (input_of h) (output_of h))
+    | Some _ | None -> boundary.(proc_of ids.(k))
   in
-  (* Instance release times, precomputed once: inv_release.(j).(m - 1) is
-     the release of the m-th instance of job j. *)
-  let inv_release =
-    Array.init n_jobs (fun j ->
-        let rel = release_trace.(j) in
-        Array.init (Step.final_value rel) (fun m ->
-            match Step.inverse rel (m + 1) with
-            | Some t -> t
-            | None -> assert false))
+  (* Instance release times, precomputed once per job: the m-th entry is
+     the release of instance m + 1. *)
+  let inv_releases = Hashtbl.create 16 in
+  let inv_release j =
+    match Hashtbl.find_opt inv_releases j with
+    | Some a -> a
+    | None ->
+        let rel = release j in
+        let a =
+          Array.init (Step.final_value rel) (fun m ->
+              match Step.inverse rel (m + 1) with
+              | Some t -> t
+              | None -> assert false)
+        in
+        Hashtbl.replace inv_releases j a;
+        a
+  in
+  let residents =
+    List.map
+      (fun p ->
+        List.filter_map
+          (fun id -> if member id then Some (local id) else None)
+          (System.subjobs_on system p))
+      procs
   in
   let iterations = ref 0 in
   let changed = ref true in
@@ -248,61 +311,59 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
         Obs.span_begin (Printf.sprintf "fixpoint.iteration %d" !iterations)
       else Obs.no_span
     in
-    let x' = Array.map Array.copy x in
-    for p = 0 to System.processor_count system - 1 do
-      let residents = System.subjobs_on system p in
-      let dirty_residents = List.filter is_dirty residents in
-      if dirty_residents <> [] then begin
-        let process_subjob (id : System.subjob_id) =
-          Cancel.check cancel;
-          incr dirty_count;
-          Obs.incr c_recomputes;
-          let dep_lo = (output_of id).Local.dep_lo in
-          let count = Step.final_value release_trace.(id.System.job) in
-          (* worst = max over instances m of (inverse dep_lo m - release of
-             m), or the sentinel if dep_lo never reaches count: the
-             departure jumps are swept once against the precomputed
-             instance release times. *)
-          let worst () =
-            let inv = inv_release.(id.System.job) in
-            let acc = ref 0 and m = ref 1 in
-            let consume t v =
-              while !m <= v && !m <= count do
-                acc := max !acc (t - inv.(!m - 1));
-                incr m
-              done
+    let x' = Array.copy x in
+    List.iter
+      (fun residents ->
+        let dirty_residents = List.filter is_dirty residents in
+        if dirty_residents <> [] then begin
+          let process_subjob k =
+            Cancel.check cancel;
+            incr dirty_count;
+            Obs.incr c_recomputes;
+            let dep_lo = (output_of k).Local.dep_lo in
+            let job = ids.(k).System.job in
+            let count = Step.final_value (release job) in
+            (* worst = max over instances m of (inverse dep_lo m - release
+               of m), or the sentinel if dep_lo never reaches count: the
+               departure jumps are swept once against the precomputed
+               instance release times. *)
+            let worst () =
+              let inv = inv_release job in
+              let acc = ref 0 and m = ref 1 in
+              let consume t v =
+                while !m <= v && !m <= count do
+                  acc := max !acc (t - inv.(!m - 1));
+                  incr m
+                done
+              in
+              consume 0 (Step.init_value dep_lo);
+              for i = 0 to Step.jump_count dep_lo - 1 do
+                consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
+              done;
+              if !m <= count then sentinel else !acc
             in
-            consume 0 (Step.init_value dep_lo);
-            for i = 0 to Step.jump_count dep_lo - 1 do
-              consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
-            done;
-            if !m <= count then sentinel else !acc
+            let prev = x.(k) in
+            let r = if count = 0 then prev else min (worst ()) sentinel in
+            if r > prev then begin
+              x'.(k) <- r;
+              residual := max !residual (r - prev);
+              changed := true
+            end
           in
-          let prev = x.(id.System.job).(id.System.step) in
-          let r = if count = 0 then prev else min (worst ()) sentinel in
-          if r > prev then begin
-            x'.(id.System.job).(id.System.step) <- r;
-            residual := max !residual (r - prev);
-            changed := true
-          end
-        in
-        List.iter process_subjob dirty_residents
-      end
-      else Obs.add c_skipped (List.length residents)
-    done;
+          List.iter process_subjob dirty_residents
+        end
+        else Obs.add c_skipped (List.length residents))
+      residents;
     Array.iteri
-      (fun j row ->
-        Array.iteri
-          (fun st v ->
-            if x.(j).(st) <> v then begin
-              incr tick;
-              version.(offsets.(j) + st) <- !tick
-            end)
-          row;
-        Array.blit row 0 x.(j) 0 (Array.length row))
+      (fun k v ->
+        if x.(k) <> v then begin
+          incr tick;
+          version.(k) <- !tick
+        end)
       x';
+    Array.blit x' 0 x 0 m;
     if Obs.enabled () then begin
-      (* Residual in the sup norm: max over subjobs of X' - X this round. *)
+      (* Residual in the sup norm: max over members of X' - X this round. *)
       Obs.span_int sp_iter "residual" !residual;
       Obs.span_int sp_iter "recomputed" !dirty_count;
       Obs.span_str sp_iter "state" (if !changed then "changed" else "stable");
@@ -315,14 +376,6 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
           (if !changed then "changed" else "stable")
           !dirty_count)
   done;
-  let stage_verdict r = if r >= sentinel then Unbounded else Bounded r in
-  let per_stage = Array.map (Array.map stage_verdict) x in
-  let per_job =
-    Array.map
-      (fun row ->
-        if !changed then Unbounded else row.(Array.length row - 1) |> stage_verdict)
-      x
-  in
   if Obs.enabled () then begin
     Obs.observe_int h_iterations !iterations;
     Obs.set_gauge g_last_iterations !iterations;
@@ -331,5 +384,58 @@ let analyze ?(cancel = Cancel.never) ?release_horizon ~horizon system =
     Obs.span_str sp_run "verdict"
       (if !changed then "diverged-within-budget" else "converged")
   end;
-  Obs.span_end sp_run;
-  { per_job; per_stage; iterations = !iterations }
+  (* An unsettled loop's members have no bound: X at the sentinel brackets
+     their arrivals by 0 and the earliest arrivals, which are sound
+     whatever the iteration did, and so are the bounds stepped from them. *)
+  if !changed && pin_unsettled then
+    Array.iteri
+      (fun k _ ->
+        x.(k) <- sentinel;
+        incr tick;
+        version.(k) <- !tick)
+      x;
+  let final id =
+    let k = local id in
+    (input_of k, output_of k)
+  in
+  ( { rounds = !iterations; settled = not !changed; final },
+    fun id -> x.(local id) )
+
+let loop ?cancel ?fault ?variant ~release_horizon ~horizon ~input ~above system
+    members =
+  fst
+    (iterate ?cancel ?fault ?variant ~span:"fixpoint.loop" ~pin_unsettled:true
+       ~release_horizon ~horizon ~input ~above system members)
+
+let analyze ?cancel ?release_horizon ~horizon system =
+  let release_horizon = Option.value ~default:horizon release_horizon in
+  let all =
+    List.concat
+      (List.init (System.job_count system) (fun j ->
+           List.init
+             (Array.length (System.job system j).System.steps)
+             (fun st -> { System.job = j; step = st })))
+  in
+  (* Every subjob is a member: no chain predecessor lies outside, and no
+     resident ranks above the top one. *)
+  let { rounds; settled; _ }, x =
+    iterate ?cancel ~span:"fixpoint.analyze" ~pin_unsettled:false
+      ~release_horizon ~horizon
+      ~input:(fun _ -> invalid_arg "Fixpoint.analyze: no outside input")
+      ~above:(fun _ -> Local.empty)
+      system all
+  in
+  let sentinel = unbounded_sentinel horizon in
+  let stage_verdict r = if r >= sentinel then Unbounded else Bounded r in
+  let per_stage =
+    Array.init (System.job_count system) (fun j ->
+        Array.init
+          (Array.length (System.job system j).System.steps)
+          (fun st -> stage_verdict (x { System.job = j; step = st })))
+  in
+  let per_job =
+    Array.map
+      (fun row -> if settled then row.(Array.length row - 1) else Unbounded)
+      per_stage
+  in
+  { per_job; per_stage; iterations = rounds }

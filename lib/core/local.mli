@@ -11,8 +11,9 @@
       utilization function of the processor's summed workload.
 
     {!Engine} composes this step along the chains in dependency order
-    (Theorems 1 and 4); {!Fixpoint} iterates it over arrival brackets
-    derived from response variables (Section 6).  Neither re-derives any of
+    (Theorems 1 and 4); {!Fixpoint} iterates it over the members of a
+    dependency cycle, on arrival brackets derived from response variables
+    (Section 6).  Neither re-derives any of
     it: both take a subjob's scheduling policy from {!policy}.
 
     Conventions beyond the paper's text (all documented choices err on the
@@ -148,12 +149,15 @@ type hp
     and the two workload sums.
 
     Rank-order invariant: a static-priority resident depends on every
-    resident above it ({!Deps}, through the next-higher one), so any
-    dependency order computes an
-    SPP/SPNP processor's residents highest priority first.  {!Engine}
-    relies on this to keep a single aggregate per processor, pushing each
-    resident after computing it; {!Fixpoint} caches each resident's
-    aggregate, as its next-higher resident's plus that resident. *)
+    resident above it ({!Deps}, through the next-higher one), so the
+    dependency order of the components computes an SPP/SPNP processor's
+    residents highest priority first, and a cyclic component's residents
+    there are consecutive in rank.  {!Engine} relies on this to keep a
+    single aggregate per processor, pushing each resident after computing
+    it and a settled loop's members in rank order; the loop's iteration
+    ({!Fixpoint}) starts from the aggregate of the residents above its
+    topmost member and caches each member's aggregate, as its next-higher
+    member's plus that member. *)
 
 val empty : hp
 (** The aggregate of the empty set: the highest-priority resident's. *)

@@ -393,15 +393,35 @@ let test_cyclic_detected () =
   | Rta_core.Deps.Cyclic stuck ->
       Alcotest.(check bool) "some subjobs stuck" true (List.length stuck > 0)
 
-(* The dependency order against the relation it replaced, where every
-   FCFS resident lists each co-resident's chain predecessor itself (O(N^2)
-   edges per processor), walked by the same smallest-ready-first Kahn
-   rule.  Routing those edges through a per-processor join point must
-   give the same order, and the same stuck set on a cycle. *)
-let pairwise_order system =
+(* The components against the relation the join points replaced, where
+   every FCFS resident lists each co-resident's chain predecessor itself
+   (O(N^2) edges per processor).  Over that relation two subjobs share a
+   component exactly when each reaches the other, a subjob is on a cycle
+   exactly when it reaches itself, and a component must come after every
+   subjob its members depend on.  [Deps.compute] must agree: [Acyclic]
+   in a topological order of the relation, [Cyclic] listing exactly the
+   subjobs on a cycle. *)
+let pairwise_deps system (id : System.subjob_id) =
   let pred (id : System.subjob_id) =
     if id.step = 0 then None else Some { id with System.step = id.step - 1 }
   in
+  let p = (System.step system id).System.proc in
+  let local =
+    match System.scheduler_of system p with
+    | Sched.Fcfs ->
+        List.filter_map
+          (fun o -> if o = id then None else pred o)
+          (System.subjobs_on system p)
+    | Sched.Spp | Sched.Spnp ->
+        let rec above = function
+          | h :: (x :: _ as rest) -> if x = id then [ h ] else above rest
+          | _ -> []
+        in
+        above (System.by_priority system p)
+  in
+  List.sort_uniq compare (Option.to_list (pred id) @ local)
+
+let agrees_with_pairwise system =
   let all =
     List.concat
       (List.init (System.job_count system) (fun j ->
@@ -409,47 +429,62 @@ let pairwise_order system =
              (Array.length (System.job system j).System.steps)
              (fun s -> { System.job = j; step = s })))
   in
-  let deps (id : System.subjob_id) =
-    let p = (System.step system id).System.proc in
-    let local =
-      match System.scheduler_of system p with
-      | Sched.Fcfs ->
-          List.filter_map
-            (fun o -> if o = id then None else pred o)
-            (System.subjobs_on system p)
-      | Sched.Spp | Sched.Spnp ->
-          let rec above = function
-            | h :: (x :: _ as rest) -> if x = id then [ h ] else above rest
-            | _ -> []
-          in
-          above (System.by_priority system p)
-    in
-    List.sort_uniq compare (Option.to_list (pred id) @ local)
-  in
-  let remaining = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace remaining id (deps id)) all;
-  let rec walk done_ acc =
-    let ready =
-      List.filter
+  let ids = Array.of_list all in
+  let n = Array.length ids in
+  let index = Hashtbl.create 64 in
+  Array.iteri (fun k id -> Hashtbl.replace index id k) ids;
+  let deps = Array.map (fun id -> List.map (Hashtbl.find index) (pairwise_deps system id)) ids in
+  (* Reachability over at least one edge (Floyd-Warshall). *)
+  let reach = Array.make_matrix n n false in
+  Array.iteri (fun u ds -> List.iter (fun d -> reach.(u).(d) <- true) ds) deps;
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      if reach.(i).(k) then
+        for j = 0 to n - 1 do
+          if reach.(k).(j) then reach.(i).(j) <- true
+        done
+    done
+  done;
+  let ok = ref true in
+  let pos = Array.make n (-1) in
+  List.iteri
+    (fun c component ->
+      let members, cyclic =
+        match component with
+        | Rta_core.Deps.Single id -> ([ id ], false)
+        | Rta_core.Deps.Loop ids -> (ids, true)
+      in
+      if members <> List.sort_uniq compare members then ok := false;
+      List.iter
         (fun id ->
-          (not (List.mem id done_))
-          && List.for_all (fun d -> List.mem d done_) (Hashtbl.find remaining id))
-        all
-    in
-    match List.sort compare ready with
-    | [] ->
-        if List.length done_ = List.length all then Rta_core.Deps.Acyclic (List.rev acc)
-        else Rta_core.Deps.Cyclic (List.filter (fun id -> not (List.mem id done_)) all)
-    | id :: _ -> walk (id :: done_) (id :: acc)
-  in
-  walk [] []
-
-let same_order system =
-  match (Rta_core.Deps.compute system, pairwise_order system) with
-  | Rta_core.Deps.Acyclic a, Rta_core.Deps.Acyclic b
-  | Rta_core.Deps.Cyclic a, Rta_core.Deps.Cyclic b ->
-      a = b
-  | _ -> false
+          let u = Hashtbl.find index id in
+          if pos.(u) >= 0 || reach.(u).(u) <> cyclic then ok := false;
+          pos.(u) <- c)
+        members)
+    (Rta_core.Deps.components system);
+  for u = 0 to n - 1 do
+    if pos.(u) < 0 then ok := false;
+    List.iter (fun d -> if pos.(d) > pos.(u) then ok := false) deps.(u);
+    for v = 0 to n - 1 do
+      if (pos.(u) = pos.(v)) <> (u = v || (reach.(u).(v) && reach.(v).(u))) then
+        ok := false
+    done
+  done;
+  let on_cycle = List.filter (fun id -> let u = Hashtbl.find index id in reach.(u).(u)) all in
+  !ok
+  &&
+  match Rta_core.Deps.compute system with
+  | Rta_core.Deps.Acyclic order ->
+      let rank = Hashtbl.create 64 in
+      List.iteri (fun r id -> Hashtbl.replace rank (Hashtbl.find index id) r) order;
+      on_cycle = []
+      && List.sort compare order = all
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun u ds ->
+                List.for_all (fun d -> Hashtbl.find rank d < Hashtbl.find rank u) ds)
+              deps)
+  | Rta_core.Deps.Cyclic stuck -> on_cycle <> [] && stuck = on_cycle
 
 let test_deps_join_order () =
   List.iter
@@ -462,7 +497,7 @@ let test_deps_join_order () =
       let system = Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 7) in
       Alcotest.(check bool)
         (Printf.sprintf "%s %d jobs" (Sched.to_string sched) jobs)
-        true (same_order system))
+        true (agrees_with_pairwise system))
     [ (Sched.Fcfs, 6); (Sched.Fcfs, 12); (Sched.Fcfs, 24); (Sched.Spnp, 12) ]
 
 (* Mixed schedulers, shared processors and cycles: the fuzz generator's
@@ -472,7 +507,7 @@ let prop_deps_join_order =
     (QCheck2.Gen.map
        (fun seed -> (Rta_check.Gen.generate (Rta_workload.Rng.make seed)).system)
        (QCheck2.Gen.int_range 0 1_000_000))
-    Sg.print_system same_order
+    Sg.print_system agrees_with_pairwise
 
 let test_fixpoint_on_cycle () =
   (* The paper leaves convergence of the Section 6 iteration open; on
@@ -524,6 +559,66 @@ let prop_fixpoint_dominates_sim =
           | Rta_core.Fixpoint.Bounded _, None | Rta_core.Fixpoint.Unbounded, _ -> ())
         fp.Rta_core.Fixpoint.per_job;
       !ok)
+
+(* The production answer on cyclic systems, which iterates each loop on
+   its own ({!Rta_core.Engine}), against the Section 6 iteration over the
+   whole system (the answer before) and the simulator, per job: no looser
+   than the whole-system iteration, bounded wherever it is, and never
+   below the simulated worst.  One message per broken relation. *)
+let loops_vs_whole ~release_horizon ~horizon system =
+  let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
+  let a = Rta_core.Analysis.run ~config system in
+  let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
+  let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
+  List.concat
+    (List.init (System.job_count system) (fun j ->
+         let name = (System.job system j).System.name in
+         (match (a.Rta_core.Analysis.per_job.(j), fp.Rta_core.Fixpoint.per_job.(j)) with
+         | Verdict.Bounded x, Verdict.Bounded y when x > y ->
+             [ Printf.sprintf "%s: %d above the whole-system iteration's %d" name x y ]
+         | Verdict.Unbounded, Verdict.Bounded y ->
+             [ Printf.sprintf "%s: unbounded, the whole-system iteration %d" name y ]
+         | _ -> [])
+         @
+         match (a.Rta_core.Analysis.per_job.(j), Rta_sim.Sim.worst_response sim j) with
+         | Verdict.Bounded x, Some w when x < w ->
+             [ Printf.sprintf "%s: %d below the simulated %d" name x w ]
+         | _ -> []))
+
+let test_loops_vs_whole_system () =
+  let generated =
+    List.filter_map
+      (fun seed ->
+        let c = Rta_check.Gen.generate (Rta_workload.Rng.make seed) in
+        match Rta_core.Deps.compute c.Rta_check.Gen.system with
+        | Rta_core.Deps.Cyclic _ ->
+            Some
+              ( Printf.sprintf "generated seed %d" seed,
+                c.Rta_check.Gen.system,
+                c.Rta_check.Gen.release_horizon,
+                c.Rta_check.Gen.horizon )
+        | Rta_core.Deps.Acyclic _ -> None)
+      (List.init 10_000 Fun.id)
+  in
+  Alcotest.(check bool) "a few hundred generated loops" true (List.length generated > 200);
+  let shaped =
+    let suggested name s =
+      let rh, h = System.suggested_horizons s in
+      (name, s, rh, h)
+    in
+    suggested "FCFS loop" (Rta_testsupport.Loops.fcfs_loop ())
+    :: List.map
+         (fun load ->
+           ( Printf.sprintf "east/west x%.1f" load,
+             Rta_testsupport.Loops.east_west ~load,
+             Time.of_units 200.0,
+             Time.of_units 400.0 ))
+         [ 0.2; 1.0; 3.0 ]
+  in
+  List.iter
+    (fun (name, system, release_horizon, horizon) ->
+      Alcotest.(check (list string)) name [] (loops_vs_whole ~release_horizon ~horizon system))
+    (generated @ shaped)
 
 let test_analysis_facade () =
   (* Method dispatch: all-SPP acyclic -> Exact; SPNP -> Approximate;
@@ -1249,6 +1344,8 @@ let () =
           prop_deps_join_order;
           Alcotest.test_case "fixpoint on cycle vs sim" `Quick test_fixpoint_on_cycle;
           prop_fixpoint_dominates_sim;
+          Alcotest.test_case "loops vs whole system and sim" `Quick
+            test_loops_vs_whole_system;
           Alcotest.test_case "facade dispatch" `Quick test_analysis_facade;
         ] );
       ( "edge-cases",

@@ -418,9 +418,9 @@ let cyclic_system () =
 
 let test_fixpoint_iterations () =
   let system = cyclic_system () in
-  (match Rta_core.Engine.run ~horizon:400 system with
-  | Error (`Cyclic _) -> ()
-  | Ok _ -> Alcotest.fail "example should be cyclic");
+  (match Rta_core.Deps.compute system with
+  | Rta_core.Deps.Cyclic _ -> ()
+  | Rta_core.Deps.Acyclic _ -> Alcotest.fail "example should be cyclic");
   with_obs (fun () ->
       let r = Rta_core.Fixpoint.analyze ~release_horizon:200 ~horizon:400 system in
       check_int "hand-checked iteration count" 3 r.Rta_core.Fixpoint.iterations;
@@ -538,6 +538,35 @@ let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
         System.suggested_horizons system
       in
       ignore (Rta_core.Fixpoint.analyze ~release_horizon ~horizon system))
+
+(* The golden batch corpus's FCFS loop (L1 revisits the FCFS P0): the
+   loop {L1.1, L1.2, L2.1} iterates alone, 6 rounds and 10 recomputes,
+   and the two subjobs after it, L1.3 and L2.2 on P0, are stepped exactly
+   once each, from a context rebuilt on the loop's final brackets.  The
+   whole-system Fixpoint.analyze on the same shop iterates all five
+   subjobs: 18 recomputes. *)
+let loop_counts () =
+  let paths ~fcfs =
+    [
+      ("engine.path.spp_exact", 0);
+      ("engine.path.spp_bounds", 0);
+      ("engine.path.spnp", 0);
+      ("engine.path.fcfs", fcfs);
+      ("engine.path.fcfs_exact", 0);
+    ]
+  in
+  check_counts
+    ~at_most:
+      ((("fixpoint.recomputes", 10) :: paths ~fcfs:2)
+      @ kernel_pins ~step_add:23 ~step_scale:24 ~pl_add:0 ~pl_sub:0 ~pl_max2:0
+          ~utilization:16)
+    ~at_least:(("fixpoint.skipped_clean", 8) :: paths ~fcfs:2)
+    (fun () ->
+      let system = Rta_testsupport.Loops.fcfs_loop () in
+      let release_horizon, horizon = System.suggested_horizons system in
+      let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
+      ignore (Rta_core.Analysis.run ~config system))
+    ()
 
 let count_cases =
   [
@@ -872,5 +901,6 @@ let () =
               ("engine SPNP per subjob", per_subjob_counts Sched.Spnp);
               ("engine FCFS per subjob", per_subjob_counts Sched.Fcfs);
               ("engine FCFS bursts", test_fcfs_bursts);
+              ("engine FCFS loop", loop_counts);
             ]) );
     ]

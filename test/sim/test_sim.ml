@@ -222,6 +222,7 @@ let test_physical_loop_acyclic () =
   match Rta_core.Engine.run ~release_horizon:100 ~horizon:200 s with
   | Error (`Cyclic _) -> Alcotest.fail "engine refused"
   | Ok e -> (
+      Alcotest.(check bool) "exact" true (Rta_core.Engine.is_exact e);
       let sim = Rta_sim.Sim.run ~release_horizon:100 s ~horizon:200 in
       match
         ( Rta_core.Response.end_to_end e ~estimator:`Exact ~job:0,
