@@ -95,3 +95,29 @@ val fcfs :
     upper workload reaches the lower workload before it plus [tau], nor
     before its arrival plus [tau] (with exact inputs the lower
     utilization serves both), both capped by their arrivals. *)
+
+(** {1 The textbook Section 6 sweep} *)
+
+type sweep = {
+  per_job : Rta_model.Verdict.t array;
+      (** end-to-end bound per job: [X] at its last stage, [Unbounded] for
+          every job when the sweep did not settle *)
+  per_stage : Rta_model.Verdict.t array array;
+      (** [X] per subjob: the completion bound relative to the job's
+          release *)
+  iterations : int;  (** rounds run, the last one observing stability *)
+}
+
+val jacobi :
+  ?max_iterations:int ->
+  ?release_horizon:int ->
+  horizon:int ->
+  Rta_model.System.t ->
+  sweep
+(** The paper's Section 6 iteration as a textbook Jacobi sweep over the
+    whole system, every subjob an unknown whatever its dependencies:
+    each round recomputes every subjob on {!Rta_core.Local}'s step from
+    the previous round's [X] only, with no dirty set and no cache across
+    rounds, for at most [max_iterations] (default 64) rounds.  It is the
+    reference the loops of {!Rta_core.Fixpoint} are checked against, and
+    on acyclic systems the price of breaking every chain (figure T-2d). *)

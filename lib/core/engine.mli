@@ -29,8 +29,8 @@
     is what the iteration's brackets assume: an upper service bound read
     on the tick grid can claim a departure a tick before it is possible,
     and a loop reading that looser boundary can settle above the
-    iteration over the whole system ({!Fixpoint.analyze}).  Acyclic
-    systems keep the plain chain. *)
+    textbook iteration over the whole system.  Acyclic systems keep the
+    plain chain. *)
 
 type entry = {
   id : Rta_model.System.subjob_id;

@@ -18,17 +18,9 @@ let h_dirty = Obs.histogram "fixpoint.dirty_per_iteration"
 let g_last_iterations = Obs.gauge "fixpoint.last.iterations"
 let g_last_converged = Obs.gauge "fixpoint.last.converged"
 
-type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
-type result = {
-  per_job : verdict array;
-  per_stage : verdict array array;
-  iterations : int;
-}
-
 (* Sentinel for "no bound within the horizon": larger than any reachable
    completion offset, so joins keep it absorbing. *)
 let unbounded_sentinel horizon = (2 * horizon) + 1
-
 
 type loop = {
   rounds : int;
@@ -51,10 +43,12 @@ type loop = {
    local departure bounds follow from the per-processor step ({!Local}),
    and X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)).
 
-   X grows monotonically (joined with the previous iterate); convergence
-   yields sound completion bounds.  A whole system iterated as one loop
-   ({!analyze}) reads its end-to-end responses off X at the last stage
-   (the Theorem 1 shape applied to departure lower bounds).
+   X only grows (each member's new value is joined with its old one).
+   A round is a symmetric Gauss-Seidel sweep by processor: the members
+   one processor at a time, ascending on odd rounds and descending on
+   even ones, each rise written to X in place at once.  The iteration
+   stops after a round with no rise, at an X with F(X) <= X for every
+   member, which makes the completion bounds sound (argued in the .mli).
 
    Incremental evaluation: recomputing member [id] reads exactly these X
    components —
@@ -69,23 +63,23 @@ type loop = {
      summed workload G of Theorem 7), members or not.
 
    Every X component carries a version stamp, the tick at which it last
-   changed, and a subjob's cached bounds carry the newest stamp of its read
-   list when they were computed.  A subjob is dirty, and re-run, exactly
-   when that stamp is stale: some component it reads moved since.  A
-   recompute with unchanged inputs is deterministic and reproduces its
-   previous value, so the iterates, the convergence test and the iteration
-   count coincide exactly with the textbook full sweep — asserted by the
-   differential tests in test/core. *)
+   changed, and a member remembers the newest stamp of its read list when
+   X last took in its bounds.  It is dirty, and re-run at its turn,
+   exactly when that stamp is stale: some component it reads moved since.
+   A recompute with unchanged inputs is deterministic and reproduces its
+   previous value, so the iterates, the stopping test and the round count
+   coincide exactly with the same sweep recomputing every member each
+   round — asserted by the differential tests in test/core. *)
 (* Iteration cap: a loop whose X vector still moves after this many
    rounds is unsettled (stated in the .mli). *)
 let max_iterations = 64
 
-let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
-    ~release_horizon ~horizon ~input ~above system members =
+let loop ?(cancel = Cancel.never) ?fault ?variant ~release_horizon ~horizon
+    ~input ~above system members =
   Obs.incr c_analyses;
   let sp_run =
     if Obs.enabled () then begin
-      let sp = Obs.span_begin span in
+      let sp = Obs.span_begin "fixpoint.loop" in
       Obs.span_int sp "horizon" horizon;
       Obs.span_int sp "subjobs" (List.length members);
       sp
@@ -206,13 +200,10 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
   in
   let input_cache = Array.make (Array.length ids) None in
   let output_cache = Array.make m None in
-  (* Dirty: its bounds are stale, because some component it reads moved
-     since they were computed (or they never were). *)
-  let is_dirty k =
-    match output_cache.(k) with
-    | Some (v, _) -> v <> max_version reads.(k)
-    | None -> true
-  in
+  (* [absorbed.(k)]: the newest stamp of member [k]'s read list when X.(k)
+     last took in its bounds (-1 before).  While it is current the member
+     is clean: a recompute would only reproduce those bounds. *)
+  let absorbed = Array.make m (-1) in
   let hp_cache = Array.make m None in
   let fcfs_cache = Array.make n_procs None in
   let input_of k =
@@ -246,12 +237,12 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
       end)
     procs;
   (* A member's bounds, and its higher-priority aggregate, are cached under
-     its read list: stale bounds are what makes the member dirty, and a
-     processor's dirty members are listed before any is recomputed, so
-     each dirty recompute runs the local step exactly once, whether its own
-     turn or a lower-priority co-resident asks first.  The next-higher
-     member's read list is contained in this one's, so its aggregate is
-     fresh too; the topmost member's is the boundary. *)
+     its read list, so a recompute runs the local step once whether its
+     own turn or a lower-priority co-resident asks first; a member whose
+     bounds a co-resident forced stays dirty ([absorbed]) until its own
+     turn takes them into X.  The next-higher member's read list is
+     contained in this one's, so its aggregate is fresh too; the topmost
+     member's is the boundary. *)
   let rec output_of k =
     let id = ids.(k) in
     let p = proc_of id in
@@ -289,14 +280,18 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
         Hashtbl.replace inv_releases j a;
         a
   in
-  let residents =
-    List.map
-      (fun p ->
-        List.filter_map
-          (fun id -> if member id then Some (local id) else None)
-          (System.subjobs_on system p))
-      procs
+  (* The members of each processor with one, as blocks in ascending
+     processor order. *)
+  let blocks =
+    Array.of_list
+      (List.map
+         (fun p ->
+           List.filter_map
+             (fun id -> if member id then Some (local id) else None)
+             (System.subjobs_on system p))
+         procs)
   in
+  let n_blocks = Array.length blocks in
   let iterations = ref 0 in
   let changed = ref true in
   let residual = ref 0 in
@@ -311,59 +306,54 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
         Obs.span_begin (Printf.sprintf "fixpoint.iteration %d" !iterations)
       else Obs.no_span
     in
-    let x' = Array.copy x in
-    List.iter
-      (fun residents ->
-        let dirty_residents = List.filter is_dirty residents in
-        if dirty_residents <> [] then begin
-          let process_subjob k =
-            Cancel.check cancel;
-            incr dirty_count;
-            Obs.incr c_recomputes;
-            let dep_lo = (output_of k).Local.dep_lo in
-            let job = ids.(k).System.job in
-            let count = Step.final_value (release job) in
-            (* worst = max over instances m of (inverse dep_lo m - release
-               of m), or the sentinel if dep_lo never reaches count: the
-               departure jumps are swept once against the precomputed
-               instance release times. *)
-            let worst () =
-              let inv = inv_release job in
-              let acc = ref 0 and m = ref 1 in
-              let consume t v =
-                while !m <= v && !m <= count do
-                  acc := max !acc (t - inv.(!m - 1));
-                  incr m
-                done
-              in
-              consume 0 (Step.init_value dep_lo);
-              for i = 0 to Step.jump_count dep_lo - 1 do
-                consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
-              done;
-              if !m <= count then sentinel else !acc
-            in
-            let prev = x.(k) in
-            let r = if count = 0 then prev else min (worst ()) sentinel in
-            if r > prev then begin
-              x'.(k) <- r;
-              residual := max !residual (r - prev);
-              changed := true
-            end
+    let process_subjob k =
+      let stamp = max_version reads.(k) in
+      if absorbed.(k) = stamp then Obs.incr c_skipped
+      else begin
+        Cancel.check cancel;
+        incr dirty_count;
+        Obs.incr c_recomputes;
+        absorbed.(k) <- stamp;
+        let dep_lo = (output_of k).Local.dep_lo in
+        let job = ids.(k).System.job in
+        let count = Step.final_value (release job) in
+        (* worst = max over instances m of (inverse dep_lo m - release
+           of m), or the sentinel if dep_lo never reaches count: the
+           departure jumps are swept once against the precomputed
+           instance release times. *)
+        let worst () =
+          let inv = inv_release job in
+          let acc = ref 0 and m = ref 1 in
+          let consume t v =
+            while !m <= v && !m <= count do
+              acc := max !acc (t - inv.(!m - 1));
+              incr m
+            done
           in
-          List.iter process_subjob dirty_residents
-        end
-        else Obs.add c_skipped (List.length residents))
-      residents;
-    Array.iteri
-      (fun k v ->
-        if x.(k) <> v then begin
+          consume 0 (Step.init_value dep_lo);
+          for i = 0 to Step.jump_count dep_lo - 1 do
+            consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
+          done;
+          if !m <= count then sentinel else !acc
+        in
+        let prev = x.(k) in
+        let r = if count = 0 then prev else min (worst ()) sentinel in
+        if r > prev then begin
+          x.(k) <- r;
           incr tick;
-          version.(k) <- !tick
-        end)
-      x';
-    Array.blit x' 0 x 0 m;
+          version.(k) <- !tick;
+          residual := max !residual (r - prev);
+          changed := true
+        end
+      end
+    in
+    (* Odd rounds walk the processors upwards, even rounds downwards. *)
+    let ascending = !iterations land 1 = 1 in
+    for b = 0 to n_blocks - 1 do
+      List.iter process_subjob blocks.(if ascending then b else n_blocks - 1 - b)
+    done;
     if Obs.enabled () then begin
-      (* Residual in the sup norm: max over members of X' - X this round. *)
+      (* Residual in the sup norm: the largest rise of a member this round. *)
       Obs.span_int sp_iter "residual" !residual;
       Obs.span_int sp_iter "recomputed" !dirty_count;
       Obs.span_str sp_iter "state" (if !changed then "changed" else "stable");
@@ -387,7 +377,7 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
   (* An unsettled loop's members have no bound: X at the sentinel brackets
      their arrivals by 0 and the earliest arrivals, which are sound
      whatever the iteration did, and so are the bounds stepped from them. *)
-  if !changed && pin_unsettled then
+  if !changed then
     Array.iteri
       (fun k _ ->
         x.(k) <- sentinel;
@@ -398,44 +388,4 @@ let iterate ?(cancel = Cancel.never) ?fault ?variant ~span ~pin_unsettled
     let k = local id in
     (input_of k, output_of k)
   in
-  ( { rounds = !iterations; settled = not !changed; final },
-    fun id -> x.(local id) )
-
-let loop ?cancel ?fault ?variant ~release_horizon ~horizon ~input ~above system
-    members =
-  fst
-    (iterate ?cancel ?fault ?variant ~span:"fixpoint.loop" ~pin_unsettled:true
-       ~release_horizon ~horizon ~input ~above system members)
-
-let analyze ?cancel ?release_horizon ~horizon system =
-  let release_horizon = Option.value ~default:horizon release_horizon in
-  let all =
-    List.concat
-      (List.init (System.job_count system) (fun j ->
-           List.init
-             (Array.length (System.job system j).System.steps)
-             (fun st -> { System.job = j; step = st })))
-  in
-  (* Every subjob is a member: no chain predecessor lies outside, and no
-     resident ranks above the top one. *)
-  let { rounds; settled; _ }, x =
-    iterate ?cancel ~span:"fixpoint.analyze" ~pin_unsettled:false
-      ~release_horizon ~horizon
-      ~input:(fun _ -> invalid_arg "Fixpoint.analyze: no outside input")
-      ~above:(fun _ -> Local.empty)
-      system all
-  in
-  let sentinel = unbounded_sentinel horizon in
-  let stage_verdict r = if r >= sentinel then Unbounded else Bounded r in
-  let per_stage =
-    Array.init (System.job_count system) (fun j ->
-        Array.init
-          (Array.length (System.job system j).System.steps)
-          (fun st -> stage_verdict (x { System.job = j; step = st })))
-  in
-  let per_job =
-    Array.map
-      (fun row -> if settled then row.(Array.length row - 1) else Unbounded)
-      per_stage
-  in
-  { per_job; per_stage; iterations = rounds }
+  { rounds = !iterations; settled = not !changed; final }

@@ -548,16 +548,16 @@ let ablation ?(sets = 60) ?(seed = 45) () =
       let rng = Rng.make (seed + (11 * set)) in
       let system = Jobshop.generate config ~rng in
       let release_horizon, horizon = System.suggested_horizons system in
-      let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
+      let fp = Rta_check.Reference.jacobi ~release_horizon ~horizon system in
       match Rta_core.Engine.run ~release_horizon ~horizon system with
       | Error (`Cyclic _) -> ()
       | Ok engine ->
           for j = 0 to System.job_count system - 1 do
             match
-              ( fp.Rta_core.Fixpoint.per_job.(j),
+              ( fp.Rta_check.Reference.per_job.(j),
                 Rta_core.Response.end_to_end engine ~estimator:`Exact ~job:j )
             with
-            | Rta_core.Fixpoint.Bounded b, Rta_core.Response.Bounded r when r > 0 ->
+            | Verdict.Bounded b, Rta_core.Response.Bounded r when r > 0 ->
                 ratios := (float_of_int b /. float_of_int r) :: !ratios
             | _ -> ()
           done

@@ -516,17 +516,18 @@ let test_fixpoint_on_cycle () =
      dominate the simulation, and non-convergence must surface as
      Unbounded (reject), never as an optimistic bound. *)
   let system = cyclic_system () in
-  let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
+  let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
+  let fp = Rta_core.Analysis.run ~config system in
   let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
   Array.iteri
     (fun j v ->
       match (v, Rta_sim.Sim.worst_response sim j) with
-      | Rta_core.Fixpoint.Bounded b, Some w ->
+      | Verdict.Bounded b, Some w ->
           Alcotest.(check bool)
             (Printf.sprintf "job %d: fixpoint %d >= sim %d" j b w)
             true (b >= w)
-      | Rta_core.Fixpoint.Bounded _, None | Rta_core.Fixpoint.Unbounded, _ -> ())
-    fp.Rta_core.Fixpoint.per_job;
+      | Verdict.Bounded _, None | Verdict.Unbounded, _ -> ())
+    fp.Rta_core.Analysis.per_job;
   (* The jitter-based S&L iteration is convergent on cyclic SPP systems
      (interference is counted on the release clock), so it complements the
      window-based fixpoint there. *)
@@ -549,31 +550,32 @@ let prop_fixpoint_dominates_sim =
   let gen = Sg.system_gen ~release_horizon () in
   qtest ~count:60 "fixpoint bounds dominate simulation (acyclic systems too)"
     gen Sg.print_system (fun system ->
-      let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
+      let fp = Rta_check.Reference.jacobi ~release_horizon ~horizon system in
       let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
       let ok = ref true in
       Array.iteri
         (fun j v ->
           match (v, Rta_sim.Sim.worst_response sim j) with
-          | Rta_core.Fixpoint.Bounded b, Some w -> if b < w then ok := false
-          | Rta_core.Fixpoint.Bounded _, None | Rta_core.Fixpoint.Unbounded, _ -> ())
-        fp.Rta_core.Fixpoint.per_job;
+          | Verdict.Bounded b, Some w -> if b < w then ok := false
+          | Verdict.Bounded _, None | Verdict.Unbounded, _ -> ())
+        fp.Rta_check.Reference.per_job;
       !ok)
 
 (* The production answer on cyclic systems, which iterates each loop on
-   its own ({!Rta_core.Engine}), against the Section 6 iteration over the
-   whole system (the answer before) and the simulator, per job: no looser
-   than the whole-system iteration, bounded wherever it is, and never
-   below the simulated worst.  One message per broken relation. *)
+   its own ({!Rta_core.Engine}), against the textbook Section 6 iteration
+   over the whole system ({!Rta_check.Reference.jacobi}) and the
+   simulator, per job: no looser than the whole-system iteration, bounded
+   wherever it is, and never below the simulated worst.  One message per
+   broken relation. *)
 let loops_vs_whole ~release_horizon ~horizon system =
   let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
   let a = Rta_core.Analysis.run ~config system in
-  let fp = Rta_core.Fixpoint.analyze ~release_horizon ~horizon system in
+  let fp = Rta_check.Reference.jacobi ~release_horizon ~horizon system in
   let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
   List.concat
     (List.init (System.job_count system) (fun j ->
          let name = (System.job system j).System.name in
-         (match (a.Rta_core.Analysis.per_job.(j), fp.Rta_core.Fixpoint.per_job.(j)) with
+         (match (a.Rta_core.Analysis.per_job.(j), fp.Rta_check.Reference.per_job.(j)) with
          | Verdict.Bounded x, Verdict.Bounded y when x > y ->
              [ Printf.sprintf "%s: %d above the whole-system iteration's %d" name x y ]
          | Verdict.Unbounded, Verdict.Bounded y ->

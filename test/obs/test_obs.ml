@@ -421,28 +421,34 @@ let test_fixpoint_iterations () =
   (match Rta_core.Deps.compute system with
   | Rta_core.Deps.Cyclic _ -> ()
   | Rta_core.Deps.Acyclic _ -> Alcotest.fail "example should be cyclic");
+  let bounds per_job =
+    match per_job with
+    | [| Verdict.Bounded a; Verdict.Bounded b |] ->
+        check_int "A's end-to-end bound" 4 a;
+        check_int "B's end-to-end bound" 6 b
+    | _ -> Alcotest.fail "expected two bounded jobs"
+  in
+  (* The textbook Jacobi sweep, as hand-checked above. *)
+  let r = Rta_check.Reference.jacobi ~release_horizon:200 ~horizon:400 system in
+  check_int "hand-checked iteration count" 3 r.Rta_check.Reference.iterations;
+  bounds r.Rta_check.Reference.per_job;
+  (* The analysis iterates the one loop in its symmetric sweep: P0 then
+     P1 raises B.1 to 4 after B.2 has read it, P1 then P0 raises B.2 to
+     6, and a third round observes stability, at the same bounds. *)
   with_obs (fun () ->
-      let r = Rta_core.Fixpoint.analyze ~release_horizon:200 ~horizon:400 system in
-      check_int "hand-checked iteration count" 3 r.Rta_core.Fixpoint.iterations;
-      (match r.Rta_core.Fixpoint.per_job with
-      | [| Rta_core.Fixpoint.Bounded a; Rta_core.Fixpoint.Bounded b |] ->
-          check_int "A's end-to-end bound" 4 a;
-          check_int "B's end-to-end bound" 6 b
-      | _ -> Alcotest.fail "expected two bounded jobs");
-      check_bool "gauge matches the result" true
-        (Obs.gauge_value (Obs.gauge "fixpoint.last.iterations")
-        = Some r.Rta_core.Fixpoint.iterations);
+      let config = Rta_core.Analysis.config ~release_horizon:200 ~horizon:400 () in
+      bounds (Rta_core.Analysis.run ~config system).Rta_core.Analysis.per_job;
+      check_bool "gauge records the rounds" true
+        (Obs.gauge_value (Obs.gauge "fixpoint.last.iterations") = Some 3);
       check_bool "convergence verdict recorded" true
         (Obs.gauge_value (Obs.gauge "fixpoint.last.converged") = Some 1);
       let s = Obs.spans () in
       let iter_spans =
         Array.to_list s
         |> List.filter (fun (i : Obs.span_info) ->
-               String.length i.Obs.si_name >= 18
-               && String.sub i.Obs.si_name 0 18 = "fixpoint.iteration")
+               String.starts_with ~prefix:"fixpoint.iteration" i.Obs.si_name)
       in
-      check_int "one span per iteration" r.Rta_core.Fixpoint.iterations
-        (List.length iter_spans);
+      check_int "one span per iteration" 3 (List.length iter_spans);
       (* The final sweep observes stability: residual 0. *)
       match List.rev iter_spans with
       | last :: _ ->
@@ -528,23 +534,22 @@ let engine_counts sched ~pins =
   check_counts ~at_most:pins (fun () ->
       ignore (run_engine (seeded_shop ~stages:3 ~jobs:6 sched)))
 
-let fixpoint_counts ~stages ~jobs ~pins ~recomputes ~skipped_clean =
+(* The analysis of a chain-swapped SPP shop ({!Rta_testsupport.Loops}):
+   its loops run the Section 6 iteration, the rest one step per subjob. *)
+let fixpoint_counts ~seed ~stages ~jobs ~pins ~recomputes ~skipped_clean =
   check_counts
     ~at_most:(("fixpoint.recomputes", recomputes) :: pins)
     ~at_least:[ ("fixpoint.skipped_clean", skipped_clean) ]
     (fun () ->
-      let system = seeded_shop ~stages ~jobs Sched.Spp in
-      let release_horizon, horizon =
-        System.suggested_horizons system
-      in
-      ignore (Rta_core.Fixpoint.analyze ~release_horizon ~horizon system))
+      let system = Rta_testsupport.Loops.chain_swapped ~stages ~seed Sched.Spp ~jobs in
+      let release_horizon, horizon = System.suggested_horizons system in
+      let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
+      ignore (Rta_core.Analysis.run ~config system))
 
 (* The golden batch corpus's FCFS loop (L1 revisits the FCFS P0): the
    loop {L1.1, L1.2, L2.1} iterates alone, 6 rounds and 10 recomputes,
    and the two subjobs after it, L1.3 and L2.2 on P0, are stepped exactly
-   once each, from a context rebuilt on the loop's final brackets.  The
-   whole-system Fixpoint.analyze on the same shop iterates all five
-   subjobs: 18 recomputes. *)
+   once each, from a context rebuilt on the loop's final brackets. *)
 let loop_counts () =
   let paths ~fcfs =
     [
@@ -619,27 +624,38 @@ let count_cases =
                  predecessors: O(N) edges per processor. *)
               ("deps.edges", 42);
             ]) );
+    (* Chain-swapped SPP shops of 3 jobs by 2 stages, 6 by 3 and 9 by 4
+       (seed 8): one loop each, of 4, 6 and 26 subjobs, settled in 3, 21
+       and 6 rounds. *)
     ( "fixpoint 3x2",
-      fixpoint_counts ~stages:2 ~jobs:3 ~recomputes:8 ~skipped_clean:10
+      fixpoint_counts ~seed:8 ~stages:2 ~jobs:3 ~recomputes:6 ~skipped_clean:6
         ~pins:
-          (kernel_pins ~step_add:3 ~step_scale:11 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:8
-          @ sweep_pins ~lo_events:268 ~hi_windows:140 ~hi_reads:195 ~crossings:80
-          @ departure_pins ~calls:16 ~seeks:286 ~steps:612) );
+          (kernel_pins ~step_add:7 ~step_scale:10 ~pl_add:0 ~pl_sub:0
+             ~pl_max2:0 ~utilization:6
+          @ sweep_pins ~lo_events:218 ~hi_windows:63 ~hi_reads:100 ~crossings:98
+          @ departure_pins ~calls:12 ~seeks:132 ~steps:274) );
     ( "fixpoint 6x3",
-      fixpoint_counts ~stages:3 ~jobs:6 ~recomputes:35 ~skipped_clean:36
+      fixpoint_counts ~seed:8 ~stages:3 ~jobs:6 ~recomputes:66 ~skipped_clean:60
         ~pins:
-          (kernel_pins ~step_add:34 ~step_scale:58 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:35
-          @ sweep_pins ~lo_events:2387 ~hi_windows:622 ~hi_reads:960 ~crossings:937
-          @ departure_pins ~calls:70 ~seeks:1256 ~steps:2886) );
+          (kernel_pins ~step_add:123 ~step_scale:84 ~pl_add:0 ~pl_sub:0
+             ~pl_max2:0 ~utilization:70
+          @ sweep_pins ~lo_events:23385 ~hi_windows:4598 ~hi_reads:6395
+              ~crossings:9128
+          @ departure_pins ~calls:140 ~seeks:8725 ~steps:20754) );
     ( "fixpoint 9x4",
-      fixpoint_counts ~stages:4 ~jobs:9 ~recomputes:90 ~skipped_clean:90
+      fixpoint_counts ~seed:8 ~stages:4 ~jobs:9 ~recomputes:101 ~skipped_clean:55
         ~pins:
-          (kernel_pins ~step_add:115 ~step_scale:159 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:90
-          @ sweep_pins ~lo_events:8527 ~hi_windows:1621 ~hi_reads:2632 ~crossings:3494
-          @ departure_pins ~calls:180 ~seeks:3260 ~steps:7750) );
+          (kernel_pins ~step_add:162 ~step_scale:135 ~pl_add:0 ~pl_sub:0
+             ~pl_max2:0 ~utilization:107
+          @ sweep_pins ~lo_events:33276 ~hi_windows:6475 ~hi_reads:8791
+              ~crossings:10246
+          @ departure_pins ~calls:214 ~seeks:10891 ~steps:26741) );
+    (* The 16-job chain-swapped SPP shop of seed 3: one loop of 23
+       subjobs.  The symmetric sweep settles it in 11 rounds and 138
+       member steps; the textbook Jacobi order takes 12 rounds and 266. *)
+    ( "fixpoint 16 chain-swapped SPP",
+      fixpoint_counts ~seed:3 ~stages:2 ~jobs:16 ~recomputes:138
+        ~skipped_clean:115 ~pins:[] );
   ]
 
 let ceil_log2 n =

@@ -44,3 +44,37 @@ let east_west ~load =
           (Time.of_units 30.0)
           [ step 1 (e 1.0) 2; step 0 (e 1.5) 1 ];
       |]
+
+(* A chain-swapped shop: the shop that [rta generate --stages S --sched
+   SCHED --seed SEED --jobs N] prints (two stages and seed 3 by default),
+   with the processors of every second job (T2, T4, ...) visited in
+   reverse stage order, so chains run both ways through the stages, and
+   each priority [prio] of job index [i] (from 0) made [prio * 10000 + i],
+   unique per processor. *)
+let chain_swapped ?(stages = 2) ?(seed = 3) sched ~jobs =
+  let config =
+    Rta_workload.Jobshop.default ~stages ~jobs ~utilization:0.5
+      ~arrival:Rta_workload.Jobshop.Periodic_eq25
+      ~deadline:(Rta_workload.Jobshop.Multiple_of_period 2.0) ~sched
+  in
+  let shop = Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make seed) in
+  System.make_exn
+    ~schedulers:(Array.init (System.processor_count shop) (System.scheduler_of shop))
+    ~jobs:
+      (Array.init (System.job_count shop) (fun i ->
+           let j = System.job shop i in
+           let steps = j.System.steps in
+           let n = Array.length steps in
+           {
+             j with
+             System.steps =
+               Array.mapi
+                 (fun st (s : System.step) ->
+                   {
+                     s with
+                     System.proc =
+                       (if i mod 2 = 1 then steps.(n - 1 - st).System.proc else s.System.proc);
+                     prio = (s.System.prio * 10000) + i;
+                   })
+                 steps;
+           }))
