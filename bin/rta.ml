@@ -149,18 +149,31 @@ let analyze_cmd =
           Format.printf "@."
         done;
         (* Which stages came from the Section 6 iteration, and how it
-           ended. *)
+           ended: a loop can settle with members that have no bound. *)
+        let names ids =
+          String.concat " "
+            (List.map
+               (fun (id : System.subjob_id) ->
+                 Printf.sprintf "%s.%d" (System.job system id.job).System.name
+                   (id.step + 1))
+               ids)
+        in
         List.iter
           (fun (l : Rta_core.Engine.loop) ->
-            Format.printf "  cyclic component %s: %s@."
-              (String.concat " "
-                 (List.map
-                    (fun (id : System.subjob_id) ->
-                      Printf.sprintf "%s.%d" (System.job system id.job).System.name
-                        (id.step + 1))
-                    l.members))
-              (if l.settled then Printf.sprintf "settled after %d rounds" l.rounds
-               else Printf.sprintf "still moving after %d rounds, no bound" l.rounds))
+            let unbounded =
+              List.filter
+                (fun (id : System.subjob_id) ->
+                  List.nth (Rta_core.Response.stage_bounds engine ~job:id.job) id.step
+                  = Rta_core.Response.Unbounded)
+                l.members
+            in
+            Format.printf "  cyclic component %s: %s@." (names l.members)
+              (if not l.settled then
+                 Printf.sprintf "still moving after %d rounds, no bound" l.rounds
+               else if unbounded = [] then Printf.sprintf "settled after %d rounds" l.rounds
+               else
+                 Printf.sprintf "settled after %d rounds, no bound for %s" l.rounds
+                   (names unbounded)))
           engine.Rta_core.Engine.loops
       end;
       Option.iter
@@ -643,7 +656,7 @@ let fuzz_cmd =
     in
     Arg.(value & opt fault_conv `None
          & info [ "plant-fault" ] ~docv:"FAULT"
-             ~doc:"Plant a known-unsound engine bug before fuzzing, as a self-test of the oracle: $(b,fcfs-drop-tau) drops Theorem 9's +tau term from the FCFS departure lower bound.  The run is expected to FAIL.")
+             ~doc:"Plant a known-unsound fault in every analysis the oracle checks, as a self-test of the oracle: $(b,fcfs-drop-tau) moves every FCFS departure lower bound one execution time earlier, which is what dropping Theorem 9's +tau term does to a resident alone on its processor.  The fault corrupts the finished analysis inside the oracle; the analysis itself is unchanged.  The run is expected to FAIL.")
   in
   let replay_arg =
     Arg.(value & opt (some file) None
@@ -653,7 +666,7 @@ let fuzz_cmd =
   let kernels_arg =
     Arg.(value & flag
          & info [ "kernels" ]
-             ~doc:"Fuzz the curve kernels instead of whole systems: optimized pointwise add/sub/max2, prefix_min and cursor evaluation are cross-checked against the frozen Reference baselines on random curves, the inverse handle against a dense scan, the pairwise step sum against a left fold, the exact SPP idle-interval path against Theorem 3's formula on random ranked release sets, the static-priority bound sweeps against the composed Theorem 5-6 formula, the utilization walk against the prefix-minimum transform, the departure read against Theorem 2's floor-division chain, and per-jump FCFS bounds against the per-instance construction, and mismatching inputs shrunk.")
+             ~doc:"Fuzz the curve kernels instead of whole systems: optimized pointwise add/sub/max2 and cursor evaluation are cross-checked against the frozen Reference baselines on random curves, the inverse handle against a dense scan, the pairwise step sum against a left fold, the exact SPP idle-interval path against Theorem 3's formula on random ranked release sets, the static-priority bound sweeps against the composed Theorem 5-6 formula, the utilization walk against the prefix-minimum transform, the departure read against Theorem 2's floor-division chain, and per-jump FCFS bounds against the per-instance construction, and mismatching inputs shrunk.")
   in
   let print_violations vs =
     List.iter

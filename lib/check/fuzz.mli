@@ -35,7 +35,7 @@ type outcome = {
 }
 
 val run :
-  ?fault:Rta_core.Local.fault ->
+  ?fault:Oracle.fault ->
   ?out_dir:string ->
   ?budget_s:float ->
   seed:int ->
@@ -43,8 +43,9 @@ val run :
   unit ->
   outcome
 (** Run up to [count] cases, stopping early when [budget_s] wall-clock
-    seconds have elapsed.  [fault] is planted in every engine run
-    ({!Oracle.check}); the run is then expected to find counterexamples.  With [out_dir] (created if missing), every
+    seconds have elapsed.  [fault] is planted in every analysis the
+    oracle checks ({!Oracle.check}); the run is then expected to find
+    counterexamples.  With [out_dir] (created if missing), every
     counterexample is written as
     [out_dir/counterexample-<seed>-<index>.rta].  Instrumented with
     {!Rta_obs} counters [fuzz.cases], [fuzz.passed] and
@@ -63,7 +64,7 @@ val write_report : string -> string -> string -> string
 (** [write_report dir name text] writes [text] to [dir/name], creating
     [dir] and its parents if missing, and returns the path. *)
 
-val replay : ?fault:Rta_core.Local.fault -> string -> (Oracle.verdict, string) result
+val replay : ?fault:Oracle.fault -> string -> (Oracle.verdict, string) result
 (** Re-check a counterexample file: parse the system, read the horizons
     from the [#!] directive (falling back to
     {!Rta_model.System.suggested_horizons} for plain [.rta] files), and

@@ -245,17 +245,6 @@ let rec shrink1 shrinks still_fails a =
 
 (* --- the differential checks ------------------------------------------- *)
 
-let prefix_mismatch mode (avail, work) =
-  let opt = Minplus.prefix_min ~mode ~avail ~work in
-  let ref_ = Reference.prefix_min ~mode ~avail ~work in
-  not (Pl.equal opt ref_)
-
-let prefix_detail mode (avail, work) =
-  let opt = Minplus.prefix_min ~mode ~avail ~work in
-  let ref_ = Reference.prefix_min ~mode ~avail ~work in
-  Printf.sprintf "avail = %s\nwork = %s\noptimized prefix_min = %s\nreference prefix_min = %s"
-    (show_pl avail) (show_step work) (show_pl opt) (show_pl ref_)
-
 let pointwise_ops =
   [
     ("max2", Pl.max2, Reference.max2);
@@ -402,7 +391,7 @@ let sp_sweeps (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
   let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
   let hi =
     Minplus.sp_upper ~hp_service:hp_svc_lo ~own_work:work_hi
-      ~own_util:(Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
+      ~own_util:(Minplus.utilization ~mode:`Right work_hi)
   in
   ( (lo, hi),
     Reference.sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo:(Pl.sum hp_svc_lo) ~level_work
@@ -508,14 +497,6 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if pointwise_mismatch pair then
        let pair = shrink2 pl_shrinks pl_shrinks pointwise_mismatch pair in
        record "pointwise" (pointwise_detail pair));
-    (* prefix_min, both infimum conventions. *)
-    List.iter
-      (fun (check, mode) ->
-        let pair = (gen_pl rng, gen_step rng) in
-        if prefix_mismatch mode pair then
-          let pair = shrink2 pl_shrinks step_shrinks (prefix_mismatch mode) pair in
-          record check (prefix_detail mode pair))
-      [ ("prefix-min-left", `Left); ("prefix-min-right", `Right) ];
     (* cursor evaluation vs direct evaluation at ascending times. *)
     (let times = gen_times rng in
      let f = gen_pl rng in
@@ -527,8 +508,8 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if cursor_step_mismatch times f then
        let f = shrink1 step_shrinks (cursor_step_mismatch times) f in
        record "cursor-step" (cursor_step_detail times f));
-    (* Appended checks draw after every earlier one, so adding them left
-       the earlier checks' inputs unchanged. *)
+    (* The checks draw from [rng] in this order: a new check goes last,
+       so the earlier ones keep their inputs. *)
     (let f = gen_pl_mono rng in
      if inverse_mismatch f then
        let f = shrink1 pl_shrinks inverse_mismatch f in

@@ -3,8 +3,7 @@
 
     Where {!Fuzz} compares the whole analysis against a discrete-event
     simulation, this module compares the {e kernels} pairwise on random
-    curves: the pointwise {!Rta_curve.Pl.add}, [sub] and [max2],
-    {!Rta_curve.Minplus.prefix_min} (both infimum modes), cursor
+    curves: the pointwise {!Rta_curve.Pl.add}, [sub] and [max2], cursor
     evaluation against direct evaluation, the checked inverse handle
     {!Rta_curve.Pl.Inverse} against the dense scan [Dense.inverse_geq]
     (and its rejection of a falling curve), the pairwise
@@ -18,8 +17,8 @@
     ({!Reference.sp_bounds}), with the higher-priority service drawn as 0
     to 6 member curves that [sp_upper] reads merged and the formula
     takes summed, the utilization walk
-    {!Rta_curve.Minplus.utilization} against the identity plus the prefix
-    minimum ({!Reference.utilization}), the departure read
+    {!Rta_curve.Minplus.utilization} against the prefix-minimum transform
+    ({!Reference.utilization}), the departure read
     {!Rta_curve.Minplus.departures} against Theorem 2's chain
     ({!Reference.departures}), and one FCFS processor's per-jump bounds
     against the per-instance construction ({!Reference.fcfs}).  Curves are
@@ -37,7 +36,7 @@ type mismatch = {
   seed : int;
   index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
   check : string;
-      (** e.g. ["pointwise"], ["prefix-min-left"], ["inverse-geq"],
+      (** e.g. ["pointwise"], ["cursor-pl"], ["inverse-geq"],
           ["step-sum"], ["spp-idle"], ["sp-sweep"], ["utilization"],
           ["departures"], ["fcfs-departures"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)

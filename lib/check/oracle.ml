@@ -13,6 +13,23 @@ type violation = {
 
 type verdict = Passed | Failed of violation list
 
+type fault = [ `None | `Fcfs_drop_tau ]
+
+let plant fault (t : Engine.t) =
+  match fault with
+  | `None -> t
+  | `Fcfs_drop_tau ->
+      let drop (e : Engine.entry) =
+        let proc = (System.step t.Engine.system e.Engine.id).System.proc in
+        if System.scheduler_of t.Engine.system proc <> Sched.Fcfs then e
+        else
+          (* Exactness goes with the bound, as when the analysis itself
+             dropped the [+ tau]: [dep_lo] then differs from [dep_hi]. *)
+          let dep_lo = Step.shift_left e.Engine.dep_lo e.Engine.tau in
+          { e with Engine.dep_lo; exact = false }
+      in
+      { t with Engine.entries = Array.map (Array.map drop) t.Engine.entries }
+
 let pp_violation ppf v =
   (match v.id with
   | Some id -> Format.fprintf ppf "job %d step %d: " id.System.job id.System.step
@@ -114,8 +131,8 @@ let check_responses ~add ~horizon system t sim =
       (Response.per_instance t ~job:j)
   done
 
-let check ?fault ?release_horizon ~horizon system =
-  let t = Result.get_ok (Engine.run ?fault ?release_horizon ~horizon system) in
+let check ?(fault = `None) ?release_horizon ~horizon system =
+  let t = plant fault (Result.get_ok (Engine.run ?release_horizon ~horizon system)) in
   let sim = Rta_sim.Sim.run ?release_horizon system ~horizon in
   let violations = ref [] in
   let add id kind detail = violations := { id; kind; detail } :: !violations in

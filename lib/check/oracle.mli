@@ -37,13 +37,23 @@ type verdict =
   | Passed
   | Failed of violation list
 
+type fault =
+  [ `None
+  | `Fcfs_drop_tau
+    (** every FCFS entry's [dep_lo] moved [tau] earlier: what dropping
+        Theorem 9's [+ tau] (the instance's own demand) from the
+        guaranteed-departure target does to a resident alone on its
+        processor *) ]
+(** A known-unsound corruption of the finished analysis, for the oracle's
+    self-test: the fuzz harness plants it to show the oracle catches one. *)
+
 val check :
-  ?fault:Rta_core.Local.fault ->
+  ?fault:fault ->
   ?release_horizon:int ->
   horizon:int ->
   Rta_model.System.t ->
   verdict
-(** [fault] (default [`None]) is planted in the engine run under test: the
-    oracle's self-test. *)
+(** [fault] (default [`None]) is applied to the analysis under test
+    before it is compared. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -2,12 +2,12 @@
 
    These are the original (pre-optimization) implementations of the
    pointwise combinations and the prefix-minimum scan, kept as an
-   executable specification built only on the public curve API.  The
-   optimized kernels in {!Rta_curve.Minplus} and {!Rta_curve.Pl} are
-   differential-tested against this module by the property tests and by
-   `rta fuzz --kernels`, so every speedup ships with a proof-of-parity.
-   Do not "improve" this module: its value is that it stays simple, slow
-   and obviously right. *)
+   executable specification built only on the public curve API, with the
+   paper's formulas composed on them.  The optimized kernels in
+   {!Rta_curve.Minplus} and {!Rta_curve.Pl} are differential-tested
+   against this module by the property tests and by `rta fuzz --kernels`,
+   so every speedup ships with a proof-of-parity.  Do not "improve" this
+   module: its value is that it stays simple, slow and obviously right. *)
 
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
@@ -15,8 +15,9 @@ module Pl = Rta_curve.Pl
 type mode = [ `Left | `Right ]
 
 (* Sorted, deduplicated event times: 0, every knot of [avail], and for every
-   jump time j of [work] both j and j+1 (the same grid the optimized scan
-   walks). *)
+   jump time j of [work] both j and j+1, so that both the value and the
+   left limit of [work] are constant on every open interval between
+   events. *)
 let event_times avail work =
   let ks = Pl.knots avail in
   let js = Step.jumps work in
@@ -152,6 +153,17 @@ let pointwise op f g =
 let min2 = pointwise min
 let max2 = pointwise max
 
+(* The paper's min (A(t) - A(s) + c(s)), as the prefix minimum added back
+   to the availability, and Theorem 5's variant of it, 0 while blocked. *)
+let transform ~mode ~avail ~work = add avail (prefix_min ~mode ~avail ~work)
+
+let transform_blocked ~mode ~avail ~work ~blocking =
+  if blocking < 0 then invalid_arg "Reference.transform_blocked: negative blocking";
+  if blocking = 0 then transform ~mode ~avail ~work
+  else
+    let m = prefix_min ~mode ~avail ~work in
+    Pl.splice ~at:blocking Pl.zero (add avail (Pl.shift_right m blocking))
+
 (* Theorem 3 as printed, rank by rank: A = t - (summed service above),
    S = A + min over s <= t of (c(s-) - A(s)), and Theorem 2's departures
    min (floor (S / tau)) arr on the service truncated at the horizon. *)
@@ -160,7 +172,7 @@ let spp_exact ~horizon residents =
     (List.fold_left_map
        (fun hp_svc (tau, arr) ->
          let avail = sub Pl.identity hp_svc in
-         let svc = add avail (prefix_min ~mode:`Left ~avail ~work:(Step.scale arr tau)) in
+         let svc = transform ~mode:`Left ~avail ~work:(Step.scale arr tau) in
          let dep =
            Step.min2 (Pl.to_step_floor_div (Pl.truncate_at svc horizon) tau) arr
          in
@@ -179,14 +191,13 @@ let sp_bounds ~blocking ~hp_work_hi ~hp_svc_lo ~level_work ~work_hi =
   in
   let hi =
     min2 (sub Pl.identity hp_svc_lo)
-      (add Pl.identity (prefix_min ~mode:`Right ~avail:Pl.identity ~work:work_hi))
+      (transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
   in
   (Pl.prefix_max (max2 lo Pl.zero), Pl.prefix_max (max2 hi Pl.zero))
 
 (* Theorem 7's utilization as the transform the analysis ran before the
    busy-period walk: the identity plus the prefix minimum against it. *)
-let utilization ~mode w =
-  add Pl.identity (prefix_min ~mode ~avail:Pl.identity ~work:w)
+let utilization ~mode w = transform ~mode ~avail:Pl.identity ~work:w
 
 (* Theorem 2 as the analysis composed it before the inverse read: the
    service cut at the horizon, divided down and capped, then the minimum
@@ -257,6 +268,91 @@ let fcfs ~exact ~horizon residents =
       let exact = exact_inputs && Step.equal dep_lo dep_hi in
       (dep_lo, (if exact then dep_lo else dep_hi), exact))
     residents
+
+(* Theorems 5-6 exactly as printed (Eqs. 16-19), chained along the
+   dependency order on this module's kernels: the availability subtracts
+   the summed {e lower} service bounds of the higher-priority residents
+   (Eq. 17), the lower bound is 0 while blocked and the blocked transform
+   beyond it, the upper one the [`Right] transform of the same
+   availability, each cut at 0 and monotonized, and the departures
+   Theorem 2's.  Unsound as a lower bound (EXPERIMENTS.md, T-2b). *)
+let as_printed ~release_horizon ~horizon system =
+  let open Rta_model in
+  let module Engine = Rta_core.Engine in
+  for p = 0 to System.processor_count system - 1 do
+    if System.scheduler_of system p <> Sched.Spnp then
+      invalid_arg "Reference.as_printed: SPNP processors only"
+  done;
+  let order =
+    match Rta_core.Deps.compute system with
+    | Rta_core.Deps.Acyclic order -> order
+    | Rta_core.Deps.Cyclic _ -> invalid_arg "Reference.as_printed: cyclic system"
+  in
+  let entries =
+    Array.init (System.job_count system) (fun j ->
+        Array.make (Array.length (System.job system j).System.steps) None)
+  in
+  let entry (id : System.subjob_id) = Option.get entries.(id.job).(id.step) in
+  List.iter
+    (fun (id : System.subjob_id) ->
+      let { System.proc; exec = tau; _ } = System.step system id in
+      let arr_lo, arr_hi =
+        if id.step = 0 then
+          let f =
+            Arrival.arrival_function (System.job system id.job).System.arrival
+              ~horizon:release_horizon
+          in
+          (f, f)
+        else
+          let pred = entry { id with System.step = id.step - 1 } in
+          (pred.Engine.dep_lo, pred.Engine.dep_hi)
+      in
+      let rec above = function
+        | h :: rest when h <> id -> h :: above rest
+        | _ -> []
+      in
+      let hp_svc =
+        List.fold_left
+          (fun acc h -> add acc (Lazy.force (entry h).Engine.svc_lo))
+          Pl.zero
+          (above (System.by_priority system proc))
+      in
+      let blocking = System.max_blocking system id in
+      let avail = sub Pl.identity hp_svc in
+      let lo =
+        let b_fun =
+          if blocking = 0 then avail
+          else
+            Pl.splice ~at:blocking Pl.zero
+              (sub (Pl.linear ~slope:1 ~offset:(-blocking)) hp_svc)
+        in
+        transform_blocked ~mode:`Left ~avail:b_fun ~work:(Step.scale arr_lo tau)
+          ~blocking
+      in
+      let hi = transform ~mode:`Right ~avail ~work:(Step.scale arr_hi tau) in
+      let svc_lo = Pl.prefix_max (max2 lo Pl.zero)
+      and svc_hi = Pl.prefix_max (max2 hi Pl.zero) in
+      entries.(id.job).(id.step) <-
+        Some
+          {
+            Engine.id;
+            tau;
+            arr_lo;
+            arr_hi;
+            svc_lo = Lazy.from_val svc_lo;
+            svc_hi = Lazy.from_val svc_hi;
+            dep_lo = departures ~horizon ~tau ~service:svc_lo ~arrivals:arr_lo;
+            dep_hi = departures ~horizon ~tau ~service:svc_hi ~arrivals:arr_hi;
+            exact = false;
+          })
+    order;
+  {
+    Engine.system;
+    horizon;
+    release_horizon;
+    entries = Array.map (Array.map Option.get) entries;
+    loops = [];
+  }
 
 (* The textbook Section 6 fixed point: a full Jacobi sweep over the whole
    system that recomputes every subjob from the previous iterate each

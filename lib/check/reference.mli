@@ -1,17 +1,23 @@
 (** Frozen baseline curve kernels — the executable specification the
-    optimized kernels are differential-tested against.
+    optimized kernels are differential-tested against — and the paper's
+    formulas composed on them.
 
-    Each function here is the original, asymptotically naive implementation
+    Each kernel here is the original, asymptotically naive implementation
     of a hot-path kernel that {!Rta_curve.Minplus} and {!Rta_curve.Pl} have
-    since replaced with faster equivalents, or, for {!spp_exact} and
-    {!sp_bounds}, of the Theorem 3 and Theorems 5-6 computations that
-    {!Rta_curve.Idle} and the {!Rta_curve.Minplus} sweeps replaced, and,
-    for {!utilization}, {!departures} and {!fcfs}, of the chains the
-    busy-period walk, the inverse-read departures and the per-jump FCFS
-    bounds replaced.  The
-    property tests (test/curve, test/core) and the [rta fuzz --kernels]
-    mode check [Pl.equal] between the optimized
+    since replaced with faster equivalents, or of a computation the
+    analysis now does otherwise: {!prefix_min} and {!transform} are the
+    paper's min-plus transform, which no analysis path builds any more;
+    {!spp_exact} and {!sp_bounds} the Theorem 3 and Theorems 5-6
+    computations that {!Rta_curve.Idle} and the {!Rta_curve.Minplus}
+    sweeps replaced; {!utilization}, {!departures} and {!fcfs} the chains
+    the busy-period walk, the inverse-read departures and the per-jump
+    FCFS bounds replaced.  The property tests (test/curve, test/core) and
+    the [rta fuzz --kernels] mode check [Pl.equal] between the optimized
     and reference results on randomized and adversarial curves.
+
+    Two whole-system analyses run on these kernels and {!Rta_core.Local}:
+    {!as_printed}, Theorems 5-6 exactly as the paper prints them, for the
+    ablation (figure T-2b), and {!jacobi}, the textbook Section 6 sweep.
 
     This module must stay semantically identical to the seed
     implementations.  Performance work belongs in {!Rta_curve.Minplus} and
@@ -35,8 +41,23 @@ val max2 : Pl.t -> Pl.t -> Pl.t
     {!Pl.max2}.  [min2] serves the {!sp_bounds} oracle. *)
 
 val prefix_min : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
-(** List-buffer prefix-minimum scan with per-event binary-search evaluation;
-    same semantics as {!Rta_curve.Minplus.prefix_min}. *)
+(** [prefix_min ~mode ~avail ~work] is
+    [m(t) = min over integer 0 <= s <= t of (work*(s) - avail(s))], where
+    [work*] is the left limit ([`Left]) or the value ([`Right]) of [work]
+    (the two infimum conventions of {!Rta_curve.Minplus}): a list-buffer
+    scan over the merged event grid with per-event binary-search
+    evaluation. *)
+
+val transform : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
+(** [transform ~mode ~avail ~work] is [avail + prefix_min ~mode ~avail ~work]:
+    the paper's [min over s <= t of (A(t) - A(s) + c(s))].  When [avail] is
+    non-decreasing the result is non-decreasing and non-negative. *)
+
+val transform_blocked :
+  mode:mode -> avail:Pl.t -> work:Step.t -> blocking:int -> Pl.t
+(** Theorem 5's variant: 0 on [0, blocking], and
+    [avail(t) + m(t - blocking)] beyond, where [m] is {!prefix_min}.
+    @raise Invalid_argument if [blocking < 0]. *)
 
 val spp_exact : horizon:int -> (int * Step.t) list -> (Pl.t * Step.t) list
 (** The oracle for the exact SPP path: Theorem 3's formula evaluated on
@@ -62,13 +83,13 @@ val sp_bounds :
     [P = hp_svc_lo] and [W = level_work], the lower bound is
     [t - b - C(t) + m(max 0 (t - b))] with [m] the [`Left] prefix minimum
     of [W] against the identity, and the upper bound
-    [min (t - P(t), V(t))] with [V] the [`Right] transform of [work_hi];
+    [min (t - P(t), V(t))] with [V] the [`Right] {!transform} of [work_hi]
+    against the identity;
     each is cut at 0 and monotonized ({!Rta_curve.Pl.prefix_max}). *)
 
 val utilization : mode:mode -> Step.t -> Pl.t
 (** The oracle for {!Rta_curve.Minplus.utilization}: Theorem 7's
-    [U = identity + prefix_min ~mode ~avail:identity ~work:w] on this
-    module's kernels. *)
+    [U = transform ~mode ~avail:identity ~work:w]. *)
 
 val departures :
   horizon:int -> tau:int -> service:Pl.t -> arrivals:Step.t -> Step.t
@@ -96,7 +117,25 @@ val fcfs :
     before its arrival plus [tau] (with exact inputs the lower
     utilization serves both), both capped by their arrivals. *)
 
-(** {1 The textbook Section 6 sweep} *)
+(** {1 Whole-system analyses} *)
+
+val as_printed :
+  release_horizon:int -> horizon:int -> Rta_model.System.t -> Rta_core.Engine.t
+(** Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), chained
+    along the dependency order ({!Rta_core.Deps.compute}) like
+    {!Rta_core.Engine.run}: stage 0 reads the release trace in
+    [[0, release_horizon]], a later stage its predecessor's departure
+    bounds.  A resident with blocking [b] ({!Rta_model.System.max_blocking})
+    under the higher-priority residents' summed {e lower} service bounds
+    [P] (Eq. 17) gets the lower service bound
+    [transform_blocked `Left (t - b - P(t), 0 before b) work_lo b] and the
+    upper one [transform `Right (t - P(t)) work_hi], each cut at 0 and
+    monotonized, and Theorem 2's {!departures}; no entry is exact.  The
+    lower bound is unsound (EXPERIMENTS.md, T-2b): it is the ablation's
+    subject, not an analysis.
+    @raise Invalid_argument unless every processor is SPNP and the
+    dependency order is acyclic. *)
+
 
 type sweep = {
   per_job : Rta_model.Verdict.t array;

@@ -9,8 +9,9 @@
 
     The result is a locally minimal failing system: removing any single
     job or tail subjob, or halving any single quantity, makes the failure
-    disappear.  With the planted [`Fcfs_drop_tau] engine fault this
-    reliably reaches one job with one single-instance subjob. *)
+    disappear.  With the oracle's planted [`Fcfs_drop_tau] fault
+    ({!Oracle.fault}) this reliably reaches one job of one to three
+    subjobs. *)
 
 val shrink :
   ?max_rounds:int ->

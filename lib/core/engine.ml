@@ -119,8 +119,7 @@ let check_entry t e =
   end;
   List.rev !failures
 
-let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
-    ?release_horizon ~horizon system =
+let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
   let release_horizon = Option.value ~default:horizon release_horizon in
   if release_horizon > horizon then
     invalid_arg "Engine.run: release_horizon exceeds horizon";
@@ -263,7 +262,7 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         ~fcfs:(fun () -> fcfs_of proc)
     in
     let i = input_of id in
-    let o = Local.step ~cancel ~fault ~variant ~horizon policy i in
+    let o = Local.step ~cancel ~horizon policy i in
     record id i o;
     if Obs.enabled () then begin
       let { Local.arr_lo; arr_hi; _ } = i in
@@ -301,7 +300,7 @@ let run ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
      per processor, static-priority members in rank order. *)
   let settle members =
     let loop =
-      Fixpoint.loop ~cancel ~fault ~variant ~release_horizon ~horizon
+      Fixpoint.loop ~cancel ~release_horizon ~horizon
         ~input:input_of
         ~above:(fun p -> fst running.(p))
         system members

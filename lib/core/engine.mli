@@ -77,8 +77,6 @@ type t = {
 
 val run :
   ?cancel:Cancel.t ->
-  ?fault:Local.fault ->
-  ?variant:Local.variant ->
   ?release_horizon:int ->
   horizon:int ->
   Rta_model.System.t ->
@@ -96,14 +94,7 @@ val run :
     round and recomputed member of an iteration, and every few hundred FCFS
     instances; when it fires the walk unwinds with
     {!Cancel.Cancelled} and no partial result escapes.  The service front
-    ends use it to enforce per-request deadlines mid-flight.
-
-    [fault] (default [`None]) plants a known-unsound bug for the fuzz
-    oracle's self-test; only {!Rta_check} passes anything else.
-
-    [variant] (default [`Sound]) selects the SPP/SPNP approximate bound
-    construction ({!Local.variant}).  The SPP exact path and FCFS are
-    unaffected by it. *)
+    ends use it to enforce per-request deadlines mid-flight. *)
 
 val entry : t -> Rta_model.System.subjob_id -> entry
 

@@ -74,7 +74,7 @@ type loop = {
    rounds is unsettled (stated in the .mli). *)
 let max_iterations = 64
 
-let loop ?(cancel = Cancel.never) ?fault ?variant ~release_horizon ~horizon
+let loop ?(cancel = Cancel.never) ~release_horizon ~horizon
     ~input ~above system members =
   Obs.incr c_analyses;
   let sp_run =
@@ -252,7 +252,7 @@ let loop ?(cancel = Cancel.never) ?fault ?variant ~release_horizon ~horizon
           Local.fcfs ~cancel ~exact:false ~horizon
             (List.map (fun id -> input_of (local id)) (System.subjobs_on system p)))
     in
-    Local.step ~cancel ?fault ?variant ~horizon
+    Local.step ~cancel ~horizon
       (Local.policy system id ~hp:(fun () -> hp_of k) ~fcfs)
       (input_of k)
   and hp_of k =

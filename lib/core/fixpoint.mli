@@ -105,8 +105,6 @@ type loop = {
 
 val loop :
   ?cancel:Cancel.t ->
-  ?fault:Local.fault ->
-  ?variant:Local.variant ->
   release_horizon:int ->
   horizon:int ->
   input:(Rta_model.System.subjob_id -> Local.input) ->
@@ -119,5 +117,5 @@ val loop :
     id] is the final arrival bracket of a member or FCFS co-resident [id]
     past stage 0 whose chain predecessor is outside the component; [above
     p] is the aggregate of the residents ranked above the component's
-    members on static-priority processor [p].  [cancel], [fault] and
-    [variant] as for {!Engine.run}. *)
+    members on static-priority processor [p].  [cancel] as for
+    {!Engine.run}. *)

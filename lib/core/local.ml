@@ -5,9 +5,6 @@ module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
 module Minplus = Rta_curve.Minplus
 
-type fault = [ `None | `Fcfs_drop_tau ]
-type variant = [ `Sound | `As_printed ]
-
 type input = {
   tau : int;
   arr_lo : Step.t;
@@ -216,7 +213,8 @@ let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
    Note: the recursion printed
    in the paper's Eq. 17 (interference via hp service {e lower} bounds)
    is unsound — see EXPERIMENTS.md for the two-job counterexample; this
-   formulation replaces it.
+   formulation replaces it, and the ablation runs the printed one
+   (Rta_check.Reference.as_printed).
 
    Upper bound — two sound components, combined by pointwise min:
    (a) S(t) <= t - sum_hp S_lo_hp(t): total capacity minus guaranteed
@@ -250,26 +248,6 @@ let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
   in
   (lo, hi, w_lo)
 
-(* Theorems 5-6 exactly as printed in the paper (Eqs. 16-19), kept for
-   the ablation study.  Known unsound as a departure lower bound (see
-   above); never used by default. *)
-let sp_bounds_as_printed ~blocking ~hp_svc ~work_lo ~work_hi =
-  let lo =
-    let b_fun =
-      if blocking = 0 then Pl.sub Pl.identity hp_svc
-      else
-        Pl.splice ~at:blocking Pl.zero
-          (Pl.sub (Pl.linear ~slope:1 ~offset:(-blocking)) hp_svc)
-    in
-    Minplus.transform_blocked ~mode:`Left ~avail:b_fun ~work:work_lo
-      ~blocking
-  in
-  let hi =
-    Minplus.transform ~mode:`Right ~avail:(Pl.sub Pl.identity hp_svc) ~work:work_hi
-  in
-  let pos f = Pl.max2 f Pl.zero in
-  (Pl.prefix_max (pos lo), Pl.prefix_max (pos hi))
-
 (* FCFS departure bounds (Theorems 7-9) on the processor's utilization
    functions; see local.mli for the soundness argument.  The instances
    of one arrival jump share their arrival time a, so one search serves
@@ -280,7 +258,7 @@ let sp_bounds_as_printed ~blocking ~hp_svc ~work_lo ~work_hi =
    cancellation token each time it passes another [cancel_stride]
    instances, to keep the deadline-to-response latency bounded on huge
    horizons. *)
-let fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
+let fcfs_departures ~cancel ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
   let { g_lo; g_hi; u_lo; u_hi; _ } = ctx in
   let per_jump arr theta_of =
     let n = Step.jump_count arr in
@@ -308,16 +286,8 @@ let fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
   in
   let dep_lo =
     let g_hi_at = Step.Cursor.make g_hi in
-    let target =
-      match fault with
-      | `None -> Step.Cursor.eval g_hi_at
-      | `Fcfs_drop_tau ->
-          (* Planted bug: the left limit misses the workload arriving
-             exactly at a — the instance's own tau. *)
-          Step.Cursor.eval_left g_hi_at
-    in
     per_jump arr_lo (fun a ->
-        match Pl.Inverse.geq u_lo (target a) with
+        match Pl.Inverse.geq u_lo (Step.Cursor.eval g_hi_at a) with
         | Some theta when theta <= horizon -> Some theta
         | Some _ | None -> None)
   in
@@ -329,8 +299,7 @@ let fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
   in
   (dep_lo, dep_hi)
 
-let step ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
-    ~horizon policy (i : input) =
+let step ?(cancel = Cancel.never) ~horizon policy (i : input) =
   match policy with
   | Static { preemptive = true; blocking = 0; hp = { idle = Some idle; _ } }
     when i.exact ->
@@ -350,19 +319,8 @@ let step ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         handoff = Idle use.rest;
       }
   | Static { blocking; hp; _ } ->
-      let svc_lo, svc_hi, handoff =
-        match variant with
-        | `Sound ->
-            let lo, hi, w_lo =
-              sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
-            in
-            (lo, hi, Level w_lo)
-        | `As_printed ->
-            let lo, hi =
-              sp_bounds_as_printed ~blocking ~hp_svc:(hp_svc_lo hp)
-                ~work_lo:i.work_lo ~work_hi:i.work_hi
-            in
-            (lo, hi, Sums)
+      let svc_lo, svc_hi, w_lo =
+        sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
       in
       let dep_lo, dep_hi =
         departures ~horizon ~tau:i.tau ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
@@ -374,11 +332,11 @@ let step ?(cancel = Cancel.never) ?(fault = `None) ?(variant = `Sound)
         dep_lo;
         dep_hi;
         exact = false;
-        handoff;
+        handoff = Level w_lo;
       }
   | Fcfs ctx ->
       let dep_lo, dep_hi =
-        fcfs_departures ~cancel ~fault ~ctx ~horizon ~tau:i.tau
+        fcfs_departures ~cancel ~ctx ~horizon ~tau:i.tau
           ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
       in
       let exact = ctx.exact_inputs && Step.equal dep_lo dep_hi in

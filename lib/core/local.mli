@@ -35,21 +35,6 @@
       possible arrival of instance i plus one execution time (Theorem 9's
       [+ tau]). *)
 
-type fault =
-  [ `None
-  | `Fcfs_drop_tau
-    (** drop Theorem 9's [+ tau] (the instance's own demand) from the FCFS
-        guaranteed-departure target: dep_lo claims departures one execution
-        time too early *) ]
-(** A known-unsound bug the fuzz harness plants to prove its oracle can
-    catch one.  Only {!Engine.run}'s [?fault] reaches it. *)
-
-type variant = [ `Sound | `As_printed ]
-(** The SPP/SPNP bound construction: [`Sound] uses the level-k busy-window
-    formulation proved in local.ml; [`As_printed] reproduces the paper's
-    Eqs. 16-19 literally, whose lower bound is demonstrably unsound (see
-    EXPERIMENTS.md) — retained only for the ablation study. *)
-
 type input = private {
   tau : int;  (** execution time of the resident *)
   arr_lo : Rta_curve.Step.t;  (** lower bound on the arrival function *)
@@ -205,8 +190,6 @@ val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
 
 val step :
   ?cancel:Cancel.t ->
-  ?fault:fault ->
-  ?variant:variant ->
   horizon:int ->
   policy ->
   input ->
@@ -219,7 +202,6 @@ val step :
     counts no instance at time 0 before it ([Step.init_value] is 0, as
     for every bracket the analysis builds); instances counted there are
     served from time 0.  [cancel]
-    (default {!Cancel.never}) is polled every few hundred FCFS instances;
-    [fault] (default [`None]) and [variant] (default [`Sound]) as
-    above.  An FCFS policy's context must have been built with the same
+    (default {!Cancel.never}) is polled every few hundred FCFS instances.
+    An FCFS policy's context must have been built with the same
     [horizon]. *)

@@ -26,13 +26,9 @@ let end_to_end engine ~estimator ~job =
   let last_e = Engine.entry engine { System.job = job; step = last } in
   let count = instance_count engine ~job in
   match estimator with
-  | `Exact ->
-      if not last_e.Engine.exact then
+  | `Exact | `Direct ->
+      if estimator = `Exact && not last_e.Engine.exact then
         invalid_arg "Response.end_to_end: `Exact requires an exact analysis";
-      max_over_instances ~count
-        ~departure_of:(Step.inverse last_e.Engine.dep_lo)
-        ~reference_of:(Step.inverse first_e.Engine.arr_lo)
-  | `Direct ->
       max_over_instances ~count
         ~departure_of:(Step.inverse last_e.Engine.dep_lo)
         ~reference_of:(Step.inverse first_e.Engine.arr_lo)

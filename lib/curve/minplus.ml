@@ -1,5 +1,5 @@
-(* Prefix-minimum scan over the merged event grid of an availability
-   function and a workload step function.  See minplus.mli for semantics. *)
+(* Single-pass walks for the paper's min-plus expressions.  See
+   minplus.mli for semantics. *)
 
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
 open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
@@ -7,152 +7,6 @@ open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare =
 type mode = [ `Left | `Right ]
 
 module Obs = Rta_obs
-
-let c_prefix_min = Obs.counter "minplus.prefix_min.calls"
-let h_work_jumps = Obs.histogram "minplus.work.jumps"
-let h_avail_knots = Obs.histogram "minplus.avail.knots"
-let h_out_knots = Obs.histogram "minplus.out.knots"
-let h_seconds = Obs.histogram "minplus.prefix_min.seconds"
-
-(* Sorted, deduplicated event times: 0, every knot of [avail], and for every
-   jump time j of [work] both j and j+1 (so that both the value and the left
-   limit of [work] are constant on every open interval between events).
-
-   Both inputs are already sorted (knot times strictly increasing, and the
-   per-jump pairs j, j+1 non-decreasing across jumps since j' > j implies
-   j' >= j+1), so a single linear merge suffices — no list rebuilding, no
-   sort. *)
-let event_times avail work =
-  let ks = Pl.knots avail in
-  let js = Step.jumps work in
-  let nk = Array.length ks and nj = Array.length js in
-  let out = Array.make (nk + (2 * nj) + 1) 0 in
-  let len = ref 0 in
-  let push t =
-    if !len = 0 || out.(!len - 1) < t then begin
-      out.(!len) <- t;
-      incr len
-    end
-  in
-  push 0;
-  let i = ref 0 and j = ref 0 and half = ref 0 in
-  (* [half] selects which of the two events of jump [j] comes next: the
-     jump time itself (0) or the tick after (1). *)
-  while !i < nk || !j < nj do
-    let next_knot = if !i < nk then fst ks.(!i) else max_int in
-    let next_jump = if !j < nj then fst js.(!j) + !half else max_int in
-    if next_knot <= next_jump then begin
-      push next_knot;
-      incr i
-    end
-    else begin
-      push next_jump;
-      if !half = 0 then half := 1
-      else begin
-        half := 0;
-        incr j
-      end
-    end
-  done;
-  Array.sub out 0 !len
-
-(* The optimized scan: the event walk visits non-decreasing times, so both
-   inputs are evaluated through cursors (segment indices only ever move
-   forward — no per-event binary search), and output knots land in a
-   preallocated array builder (no list consing, no of_knots re-validation).
-   The builder starts at one knot per event and doubles past it: an event
-   interval can push up to 6 knots, but sizing every scan for that made
-   each one allocate six knots per event, most of them never written,
-   and those buffers set the peak memory of FCFS fixpoint verdicts. *)
-let prefix_min_impl ~mode ~avail ~work =
-  let events = event_times avail work in
-  let n_events = Array.length events in
-  let b = Pl.Builder.create (n_events + 2) in
-  let push t v = Pl.Builder.push b t v in
-  let ac = Pl.Cursor.make avail in
-  let wc = Step.Cursor.make work in
-  let work_at =
-    match mode with
-    | `Left -> fun s -> Step.Cursor.eval_left wc s
-    | `Right -> fun s -> Step.Cursor.eval wc s
-  in
-  let hl s = work_at s - Pl.Cursor.eval ac s in
-  let m_cur = ref (hl 0) in
-  push 0 !m_cur;
-  let tail = ref 0 in
-  let interval e bound =
-    let hl_e = hl e in
-    if hl_e < !m_cur then begin
-      if e > 0 then push (e - 1) !m_cur;
-      push e hl_e;
-      m_cur := hl_e
-    end;
-    (* Slope of [avail] on the event interval starting at [e]: events
-       include every knot of [avail], so the segment containing [e] spans
-       the whole interval and the cursor's segment slope is exact. *)
-    let sigma = -Pl.Cursor.slope ac e in
-    if sigma < 0 then begin
-      if hl_e <= !m_cur then begin
-        (* m follows hl through the interval. *)
-        push e !m_cur;
-        match bound with
-        | Some e' ->
-            let v = hl_e + (sigma * (e' - 1 - e)) in
-            push (e' - 1) v;
-            m_cur := v
-        | None -> tail := sigma
-      end
-      else begin
-        (* hl starts above m and falls; it crosses strictly below m at the
-           first integer d with hl_e + sigma * d < m. *)
-        let d = ((hl_e - !m_cur) / -sigma) + 1 in
-        let k = e + d in
-        let inside = match bound with None -> true | Some e' -> k <= e' - 1 in
-        if inside then begin
-          push (k - 1) !m_cur;
-          push k (hl_e + (sigma * d));
-          match bound with
-          | Some e' ->
-              let v = hl_e + (sigma * (e' - 1 - e)) in
-              push (e' - 1) v;
-              m_cur := v
-          | None ->
-              m_cur := hl_e + (sigma * d);
-              tail := sigma
-        end
-      end
-    end
-  in
-  for k = 0 to n_events - 1 do
-    interval events.(k) (if k + 1 < n_events then Some events.(k + 1) else None)
-  done;
-  Pl.Builder.to_pl ~tail:!tail b
-
-(* The instrumented entry point: every min-plus transform in the engine
-   routes through this scan, so its call count, input/output segment counts
-   and durations characterize the whole curve layer's hot path. *)
-let prefix_min ~mode ~avail ~work =
-  let t0 = if Obs.enabled () then Obs.now () else 0. in
-  let result = prefix_min_impl ~mode ~avail ~work in
-  if Obs.enabled () then begin
-    Obs.incr c_prefix_min;
-    Obs.observe_int h_work_jumps (Step.jump_count work);
-    Obs.observe_int h_avail_knots (Pl.knot_count avail);
-    Obs.observe_int h_out_knots (Pl.knot_count result);
-    Obs.observe h_seconds (Obs.now () -. t0)
-  end;
-  result
-
-let transform ~mode ~avail ~work =
-  Pl.add avail (prefix_min ~mode ~avail ~work)
-
-let transform_blocked ~mode ~avail ~work ~blocking =
-  if blocking < 0 then invalid_arg "Minplus.transform_blocked: negative blocking";
-  if blocking = 0 then transform ~mode ~avail ~work
-  else
-    let m = prefix_min ~mode ~avail ~work in
-    let shifted = Pl.shift_right m blocking in
-    Pl.splice ~at:blocking Pl.zero (Pl.add avail shifted)
 
 (* Theorem 7's utilization U(t) = t + min over s <= t of (G*(s) - s) as
    one busy-period walk.  U(t + 1) = min (U(t) + 1, G*(t + 1)): a

@@ -1,4 +1,4 @@
-(** The min-plus prefix transform at the heart of the paper's analysis.
+(** The min-plus expressions at the heart of the paper's analysis.
 
     Theorems 3, 5, 6 and 7 all compute expressions of the shape
 
@@ -6,13 +6,14 @@
 
     for an availability function [A] (piecewise linear) and a workload
     function [c] (a step function).  Writing
-    [m(t) = min over s <= t of (c(s) - A(s))] this is [F = A + m], and [m]
-    is computable with one scan over the merged event points of [A] and [c].
-    The analysis evaluates Theorem 3's exact SPP service by consuming idle
-    intervals instead ({!Idle}), and Theorem 7's utilization, whose
-    availability is the identity, by a busy-period walk
-    ({!utilization}); the formula is kept as the oracle that checks both,
-    on the frozen reference scan.
+    [m(t) = min over s <= t of (c(s) - A(s))] this is [F = A + m], the
+    prefix-minimum transform.  The analysis never builds [m]: it evaluates
+    Theorem 3's exact SPP service by consuming idle intervals ({!Idle}),
+    Theorem 7's utilization, whose availability is the identity, by a
+    busy-period walk ({!utilization}), and Theorems 5-6 by two sweeps
+    ({!sp_lower}, {!sp_upper}).  The transform itself is kept as the
+    oracle that checks them, on the reference scan
+    ([Rta_check.Reference.prefix_min]).
 
     The minimum over {e real} [s] matters at the discontinuities of [c]: the
     infimum approaches the left limit [c(s-)].  The [mode] argument selects
@@ -31,18 +32,10 @@
 
 type mode = [ `Left | `Right ]
 
-val prefix_min : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
-(** [prefix_min ~mode ~avail ~work] is
-    [m(t) = min over integer 0 <= s <= t of (work*(s) - avail(s))] where
-    [work*] is the left limit or the value of [work] per [mode].  No
-    analysis path of the engine or the fixed point calls it: it serves the
-    [`As_printed] ablation ({!Rta_core.Local.variant}) and the reference
-    oracles, which check the kernels below against it. *)
-
 val utilization : mode:mode -> Step.t -> Pl.t
 (** [utilization ~mode w] is Theorem 7's utilization function
-    [U(t) = t + min over s <= t of (w*(s) - s)], equal to
-    [transform ~mode ~avail:Pl.identity ~work:w], as one busy-period walk
+    [U(t) = t + min over s <= t of (w*(s) - s)], the transform against
+    the identity, as one busy-period walk
     over the jumps of [w], O(1) each: [U] rises one per tick while the
     unit-rate server has work and stays flat at [w*]'s level when it
     idles, so a jump of size J at effect time e (its time, plus one in
@@ -64,17 +57,6 @@ val departures :
     @raise Invalid_argument if [service] decreases somewhere or
     [tau < 1]. *)
 
-val transform : mode:mode -> avail:Pl.t -> work:Step.t -> Pl.t
-(** [transform ~mode ~avail ~work] is [avail + prefix_min ~mode ~avail ~work]:
-    the paper's [min (A(t) - A(s) + c(s))].  When [avail] is non-decreasing
-    the result is non-decreasing and non-negative. *)
-
-val transform_blocked :
-  mode:mode -> avail:Pl.t -> work:Step.t -> blocking:int -> Pl.t
-(** Theorem 5's variant: 0 on [0, blocking], and
-    [avail(t) + m(t - blocking)] beyond, where [m] is the prefix minimum
-    above.  [blocking >= 0]. *)
-
 val sp_lower : blocking:int -> hp_work:Step.t -> level_work:Step.t -> Pl.t
 (** Theorem 5's static-priority service lower bound (the level-k busy-window
     form proved in [Rta_core.Local]), monotonized: with [b = blocking],
@@ -84,7 +66,8 @@ val sp_lower : blocking:int -> hp_work:Step.t -> level_work:Step.t -> Pl.t
 
     {[ fun t -> max (0, max over s <= t of L(s)) ]}
 
-    where [L(t) = t - b - C(t) + prefix_min `Left identity W (max 0 (t - b))].
+    where [L(t) = t - b - C(t) + m (max 0 (t - b))], with [m] the
+    [`Left] prefix minimum of [W] against the identity.
     One walk over the jumps of [C] and [W], O(1) each, builds it without
     any intermediate curve.  [blocking >= 0].  Counted when
     {!Rta_obs.enabled}: [sp.lo.events], the jumps walked. *)

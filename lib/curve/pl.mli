@@ -37,7 +37,7 @@ val of_step : Step.t -> t
 module Builder : sig
   (** Preallocated knot buffer for building polylines in one forward pass.
 
-      The hot-path kernels ({!Minplus.prefix_min}, {!of_step}) accumulate
+      The hot-path kernels ({!Minplus.utilization}, {!of_step}) accumulate
       output knots here instead of consing a list and re-validating through
       {!of_knots}: pushes are amortized O(1) on a preallocated array, a push
       at the current last time overwrites its value (the dedup the kernels
@@ -72,8 +72,8 @@ val eval : t -> int -> int
 module Cursor : sig
   (** Amortized-O(1) sequential evaluation for non-decreasing query times.
 
-      Event sweeps (the prefix-minimum scan, the fuzz oracle's merged-grid
-      walk) evaluate curves at sorted times; a cursor walks the segment
+      Event sweeps (the static-priority bound sweeps, the fuzz oracle's
+      merged-grid walk) evaluate curves at sorted times; a cursor walks the segment
       index forward instead of binary-searching from scratch on every
       query, galloping over skipped knots, so a query that skips k knots
       reads O(log k) of them.  All queries on one cursor must use

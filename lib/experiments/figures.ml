@@ -464,11 +464,9 @@ let ablation ?(sets = 60) ?(seed = 45) () =
       let rng = Rng.make (seed + (17 * set)) in
       let system = Jobshop.generate config ~rng in
       let release_horizon, horizon = System.suggested_horizons system in
-      let run variant =
-        Rta_core.Engine.run ~variant ~release_horizon ~horizon system
-      in
-      match (run `As_printed, run `Sound) with
-      | Ok ap, Ok sound ->
+      let ap = Rta_check.Reference.as_printed ~release_horizon ~horizon system in
+      match Rta_core.Engine.run ~release_horizon ~horizon system with
+      | Ok sound ->
           let sim = Rta_sim.Sim.run ~release_horizon system ~horizon in
           if Rta_core.Response.schedulable ap ~estimator:`Sum then incr admitted_ap;
           if Rta_core.Response.schedulable sound ~estimator:`Sum then
@@ -483,7 +481,7 @@ let ablation ?(sets = 60) ?(seed = 45) () =
                 if b < w then incr violations
             | _ -> ()
           done
-      | _ -> ()
+      | Error _ -> ()
     done;
     buf_table
       ~title:

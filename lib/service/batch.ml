@@ -288,10 +288,11 @@ let analysis_of_string s =
 (* Sound last resort for a request whose exact analysis was cancelled
    mid-flight: envelope bounds hold for every trace, so the client still
    gets usable numbers.  They are not cheap and run without a budget:
-   on the 1024-job two-stage FCFS shop they take 10.5 s, 31x the full
-   analysis, so a degraded answer can arrive long after its deadline
-   (ROADMAP item 3 plans a shared per-processor sum and a budget of their
-   own).  The bounds cover the releases the analysis would have seen
+   on the 1024-job two-stage FCFS shop ([rta generate --stages 2 --sched
+   fcfs --seed 3 --jobs 1024]) they took 8.9 s, 26x the full analysis's
+   0.34 s, on a 2-core machine with OCaml 5.1.1, so a degraded answer can
+   arrive long after its deadline (ROADMAP item 6 plans a shared
+   per-processor sum and a budget of their own).  The bounds cover the releases the analysis would have seen
    (its resolved release horizon), as the analysis does.  Cyclic systems
    have no envelope order; they report the plain timeout.  Any failure here
    must read as the timeout it is, not as an analysis error. *)

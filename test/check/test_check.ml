@@ -1,6 +1,7 @@
 (* The fuzz harness's own guarantees:
    - the differential oracle passes on a clean engine over many seeds;
-   - a planted unsound engine fault is caught, shrunk to a tiny system,
+   - a planted unsound fault in the checked analysis is caught, shrunk to
+     a tiny system,
      written as a replayable counterexample, and replays as a failure;
    - the whole pipeline is deterministic in the seed;
    - the kernel fuzzer ([rta fuzz --kernels]) runs clean against the
@@ -58,8 +59,8 @@ let test_planted_fault_caught () =
   let cexs = outcome.Rta_check.Fuzz.counterexamples in
   Alcotest.(check bool) "planted fault caught" true (List.length cexs > 0);
   let cex = List.hd cexs in
-  (* The fault makes dep_lo of any FCFS subjob claim a departure at its
-     very first arrival instant, so the shrinker can always reach a
+  (* The fault makes dep_lo of any FCFS subjob claim its departures one
+     execution time early, so the shrinker can always reach a
      near-trivial system. *)
   Alcotest.(check bool)
     "shrunk to at most 3 subjobs" true
@@ -85,7 +86,7 @@ let test_planted_fault_caught () =
   | Ok Rta_check.Oracle.Passed -> ()
   | Ok (Rta_check.Oracle.Failed vs) ->
       Alcotest.fail
-        ("healthy engine still fails replay: "
+        ("healthy analysis still fails replay: "
         ^ Format.asprintf "%a" Rta_check.Oracle.pp_violation (List.hd vs))
   | Error msg -> Alcotest.fail ("replay failed to parse: " ^ msg)
 

@@ -90,6 +90,30 @@ let test_spnp_blocking () =
         true (r >= 7)
   | Rta_core.Response.Unbounded -> Alcotest.fail "unbounded"
 
+(* EXPERIMENTS.md's counterexample to Theorem 5 as printed: A over B on
+   one SPNP processor, both tau = 1 and period 5, released together.  The
+   printed recursion subtracts A's lower service bound, 0 until A may have
+   been blocked, so it lets B depart at 1; A runs first and B departs
+   at 2. *)
+let test_as_printed_counterexample () =
+  let s =
+    Builder.(
+      create [ spnp ]
+      |> job "A" ~arrival:(periodic 5.0) ~deadline:5.0 ~chain:[ on 0 1.0 ~prio:1 () ]
+      |> job "B" ~arrival:(periodic 5.0) ~deadline:5.0 ~chain:[ on 0 1.0 ~prio:2 () ]
+      |> build_exn)
+  in
+  let bound = function Verdict.Bounded r -> Some r | Verdict.Unbounded -> None in
+  let release_horizon, horizon = System.suggested_horizons s in
+  let printed = Rta_check.Reference.as_printed ~release_horizon ~horizon s in
+  Alcotest.(check (option int)) "as printed bounds B at 1000" (Some 1000)
+    (bound (Rta_core.Response.end_to_end printed ~estimator:`Direct ~job:1));
+  let sim = Rta_sim.Sim.run ~release_horizon s ~horizon in
+  Alcotest.(check (option int)) "simulated worst of B" (Some 2000)
+    (Rta_sim.Sim.worst_response sim 1);
+  Alcotest.(check (option int)) "analysis bounds B at 2000" (Some 2000)
+    (bound (Rta_core.Analysis.run s).Rta_core.Analysis.per_job.(1))
+
 let test_two_stage_pipeline () =
   (* Two-stage chain alone in the system: end-to-end = tau1 + tau2 for every
      instance; the exact analysis must find exactly that. *)
@@ -1322,6 +1346,8 @@ let () =
           Alcotest.test_case "single task" `Quick test_single_task;
           Alcotest.test_case "two tasks, preemption" `Quick test_two_tasks_preemption;
           Alcotest.test_case "SPNP blocking" `Quick test_spnp_blocking;
+          Alcotest.test_case "Theorem 5 as printed: counterexample" `Quick
+            test_as_printed_counterexample;
           Alcotest.test_case "two-stage pipeline" `Quick test_two_stage_pipeline;
           Alcotest.test_case "FCFS two jobs" `Quick test_fcfs_two_jobs;
         ] );

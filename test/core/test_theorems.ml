@@ -125,7 +125,7 @@ let test_theorem7_utilization () =
       (Step.scale (Step.of_arrival_times [| 2 |]) 3)
       (Step.scale (Step.of_arrival_times [| 6 |]) 2)
   in
-  let u = Minplus.transform ~mode:`Left ~avail:Pl.identity ~work:g in
+  let u = Minplus.utilization ~mode:`Left g in
   List.iter
     (fun (t, expect) -> check_int (Printf.sprintf "U(%d)" t) expect (Pl.eval u t))
     [ (0, 0); (2, 0); (4, 2); (5, 3); (6, 3); (8, 5); (20, 5) ];
@@ -405,7 +405,7 @@ let sweeps_match_oracle (blocking, hp_work_hi, hp_svc_lo, level_work, work_hi) =
   let lo = Minplus.sp_lower ~blocking ~hp_work:hp_work_hi ~level_work in
   let hi =
     Minplus.sp_upper ~hp_service:hp_svc_lo ~own_work:work_hi
-      ~own_util:(Minplus.transform ~mode:`Right ~avail:Pl.identity ~work:work_hi)
+      ~own_util:(Minplus.utilization ~mode:`Right work_hi)
   in
   Pl.equal lo lo_ref && Pl.equal hi hi_ref
 

@@ -4,6 +4,7 @@
 
 open Rta_curve
 module Dense = Rta_check.Dense
+module Reference = Rta_check.Reference
 module G = Rta_testsupport.Gen
 
 let h = G.horizon
@@ -410,14 +411,14 @@ let prop_pl_dominates =
       if sparse then dense else true)
 
 (* ------------------------------------------------------------------ *)
-(* Minplus: unit tests                                                 *)
+(* The min-plus transform (Reference): unit tests                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_minplus_single_instance () =
   (* One instance, execution 5, arriving at 10, alone on the processor:
      S(t) = 0 until 10, then ramps to 5. *)
   let work = Step.scale (Step.of_arrival_times [| 10 |]) 5 in
-  let s = Minplus.transform ~mode:`Left ~avail:Pl.identity ~work in
+  let s = Reference.transform ~mode:`Left ~avail:Pl.identity ~work in
   check_int "before arrival" 0 (Pl.eval s 10);
   check_int "mid service" 3 (Pl.eval s 13);
   check_int "complete" 5 (Pl.eval s 15);
@@ -427,10 +428,10 @@ let test_minplus_arrival_at_zero () =
   (* The `Left mode must not grant instantaneous service to work arriving at
      time 0 (the right-continuous reading would). *)
   let work = Step.scale (Step.of_arrival_times [| 0 |]) 4 in
-  let s = Minplus.transform ~mode:`Left ~avail:Pl.identity ~work in
+  let s = Reference.transform ~mode:`Left ~avail:Pl.identity ~work in
   check_int "no service at 0" 0 (Pl.eval s 0);
   check_int "done at 4" 4 (Pl.eval s 4);
-  let s' = Minplus.transform ~mode:`Right ~avail:Pl.identity ~work in
+  let s' = Reference.transform ~mode:`Right ~avail:Pl.identity ~work in
   check_int "right-mode over-approximates" 4 (Pl.eval s' 0)
 
 let test_minplus_blocked () =
@@ -443,7 +444,7 @@ let test_minplus_blocked () =
   let work = Step.scale (Step.of_arrival_times [| 0 |]) 4 in
   let b = 3 in
   let avail = Pl.splice ~at:b Pl.zero (Pl.linear ~slope:1 ~offset:(-b)) in
-  let s = Minplus.transform_blocked ~mode:`Left ~avail ~work ~blocking:b in
+  let s = Reference.transform_blocked ~mode:`Left ~avail ~work ~blocking:b in
   check_int "zero while blocked" 0 (Pl.eval s b);
   check_int "one unit served at 4" 1 (Pl.eval s 4);
   check_int "done at b + tau" 4 (Pl.eval s 7);
@@ -451,13 +452,13 @@ let test_minplus_blocked () =
   check_int "post-departure overshoot is bounded by b" (4 + b) (Pl.eval s 40)
 
 (* ------------------------------------------------------------------ *)
-(* Minplus: properties against the dense oracle                        *)
+(* The transform: properties against the dense oracle                *)
 (* ------------------------------------------------------------------ *)
 
 let prop_minplus mode name =
   G.qtest2 name G.avail_gen G.print_pl G.step_gen G.print_step
     (fun (avail, work) ->
-      let sparse = Dense.of_pl ~horizon:h (Minplus.transform ~mode ~avail ~work) in
+      let sparse = Dense.of_pl ~horizon:h (Reference.transform ~mode ~avail ~work) in
       let dense =
         Dense.transform ~mode ~avail:(Dense.of_pl ~horizon:h avail) ~work_step:work
       in
@@ -466,13 +467,32 @@ let prop_minplus mode name =
 let prop_minplus_left = prop_minplus `Left "transform `Left = dense"
 let prop_minplus_right = prop_minplus `Right "transform `Right = dense"
 
+let prop_transform_on mode name avail_gen =
+  G.qtest2 name avail_gen G.print_pl G.step_gen G.print_step (fun (avail, work) ->
+      Dense.equal_on
+        (Dense.of_pl ~horizon:h (Reference.transform ~mode ~avail ~work))
+        (Dense.transform ~mode ~avail:(Dense.of_pl ~horizon:h avail) ~work_step:work))
+
+(* Mostly-flat availability: plateaus stress the same-time dedup and the
+   zero-slope branches of the prefix scan. *)
+let prop_transform_plateau =
+  prop_transform_on `Right "transform `Right on plateau avail = dense"
+    (G.pl_with ~y0_gen:(QCheck2.Gen.int_range 0 5)
+       ~slope_gen:QCheck2.Gen.(oneofl [ 0; 0; 0; 0; 1; -1 ]))
+
+(* Availability with negative-slope stretches from 0 (the analysis only
+   produces non-decreasing ones; the scan must not depend on that). *)
+let prop_transform_neg_avail =
+  prop_transform_on `Left "transform `Left on negative-slope avail = dense"
+    (G.pl_with ~y0_gen:(QCheck2.Gen.return 0) ~slope_gen:(QCheck2.Gen.int_range (-2) 2))
+
 (* General availability functions (negative slopes) exercise the scan's
    crossing logic much harder. *)
 let prop_minplus_general =
   G.qtest2 "transform on general avail = dense" G.pl_gen G.print_pl G.step_gen
     G.print_step
     (fun (avail, work) ->
-      let sparse = Dense.of_pl ~horizon:h (Minplus.transform ~mode:`Left ~avail ~work) in
+      let sparse = Dense.of_pl ~horizon:h (Reference.transform ~mode:`Left ~avail ~work) in
       let dense =
         Dense.transform ~mode:`Left ~avail:(Dense.of_pl ~horizon:h avail)
           ~work_step:work
@@ -486,7 +506,7 @@ let prop_minplus_blocked =
       let blocking = 5 in
       let sparse =
         Dense.of_pl ~horizon:h
-          (Minplus.transform_blocked ~mode:`Left ~avail ~work ~blocking)
+          (Reference.transform_blocked ~mode:`Left ~avail ~work ~blocking)
       in
       let dense =
         Dense.transform_blocked ~mode:`Left ~avail:(Dense.of_pl ~horizon:h avail)
@@ -498,7 +518,7 @@ let prop_minplus_monotone_service =
   G.qtest2 "service is non-decreasing and bounded by workload" G.avail_gen
     G.print_pl G.step_gen G.print_step
     (fun (avail, work) ->
-      let s = Minplus.transform ~mode:`Left ~avail ~work in
+      let s = Reference.transform ~mode:`Left ~avail ~work in
       let ok = ref true in
       for t = 1 to h do
         if Pl.eval s t < Pl.eval s (t - 1) then ok := false;
@@ -725,6 +745,8 @@ let () =
           prop_minplus_left;
           prop_minplus_right;
           prop_minplus_general;
+          prop_transform_plateau;
+          prop_transform_neg_avail;
           prop_minplus_blocked;
           prop_minplus_monotone_service;
         ] );

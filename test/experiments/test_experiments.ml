@@ -187,6 +187,19 @@ let test_ablation_smoke () =
     (fun needle -> check_bool needle true (contains ~needle s))
     [ "T-2a"; "T-2b"; "T-2c"; "T-2d"; "as printed"; "sound" ]
 
+(* T-2b's rows, measured when the as-printed recursion still ran inside
+   the engine: moving it must not move a verdict. *)
+let test_ablation_t2b_pinned () =
+  let s = Fig.ablation ~sets:20 ~seed:1 () in
+  let row label =
+    String.split_on_char '\n' s
+    |> List.find (fun l -> String.starts_with ~prefix:label l)
+    |> String.split_on_char ' ' |> List.filter (( <> ) "") |> String.concat " "
+  in
+  Alcotest.(check string) "as printed" "as printed 10/20 33 of 80 job bounds"
+    (row "as printed  ");
+  Alcotest.(check string) "sound" "sound 6/20 0 (by T-1)" (row "sound  ")
+
 let test_robustness_smoke () =
   let s = Fig.robustness ~sets:3 ~seed:1 () in
   List.iter
@@ -233,6 +246,7 @@ let () =
           Alcotest.test_case "fig4 smoke" `Slow test_fig4_smoke;
           Alcotest.test_case "tightness smoke" `Slow test_tightness_smoke;
           Alcotest.test_case "ablation smoke" `Slow test_ablation_smoke;
+          Alcotest.test_case "ablation T-2b pinned" `Slow test_ablation_t2b_pinned;
           Alcotest.test_case "robustness smoke" `Slow test_robustness_smoke;
           Alcotest.test_case "envelope admission smoke" `Slow
             test_envelope_admission_smoke;

@@ -497,15 +497,12 @@ let kernel_counters =
     "pl.add.calls";
     "pl.sub.calls";
     "pl.max2.calls";
-    "minplus.prefix_min.calls";
     "minplus.utilization.calls";
   ]
 
-(* No engine or fixed-point path runs the generic prefix minimum: its pin
-   is 0 everywhere. *)
 let kernel_pins ~step_add ~step_scale ~pl_add ~pl_sub ~pl_max2 ~utilization =
   List.combine kernel_counters
-    [ step_add; step_scale; pl_add; pl_sub; pl_max2; 0; utilization ]
+    [ step_add; step_scale; pl_add; pl_sub; pl_max2; utilization ]
 
 let sweep_pins ~lo_events ~hi_windows ~hi_reads ~crossings =
   [
@@ -671,8 +668,7 @@ let bracket_jumps e residents =
     0 residents
 
 (* An FCFS processor with N residents and I instances costs O(I log I):
-   - Theorem 7's two utilization walks, once per processor, and no
-     generic prefix minimum;
+   - Theorem 7's two utilization walks, once per processor;
    - at most two inverse handles per processor (one when exact inputs
      share the utilization function);
    - one inverse query per arrival jump and bound, the instances of a
@@ -695,8 +691,6 @@ let fcfs_counts ~jobs system e =
       (List.init (System.processor_count system) Fun.id)
   in
   let n_procs = List.length processors in
-  check_int (Printf.sprintf "%d jobs: no prefix_min" jobs) 0
-    (value "minplus.prefix_min.calls");
   check_int
     (Printf.sprintf "%d jobs: utilization per processor" jobs)
     (2 * n_procs)
@@ -837,8 +831,8 @@ let sp_counts ~jobs system e =
    one push per rank and the FCFS utilization functions are built once per
    processor, so no kernel count may exceed 2 per subjob as the shop
    grows: an input bracket scales up to two curves; an SPNP resident
-   takes a push and the utilization of its own workload (the generic
-   prefix minimum runs nowhere), and in [step.add] its level-k workload,
+   takes a push and the utilization of its own workload, and in
+   [step.add] its level-k workload,
    which the next rank's push reuses as its [work_lo] sum, and the push's
    [work_hi] sum; its bound sweeps add nothing.  The composed bound chain
    the sweeps replaced took 3 [pl.add] per SPNP resident and overshoots
