@@ -455,14 +455,15 @@ let fcfs_first_mismatch (exact, horizon, residents) =
     | [] -> None
     | (i, (dep_lo, dep_hi, exact)) :: rest ->
         let o = Local.step ~horizon (Local.Fcfs ctx) i in
-        if Step.equal o.dep_lo dep_lo && Step.equal o.dep_hi dep_hi && o.exact = exact
+        let o_dep_hi = Lazy.force o.dep_hi in
+        if Step.equal o.dep_lo dep_lo && Step.equal o_dep_hi dep_hi && o.exact = exact
         then go (rank + 1) rest
         else
           Some
             (Printf.sprintf
                "resident %d\nper-jump dep_lo = %s (exact: %b)\nper-instance dep_lo = %s (exact: %b)\nper-jump dep_hi = %s\nper-instance dep_hi = %s"
                rank (show_step o.dep_lo) o.exact (show_step dep_lo) exact
-               (show_step o.dep_hi) (show_step dep_hi))
+               (show_step o_dep_hi) (show_step dep_hi))
   in
   go 1 (List.combine inputs (Reference.fcfs ~exact ~horizon residents))
 
@@ -483,61 +484,68 @@ let render m =
   Printf.sprintf "#! rta-kernels seed=%d index=%d check=%s\n%s\n" m.seed
     m.index m.check m.detail
 
+(* Every check draws from its own stream, seeded from the trial's seed
+   and the check's name (a 30-bit hash, above the seed's 32 bits), so
+   adding or removing a check leaves the inputs of every other one as
+   they were, at every seed. *)
+let stream seed name = Rng.make (seed lxor (Hashtbl.hash name lsl 32))
+
 let run ?out_dir ?budget_s ~seed ~count () =
   let sp = if Obs.enabled () then Obs.span_begin "kernels.run" else Obs.no_span in
   let passed = ref 0 and mismatches = ref [] in
   let tested, elapsed_s =
     Fuzz.trials ~budget_s ~count @@ fun i ->
     Obs.incr c_trials;
-    let rng = Rng.make (seed + i) in
+    let draw = stream (seed + i) in
     let found = ref [] in
     let record check detail = found := (check, detail) :: !found in
     (* pointwise combination kernels, fast vs reference bodies. *)
-    (let pair = (gen_pl rng, gen_pl rng) in
+    (let rng = draw "pointwise" in
+     let pair = (gen_pl rng, gen_pl rng) in
      if pointwise_mismatch pair then
        let pair = shrink2 pl_shrinks pl_shrinks pointwise_mismatch pair in
        record "pointwise" (pointwise_detail pair));
     (* cursor evaluation vs direct evaluation at ascending times. *)
-    (let times = gen_times rng in
+    (let rng = draw "cursor-pl" in
+     let times = gen_times rng in
      let f = gen_pl rng in
      if cursor_pl_mismatch times f then
        let f = shrink1 pl_shrinks (cursor_pl_mismatch times) f in
        record "cursor-pl" (cursor_pl_detail times f));
-    (let times = gen_times rng in
+    (let rng = draw "cursor-step" in
+     let times = gen_times rng in
      let f = gen_step rng in
      if cursor_step_mismatch times f then
        let f = shrink1 step_shrinks (cursor_step_mismatch times) f in
        record "cursor-step" (cursor_step_detail times f));
-    (* The checks draw from [rng] in this order: a new check goes last,
-       so the earlier ones keep their inputs. *)
-    (let f = gen_pl_mono rng in
+    (let f = gen_pl_mono (draw "inverse-geq") in
      if inverse_mismatch f then
        let f = shrink1 pl_shrinks inverse_mismatch f in
        record "inverse-geq" (inverse_detail f));
-    (let f = gen_pl_falling rng in
+    (let f = gen_pl_falling (draw "inverse-geq falling") in
      if inverse_accepts_falling f then
        record "inverse-geq"
          ("Inverse.make accepted a falling curve\nf = " ^ show_pl f));
-    (let l = gen_steps rng in
+    (let l = gen_steps (draw "step-sum") in
      if sum_mismatch l then
        let l = shrink1 (list_shrinks step_shrinks) sum_mismatch l in
        record "step-sum" (sum_detail l));
-    (let horizon, residents = gen_spp rng in
+    (let horizon, residents = gen_spp (draw "spp-idle") in
      let still_fails residents = spp_idle_mismatch (horizon, residents) in
      if still_fails residents then
        let residents = shrink1 (list_shrinks resident_shrinks) still_fails residents in
        record "spp-idle" (spp_idle_detail (horizon, residents)));
-    (let case = gen_sp rng in
+    (let case = gen_sp (draw "sp-sweep") in
      if sp_sweep_mismatch case then
        record "sp-sweep" (sp_sweep_detail (shrink1 sp_shrinks sp_sweep_mismatch case)));
-    (let w = gen_step rng in
+    (let w = gen_step (draw "utilization") in
      if utilization_mismatch w then
        record "utilization" (utilization_detail (shrink1 step_shrinks utilization_mismatch w)));
-    (let case = gen_departures rng in
+    (let case = gen_departures (draw "departures") in
      if departures_mismatch case then
        record "departures"
          (departures_detail (shrink1 departures_shrinks departures_mismatch case)));
-    (let exact, horizon, residents = gen_fcfs rng in
+    (let exact, horizon, residents = gen_fcfs (draw "fcfs-departures") in
      let still_fails residents = fcfs_mismatch (exact, horizon, residents) in
      if still_fails residents then
        let residents = shrink1 (list_shrinks fcfs_resident_shrinks) still_fails residents in

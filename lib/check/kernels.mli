@@ -30,11 +30,16 @@
     (dropping knots, jumps, sum terms, residents and releases, zeroing
     tails, lowering execution times and blocking) before reporting;
     a case is reproduced by re-running with the same [seed] and a [count]
-    that covers its [index]. *)
+    that covers its [index].  Each check draws its inputs from its own
+    stream, seeded from [seed + index] and the check's name, so adding or
+    removing a check changes no other check's inputs: results at one seed
+    compare across versions. *)
 
 type mismatch = {
   seed : int;
-  index : int;  (** the trial was generated from [Rng.make (seed + index)] *)
+  index : int;
+      (** the trial: its checks drew from streams seeded from
+          [seed + index] and their names *)
   check : string;
       (** e.g. ["pointwise"], ["cursor-pl"], ["inverse-geq"],
           ["step-sum"], ["spp-idle"], ["sp-sweep"], ["utilization"],

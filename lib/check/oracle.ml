@@ -78,7 +78,7 @@ let check_subjob ~add ~horizon system t (e : Engine.entry) sim =
       (merged_times ~horizon ~steps:[ sim_f; lo; hi ] ~pls:[])
   in
   bracket "arr_lo" "arr_hi" arr e.Engine.arr_lo e.Engine.arr_hi;
-  bracket "dep_lo" "dep_hi" dep e.Engine.dep_lo e.Engine.dep_hi;
+  bracket "dep_lo" "dep_hi" dep e.Engine.dep_lo (Lazy.force e.Engine.dep_hi);
   (* Service bracket.  On exact FCFS entries svc_hi = svc_lo = tau * dep,
      which sits below the true cumulative service mid-execution by design —
      the upper check would be a false positive there. *)

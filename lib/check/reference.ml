@@ -305,7 +305,7 @@ let as_printed ~release_horizon ~horizon system =
           (f, f)
         else
           let pred = entry { id with System.step = id.step - 1 } in
-          (pred.Engine.dep_lo, pred.Engine.dep_hi)
+          (pred.Engine.dep_lo, Lazy.force pred.Engine.dep_hi)
       in
       let rec above = function
         | h :: rest when h <> id -> h :: above rest
@@ -342,7 +342,7 @@ let as_printed ~release_horizon ~horizon system =
             svc_lo = Lazy.from_val svc_lo;
             svc_hi = Lazy.from_val svc_hi;
             dep_lo = departures ~horizon ~tau ~service:svc_lo ~arrivals:arr_lo;
-            dep_hi = departures ~horizon ~tau ~service:svc_hi ~arrivals:arr_hi;
+            dep_hi = Lazy.from_val (departures ~horizon ~tau ~service:svc_hi ~arrivals:arr_hi);
             exact = false;
           })
     order;

@@ -1,3 +1,6 @@
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
+
 open Rta_model
 
 type component = Single of System.subjob_id | Loop of System.subjob_id list
@@ -125,4 +128,8 @@ let compute system =
   let components = components system in
   match List.concat_map (function Loop ids -> ids | Single _ -> []) components with
   | [] -> Acyclic (List.map (function Single id -> id | Loop _ -> assert false) components)
-  | on_cycle -> Cyclic (List.sort compare on_cycle)
+  | on_cycle ->
+      let by_job_then_step (a : System.subjob_id) (b : System.subjob_id) =
+        if a.job = b.job then compare a.step b.step else compare a.job b.job
+      in
+      Cyclic (List.sort by_job_then_step on_cycle)

@@ -1,5 +1,5 @@
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
-open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
 
 open Rta_model
 module Step = Rta_curve.Step
@@ -29,7 +29,7 @@ type entry = {
   svc_lo : Pl.t Lazy.t;
   svc_hi : Pl.t Lazy.t;
   dep_lo : Step.t;
-  dep_hi : Step.t;
+  dep_hi : Step.t Lazy.t;
   exact : bool;
 }
 
@@ -54,8 +54,9 @@ let is_exact t =
 
 let entry_csv t id =
   let e = entry t id in
+  let dep_hi = Lazy.force e.dep_hi in
   let change_points =
-    [ e.arr_lo; e.arr_hi; e.dep_lo; e.dep_hi ]
+    [ e.arr_lo; e.arr_hi; e.dep_lo; dep_hi ]
     |> List.concat_map (fun f -> Array.to_list (Step.jumps f) |> List.map fst)
     |> List.cons 0 |> List.sort_uniq Int.compare
   in
@@ -66,7 +67,7 @@ let entry_csv t id =
       Buffer.add_string buf
         (Printf.sprintf "%d,%d,%d,%d,%d\n" time (Step.eval e.arr_lo time)
            (Step.eval e.arr_hi time) (Step.eval e.dep_lo time)
-           (Step.eval e.dep_hi time)))
+           (Step.eval dep_hi time)))
     change_points;
   Buffer.contents buf
 
@@ -85,8 +86,9 @@ let check_entry t e =
   in
   check_inv "arr_lo" Step.invariant e.arr_lo;
   check_inv "arr_hi" Step.invariant e.arr_hi;
+  let dep_hi = Lazy.force e.dep_hi in
   check_inv "dep_lo" Step.invariant e.dep_lo;
-  check_inv "dep_hi" Step.invariant e.dep_hi;
+  check_inv "dep_hi" Step.invariant dep_hi;
   let svc_lo = Lazy.force e.svc_lo and svc_hi = Lazy.force e.svc_hi in
   check_inv "svc_lo" Pl.invariant svc_lo;
   check_inv "svc_hi" Pl.invariant svc_hi;
@@ -98,14 +100,14 @@ let check_entry t e =
   let step_h f = Step.truncate_after f h and pl_h f = Pl.truncate_at f h in
   if not (Step.dominates (step_h e.arr_hi) (step_h e.arr_lo)) then
     fail "arr_hi does not dominate arr_lo within the horizon";
-  if not (Step.dominates (step_h e.dep_hi) (step_h e.dep_lo)) then
+  if not (Step.dominates (step_h dep_hi) (step_h e.dep_lo)) then
     fail "dep_hi does not dominate dep_lo within the horizon";
   if not (Pl.dominates (pl_h svc_hi) (pl_h svc_lo)) then
     fail "svc_hi does not dominate svc_lo within the horizon";
   if e.exact then begin
     if not (Step.equal e.arr_lo e.arr_hi) then
       fail "exact entry with arr_lo <> arr_hi";
-    if not (Step.equal e.dep_lo e.dep_hi) then
+    if not (Step.equal e.dep_lo dep_hi) then
       fail "exact entry with dep_lo <> dep_hi";
     if not (Pl.equal svc_lo svc_hi) then
       fail "exact entry with svc_lo <> svc_hi";
@@ -171,8 +173,9 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
             Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
           else
             let pred = entry_of { id with System.step = id.step - 1 } in
+            let dep_hi = Lazy.force pred.dep_hi in
             let arr_hi =
-              if not cyclic then pred.dep_hi
+              if not cyclic then dep_hi
               else
                 let steps = (System.job system id.job).System.steps in
                 let prefix = ref 0 in
@@ -180,8 +183,8 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
                   prefix := !prefix + steps.(st).System.exec
                 done;
                 let release = (input_of { id with System.step = 0 }).Local.arr_lo in
-                let capped = Step.min2 pred.dep_hi (Step.shift_right release !prefix) in
-                if Step.equal capped pred.dep_hi then pred.dep_hi else capped
+                let capped = Step.min2 dep_hi (Step.shift_right release !prefix) in
+                if Step.equal capped dep_hi then dep_hi else capped
             in
             Local.input ~tau ~arr_lo:pred.dep_lo ~arr_hi ~exact:pred.exact
         in
@@ -234,11 +237,10 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
     let { Local.tau; arr_lo; arr_hi; _ } = i in
     let { Local.dep_lo; dep_hi; exact; svc_lo; svc_hi; _ } = o in
     Log.debug (fun m ->
-        m "subjob %s.%d: %s, %d instances in [lo..hi] = [%d..%d]"
+        m "subjob %s.%d: %s, %d instances, %d departed by the horizon"
           (System.job system id.job).System.name (id.step + 1)
           (if exact then "exact" else "bounded")
-          (Step.final_value arr_lo) (Step.final_value dep_lo)
-          (Step.final_value dep_hi));
+          (Step.final_value arr_lo) (Step.final_value dep_lo));
     entries.(id.job).(id.step) <-
       Some { id; tau; arr_lo; arr_hi; svc_lo; svc_hi; dep_lo; dep_hi; exact }
   in
@@ -280,9 +282,10 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
       Obs.span_int sp "arr_lo.jumps" (Step.jump_count arr_lo);
       Obs.span_int sp "arr_hi.jumps" (Step.jump_count arr_hi);
       Obs.span_int sp "dep_lo.jumps" (Step.jump_count dep_lo);
-      Obs.span_int sp "dep_hi.jumps" (Step.jump_count dep_hi);
-      (* Service curves only where the path has built them: tracing
-         forces nothing the untraced run skips. *)
+      (* Upper bounds and service curves only where the path has built
+         them: tracing forces nothing the untraced run skips. *)
+      if Lazy.is_val dep_hi then
+        Obs.span_int sp "dep_hi.jumps" (Step.jump_count (Lazy.force dep_hi));
       if Lazy.is_val svc_lo then
         Obs.span_int sp "svc_lo.knots" (Pl.knot_count (Lazy.force svc_lo));
       if Lazy.is_val svc_hi then begin
@@ -290,7 +293,7 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
         Obs.observe_int h_entry_svc_knots (Pl.knot_count (Lazy.force svc_hi))
       end;
       Obs.observe_int h_entry_arr_jumps (Step.jump_count arr_hi);
-      Obs.observe_int h_entry_dep_jumps (Step.jump_count dep_hi);
+      Obs.observe_int h_entry_dep_jumps (Step.jump_count dep_lo);
       Obs.observe h_subjob_seconds (Obs.now () -. t0)
     end;
     Obs.span_end sp

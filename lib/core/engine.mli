@@ -43,9 +43,22 @@ type entry = {
           {!Local.output} holds: no verdict reads them, so the exact SPP
           and FCFS paths, whose departures do not go through them, build
           them only when forced ({!check_entry}, the fuzz oracle, tests).
-          The static-priority bounds are always built. *)
-  dep_lo : Rta_curve.Step.t;  (** lower bound on the departure function *)
-  dep_hi : Rta_curve.Step.t;  (** upper bound on the departure function *)
+          The static-priority [svc_lo] is always built, and [svc_hi] with
+          [dep_hi]. *)
+  dep_lo : Rta_curve.Step.t;
+      (** lower bound on the departure function, always built: the
+          verdicts read it *)
+  dep_hi : Rta_curve.Step.t Lazy.t;
+      (** upper bound on the departure function, built when first forced
+          ({!Local.output}).  The run forces it where the next stage's
+          upper arrival bracket needs it, so a job's last stage leaves
+          it unbuilt (save FCFS with exact tie-free inputs, whose
+          exactness test compares the two bounds);
+          {!Response.completion_jitter}, {!check_entry}, {!entry_csv},
+          the fuzz oracle and the tests force it on demand.  Force it
+          from the domain that ran the analysis: a [Lazy.t] forced from
+          two domains at once raises.  The service front ends never
+          keep a [t], only its verdicts. *)
   exact : bool;
       (** true when [arr_lo = arr_hi] and [dep_lo = dep_hi] describe the
           true functions exactly (see {!Local.output}) *)

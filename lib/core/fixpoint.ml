@@ -1,5 +1,5 @@
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
-open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
 
 open Rta_model
 module Step = Rta_curve.Step

@@ -1,5 +1,5 @@
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
-open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
 
 module Step = Rta_curve.Step
 module Pl = Rta_curve.Pl
@@ -27,7 +27,7 @@ type output = {
   svc_lo : Pl.t Lazy.t;
   svc_hi : Pl.t Lazy.t;
   dep_lo : Step.t;
-  dep_hi : Step.t;
+  dep_hi : Step.t Lazy.t;
   exact : bool;
   handoff : handoff;
 }
@@ -36,7 +36,7 @@ type fcfs = {
   g_lo : Step.t;
   g_hi : Step.t;
   u_lo : Pl.Inverse.inv;
-  u_hi : Pl.Inverse.inv;
+  u_hi : Pl.Inverse.inv Lazy.t;
   exact_inputs : bool;
 }
 
@@ -46,10 +46,9 @@ type fcfs = {
    down the chain.  (The paper deems exact FCFS "difficult, if not
    impossible" because of ties; absence of ties is checkable per instance,
    so we claim exactness exactly when it holds.) *)
-let tie_free residents =
-  (* A resident's jump times are distinct, so a repeated time is a tie
-     between residents; simultaneous instances of the same subjob (a jump
-     by more than 1) are ties too. *)
+let tie_free ~g_lo residents =
+  (* Simultaneous instances of the same subjob (a jump by more than 1)
+     are ties. *)
   let rises_by_one (r : input) =
     let rec from i prev =
       i = Step.jump_count r.arr_lo
@@ -57,17 +56,13 @@ let tie_free residents =
     in
     from 0 (Step.init_value r.arr_lo)
   in
-  let release_times (r : input) =
-    Array.init (Step.jump_count r.arr_lo) (Step.jump_time r.arr_lo)
-  in
+  (* A resident's jump times are distinct, and [g_lo], the sum of the
+     residents' [tau * arr_lo], jumps at each distinct one of all of
+     them: it has as many jumps as the residents together exactly when
+     no two residents share a release time. *)
   List.for_all rises_by_one residents
-  &&
-  let times = Array.concat (List.map release_times residents) in
-  Array.sort Int.compare times;
-  let rec distinct i =
-    i >= Array.length times || (times.(i - 1) < times.(i) && distinct (i + 1))
-  in
-  distinct 1
+  && Step.jump_count g_lo
+     = List.fold_left (fun n (r : input) -> n + Step.jump_count r.arr_lo) 0 residents
 
 (* The running workload sums of a higher-priority set, its members' lower
    service curves, and while every member is exact SPP the idle time they
@@ -118,16 +113,6 @@ let policy system id ~hp ~fcfs =
    subjob count. *)
 let cancel_stride = 512
 
-(* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2), with
-   the arrival caps described in local.mli, read instance by instance
-   off the service curves: the work follows the instance count and the
-   curves' knots, not the horizon. *)
-let departures ~horizon ~tau ~arr_lo ~arr_hi ~svc_lo ~svc_hi =
-  let dep_lo = Minplus.departures ~horizon ~tau ~service:svc_lo ~arrivals:arr_lo in
-  ( dep_lo,
-    if svc_hi == svc_lo && arr_hi == arr_lo then dep_lo
-    else Minplus.departures ~horizon ~tau ~service:svc_hi ~arrivals:arr_hi )
-
 let push hp (i : input) (o : output) =
   let extend add sum x =
     if hp.count = 0 then Lazy.from_val x else lazy (add (Lazy.force sum) x)
@@ -156,14 +141,16 @@ let push hp (i : input) (o : output) =
 
 (* Theorem 7's utilization functions, once per processor and truncated
    at the horizon, kept as inverse handles: every departure bound reads
-   them only through their pseudo-inverse.  With exact tie-free inputs
-   the Left-limit utilization serves as the upper one too, which makes
-   the two FCFS bounds coincide.  The cancellation token is polled after
-   each utilization, the processor's other instance-bearing cost.
+   them only through their pseudo-inverse.  The upper one is built when
+   the first resident's upper departure bound is forced; with exact
+   tie-free inputs the Left-limit utilization serves as the upper one
+   too, which makes the two FCFS bounds coincide.  The cancellation
+   token is polled after each utilization, the processor's other
+   instance-bearing cost.
 
-   Cost per processor with I instances: the pairwise workload sums and
-   the tie check's sort are O(I log I), the two utilization walks O(I),
-   and every departure bound one O(log I) query per arrival jump, so
+   Cost per processor with I instances: the pairwise workload sums are
+   O(I log I), the tie check and the two utilization walks O(I), and
+   every departure bound one O(log I) query per arrival jump, so
    O(I log I) in all. *)
 let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
   let g_lo = Step.sum (List.map (fun (r : input) -> r.work_lo) residents) in
@@ -176,16 +163,22 @@ let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
   let exact_inputs =
     exact
     && List.for_all (fun (r : input) -> Step.equal r.arr_lo r.arr_hi) residents
-    && tie_free residents
+    && tie_free ~g_lo residents
   in
   let utilization mode g = Pl.truncate_at (Minplus.utilization ~mode g) horizon in
   let u_lo = Pl.Inverse.make (utilization `Left g_lo) in
   Cancel.check cancel;
   let u_hi =
-    if exact_inputs then u_lo else Pl.Inverse.make (utilization `Right g_hi)
+    if exact_inputs then Lazy.from_val u_lo
+    else
+      lazy
+        (let u = Pl.Inverse.make (utilization `Right g_hi) in
+         Cancel.check cancel;
+         u)
   in
-  Cancel.check cancel;
   { g_lo; g_hi; u_lo; u_hi; exact_inputs }
+
+let fcfs_exact ctx = ctx.exact_inputs
 
 (* Approximate static-priority service bounds (the role of Theorems 5-6;
    SPP is the blocking-0 case).
@@ -232,7 +225,10 @@ let fcfs ?(cancel = Cancel.never) ~exact ~horizon residents =
    sum_hp c_hi_hp and W_lo once, and the upper reads the higher-priority
    service sum, through a merged reader over the members' curves, only
    where the resident's own upper workload is above the bound so far.
-   (b) is the resident's own [`Right] utilization. *)
+   (b) is the resident's own [`Right] utilization.  The upper bound is
+   built only when forced: no verdict reads it, only the next stage's
+   upper arrival bracket through the upper departure bound.  The thunk
+   holds the members' curves, not the aggregate. *)
 let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
   let w_lo =
     if hp.count = 0 then work_lo else Step.add (Lazy.force hp.work_lo) work_lo
@@ -241,10 +237,12 @@ let sp_bounds ~blocking ~hp ~work_lo ~work_hi =
     Minplus.sp_lower ~blocking ~hp_work:(Lazy.force hp.work_hi)
       ~level_work:w_lo
   in
+  let hp_service = hp.svc_lo in
   let hi =
-    Minplus.sp_upper ~hp_service:(List.map Lazy.force hp.svc_lo)
-      ~own_work:work_hi
-      ~own_util:(Minplus.utilization ~mode:`Right work_hi)
+    lazy
+      (Minplus.sp_upper ~hp_service:(List.map Lazy.force hp_service)
+         ~own_work:work_hi
+         ~own_util:(Minplus.utilization ~mode:`Right work_hi))
   in
   (lo, hi, w_lo)
 
@@ -292,10 +290,11 @@ let fcfs_departures ~cancel ~ctx ~horizon ~tau ~arr_lo ~arr_hi =
         | Some _ | None -> None)
   in
   let dep_hi =
-    let g_lo_before = Step.Cursor.make g_lo in
-    per_jump arr_hi (fun a ->
-        Pl.Inverse.geq u_hi (Step.Cursor.eval_left g_lo_before a + tau)
-        |> Option.map (max (a + tau)))
+    lazy
+      (let u_hi = Lazy.force u_hi and g_lo_before = Step.Cursor.make g_lo in
+       per_jump arr_hi (fun a ->
+           Pl.Inverse.geq u_hi (Step.Cursor.eval_left g_lo_before a + tau)
+           |> Option.map (max (a + tau))))
   in
   (dep_lo, dep_hi)
 
@@ -314,7 +313,7 @@ let step ?(cancel = Cancel.never) ~horizon policy (i : input) =
         svc_lo = use.service;
         svc_hi = use.service;
         dep_lo = use.departures;
-        dep_hi = use.departures;
+        dep_hi = Lazy.from_val use.departures;
         exact = true;
         handoff = Idle use.rest;
       }
@@ -322,15 +321,20 @@ let step ?(cancel = Cancel.never) ~horizon policy (i : input) =
       let svc_lo, svc_hi, w_lo =
         sp_bounds ~blocking ~hp ~work_lo:i.work_lo ~work_hi:i.work_hi
       in
-      let dep_lo, dep_hi =
-        departures ~horizon ~tau:i.tau ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
-          ~svc_lo ~svc_hi
+      (* Departure bounds from service bounds (Theorem 2 / Lemmas 1-2),
+         with the arrival caps described in local.mli, read instance by
+         instance off the service curves: the work follows the instance
+         count and the curves' knots, not the horizon.  The upper one is
+         built with the upper service curve it reads, when forced. *)
+      let { tau; arr_hi; _ } = i in
+      let departures service arrivals =
+        Minplus.departures ~horizon ~tau ~service ~arrivals
       in
       {
         svc_lo = Lazy.from_val svc_lo;
-        svc_hi = Lazy.from_val svc_hi;
-        dep_lo;
-        dep_hi;
+        svc_hi;
+        dep_lo = departures svc_lo i.arr_lo;
+        dep_hi = lazy (departures (Lazy.force svc_hi) arr_hi);
         exact = false;
         handoff = Level w_lo;
       }
@@ -339,12 +343,16 @@ let step ?(cancel = Cancel.never) ~horizon policy (i : input) =
         fcfs_departures ~cancel ~ctx ~horizon ~tau:i.tau
           ~arr_lo:i.arr_lo ~arr_hi:i.arr_hi
       in
-      let exact = ctx.exact_inputs && Step.equal dep_lo dep_hi in
-      let dep_hi = if exact then dep_lo else dep_hi in
+      (* Only exact tie-free inputs can make the bounds coincide, and
+         then the comparison forces the upper one at once. *)
+      let exact = ctx.exact_inputs && Step.equal dep_lo (Lazy.force dep_hi) in
+      let dep_hi = if exact then Lazy.from_val dep_lo else dep_hi in
       (* Thm 8/9-flavoured service curves, for inspection only. *)
       let svc_lo = lazy (Pl.of_step (Step.scale dep_lo i.tau)) in
       let svc_hi =
         if exact then svc_lo
-        else lazy (Pl.add (Pl.of_step (Step.scale dep_hi i.tau)) (Pl.const i.tau))
+        else
+          lazy
+            (Pl.add (Pl.of_step (Step.scale (Lazy.force dep_hi) i.tau)) (Pl.const i.tau))
       in
       { svc_lo; svc_hi; dep_lo; dep_hi; exact; handoff = Sums }

@@ -63,7 +63,8 @@ type output = {
   svc_lo : Rta_curve.Pl.t Lazy.t;  (** lower service curve (Thm 3/5/8) *)
   svc_hi : Rta_curve.Pl.t Lazy.t;  (** upper service curve (Thm 3/6/9) *)
   dep_lo : Rta_curve.Step.t;  (** lower bound on the departure function *)
-  dep_hi : Rta_curve.Step.t;  (** upper bound on the departure function *)
+  dep_hi : Rta_curve.Step.t Lazy.t;
+      (** upper bound on the departure function, built when forced *)
   exact : bool;
       (** the bounds coincide with the true functions: SPP with exact
           inputs, or FCFS with exact tie-free inputs (an extension beyond
@@ -71,10 +72,27 @@ type output = {
           infeasible) *)
   handoff : handoff;  (** [Sums] on FCFS processors *)
 }
-(** FCFS service curves are synthesized from the departure bounds, and
+(** What is built when.  [dep_lo] always: the verdicts (Theorems 1 and
+    4) and the Section 6 iteration read it.  Everything only the upper
+    bracket needs is built when [dep_hi] or [svc_hi] is first forced:
+    the static-priority upper sweep ({!Rta_curve.Minplus.sp_upper}) with
+    the resident's own [`Right] utilization and its upper departure
+    walk, or on FCFS the processor's upper utilization handle (shared by
+    its residents, built once) and the resident's upper per-jump search.
+    The one reader of [dep_hi] on the analysis path is the next stage's
+    upper arrival bracket ({!Engine}), so a job's last stage never builds
+    it; {!Response.completion_jitter}, {!Engine.check_entry},
+    {!Engine.entry_csv}, the fuzz oracle and the tests force it too.  The
+    one exception is FCFS with exact tie-free inputs, where [exact]
+    compares the two departure bounds and so forces [dep_hi] at once.
+    FCFS service curves are synthesized from the departure bounds, and
     exact SPP ones from the idle time taken; both are built only when
     forced, which no verdict does ({!Engine.entry}).  The static-priority
-    bounds are always computed. *)
+    [svc_lo] is always computed.
+
+    A [Lazy.t] must not be forced from two domains at once: an output,
+    and the {!Engine.t} holding it, belongs to the domain that computed
+    it (the service front ends keep only verdicts). *)
 
 type fcfs
 (** One FCFS processor's context: the summed workload brackets [G_lo] and
@@ -83,13 +101,15 @@ type fcfs
     truncated at the horizon) as checked inverse handles
     ({!Rta_curve.Pl.Inverse}), and whether the exact FCFS construction
     applies.  Built once per processor ({!val:fcfs}) and shared by its
-    residents.
+    residents; [U_hi] is built when the first resident's [dep_hi] is
+    forced (at once under exact tie-free inputs, where it is [U_lo]).
 
     Cost for a processor with I released instances: the workloads are
-    summed in pairwise rounds and the release-tie check sorts the
-    releases once, O(I log I); the two utilization walks are O(I), one
-    step per workload jump; and each resident reads one departure per
-    arrival jump and bound off the handles with an O(log I) search, the
+    summed in pairwise rounds, O(I log I); the release-tie check compares
+    jump counts, the summed lower workload having one jump per distinct
+    release time, O(I); the two utilization walks are O(I), one step per
+    workload jump; and each resident reads one departure per arrival
+    jump and bound off the handles with an O(log I) search, the
     instances of a jump sharing their arrival time and hence their
     departure.  So the processor costs O(I log I) in all. *)
 
@@ -188,6 +208,12 @@ val fcfs : ?cancel:Cancel.t -> exact:bool -> horizon:int -> input list -> fcfs
     tie; [exact:false] never claims exactness.  [cancel] (default
     {!Cancel.never}) is polled after each utilization walk. *)
 
+val fcfs_exact : fcfs -> bool
+(** Whether the context applies the exact construction: it was built
+    with [exact], every resident's bracket is one curve, every jump of
+    one rises by 1 and no two residents share a release time.  For tests
+    and inspection. *)
+
 val step :
   ?cancel:Cancel.t ->
   horizon:int ->
@@ -202,6 +228,7 @@ val step :
     counts no instance at time 0 before it ([Step.init_value] is 0, as
     for every bracket the analysis builds); instances counted there are
     served from time 0.  [cancel]
-    (default {!Cancel.never}) is polled every few hundred FCFS instances.
-    An FCFS policy's context must have been built with the same
-    [horizon]. *)
+    (default {!Cancel.never}) is polled every few hundred FCFS instances,
+    also while a later force builds [dep_hi], so force it within the
+    same deadline.  An FCFS policy's context must have been built with
+    the same [horizon]. *)

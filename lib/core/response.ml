@@ -1,3 +1,6 @@
+(* Ints only: the polymorphic versions call the runtime's generic compare. *)
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
+
 open Rta_model
 module Step = Rta_curve.Step
 
@@ -82,13 +85,14 @@ let completion_jitter engine ~job =
   let last_e =
     Engine.entry engine { System.job = job; step = Array.length steps - 1 }
   in
+  let dep_hi = Lazy.force last_e.Engine.dep_hi in
   let count = instance_count engine ~job in
   let rec go m acc =
     if m > count then Bounded acc
     else
       match
         ( Step.inverse last_e.Engine.dep_lo m,
-          Step.inverse last_e.Engine.dep_hi m )
+          Step.inverse dep_hi m )
       with
       | Some latest, Some earliest -> go (m + 1) (max acc (latest - earliest))
       | None, _ | _, None -> Unbounded

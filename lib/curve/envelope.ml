@@ -1,7 +1,7 @@
 (* Arrival envelopes; see envelope.mli. *)
 
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
-open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
 
 type t =
   | Explicit of Step.t
@@ -88,7 +88,7 @@ let dominates a b =
     | Staircase { step_height; period; _ } ->
         float_of_int step_height /. float_of_int period
   in
-  go 0 && rate a >= rate b
+  go 0 && Float.compare (rate a) (rate b) >= 0
 
 let widen alpha ~jitter =
   if jitter < 0 then invalid_arg "Envelope.widen: negative jitter";

@@ -12,7 +12,7 @@
    grid coincides with structural equality. *)
 
 (* Ints only: the polymorphic versions call the runtime's generic compare. *)
-open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end
+open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end
 
 type t = { xs : int array; ys : int array; tail : int }
 
@@ -180,7 +180,7 @@ let eval f t =
 (* The largest index j >= i with xs.(j) <= t, given xs.(i) <= t: steps 1,
    2, 4, ... then a binary search, so skipping k knots reads O(log k) of
    them. *)
-let gallop xs i t =
+let gallop (xs : int array) i (t : int) =
   let n = Array.length xs in
   (* Invariant: xs.(lo) <= t, and xs.(hi) > t unless hi = n. *)
   let lo = ref i and step = ref 1 in

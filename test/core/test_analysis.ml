@@ -257,7 +257,7 @@ let prop_bounds_bracket_sim sched name =
         for_all_subjobs system (fun id ->
             let entry = Rta_core.Engine.entry e id in
             dep_between ~lo:entry.Rta_core.Engine.dep_lo
-              ~hi:entry.Rta_core.Engine.dep_hi
+              ~hi:(Lazy.force entry.Rta_core.Engine.dep_hi)
               ~sim:sim.Rta_sim.Sim.departures.(id.System.job).(id.System.step))
       in
       let responses_dominate =
@@ -290,7 +290,7 @@ let prop_mixed_bounds =
       for_all_subjobs system (fun id ->
           let entry = Rta_core.Engine.entry e id in
           dep_between ~lo:entry.Rta_core.Engine.dep_lo
-            ~hi:entry.Rta_core.Engine.dep_hi
+            ~hi:(Lazy.force entry.Rta_core.Engine.dep_hi)
             ~sim:sim.Rta_sim.Sim.departures.(id.System.job).(id.System.step)))
 
 let prop_fcfs_tie_free_exact =

@@ -91,7 +91,7 @@ let same_bounds (i, (o : Local.output)) (i', (o' : Local.output)) =
   Step.equal i.Local.arr_lo i'.Local.arr_lo
   && Step.equal i.Local.arr_hi i'.Local.arr_hi
   && Step.equal o.Local.dep_lo o'.Local.dep_lo
-  && Step.equal o.Local.dep_hi o'.Local.dep_hi
+  && Step.equal (Lazy.force o.Local.dep_hi) (Lazy.force o'.Local.dep_hi)
 
 (* [each_loop c f]: [f ~input ~above members] holds on every loop of [c],
    fed the boundaries of [c]'s finished analysis. *)

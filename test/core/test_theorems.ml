@@ -88,7 +88,7 @@ let test_chain_arrival_is_departure () =
        (entry e 0 0).Rta_core.Engine.dep_lo);
   Alcotest.(check bool) "arr_hi chain" true
     (Step.equal (entry e 0 1).Rta_core.Engine.arr_hi
-       (entry e 0 0).Rta_core.Engine.dep_hi)
+       (Lazy.force (entry e 0 0).Rta_core.Engine.dep_hi))
 
 (* -------------------------------------------------------------------- *)
 (* Eq. 15 + Theorem 5 role: SPNP blocking shows up in the bound          *)
@@ -166,9 +166,9 @@ let test_theorems8_9_fcfs () =
   check_int "b guaranteed by 7" 7 (Option.get (dep_time Fun.id 1));
   check_int "a possibly at 4"
     4
-    (Option.get (Step.inverse (entry e 0 0).Rta_core.Engine.dep_hi 1));
+    (Option.get (Step.inverse (Lazy.force (entry e 0 0).Rta_core.Engine.dep_hi) 1));
   check_int "b possibly at 3" 3
-    (Option.get (Step.inverse (entry e 1 0).Rta_core.Engine.dep_hi 1))
+    (Option.get (Step.inverse (Lazy.force (entry e 1 0).Rta_core.Engine.dep_hi) 1))
 
 (* -------------------------------------------------------------------- *)
 (* Theorem 1: per-instance responses                                     *)
@@ -305,7 +305,7 @@ let aggregate_matches_sums members =
             Local.svc_lo = Lazy.from_val svc;
             svc_hi = Lazy.from_val svc;
             dep_lo = Step.zero;
-            dep_hi = Step.zero;
+            dep_hi = Lazy.from_val Step.zero;
             exact = false;
             handoff = Local.Sums;
           } ))
@@ -360,7 +360,7 @@ let idle_matches_theorem3 (horizon, residents) =
           hp_svc,
           ok && o.exact
           && Step.equal o.dep_lo dep
-          && Step.equal o.dep_hi dep
+          && Step.equal (Lazy.force o.dep_hi) dep
           && Pl.equal (Lazy.force o.svc_lo) svc
           && Pl.equal (Local.hp_svc_lo hp) hp_svc ))
       (Local.empty, Pl.zero, true)
@@ -459,13 +459,66 @@ let fcfs_matches_oracle (exact, horizon, residents) =
   List.for_all2
     (fun i (dep_lo, dep_hi, exact) ->
       let o = Local.step ~horizon (Local.Fcfs ctx) i in
-      Step.equal o.dep_lo dep_lo && Step.equal o.dep_hi dep_hi && o.exact = exact)
+      Step.equal o.dep_lo dep_lo && Step.equal (Lazy.force o.dep_hi) dep_hi
+      && o.exact = exact)
     inputs
     (Rta_check.Reference.fcfs ~exact ~horizon residents)
 
 let prop_fcfs_per_jump =
   G.qtest ~count:1000 "per-jump bounds = per-instance construction" fcfs_case_gen
     print_fcfs_case fcfs_matches_oracle
+
+(* The release-tie check counts jumps: a processor's summed lower
+   workload jumps once per distinct release time, so the releases are
+   tie-free exactly when it has as many jumps as the residents together.
+   Its oracle is the check it replaced, which sorts every release time of
+   the processor and looks for a repeat.  Residents are exact, with
+   releases drawn close enough to share times, bursts (jumps by more than
+   1) and instances counted at time 0 ([init_value > 0]). *)
+let sorted_tie_free arrivals =
+  let rises_by_one f =
+    let rec from i prev =
+      i = Step.jump_count f || (Step.jump_value f i = prev + 1 && from (i + 1) (prev + 1))
+    in
+    from 0 (Step.init_value f)
+  in
+  List.for_all rises_by_one arrivals
+  &&
+  let times =
+    Array.concat (List.map (fun f -> Array.init (Step.jump_count f) (Step.jump_time f)) arrivals)
+  in
+  Array.sort Int.compare times;
+  let rec distinct i = i >= Array.length times || (times.(i - 1) < times.(i) && distinct (i + 1)) in
+  distinct 1
+
+let tie_case_gen =
+  let open QCheck2.Gen in
+  let resident =
+    let* tau = int_range 1 4 in
+    let* arr =
+      oneof
+        [
+          (let* n = int_range 0 6 in
+           let* times = list_repeat n (int_range 0 30) in
+           return (Step.of_arrival_times (Array.of_list (List.sort Int.compare times))));
+          G.step_gen;
+        ]
+    in
+    return (tau, arr)
+  in
+  list_size (int_range 1 4) resident
+
+let prop_tie_check =
+  G.qtest ~count:2000 "tie check = sorted releases" tie_case_gen
+    (fun residents ->
+      String.concat "; "
+        (List.map (fun (tau, f) -> Printf.sprintf "tau=%d %s" tau (G.print_step f)) residents))
+    (fun residents ->
+      let inputs =
+        List.map (fun (tau, f) -> Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true) residents
+      in
+      Local.fcfs_exact (Local.fcfs ~exact:true ~horizon:G.horizon inputs)
+      = sorted_tie_free (List.map snd residents))
 
 (* Kernel parity end to end: on random acyclic systems under every
    scheduler, each bounded static-priority entry's departures are
@@ -490,13 +543,13 @@ let entries_match_reference system =
         in
         entry.exact
         || Step.equal entry.dep_lo (departures entry.svc_lo entry.arr_lo)
-           && Step.equal entry.dep_hi (departures entry.svc_hi entry.arr_hi)
+           && Step.equal (Lazy.force entry.dep_hi) (departures entry.svc_hi entry.arr_hi)
       in
       let fcfs_ok p =
         let residents = List.map (Rta_core.Engine.entry e) (System.subjobs_on system p) in
         List.for_all2
           (fun (entry : Rta_core.Engine.entry) (dep_lo, dep_hi, exact) ->
-            Step.equal entry.dep_lo dep_lo && Step.equal entry.dep_hi dep_hi
+            Step.equal entry.dep_lo dep_lo && Step.equal (Lazy.force entry.dep_hi) dep_hi
             && entry.exact = exact)
           residents
           (Rta_check.Reference.fcfs ~exact:true ~horizon
@@ -543,5 +596,5 @@ let () =
       ("kernels", [ prop_engine_reference ]);
       ("exact SPP", [ prop_idle_theorem3 ]);
       ("SP bounds", [ prop_sp_sweeps ]);
-      ("FCFS", [ prop_fcfs_per_jump ]);
+      ("FCFS", [ prop_fcfs_per_jump; prop_tie_check ]);
     ]

@@ -1,12 +1,14 @@
 (* The hot curve and analysis modules named on the command line shadow
-   [min], [max] and [compare] with the [Int] versions, so the type checker
-   rejects any other use of them: without flambda the polymorphic Stdlib
-   functions call the runtime's generic comparison on every use.  This
-   test fails when a module lacks the shadow or reaches past it through
-   [Stdlib]. *)
+   [min], [max] and [compare] with the [Int] versions, and the orderings
+   [( < )], [( <= )], [( > )] and [( >= )] with the integer primitives, so
+   the type checker rejects any other use of them: without flambda a
+   polymorphic Stdlib comparison calls the runtime's generic one on every
+   use, and an ordering in a generic function (a search over ['a array])
+   is polymorphic wherever it is used.  This test fails when a module
+   lacks the shadow or reaches past it through [Stdlib]. *)
 
 let shadow =
-  {|open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare end|}
+  {|open struct [@@@warning "-32"] let min = Int.min let max = Int.max let compare = Int.compare external ( < ) : int -> int -> bool = "%lessthan" external ( <= ) : int -> int -> bool = "%lessequal" external ( > ) : int -> int -> bool = "%greaterthan" external ( >= ) : int -> int -> bool = "%greaterequal" end|}
 
 let contains s sub =
   let n = String.length s and m = String.length sub in

@@ -475,6 +475,46 @@ let seeded_shop ~stages ~jobs sched =
   in
   Rta_workload.Jobshop.generate config ~rng:(Rta_workload.Rng.make 7)
 
+(* No verdict reads a job's last-stage upper bracket: after the analysis
+   of an acyclic shop with tracing on, under each estimator, every last
+   stage's [svc_hi] is unbuilt, and so is its [dep_hi] save where the
+   path's exactness made it one curve with [dep_lo] (exact SPP, or FCFS
+   with exact tie-free inputs).  The traced run reports no size for an
+   unbuilt curve, and its verdicts equal the untraced run's. *)
+let test_last_stage_upper_unbuilt () =
+  List.iter
+    (fun sched ->
+      let system = seeded_shop ~stages:3 ~jobs:6 sched in
+      let release_horizon, horizon = System.suggested_horizons system in
+      let config = Rta_core.Analysis.config ~release_horizon ~horizon () in
+      let untraced = Rta_core.Analysis.run ~config system in
+      with_obs (fun () ->
+          let traced = Rta_core.Analysis.run ~config system in
+          check_bool "traced verdicts = untraced" true
+            (traced.per_job = untraced.per_job);
+          let e = Result.get_ok (Rta_core.Engine.run ~release_horizon ~horizon system) in
+          List.iter
+            (fun estimator -> ignore (Rta_core.Response.schedulable e ~estimator))
+            [ `Direct; `Sum ];
+          let last j = Array.length (System.job system j).System.steps - 1 in
+          for job = 0 to System.job_count system - 1 do
+            let id = { System.job; step = last job } in
+            let en = Rta_core.Engine.entry e id in
+            let name =
+              Printf.sprintf "%s.%d" (System.job system job).System.name (last job + 1)
+            in
+            check_bool (name ^ ": svc_hi unbuilt") false (Lazy.is_val en.svc_hi);
+            check_bool (name ^ ": dep_hi unbuilt") en.exact (Lazy.is_val en.dep_hi);
+            Array.iter
+              (fun (i : Obs.span_info) ->
+                if i.Obs.si_name = "engine.subjob " ^ name then
+                  check_bool (name ^ ": no size for unbuilt curves") en.exact
+                    (List.mem_assoc "dep_hi.jumps" i.Obs.si_attrs
+                    || List.mem_assoc "svc_hi.knots" i.Obs.si_attrs))
+              (Obs.spans ())
+          done))
+    [ Sched.Spp; Sched.Spnp; Sched.Fcfs ]
+
 let check_counts ~at_most ?(at_least = []) run () =
   with_obs (fun () ->
       run ();
@@ -589,7 +629,7 @@ let count_cases =
       engine_counts Sched.Spnp
         ~pins:
           (kernel_pins ~step_add:16 ~step_scale:30 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:18
+             ~pl_max2:0 ~utilization:12
           (* Each resident's bounds are two sweeps and the [`Right]
              utilization of its own workload: the lower sweep walks the
              jumps of its higher-priority upper workload and its level-k
@@ -599,22 +639,27 @@ let count_cases =
              merged reader over the members' curves that moves only the
              members whose knots it passes: no service curve is added.
              Its two departure bounds read their service curves
-             forward, one search per instance. *)
-          @ sweep_pins ~lo_events:1150 ~hi_windows:321 ~hi_reads:469 ~crossings:443
-          @ departure_pins ~calls:36 ~seeks:654 ~steps:1518) );
+             forward, one search per instance.  The upper sweep, the
+             utilization and the upper departure bound run only where
+             the next stage's arrival bracket reads them: not on the 6
+             last stages. *)
+          @ sweep_pins ~lo_events:1150 ~hi_windows:212 ~hi_reads:301 ~crossings:284
+          @ departure_pins ~calls:30 ~seeks:545 ~steps:1306) );
     ( "engine FCFS 6x3",
       engine_counts Sched.Fcfs
         ~pins:
           (kernel_pins ~step_add:20 ~step_scale:30 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:12
+             ~pl_max2:0 ~utilization:10
           @ [
-              (* Two inverse handles per processor, one O(log knots)
-                 search per arrival jump and bound, and workload sums
-                 added in pairwise rounds.  The inspection-only service
-                 curves are never built. *)
-              ("pl.inverse.handles", 12);
-              ("pl.inverse.queries", 654);
-              ("pl.inverse.probes", 4706);
+              (* A lower inverse handle per processor and an upper one
+                 where some resident's upper bound is read (4 of the 6
+                 processors: the other 2 hold last stages only), one
+                 O(log knots) search per arrival jump and bound read,
+                 and workload sums added in pairwise rounds.  The
+                 inspection-only service curves are never built. *)
+              ("pl.inverse.handles", 10);
+              ("pl.inverse.queries", 545);
+              ("pl.inverse.probes", 3902);
               ("step.add.jumps", 922);
               (* Each resident depends on its chain predecessor and on its
                  processor's join point, which depends on the residents'
@@ -623,30 +668,33 @@ let count_cases =
             ]) );
     (* Chain-swapped SPP shops of 3 jobs by 2 stages, 6 by 3 and 9 by 4
        (seed 8): one loop each, of 4, 6 and 26 subjobs, settled in 3, 21
-       and 6 rounds. *)
+       and 6 rounds.  The iteration reads only the members' lower
+       departure bounds, so a round runs no upper sweep: the upper
+       brackets are built once, after the loop, where a later stage
+       outside it reads them. *)
     ( "fixpoint 3x2",
       fixpoint_counts ~seed:8 ~stages:2 ~jobs:3 ~recomputes:6 ~skipped_clean:6
         ~pins:
           (kernel_pins ~step_add:7 ~step_scale:10 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:6
-          @ sweep_pins ~lo_events:218 ~hi_windows:63 ~hi_reads:100 ~crossings:98
-          @ departure_pins ~calls:12 ~seeks:132 ~steps:274) );
+             ~pl_max2:0 ~utilization:0
+          @ sweep_pins ~lo_events:218 ~hi_windows:0 ~hi_reads:0 ~crossings:0
+          @ departure_pins ~calls:6 ~seeks:66 ~steps:147) );
     ( "fixpoint 6x3",
       fixpoint_counts ~seed:8 ~stages:3 ~jobs:6 ~recomputes:66 ~skipped_clean:60
         ~pins:
           (kernel_pins ~step_add:123 ~step_scale:84 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:70
-          @ sweep_pins ~lo_events:23385 ~hi_windows:4598 ~hi_reads:6395
-              ~crossings:9128
-          @ departure_pins ~calls:140 ~seeks:8725 ~steps:20754) );
+             ~pl_max2:0 ~utilization:3
+          @ sweep_pins ~lo_events:23385 ~hi_windows:88 ~hi_reads:176
+              ~crossings:191
+          @ departure_pins ~calls:73 ~seeks:4204 ~steps:11779) );
     ( "fixpoint 9x4",
       fixpoint_counts ~seed:8 ~stages:4 ~jobs:9 ~recomputes:101 ~skipped_clean:55
         ~pins:
           (kernel_pins ~step_add:162 ~step_scale:135 ~pl_add:0 ~pl_sub:0
-             ~pl_max2:0 ~utilization:107
-          @ sweep_pins ~lo_events:33276 ~hi_windows:6475 ~hi_reads:8791
-              ~crossings:10246
-          @ departure_pins ~calls:214 ~seeks:10891 ~steps:26741) );
+             ~pl_max2:0 ~utilization:6
+          @ sweep_pins ~lo_events:33276 ~hi_windows:290 ~hi_reads:351
+              ~crossings:231
+          @ departure_pins ~calls:113 ~seeks:4675 ~steps:14384) );
     (* The 16-job chain-swapped SPP shop of seed 3: one loop of 23
        subjobs.  The symmetric sweep settles it in 11 rounds and 138
        member steps; the textbook Jacobi order takes 12 rounds and 266. *)
@@ -667,13 +715,22 @@ let bracket_jumps e residents =
       acc + Rta_curve.Step.jump_count en.arr_lo + Rta_curve.Step.jump_count en.arr_hi)
     0 residents
 
+(* Whether some resident's upper bracket was read: its upper departure
+   bound is built (forced), and not by the exactness test of exact
+   tie-free inputs, which reads the lower utilization only. *)
+let upper_read e id =
+  let en = Rta_core.Engine.entry e id in
+  Lazy.is_val en.Rta_core.Engine.dep_hi && not en.exact
+
 (* An FCFS processor with N residents and I instances costs O(I log I):
-   - Theorem 7's two utilization walks, once per processor;
-   - at most two inverse handles per processor (one when exact inputs
-     share the utilization function);
-   - one inverse query per arrival jump and bound, the instances of a
-     jump sharing their arrival time, so at most the brackets' jumps in
-     all (a query per instance overshoots on bursts, below);
+   - Theorem 7's utilization walks: the [`Left] one once per processor,
+     and the [`Right] one once more where some resident's upper bracket
+     is read, which a job's last stage never asks for;
+   - at most one inverse handle per utilization walk;
+   - one inverse query per arrival jump and bound read, the instances of
+     a jump sharing their arrival time, so at most the lower brackets'
+     jumps and the upper brackets' jumps of the residents whose upper
+     bound is read (a query per instance overshoots on bursts, below);
    - at most [ceil (log2 knots) + 1] knot reads per inverse query, a
      binary search where a linear scan reads up to every knot;
    - workload sums in pairwise rounds: a sum over residents whose
@@ -691,14 +748,24 @@ let fcfs_counts ~jobs system e =
       (List.init (System.processor_count system) Fun.id)
   in
   let n_procs = List.length processors in
+  let upper_procs =
+    List.length
+      (List.filter (fun p -> List.exists (upper_read e) (System.subjobs_on system p)) processors)
+  in
   check_int
     (Printf.sprintf "%d jobs: utilization per processor" jobs)
-    (2 * n_procs)
+    (n_procs + upper_procs)
     (value "minplus.utilization.calls");
-  at_most "pl.inverse.handles" (value "pl.inverse.handles") (2 * n_procs);
+  at_most "pl.inverse.handles" (value "pl.inverse.handles") (n_procs + upper_procs);
   at_most "pl.inverse.queries" (value "pl.inverse.queries")
     (List.fold_left
-       (fun acc p -> acc + bracket_jumps e (System.subjobs_on system p))
+       (fun acc p ->
+         List.fold_left
+           (fun acc sid ->
+             let en = Rta_core.Engine.entry e sid in
+             acc + Rta_curve.Step.jump_count en.arr_lo
+             + if Lazy.is_val en.dep_hi then Rta_curve.Step.jump_count en.arr_hi else 0)
+           acc (System.subjobs_on system p))
        0 processors);
   let max_knots =
     Option.value ~default:0 (Obs.gauge_value (Obs.gauge "pl.inverse.knots.max"))
@@ -713,9 +780,10 @@ let fcfs_counts ~jobs system e =
     (List.fold_left (fun acc p -> acc + sum_bound p) 0 processors)
 
 (* Bursts of three simultaneous releases on one FCFS processor: one
-   inverse query per arrival jump and bound makes 2 per jump of a
-   first-stage bracket (both sides are the release trace), where one per
-   instance makes 6. *)
+   inverse query per arrival jump and bound read makes 1 per jump of a
+   first-stage bracket for the lower bound, and 1 more for the upper one
+   when it is forced (both sides are the release trace), where one per
+   instance makes 3 and 6.  Single-stage jobs read no upper bound. *)
 let test_fcfs_bursts () =
   let burst t = [| t; t; t |] in
   let job name offset exec =
@@ -732,10 +800,15 @@ let test_fcfs_bursts () =
   in
   with_obs (fun () ->
       let e = run_engine system in
-      let jumps = bracket_jumps e (System.subjobs_on system 0) in
+      let residents = System.subjobs_on system 0 in
+      let jumps = bracket_jumps e residents in
       check_int "release jumps" 32 jumps;
-      check_int "one query per jump and bound" jumps
-        (Obs.counter_value (Obs.counter "pl.inverse.queries")))
+      let queries () = Obs.counter_value (Obs.counter "pl.inverse.queries") in
+      check_int "one query per jump of the lower bound" (jumps / 2) (queries ());
+      List.iter
+        (fun sid -> ignore (Lazy.force (Rta_core.Engine.entry e sid).dep_hi))
+        residents;
+      check_int "one query per jump and bound once forced" jumps (queries ()))
 
 (* An exact SPP processor with I instances costs O(I log I): each
    instance takes one map search, cuts at most one interval at its start
@@ -896,7 +969,11 @@ let () =
           Alcotest.test_case "surrogates" `Quick test_json_surrogates;
         ] );
       ( "engine",
-        [ Alcotest.test_case "subjob spans" `Quick test_engine_spans ] );
+        [
+          Alcotest.test_case "subjob spans" `Quick test_engine_spans;
+          Alcotest.test_case "last stages leave upper bounds unbuilt" `Quick
+            test_last_stage_upper_unbuilt;
+        ] );
       ( "fixpoint",
         [
           Alcotest.test_case "cyclic iteration count" `Quick
