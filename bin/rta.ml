@@ -121,81 +121,76 @@ let analyze_cmd =
     setup_logs verbose;
     let system = load_system file auto_prio in
     let config = horizon_config ~estimator horizon release_horizon in
-    let report = Rta_core.Analysis.run ~config system in
-    (* The horizons the analysis actually used, for --explain/--dump-curves. *)
-    let release_horizon = report.Rta_core.Analysis.release_horizon in
-    let horizon = report.Rta_core.Analysis.horizon in
+    (* One engine run serves the report, --explain and --dump-curves. *)
+    let report, engine = Rta_core.Analysis.run_engine ~config system in
     Format.printf "%a@.%a@." System.pp system
       (Rta_core.Analysis.pp_report system)
       report;
-    (* One engine run serves both --explain and --dump-curves, and only
-       when one of them is asked for. *)
-    if explain || dump <> None then begin
-      let engine =
-        Result.get_ok (Rta_core.Engine.run ~release_horizon ~horizon system)
+    if explain then begin
+      let bounds =
+        Array.init (System.job_count system) (fun j ->
+            Array.of_list (Rta_core.Response.stage_bounds engine ~job:j))
       in
-      if explain then begin
-        Format.printf "@.per-stage local response bounds (Eq. 12):@.";
-        for j = 0 to System.job_count system - 1 do
+      Format.printf "@.per-stage local response bounds (Eq. 12):@.";
+      Array.iteri
+        (fun j row ->
           Format.printf "  %-8s" (System.job system j).System.name;
-          List.iteri
+          Array.iteri
             (fun st v ->
               match v with
               | Rta_core.Response.Bounded r ->
                   Format.printf " stage%d=%a" (st + 1) Time.pp r
               | Rta_core.Response.Unbounded ->
                   Format.printf " stage%d=inf" (st + 1))
-            (Rta_core.Response.stage_bounds engine ~job:j);
-          Format.printf "@."
-        done;
-        (* Which stages came from the Section 6 iteration, and how it
-           ended: a loop can settle with members that have no bound. *)
-        let names ids =
-          String.concat " "
-            (List.map
-               (fun (id : System.subjob_id) ->
-                 Printf.sprintf "%s.%d" (System.job system id.job).System.name
-                   (id.step + 1))
-               ids)
-        in
-        List.iter
-          (fun (l : Rta_core.Engine.loop) ->
-            let unbounded =
-              List.filter
-                (fun (id : System.subjob_id) ->
-                  List.nth (Rta_core.Response.stage_bounds engine ~job:id.job) id.step
-                  = Rta_core.Response.Unbounded)
-                l.members
-            in
-            Format.printf "  cyclic component %s: %s@." (names l.members)
-              (if not l.settled then
-                 Printf.sprintf "still moving after %d rounds, no bound" l.rounds
-               else if unbounded = [] then Printf.sprintf "settled after %d rounds" l.rounds
-               else
-                 Printf.sprintf "settled after %d rounds, no bound for %s" l.rounds
-                   (names unbounded)))
-          engine.Rta_core.Engine.loops
-      end;
-      Option.iter
-        (fun dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          for j = 0 to System.job_count system - 1 do
-            let job = System.job system j in
-            Array.iteri
-              (fun st _ ->
-                let path =
-                  Filename.concat dir
-                    (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
-                in
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc
-                      (Rta_core.Engine.entry_csv engine
-                         { System.job = j; step = st })))
-              job.System.steps
-          done;
-          Format.printf "curves written to %s/@." dir)
-        dump
+            row;
+          Format.printf "@.")
+        bounds;
+      (* Which stages came from the Section 6 iteration, and how it
+         ended: a loop can settle with members that have no bound. *)
+      let names ids =
+        String.concat " "
+          (List.map
+             (fun (id : System.subjob_id) ->
+               Printf.sprintf "%s.%d" (System.job system id.job).System.name
+                 (id.step + 1))
+             ids)
+      in
+      List.iter
+        (fun (l : Rta_core.Engine.loop) ->
+          let unbounded =
+            List.filter
+              (fun (id : System.subjob_id) ->
+                bounds.(id.job).(id.step) = Rta_core.Response.Unbounded)
+              l.members
+          in
+          Format.printf "  cyclic component %s: %s@." (names l.members)
+            (if not l.settled then
+               Printf.sprintf "still moving after %d rounds, no bound" l.rounds
+             else if unbounded = [] then Printf.sprintf "settled after %d rounds" l.rounds
+             else
+               Printf.sprintf "settled after %d rounds, no bound for %s" l.rounds
+                 (names unbounded)))
+        engine.Rta_core.Engine.loops
     end;
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        for j = 0 to System.job_count system - 1 do
+          let job = System.job system j in
+          Array.iteri
+            (fun st _ ->
+              let path =
+                Filename.concat dir
+                  (Printf.sprintf "%s_stage%d.csv" job.System.name (st + 1))
+              in
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc
+                    (Rta_core.Engine.entry_csv engine
+                       { System.job = j; step = st })))
+            job.System.steps
+        done;
+        Format.printf "curves written to %s/@." dir)
+    dump;
     if not report.Rta_core.Analysis.schedulable then exit 1
   in
   Cmd.v

@@ -145,9 +145,5 @@ let analyze ?(jitter_model = `Sun_liu) ?(max_iterations = 64) system =
       Ok { per_job; iterations = !iterations }
 
 let schedulable result system =
-  let ok j v =
-    match v with
-    | Bounded r -> r <= (System.job system j).System.deadline
-    | Unbounded -> false
-  in
+  let ok j v = Verdict.meets ~deadline:(System.job system j).System.deadline v in
   Array.to_list result.per_job |> List.mapi ok |> List.for_all Fun.id

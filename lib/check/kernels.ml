@@ -478,6 +478,26 @@ let fcfs_detail ((exact, horizon, residents) as case) =
           residents))
     (Option.value ~default:"" (fcfs_first_mismatch case))
 
+(* Eq. 12's walk against the per-instance read, at counts up to past
+   both curves' final values; a walk that raises reads as its exception. *)
+let gen_max_lag rng =
+  let early = gen_step rng and late = gen_step rng in
+  (Rng.int_range rng 0 (max (Step.final_value early) (Step.final_value late) + 3), early, late)
+
+let max_lag_reads count (early, late) =
+  let show = Option.fold ~none:"none" ~some:string_of_int in
+  ( (try show (Step.max_lag ~count early late) with e -> "raised " ^ Printexc.to_string e),
+    show (Reference.max_lag ~count early late) )
+
+let max_lag_mismatch count pair =
+  let walk, per_instance = max_lag_reads count pair in
+  walk <> per_instance
+
+let max_lag_detail count ((early, late) as pair) =
+  let walk, per_instance = max_lag_reads count pair in
+  Printf.sprintf "count = %d\nearly = %s\nlate = %s\nwalk = %s\nper-instance = %s" count
+    (show_step early) (show_step late) walk per_instance
+
 (* --- the loop ----------------------------------------------------------- *)
 
 let render m =
@@ -550,6 +570,10 @@ let run ?out_dir ?budget_s ~seed ~count () =
      if still_fails residents then
        let residents = shrink1 (list_shrinks fcfs_resident_shrinks) still_fails residents in
        record "fcfs-departures" (fcfs_detail (exact, horizon, residents)));
+    (let count, early, late = gen_max_lag (draw "max-lag") in
+     if max_lag_mismatch count (early, late) then
+       let pair = shrink2 step_shrinks step_shrinks (max_lag_mismatch count) (early, late) in
+       record "max-lag" (max_lag_detail count pair));
     if !found = [] then incr passed;
     List.iter
       (fun (check, detail) ->

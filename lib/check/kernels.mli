@@ -20,8 +20,11 @@
     {!Rta_curve.Minplus.utilization} against the prefix-minimum transform
     ({!Reference.utilization}), the departure read
     {!Rta_curve.Minplus.departures} against Theorem 2's chain
-    ({!Reference.departures}), and one FCFS processor's per-jump bounds
-    against the per-instance construction ({!Reference.fcfs}).  Curves are
+    ({!Reference.departures}), one FCFS processor's per-jump bounds
+    against the per-instance construction ({!Reference.fcfs}), and Eq.
+    12's walk {!Rta_curve.Step.max_lag} against the per-instance read
+    ({!Reference.max_lag}) at counts up to past both curves' final
+    values.  Curves are
     generated segment-wise so plateaus, one-tick segments and negative
     slopes are ordinary members of the distribution, not special cases.
 
@@ -43,7 +46,7 @@ type mismatch = {
   check : string;
       (** e.g. ["pointwise"], ["cursor-pl"], ["inverse-geq"],
           ["step-sum"], ["spp-idle"], ["sp-sweep"], ["utilization"],
-          ["departures"], ["fcfs-departures"] *)
+          ["departures"], ["fcfs-departures"], ["max-lag"] *)
   detail : string;  (** shrunk inputs and both implementations' outputs *)
   file : string option;  (** where the mismatch was written *)
 }

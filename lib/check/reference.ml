@@ -208,6 +208,18 @@ let departures ~horizon ~tau ~service ~arrivals =
        (Pl.truncate_at service horizon) tau)
     arrivals
 
+(* Eq. 12 as the analysis read it before the walk: one binary search per
+   instance on each curve, the first missing one ending the read. *)
+let max_lag ~count early late =
+  let rec go m acc =
+    if m > count then Some acc
+    else
+      match (Step.inverse late m, Step.inverse early m) with
+      | Some d, Some r -> go (m + 1) (max acc (d - r))
+      | None, _ | _, None -> None
+  in
+  go 1 0
+
 (* The per-instance FCFS construction (Theorems 7-9): the summed
    workloads folded, the release-tie check over a sorted list of every
    release, and one utilization search per instance, each instance's
@@ -358,7 +370,7 @@ let as_printed ~release_horizon ~horizon system =
    system that recomputes every subjob from the previous iterate each
    round, on the same per-processor step ({!Rta_core.Local}) as the
    analysis.  No components, no dirty set, no caches across rounds, and
-   Eq. 12 extracted by one binary search per instance. *)
+   Eq. 12 extracted by one binary search per instance ([max_lag]). *)
 
 type sweep = {
   per_job : Rta_model.Verdict.t array;
@@ -438,14 +450,11 @@ let jacobi ?(max_iterations = 64) ?release_horizon ~horizon system =
           let j = id.System.job and st = id.System.step in
           let dep_lo = (output id).Local.dep_lo in
           let count = Step.final_value releases.(j) in
-          let rec worst m acc =
-            if m > count then acc
-            else
-              match (Step.inverse dep_lo m, Step.inverse releases.(j) m) with
-              | Some d, Some r -> worst (m + 1) (max acc (d - r))
-              | None, _ | _, None -> sentinel
+          let r =
+            match max_lag ~count releases.(j) dep_lo with
+            | Some r -> min r sentinel
+            | None -> sentinel
           in
-          let r = if count = 0 then x.(j).(st) else min (worst 1 0) sentinel in
           if r > x.(j).(st) then begin
             x'.(j).(st) <- r;
             changed := true

@@ -11,7 +11,8 @@
     computations that {!Rta_curve.Idle} and the {!Rta_curve.Minplus}
     sweeps replaced; {!utilization}, {!departures} and {!fcfs} the chains
     the busy-period walk, the inverse-read departures and the per-jump
-    FCFS bounds replaced.  The property tests (test/curve, test/core) and
+    FCFS bounds replaced; {!max_lag} the per-instance Eq. 12 read that
+    {!Rta_curve.Step.max_lag}'s walk replaced.  The property tests (test/curve, test/core) and
     the [rta fuzz --kernels] mode check [Pl.equal] between the optimized
     and reference results on randomized and adversarial curves.
 
@@ -97,6 +98,13 @@ val departures :
     analysis ran before it, [Step.min2 (Pl.to_step_floor_div ~cap
     (Pl.truncate_at service horizon) tau) arrivals] with the cap at the
     arrivals' final value. *)
+
+val max_lag : count:int -> Step.t -> Step.t -> int option
+(** The oracle for {!Rta_curve.Step.max_lag}: Eq. 12 read one instance at
+    a time, [max 0 (inverse late m - inverse early m)] over
+    [m = 1 .. count] with one {!Rta_curve.Step.inverse} per curve and
+    instance, [None] at the first instance either curve never reaches.
+    {!jacobi} reads its [X] with it. *)
 
 val fcfs :
   exact:bool ->

@@ -38,43 +38,40 @@ type report = {
   horizon : int;
 }
 
-let finish system method_used ~release_horizon ~horizon per_job =
-  let schedulable =
-    Array.to_list per_job
-    |> List.mapi (fun j v ->
-           match v with
-           | Bounded r -> r <= (System.job system j).System.deadline
-           | Unbounded -> false)
-    |> List.for_all Fun.id
+(* The report read off a finished engine.  A cyclic system is read the
+   Direct way whatever the estimator: Theorem 1's shape on the final
+   departure bounds, at most X at the last stage for a job ending in a
+   loop. *)
+let of_engine ~estimator engine =
+  let system = engine.Engine.system in
+  let method_used, estimator =
+    if Engine.is_exact engine then (`Exact, `Exact)
+    else if engine.Engine.loops <> [] then (`Fixpoint, `Direct)
+    else (`Approximate, (estimator :> Response.estimator))
   in
+  let per_job =
+    Array.init (System.job_count system) (fun j -> Response.end_to_end engine ~estimator ~job:j)
+  in
+  let meets j = Verdict.meets ~deadline:(System.job system j).System.deadline in
+  let schedulable = Array.for_all Fun.id (Array.mapi meets per_job) in
+  let { Engine.release_horizon; horizon; _ } = engine in
   { method_used; per_job; schedulable; release_horizon; horizon }
 
-let run ?(cancel = Cancel.never) ?(config = default) system =
+let run_engine ?(cancel = Cancel.never) ?(config = default) system =
   let release_horizon, horizon = resolve_horizons config system in
-  let finish = finish system ~release_horizon ~horizon in
   let sp = Rta_obs.span_begin "analysis.run" in
   Fun.protect ~finally:(fun () -> Rta_obs.span_end sp) @@ fun () ->
-  let report =
-    let engine = Result.get_ok (Engine.run ~cancel ~release_horizon ~horizon system) in
-    (* A cyclic system is read the Direct way whatever the estimator:
-       Theorem 1's shape on the final departure bounds, at most X at the
-       last stage for a job ending in a loop. *)
-    let method_used, estimator =
-      if Engine.is_exact engine then (`Exact, `Exact)
-      else if engine.Engine.loops <> [] then (`Fixpoint, `Direct)
-      else (`Approximate, (config.estimator :> Response.estimator))
-    in
-    finish method_used
-      (Array.init (System.job_count system) (fun j ->
-           Response.end_to_end engine ~estimator ~job:j))
-  in
+  let engine = Result.get_ok (Engine.run ~cancel ~release_horizon ~horizon system) in
+  let report = of_engine ~estimator:config.estimator engine in
   if Rta_obs.enabled () then
     Rta_obs.span_str sp "method"
       (match report.method_used with
       | `Exact -> "exact"
       | `Approximate -> "approximate"
       | `Fixpoint -> "fixpoint");
-  report
+  (report, engine)
+
+let run ?cancel ?config system = fst (run_engine ?cancel ?config system)
 
 let pp_report system ppf report =
   let method_name =

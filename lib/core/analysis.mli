@@ -63,4 +63,10 @@ val run : ?cancel:Cancel.t -> ?config:config -> Rta_model.System.t -> report
     {!Cancel.Cancelled} and service front ends degrade to
     {!Envelope_analysis} bounds. *)
 
+val run_engine :
+  ?cancel:Cancel.t -> ?config:config -> Rta_model.System.t -> report * Engine.t
+(** {!run}, also returning the engine run it read the report off: a front
+    end that prints more than the report ([rta analyze --explain],
+    [--dump-curves]) reads it from the same run. *)
+
 val pp_report : Rta_model.System.t -> Format.formatter -> report -> unit

@@ -147,6 +147,13 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
     Array.init (System.job_count system) (fun j ->
         Array.make (Array.length (System.job system j).System.steps) init)
   in
+  (* Each job's release trace, read by its first stage, by the cap on its
+     later ones and by a loop holding any of them. *)
+  let releases =
+    Array.init (System.job_count system) (fun j ->
+        Arrival.arrival_function (System.job system j).System.arrival
+          ~horizon:release_horizon)
+  in
   (* Outputs are not kept: an entry holds what later stages read, and
      an exact SPP output's idle map lives on only in its processor's
      running aggregate. *)
@@ -159,17 +166,14 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
      system with a loop, a later stage's upper bracket is also capped by
      its earliest possible arrivals (engine.mli); a cap that changes
      nothing keeps the chain's curve, so exact brackets stay one curve. *)
-  let rec input_of (id : System.subjob_id) =
+  let input_of (id : System.subjob_id) =
     match inputs.(id.job).(id.step) with
     | Some i -> i
     | None ->
         let tau = (System.step system id).System.exec in
         let i =
           if id.step = 0 then
-            let f =
-              Arrival.arrival_function (System.job system id.job).System.arrival
-                ~horizon:release_horizon
-            in
+            let f = releases.(id.job) in
             Local.input ~tau ~arr_lo:f ~arr_hi:f ~exact:true
           else
             let pred = entry_of { id with System.step = id.step - 1 } in
@@ -182,8 +186,9 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
                 for st = 0 to id.step - 1 do
                   prefix := !prefix + steps.(st).System.exec
                 done;
-                let release = (input_of { id with System.step = 0 }).Local.arr_lo in
-                let capped = Step.min2 dep_hi (Step.shift_right release !prefix) in
+                let capped =
+                  Step.min2 dep_hi (Step.shift_right releases.(id.job) !prefix)
+                in
                 if Step.equal capped dep_hi then dep_hi else capped
             in
             Local.input ~tau ~arr_lo:pred.dep_lo ~arr_hi ~exact:pred.exact
@@ -303,7 +308,8 @@ let run ?(cancel = Cancel.never) ?release_horizon ~horizon system =
      per processor, static-priority members in rank order. *)
   let settle members =
     let loop =
-      Fixpoint.loop ~cancel ~release_horizon ~horizon
+      Fixpoint.loop ~cancel ~horizon
+        ~release:(Array.get releases)
         ~input:input_of
         ~above:(fun p -> fst running.(p))
         system members

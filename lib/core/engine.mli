@@ -12,7 +12,8 @@
       bracket into service and departure bounds;
     - a cyclic component (the paper's Section 6 loops) runs the
       {!Fixpoint.loop} iteration over its members only.  Its boundary is
-      final: stage 0 reads the release trace, a member after a subjob
+      final: stage 0 reads the job's release trace (built once per job,
+      for the whole run, and handed to the loop), a member after a subjob
       outside the component reads that subjob's final departure bounds, a
       member after a member reads the bracket
       [[release + X_pred, release + best-case prefix]] of the iteration,

@@ -208,11 +208,6 @@ let system_bounds ~release_horizon system =
       List.iter compute order;
       let end_to_end =
         Array.init n_jobs (fun j ->
-            Array.fold_left
-              (fun acc v ->
-                match (acc, v) with
-                | Bounded a, Bounded b -> Bounded (a + b)
-                | Unbounded, _ | _, Unbounded -> Unbounded)
-              (Bounded 0) per_stage.(j))
+            Array.fold_left Verdict.add (Bounded 0) per_stage.(j))
       in
       Some { end_to_end; per_stage }

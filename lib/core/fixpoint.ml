@@ -41,7 +41,8 @@ type loop = {
      caller hands them in ([input]);
 
    local departure bounds follow from the per-processor step ({!Local}),
-   and X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)).
+   and X'_st = max over instances m of (dep_lo^{-1}(m) - release(m)), one
+   [Step.max_lag] walk from the release trace to dep_lo.
 
    X only grows (each member's new value is joined with its old one).
    A round is a symmetric Gauss-Seidel sweep by processor: the members
@@ -74,8 +75,7 @@ type loop = {
    rounds is unsettled (stated in the .mli). *)
 let max_iterations = 64
 
-let loop ?(cancel = Cancel.never) ~release_horizon ~horizon
-    ~input ~above system members =
+let loop ?(cancel = Cancel.never) ~release ~horizon ~input ~above system members =
   Obs.incr c_analyses;
   let sp_run =
     if Obs.enabled () then begin
@@ -112,18 +112,6 @@ let loop ?(cancel = Cancel.never) ~release_horizon ~horizon
   let local id = Hashtbl.find index id in
   let member id =
     match Hashtbl.find_opt index id with Some k -> k < m | None -> false
-  in
-  let releases = Hashtbl.create 16 in
-  let release j =
-    match Hashtbl.find_opt releases j with
-    | Some f -> f
-    | None ->
-        let f =
-          Arrival.arrival_function (System.job system j).System.arrival
-            ~horizon:release_horizon
-        in
-        Hashtbl.replace releases j f;
-        f
   in
   (* ends id: sum of the execution times of stages 0..id.step, the
      earliest completion of that stage after release. *)
@@ -263,23 +251,6 @@ let loop ?(cancel = Cancel.never) ~release_horizon ~horizon
             Local.push (hp_of h) (input_of h) (output_of h))
     | Some _ | None -> boundary.(proc_of ids.(k))
   in
-  (* Instance release times, precomputed once per job: the m-th entry is
-     the release of instance m + 1. *)
-  let inv_releases = Hashtbl.create 16 in
-  let inv_release j =
-    match Hashtbl.find_opt inv_releases j with
-    | Some a -> a
-    | None ->
-        let rel = release j in
-        let a =
-          Array.init (Step.final_value rel) (fun m ->
-              match Step.inverse rel (m + 1) with
-              | Some t -> t
-              | None -> assert false)
-        in
-        Hashtbl.replace inv_releases j a;
-        a
-  in
   (* The members of each processor with one, as blocks in ascending
      processor order. *)
   let blocks =
@@ -315,29 +286,14 @@ let loop ?(cancel = Cancel.never) ~release_horizon ~horizon
         Obs.incr c_recomputes;
         absorbed.(k) <- stamp;
         let dep_lo = (output_of k).Local.dep_lo in
-        let job = ids.(k).System.job in
-        let count = Step.final_value (release job) in
-        (* worst = max over instances m of (inverse dep_lo m - release
-           of m), or the sentinel if dep_lo never reaches count: the
-           departure jumps are swept once against the precomputed
-           instance release times. *)
-        let worst () =
-          let inv = inv_release job in
-          let acc = ref 0 and m = ref 1 in
-          let consume t v =
-            while !m <= v && !m <= count do
-              acc := max !acc (t - inv.(!m - 1));
-              incr m
-            done
-          in
-          consume 0 (Step.init_value dep_lo);
-          for i = 0 to Step.jump_count dep_lo - 1 do
-            consume (Step.jump_time dep_lo i) (Step.jump_value dep_lo i)
-          done;
-          if !m <= count then sentinel else !acc
-        in
+        let rel = release ids.(k).System.job in
         let prev = x.(k) in
-        let r = if count = 0 then prev else min (worst ()) sentinel in
+        (* No instance released reads 0, below every X. *)
+        let r =
+          match Step.max_lag ~count:(Step.final_value rel) rel dep_lo with
+          | Some r -> min r sentinel
+          | None -> sentinel
+        in
         if r > prev then begin
           x.(k) <- r;
           incr tick;

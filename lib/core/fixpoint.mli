@@ -23,7 +23,9 @@
       propagation inside the component — its cycles are broken;
     - [X'_kj = max_m (dep_lo^{-1}(m) - r_k(m))], where [r_k(m)] is the
       release instant of the job's [m]-th instance (Eq. 12 measured from
-      the release, not from [arr_hi^{-1}]).
+      the release, not from [arr_hi^{-1}]), read by
+      {!Rta_curve.Step.max_lag} from the release trace to [dep_lo]: one
+      walk over both curves' jumps.
 
     [X] only grows: each member's new value is joined with its previous
     one, so the iteration either stops moving or some bound reaches the
@@ -105,15 +107,17 @@ type loop = {
 
 val loop :
   ?cancel:Cancel.t ->
-  release_horizon:int ->
+  release:(int -> Rta_curve.Step.t) ->
   horizon:int ->
   input:(Rta_model.System.subjob_id -> Local.input) ->
   above:(int -> Local.hp) ->
   Rta_model.System.t ->
   Rta_model.System.subjob_id list ->
   loop
-(** [loop ~input ~above system members] iterates [X] over one cyclic
-    component's members, starting from the earliest completions.  [input
+(** [loop ~release ~input ~above system members] iterates [X] over one
+    cyclic component's members, starting from the earliest completions.
+    [release j] is job [j]'s release trace, the counting function of its
+    instances' releases; the loop reads it, and never builds one.  [input
     id] is the final arrival bracket of a member or FCFS co-resident [id]
     past stage 0 whose chain predecessor is outside the component; [above
     p] is the aggregate of the residents ranked above the component's

@@ -7,104 +7,46 @@ module Step = Rta_curve.Step
 type verdict = Rta_model.Verdict.t = Bounded of int | Unbounded
 type estimator = [ `Exact | `Direct | `Sum ]
 
-let instance_count engine ~job =
-  Step.final_value (Engine.entry engine { System.job; step = 0 }).Engine.arr_lo
+let instance_count engine ~job = Step.final_value engine.Engine.entries.(job).(0).Engine.arr_lo
 
-(* max over instances m of (departure_time(m) - reference_time(m)); Unbounded
-   as soon as any departure or reference is missing. *)
-let max_over_instances ~count ~departure_of ~reference_of =
-  let rec go m acc =
-    if m > count then Bounded acc
-    else
-      match (departure_of m, reference_of m) with
-      | Some d, Some r -> go (m + 1) (max acc (d - r))
-      | None, _ | _, None -> Unbounded
-  in
-  if count = 0 then Bounded 0 else go 1 0
+let last a = a.(Array.length a - 1)
+
+(* Eq. 12 between two counting functions over the released instances. *)
+let lag engine ~job early late =
+  match Step.max_lag ~count:(instance_count engine ~job) early late with
+  | Some r -> Bounded r
+  | None -> Unbounded
+
+let stage_bounds engine ~job =
+  Array.to_list engine.Engine.entries.(job)
+  |> List.map (fun e -> lag engine ~job e.Engine.arr_hi e.Engine.dep_lo)
 
 let end_to_end engine ~estimator ~job =
-  let steps = (System.job engine.Engine.system job).System.steps in
-  let last = Array.length steps - 1 in
-  let first_e = Engine.entry engine { System.job = job; step = 0 } in
-  let last_e = Engine.entry engine { System.job = job; step = last } in
-  let count = instance_count engine ~job in
+  let es = engine.Engine.entries.(job) in
   match estimator with
   | `Exact | `Direct ->
-      if estimator = `Exact && not last_e.Engine.exact then
+      if estimator = `Exact && not (last es).Engine.exact then
         invalid_arg "Response.end_to_end: `Exact requires an exact analysis";
-      max_over_instances ~count
-        ~departure_of:(Step.inverse last_e.Engine.dep_lo)
-        ~reference_of:(Step.inverse first_e.Engine.arr_lo)
-  | `Sum ->
-      let add acc v =
-        match (acc, v) with
-        | Bounded a, Bounded b -> Bounded (a + b)
-        | Unbounded, _ | _, Unbounded -> Unbounded
-      in
-      let stage j =
-        let e = Engine.entry engine { System.job; step = j } in
-        max_over_instances ~count
-          ~departure_of:(Step.inverse e.Engine.dep_lo)
-          ~reference_of:(Step.inverse e.Engine.arr_hi)
-      in
-      let rec sum j acc =
-        if j > last then acc
-        else
-          match acc with
-          | Unbounded -> Unbounded
-          | Bounded _ -> sum (j + 1) (add acc (stage j))
-      in
-      sum 0 (Bounded 0)
+      lag engine ~job es.(0).Engine.arr_lo (last es).Engine.dep_lo
+  | `Sum -> List.fold_left Verdict.add (Bounded 0) (stage_bounds engine ~job)
 
 let per_instance engine ~job =
-  let steps = (System.job engine.Engine.system job).System.steps in
-  let last = Array.length steps - 1 in
-  let first_e = Engine.entry engine { System.job = job; step = 0 } in
-  let last_e = Engine.entry engine { System.job = job; step = last } in
-  let count = instance_count engine ~job in
-  List.init count (fun i ->
+  let es = engine.Engine.entries.(job) in
+  List.init (instance_count engine ~job) (fun i ->
       let m = i + 1 in
-      match
-        ( Step.inverse last_e.Engine.dep_lo m,
-          Step.inverse first_e.Engine.arr_lo m )
-      with
+      match (Step.inverse (last es).Engine.dep_lo m, Step.inverse es.(0).Engine.arr_lo m) with
       | Some d, Some r -> (m, Bounded (d - r))
       | None, _ | _, None -> (m, Unbounded))
 
-let stage_bounds engine ~job =
-  let steps = (System.job engine.Engine.system job).System.steps in
-  let count = instance_count engine ~job in
-  List.init (Array.length steps) (fun j ->
-      let e = Engine.entry engine { System.job; step = j } in
-      max_over_instances ~count
-        ~departure_of:(Step.inverse e.Engine.dep_lo)
-        ~reference_of:(Step.inverse e.Engine.arr_hi))
-
 let completion_jitter engine ~job =
-  let steps = (System.job engine.Engine.system job).System.steps in
-  let last_e =
-    Engine.entry engine { System.job = job; step = Array.length steps - 1 }
-  in
-  let dep_hi = Lazy.force last_e.Engine.dep_hi in
-  let count = instance_count engine ~job in
-  let rec go m acc =
-    if m > count then Bounded acc
-    else
-      match
-        ( Step.inverse last_e.Engine.dep_lo m,
-          Step.inverse dep_hi m )
-      with
-      | Some latest, Some earliest -> go (m + 1) (max acc (latest - earliest))
-      | None, _ | _, None -> Unbounded
-  in
-  go 1 0
-
-let job_ok engine ~estimator ~job =
-  match end_to_end engine ~estimator ~job with
-  | Bounded r -> r <= (System.job engine.Engine.system job).System.deadline
-  | Unbounded -> false
+  let e = last engine.Engine.entries.(job) in
+  lag engine ~job (Lazy.force e.Engine.dep_hi) e.Engine.dep_lo
 
 let schedulable engine ~estimator =
-  let n = System.job_count engine.Engine.system in
-  let rec go j = j >= n || (job_ok engine ~estimator ~job:j && go (j + 1)) in
+  let system = engine.Engine.system in
+  let ok j =
+    Verdict.meets ~deadline:(System.job system j).System.deadline
+      (end_to_end engine ~estimator ~job:j)
+  in
+  let rec go j = j >= System.job_count system || (ok j && go (j + 1)) in
   go 0

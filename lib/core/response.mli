@@ -5,7 +5,10 @@
     the sum of per-stage bounds.  A third estimator, [`Direct], applies the
     Theorem 1 formula to the {e lower-bounded} departure function of the
     last stage — sound for the same reason Theorem 4 is, and never looser
-    than the per-stage sum; the ablation benchmark quantifies the gap. *)
+    than the per-stage sum; the ablation benchmark quantifies the gap.
+
+    Every bound but {!per_instance}'s is one Eq. 12 walk over the job's
+    released instances ({!Rta_curve.Step.max_lag}). *)
 
 type verdict = Rta_model.Verdict.t =
   | Bounded of int  (** worst-case end-to-end response time, in ticks *)
@@ -22,12 +25,15 @@ val instance_count : Engine.t -> job:int -> int
 (** Number of instances released within the release horizon. *)
 
 val end_to_end : Engine.t -> estimator:estimator -> job:int -> verdict
-(** Worst-case end-to-end response of a job per the chosen estimator.
+(** Worst-case end-to-end response of a job per the chosen estimator:
+    [`Exact]/[`Direct] read from the first stage's [arr_lo] to the last
+    stage's [dep_lo]; [`Sum] adds the {!stage_bounds}.
     @raise Invalid_argument if [`Exact] is requested on a non-exact
     analysis. *)
 
 val stage_bounds : Engine.t -> job:int -> verdict list
-(** Theorem 4's per-stage local response bounds [d_kj] (Eq. 12). *)
+(** Theorem 4's per-stage local response bounds [d_kj] (Eq. 12), each read
+    from the stage's [arr_hi] to its [dep_lo]. *)
 
 val per_instance : Engine.t -> job:int -> (int * verdict) list
 (** Worst-case end-to-end response of every released instance
@@ -39,7 +45,8 @@ val per_instance : Engine.t -> job:int -> (int * verdict) list
 val completion_jitter : Engine.t -> job:int -> verdict
 (** Bound on the end-to-end {e completion jitter}: the largest spread
     between an instance's earliest possible completion ([dep_hi]) and its
-    guaranteed completion ([dep_lo]), over all released instances.  Zero in
+    guaranteed completion ([dep_lo]), over all released instances (forcing
+    the last stage's [dep_hi]).  Zero in
     the exact regime; what a downstream consumer outside the system (e.g.
     an actuator) must tolerate otherwise. *)
 

@@ -634,7 +634,11 @@ let to_step_floor_div ?cap s tau =
   done;
   Step.of_samples ~init:(min (s.ys.(0) / tau) limit) (List.rev !samples)
 
-let equal f g = f.tail = g.tail && f.xs = g.xs && f.ys = g.ys
+(* The arrays in a monomorphic loop, not with the generic structural [=]. *)
+let equal f g =
+  let n = Array.length f.xs in
+  let rec from i = i = n || (f.xs.(i) = g.xs.(i) && f.ys.(i) = g.ys.(i) && from (i + 1)) in
+  f.tail = g.tail && Array.length g.xs = n && from 0
 
 let dominates f g =
   let xs, len = merge_knot_times f g in

@@ -214,6 +214,22 @@ let inverse f v =
     if n = 0 || f.vs.(n - 1) < v then None
     else Some f.ts.(search 0 (n - 1))
 
+(* Both inverses stay put on a run of instances on which neither curve
+   jumps, so the walk takes one step per run.  Jump [-1] is [init] at 0. *)
+let reach f i = if i < 0 then f.init else f.vs.(i)
+let at f i = if i < 0 then 0 else f.ts.(i)
+let rec seek f i m = if reach f i >= m then i else seek f (i + 1) m
+
+let max_lag ~count early late =
+  let rec walk m ie il acc =
+    if m > count then acc
+    else
+      let ie = seek early ie m and il = seek late il m in
+      walk (min (reach early ie) (reach late il) + 1) ie il (max acc (at late il - at early ie))
+  in
+  if count > final_value early || count > final_value late then None
+  else Some (walk 1 (-1) (-1) 0)
+
 let scale f k =
   if k < 1 then invalid_arg "Step.scale: factor must be >= 1";
   { f with init = f.init * k; vs = Array.map (fun v -> v * k) f.vs }
@@ -352,7 +368,11 @@ let truncate_after f h =
   if keep = n then f
   else { f with ts = Array.sub f.ts 0 keep; vs = Array.sub f.vs 0 keep }
 
-let equal f g = f.init = g.init && f.ts = g.ts && f.vs = g.vs
+(* The arrays in a monomorphic loop, not with the generic structural [=]. *)
+let equal f g =
+  let n = Array.length f.ts in
+  let rec from i = i = n || (f.ts.(i) = g.ts.(i) && f.vs.(i) = g.vs.(i) && from (i + 1)) in
+  f.init = g.init && Array.length g.ts = n && from 0
 
 let dominates f g =
   (* f >= g pointwise iff it holds at every jump point of either and at 0. *)

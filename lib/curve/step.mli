@@ -124,6 +124,15 @@ val inverse : t -> int -> int option
     reaches [v].  For a counting function, [inverse f m] is the release time
     of the [m]-th instance ([m >= 1]). *)
 
+val max_lag : count:int -> t -> t -> int option
+(** [max_lag ~count early late] is Eq. 12's read of two counting
+    functions: [Some (max 0 (max over 1 <= m <= count of
+    inverse late m - inverse early m))], or [None] when either curve never
+    reaches [count] ([Some 0] for [count <= 0]).  One walk over both jump
+    arrays, one step per run of instances on which neither curve jumps:
+    O(jump_count early + jump_count late), where reading every instance
+    costs O(count log J). *)
+
 val support_end : t -> int
 (** Time of the last jump (0 if there are no jumps). *)
 

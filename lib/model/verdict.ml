@@ -8,3 +8,12 @@ type t =
   | Bounded of int  (** worst-case response time, in ticks *)
   | Unbounded
       (** no bound within the analysis horizon (the job set is rejected) *)
+
+(** The sum of two bounds (Theorem 4's per-stage sum). *)
+let add a b =
+  match (a, b) with
+  | Bounded a, Bounded b -> Bounded (a + b)
+  | Unbounded, _ | _, Unbounded -> Unbounded
+
+(** [v] is a bound within [deadline]. *)
+let meets ~deadline = function Bounded r -> r <= deadline | Unbounded -> false

@@ -317,10 +317,7 @@ let degrade ~config system =
       let d_schedulable =
         Array.for_all Fun.id
           (Array.mapi
-             (fun j v ->
-               match bound_of v with
-               | Some b -> b <= (System.job system j).System.deadline
-               | None -> false)
+             (fun j v -> Verdict.meets ~deadline:(System.job system j).System.deadline v)
              r.Rta_core.Envelope_analysis.end_to_end)
       in
       Degraded { d_verdicts; d_schedulable }

@@ -63,7 +63,7 @@ let engine c =
 
 (* The loop on one component, with the largest rise of each round read
    off its iteration spans. *)
-let traced_loop c ~input ~above members =
+let traced_loop c ~release ~input ~above members =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect
@@ -72,8 +72,7 @@ let traced_loop c ~input ~above members =
       Obs.reset ())
   @@ fun () ->
   let loop =
-    Fixpoint.loop ~release_horizon:c.release_horizon ~horizon:c.horizon ~input
-      ~above c.system members
+    Fixpoint.loop ~release ~horizon:c.horizon ~input ~above c.system members
   in
   let prefix = "fixpoint.iteration " in
   let residuals =
@@ -93,14 +92,19 @@ let same_bounds (i, (o : Local.output)) (i', (o' : Local.output)) =
   && Step.equal o.Local.dep_lo o'.Local.dep_lo
   && Step.equal (Lazy.force o.Local.dep_hi) (Lazy.force o'.Local.dep_hi)
 
-(* [each_loop c f]: [f ~input ~above members] holds on every loop of [c],
-   fed the boundaries of [c]'s finished analysis. *)
+(* The release traces a finished analysis handed its loops: its stage-0
+   arrival brackets. *)
+let release_of e job = (Rta_core.Engine.entry e { System.job; step = 0 }).Rta_core.Engine.arr_lo
+
+(* [each_loop c f]: [f ~release ~input ~above members] holds on every loop
+   of [c], fed the release traces and boundaries of [c]'s finished
+   analysis. *)
 let each_loop c f =
   let e = engine c in
   List.for_all
     (fun members ->
       let input, above = Sweep.boundaries e members in
-      f ~input ~above members)
+      f ~release:(release_of e) ~input ~above members)
     (loops c.system)
 
 let full_sweep order c ~input ~above members =
@@ -108,8 +112,8 @@ let full_sweep order c ~input ~above members =
     ~above c.system members
 
 let dirty_is_full c =
-  each_loop c (fun ~input ~above members ->
-      let loop, residuals = traced_loop c ~input ~above members in
+  each_loop c (fun ~release ~input ~above members ->
+      let loop, residuals = traced_loop c ~release ~input ~above members in
       let full = full_sweep `Symmetric c ~input ~above members in
       loop.Fixpoint.rounds = full.Sweep.loop.Fixpoint.rounds
       && loop.settled = full.loop.settled
@@ -144,8 +148,9 @@ let test_parity_fixed () =
   let c = chain_swapped Sched.Spp in
   match loops c.system with
   | [ members ] ->
-      let input, above = Sweep.boundaries (engine c) members in
-      let loop, residuals = traced_loop c ~input ~above members in
+      let e = engine c in
+      let input, above = Sweep.boundaries e members in
+      let loop, residuals = traced_loop c ~release:(release_of e) ~input ~above members in
       let full = full_sweep `Symmetric c ~input ~above members in
       Alcotest.(check int) "rounds" full.loop.rounds loop.rounds;
       Alcotest.(check bool) "settled" full.loop.settled loop.settled;
@@ -162,7 +167,7 @@ let test_parity_fixed () =
    same brackets and bounds; [unsettled] collects the components where
    it does not. *)
 let agrees_with_jacobi ?(unsettled = ref 0) c =
-  each_loop c (fun ~input ~above members ->
+  each_loop c (fun ~release ~input ~above members ->
       let jacobi = full_sweep `Jacobi c ~input ~above members in
       if not jacobi.loop.settled then begin
         incr unsettled;
@@ -170,8 +175,7 @@ let agrees_with_jacobi ?(unsettled = ref 0) c =
       end
       else
         let loop =
-          Fixpoint.loop ~release_horizon:c.release_horizon ~horizon:c.horizon
-            ~input ~above c.system members
+          Fixpoint.loop ~release ~horizon:c.horizon ~input ~above c.system members
         in
         loop.settled
         && List.for_all

@@ -1,7 +1,8 @@
 (* Differential tests for the optimized curve kernels against the frozen
    baselines in [Reference]: randomized parity on general operands and on
    one-tick segments, the pointwise kernels, the walks (with the departure
-   read also on plateau service), and the builder/cursor contracts. *)
+   read also on plateau service, and Eq. 12's instance-lag walk), and the
+   builder/cursor contracts. *)
 
 open Rta_curve
 module Reference = Rta_check.Reference
@@ -178,6 +179,23 @@ let prop_departures_plateau =
           ~slope_gen:QCheck2.Gen.(oneofl [ 0; 0; 0; 0; 1; 2 ])))
     print_departures_case departures_agree
 
+(* Eq. 12's walk against the per-instance read: the generated curves start
+   from non-zero values and jump by up to 5 instances at once, and the
+   count runs from 0 to past both final values. *)
+let max_lag_case_gen =
+  let open QCheck2.Gen in
+  let* early = G.step_gen and* late = G.step_gen in
+  let+ count = int_range 0 (max (Step.final_value early) (Step.final_value late) + 3) in
+  (count, early, late)
+
+let prop_max_lag =
+  G.qtest ~count:1000 "max_lag = per-instance inverse read" max_lag_case_gen
+    (fun (count, early, late) ->
+      Printf.sprintf "count=%d early=%s late=%s" count (G.print_step early)
+        (G.print_step late))
+    (fun (count, early, late) ->
+      Step.max_lag ~count early late = Reference.max_lag ~count early late)
+
 let prop_inverse_seek =
   G.qtest2 "Inverse.seek = geq on rising targets" G.pl_mono_gen G.print_pl times_gen
     (fun a -> Fmt.str "%a" Fmt.(Dump.array int) a)
@@ -226,6 +244,7 @@ let () =
           prop_departures;
           prop_inverse_seek;
           Alcotest.test_case "step builder" `Quick test_step_builder;
+          prop_max_lag;
         ] );
       ("departures", [ prop_departures_plateau ]);
       ( "cursors",

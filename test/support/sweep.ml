@@ -3,7 +3,7 @@
    same boundaries and same per-processor step), recomputing every member
    from scratch every round — no dirty set, no version stamps, no cache
    across members or rounds, and Eq. 12 extracted by one binary search
-   per instance.
+   per instance ([Rta_check.Reference.max_lag]).
 
    - [`Symmetric] is the loop's own order: a Gauss-Seidel sweep by
      processor, ascending on odd rounds and descending on even ones, each
@@ -78,15 +78,9 @@ let run ?(max_iterations = 64) ~order ~release_horizon ~horizon ~input ~above
   let worst x (id : System.subjob_id) =
     let rel = release id.job in
     let count = Step.final_value rel in
-    let dep_lo = (bounds x id).Local.dep_lo in
-    let rec go m acc =
-      if m > count then acc
-      else
-        match (Step.inverse dep_lo m, Step.inverse rel m) with
-        | Some d, Some r -> go (m + 1) (max acc (d - r))
-        | None, _ | _, None -> sentinel
-    in
-    if count = 0 then Hashtbl.find x id else min (go 1 0) sentinel
+    match Rta_check.Reference.max_lag ~count rel (bounds x id).Local.dep_lo with
+    | Some r -> min r sentinel
+    | None -> sentinel
   in
   let procs =
     List.sort_uniq compare
